@@ -5,8 +5,10 @@
 //! Covered: cold and warm submissions are byte-identical to the one-shot
 //! runner (with per-job cache stats flipping from all-misses to
 //! all-hits), two concurrent clients agree byte-for-byte, malformed
-//! frames are rejected without killing the daemon, and SIGTERM drains an
-//! in-flight job to completion — even while `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
+//! frames are rejected without killing the daemon, an oversized request
+//! line closes only its own connection, `Cancel` stops a process-backend
+//! job at an item boundary without warming the cache, and SIGTERM drains
+//! an in-flight job to completion — even while `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
 //! keeps killing its workers mid-drain — before the daemon exits 0.
 
 #![cfg(unix)]
@@ -21,8 +23,8 @@ use std::time::{Duration, Instant};
 use onionbots_bench::scenarios;
 use onionbots_bench::worker::CRASH_AFTER_ENV;
 use sim::scenario_api::ScenarioParams;
-use sim::service::{Event, Request};
-use sim::{CacheStats, JobSpec, RunSummary, Runner};
+use sim::service::{Event, Request, MAX_FRAME_BYTES};
+use sim::{CacheStats, JobSpec, PartState, RunSummary, Runner};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_run_experiments")
@@ -390,6 +392,101 @@ fn cancel_over_the_wire_drains_the_job_and_never_warms_the_cache() {
     let stats = stats.expect("cached daemon reports stats");
     assert_eq!(stats.hits, 0, "cancelled job warmed the cache: {stats:?}");
     assert!(stats.misses > 0, "{stats:?}");
+}
+
+#[test]
+fn cancel_stops_a_process_backend_job_at_an_item_boundary() {
+    // One worker subprocess runs the whole job and inherits the delay
+    // schedule, so its third item stalls while the cancel lands; the
+    // fourth is never taken.
+    let daemon = Daemon::spawn(
+        "cancel-process",
+        true,
+        &["--backend", "process", "--jobs", "1"],
+        &[("ONIONBOTS_FAULTS", "worker.item=delay:2000@3")],
+    );
+    let a = daemon.connect();
+    let mut a_writer = a.try_clone().unwrap();
+    let mut a_reader = BufReader::new(a);
+    send_frame(&mut a_writer, &Request::Submit(fig6_spec(51)));
+    let job = match read_event(&mut a_reader) {
+        Event::Accepted { job } => job,
+        other => panic!("expected acceptance, got {other:?}"),
+    };
+    // Wait until the third item is handed to the worker, then cancel.
+    let mut started = 0;
+    while started < 3 {
+        match read_event(&mut a_reader) {
+            Event::Part { event, .. } if event.state == PartState::Started => started += 1,
+            Event::Done { .. } => panic!("job finished before the cancel"),
+            Event::Error { job, message } => panic!("job {job:?} failed: {message}"),
+            _ => {}
+        }
+    }
+    let b = daemon.connect();
+    let mut b_writer = b.try_clone().unwrap();
+    let mut b_reader = BufReader::new(b);
+    send_frame(&mut b_writer, &Request::Cancel { job });
+    match read_event(&mut b_reader) {
+        Event::Cancelled { job: acked } => assert_eq!(acked, job),
+        other => panic!("expected a cancel acknowledgement, got {other:?}"),
+    }
+    loop {
+        match read_event(&mut a_reader) {
+            Event::Cancelled { job: cancelled } => {
+                assert_eq!(cancelled, job);
+                break;
+            }
+            Event::Part { event, .. } => assert_ne!(
+                event.state,
+                PartState::Started,
+                "an item started after the cancel"
+            ),
+            Event::Done { .. } => panic!("cancelled job ran to completion"),
+            Event::Error { job, message } => panic!("job {job:?} failed: {message}"),
+            _ => {}
+        }
+    }
+    // The same cache misses everywhere afterwards, and the daemon's next
+    // job is byte-identical to a one-shot local run.
+    let (rerun, stats, _) = submit(daemon.connect(), &fig6_spec(51));
+    let stats = stats.expect("cached daemon reports stats");
+    assert_eq!(stats.hits, 0, "cancelled job warmed the cache: {stats:?}");
+    assert_eq!(stats.misses, 4, "{stats:?}");
+    assert_eq!(rerun.to_json(), fig6_reference(51).to_json());
+}
+
+#[test]
+fn an_oversized_request_line_costs_only_its_own_connection() {
+    let daemon = Daemon::spawn("oversized", false, &[], &[]);
+    let stream = daemon.connect();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    // One byte over the bound and no newline: the daemon must refuse it
+    // instead of buffering forever.
+    writer
+        .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("the daemon reads the whole oversized line before refusing it");
+    match read_event(&mut reader) {
+        Event::Error { job: None, message } => {
+            assert!(message.contains("line limit"), "{message}")
+        }
+        other => panic!("expected a frame-limit error, got {other:?}"),
+    }
+    let mut rest = String::new();
+    reader.read_to_string(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the connection kept talking: {rest:?}");
+    // The daemon keeps serving the next client.
+    let next = daemon.connect();
+    let mut next_writer = next.try_clone().unwrap();
+    let mut next_reader = BufReader::new(next);
+    send_frame(&mut next_writer, &Request::List);
+    match read_event(&mut next_reader) {
+        Event::Scenarios(infos) => {
+            assert!(infos.iter().any(|info| info.id == "fig6"), "{infos:?}")
+        }
+        other => panic!("expected the scenario listing, got {other:?}"),
+    }
 }
 
 #[test]

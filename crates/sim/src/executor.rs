@@ -234,6 +234,12 @@ impl std::error::Error for ExecutorError {}
 /// item (e.g. after a worker death) emits `item_started` again without an
 /// intervening `item_finished`. The batch's returned `Vec<PartResult>`
 /// stays the single source of truth.
+///
+/// The observer also carries the one control signal a batch accepts:
+/// [`cancelled`](Self::cancelled). The built-in backends poll it each
+/// time they are about to take the next item off their queue; once it
+/// reads `true` they take no further items, let in-flight items finish,
+/// shut their workers down normally and return the results they have.
 pub trait ExecutionObserver: Sync {
     /// An item is about to execute (again, if it was re-queued).
     fn item_started(&self, item: &WorkItem) {
@@ -243,6 +249,13 @@ pub trait ExecutionObserver: Sync {
     /// An item's result landed (successful or carrying a per-item error).
     fn item_finished(&self, result: &PartResult) {
         let _ = result;
+    }
+
+    /// Whether the caller wants the batch stopped at the next item
+    /// boundary. Returning fewer results than items is then expected,
+    /// not a failure: the caller knows it asked for the stop.
+    fn cancelled(&self) -> bool {
+        false
     }
 }
 
@@ -270,9 +283,12 @@ pub trait Executor: Send + Sync {
     /// The default implementation is the batch fallback for custom
     /// executors that cannot observe their items mid-flight: it runs
     /// [`execute`](Self::execute) and then reports every result as
-    /// finished. The built-in backends override it to emit events live
-    /// from their worker threads; either way the returned results are
-    /// bit-identical to an unobserved `execute` call.
+    /// finished. It never polls
+    /// [`ExecutionObserver::cancelled`], so a job on such an executor is
+    /// only cancellable before dispatch. The built-in backends override
+    /// it to emit events live from their worker threads and to stop at
+    /// the next item boundary on cancel; either way the returned results
+    /// are bit-identical to an unobserved `execute` call.
     ///
     /// # Errors
     /// Returns an [`ExecutorError`] exactly like [`execute`](Self::execute).
@@ -341,18 +357,20 @@ impl Executor for LocalExecutor {
             ))
         };
         if self.jobs == 1 || items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|item| {
-                    let scenario = self.resolve(&item.scenario_id)?;
-                    faults::hit_io(faults::points::LOCAL_ITEM).map_err(|e| injected(&item, e))?;
-                    observer.item_started(&item);
-                    let reports = run_work_item(&**scenario, &item);
-                    let result = PartResult::ok(&item, reports);
-                    observer.item_finished(&result);
-                    Ok(result)
-                })
-                .collect();
+            let mut results = Vec::with_capacity(items.len());
+            for item in items {
+                if observer.cancelled() {
+                    break;
+                }
+                let scenario = self.resolve(&item.scenario_id)?;
+                faults::hit_io(faults::points::LOCAL_ITEM).map_err(|e| injected(&item, e))?;
+                observer.item_started(&item);
+                let reports = run_work_item(&**scenario, &item);
+                let result = PartResult::ok(&item, reports);
+                observer.item_finished(&result);
+                results.push(result);
+            }
+            return Ok(results);
         }
         // Resolve every id up front so an unknown scenario fails before
         // any thread starts, then drain a shared queue exactly like the
@@ -368,7 +386,7 @@ impl Executor for LocalExecutor {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    if fatal.lock().expect("fatal lock").is_some() {
+                    if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
                         break;
                     }
                     let next = queue.lock().expect("queue lock").pop_front();
@@ -589,7 +607,7 @@ impl Executor for ProcessExecutor {
                 scope.spawn(|| {
                     let mut worker: Option<Worker> = None;
                     loop {
-                        if fatal.lock().expect("fatal lock").is_some() {
+                        if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
                             break;
                         }
                         let next = queue.lock().expect("queue lock").pop_front();

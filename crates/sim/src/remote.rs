@@ -333,7 +333,9 @@ impl HostChannel {
 /// are charged against the item's bounded retry budget, and results are
 /// deduplicated by fingerprint so a re-queued item is never merged
 /// twice. A host that is unreachable when the run starts, or that
-/// rejects the handshake (version skew), fails the run immediately.
+/// rejects the handshake (version skew), fails the run immediately. On
+/// cancel ([`ExecutionObserver::cancelled`]) each dispatcher thread stops
+/// taking items, lets its in-flight item finish and closes its channel.
 pub struct RemoteExecutor {
     workers: Vec<String>,
     max_item_retries: usize,
@@ -438,6 +440,12 @@ impl Executor for RemoteExecutor {
                         let next = {
                             let mut state = queue.lock().expect("queue lock");
                             loop {
+                                // Checked before every pop, including
+                                // after waking from the park below: a
+                                // cancelled run takes no further items.
+                                if observer.cancelled() {
+                                    break None;
+                                }
                                 if let Some(entry) = state.pending.pop_front() {
                                     state.in_flight += 1;
                                     break Some(entry);
@@ -602,7 +610,9 @@ impl Executor for RemoteExecutor {
             return Err(error);
         }
         let stranded = queue.into_inner().expect("queue lock").pending.len();
-        if stranded > 0 {
+        // Items left queued by a cancel are the caller's to account for;
+        // only a fleet that died under a live run strands them.
+        if stranded > 0 && !observer.cancelled() {
             return Err(ExecutorError::new(format!(
                 "all {} worker host(s) are gone with {stranded} of {total} item(s) still queued",
                 self.workers.len()

@@ -149,9 +149,11 @@ impl RunObserver for () {
 }
 
 /// Adapts a [`RunObserver`] to the executor-level observer so backends
-/// can stream `Started`/`Finished`/`Error` transitions live.
+/// can stream `Started`/`Finished`/`Error` transitions live, and answers
+/// the backends' cancel polls from the runner's cancel token.
 struct ForwardToRun<'a> {
     observer: &'a dyn RunObserver,
+    cancel: Option<&'a AtomicBool>,
 }
 
 impl ExecutionObserver for ForwardToRun<'_> {
@@ -162,6 +164,11 @@ impl ExecutionObserver for ForwardToRun<'_> {
 
     fn item_finished(&self, result: &PartResult) {
         self.observer.part_event(PartEvent::for_result(result));
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel
+            .is_some_and(|token| token.load(Ordering::SeqCst))
     }
 }
 
@@ -302,14 +309,18 @@ impl Runner {
         self
     }
 
-    /// Attaches a cooperative cancellation token. When set, pending items
-    /// are dispatched in bounded batches and the token is checked between
-    /// them: once it reads `true`, the remaining items are drained and the
-    /// run fails with a "job cancelled" [`ExecutorError`]. Because fresh
-    /// results are only written back after the *whole* dispatch succeeds,
-    /// a cancelled run never leaves partial state in the cache — the next
-    /// run simply recomputes. A cancel raised while the final batch is in
-    /// flight loses the race and the run completes normally.
+    /// Attaches a cooperative cancellation token. The run still goes to
+    /// one executor as one batch; the backend polls the token (through
+    /// [`ExecutionObserver::cancelled`]) each time it is about to take
+    /// the next item. Once it reads `true`, no further item starts,
+    /// in-flight items finish, and the run fails with a "job cancelled"
+    /// [`ExecutorError`]. Because fresh results are only written back
+    /// after the *whole* dispatch succeeds, a cancelled run never leaves
+    /// partial state in the cache — the next run simply recomputes. A
+    /// cancel raised after the last item was taken loses the race and
+    /// the run completes normally. A [`Backend::Custom`] executor that
+    /// keeps the default [`Executor::execute_observed`] never polls the
+    /// token, so its runs are only cancellable before dispatch.
     pub fn cancel_token(mut self, token: Arc<AtomicBool>) -> Self {
         self.cancel = Some(token);
         self
@@ -544,11 +555,13 @@ impl Runner {
         ))
     }
 
-    /// Hands the pending items to the configured backend, stamping the
-    /// resolved per-item thread budget onto every item first (and, for
-    /// worker subprocesses, into their environment). With a
-    /// [`cancel_token`](Self::cancel_token) attached the batch is split
-    /// into `jobs`-sized slices so the token gets checked between them.
+    /// Hands the pending items to the configured backend as one batch,
+    /// stamping the resolved per-item thread budget onto every item first
+    /// (and, for worker subprocesses, into their environment). A
+    /// [`cancel_token`](Self::cancel_token) set before dispatch fails the
+    /// run without starting the backend; one set mid-run stops the
+    /// backend at its next item boundary, and the run fails if that left
+    /// items without a result.
     fn dispatch(
         &self,
         scenarios: &[Arc<dyn Scenario>],
@@ -558,60 +571,52 @@ impl Runner {
         if pending.is_empty() {
             return Ok(Vec::new());
         }
-        let threads = self.threads_per_item.resolve(self.jobs, pending.len());
+        let total = pending.len();
+        let cancelled = |remaining: usize| {
+            ExecutorError::new(format!(
+                "job cancelled with {remaining} of {total} item(s) still pending"
+            ))
+        };
+        let forward = ForwardToRun {
+            observer,
+            cancel: self.cancel.as_deref(),
+        };
+        if forward.cancelled() {
+            return Err(cancelled(total));
+        }
+        let threads = self.threads_per_item.resolve(self.jobs, total);
         for item in &mut pending {
             item.threads = threads;
         }
-        let forward = ForwardToRun { observer };
-        let run_batch = |batch: Vec<WorkItem>| -> Result<Vec<PartResult>, ExecutorError> {
-            match &self.backend {
-                Backend::Local => LocalExecutor::new(scenarios.to_vec())
+        let executed = match &self.backend {
+            Backend::Local => LocalExecutor::new(scenarios.to_vec())
+                .jobs(self.jobs)
+                .execute_observed(pending, &forward),
+            Backend::Process(command) => {
+                // Belt and braces: the hint travels inside each work item
+                // (run_work_item scopes it), and the environment carries
+                // the same split as the worker-process default for any
+                // graph work outside an item's scope.
+                let command = command
+                    .clone()
+                    .env(onion_graph::budget::THREADS_ENV, threads.to_string());
+                ProcessExecutor::new(command)
                     .jobs(self.jobs)
-                    .execute_observed(batch, &forward),
-                Backend::Process(command) => {
-                    // Belt and braces: the hint travels inside each work item
-                    // (run_work_item scopes it), and the environment carries
-                    // the same split as the worker-process default for any
-                    // graph work outside an item's scope.
-                    let command = command
-                        .clone()
-                        .env(onion_graph::budget::THREADS_ENV, threads.to_string());
-                    ProcessExecutor::new(command)
-                        .jobs(self.jobs)
-                        .execute_observed(batch, &forward)
-                }
-                Backend::Remote(workers) => {
-                    let mut executor = crate::remote::RemoteExecutor::new(workers.clone());
-                    if let Some(millis) = self.remote_deadline_ms {
-                        executor = executor.deadline_millis(millis);
-                    }
-                    executor.execute_observed(batch, &forward)
-                }
-                Backend::Custom(executor) => executor.execute_observed(batch, &forward),
+                    .execute_observed(pending, &forward)
             }
-        };
-        let Some(token) = &self.cancel else {
-            return run_batch(pending);
-        };
-        // Cancellable path: dispatch one `jobs`-sized slice at a time.
-        // The slices only change scheduling granularity — results are
-        // reassembled in (scenario, part) order upstream, so the summary
-        // bytes are identical to the single-batch path.
-        let total = pending.len();
-        let mut queue: std::collections::VecDeque<WorkItem> = pending.into();
-        let mut results = Vec::with_capacity(total);
-        while !queue.is_empty() {
-            if token.load(Ordering::SeqCst) {
-                return Err(ExecutorError::new(format!(
-                    "job cancelled with {} of {total} item(s) still pending",
-                    queue.len()
-                )));
+            Backend::Remote(workers) => {
+                let mut executor = crate::remote::RemoteExecutor::new(workers.clone());
+                if let Some(millis) = self.remote_deadline_ms {
+                    executor = executor.deadline_millis(millis);
+                }
+                executor.execute_observed(pending, &forward)
             }
-            let take = self.jobs.max(1).min(queue.len());
-            let batch: Vec<WorkItem> = queue.drain(..take).collect();
-            results.extend(run_batch(batch)?);
+            Backend::Custom(executor) => executor.execute_observed(pending, &forward),
+        }?;
+        if forward.cancelled() && executed.len() < total {
+            return Err(cancelled(total - executed.len()));
         }
-        Ok(results)
+        Ok(executed)
     }
 }
 
@@ -1050,29 +1055,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn mid_run_cancel_drains_pending_items_and_poisons_nothing() {
-        /// Trips the shared token as soon as the first batch completes,
-        /// so the between-batch check cancels the rest of the run.
-        struct CancelAfterFirst {
-            token: Arc<AtomicBool>,
-            executed: std::sync::Mutex<usize>,
-        }
-        impl Executor for CancelAfterFirst {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-                *self.executed.lock().unwrap() += items.len();
-                self.token.store(true, Ordering::SeqCst);
-                Ok(items
-                    .iter()
-                    .map(|item| PartResult::ok(item, vec![]))
-                    .collect())
-            }
+    /// A custom backend that executes items in order, trips the shared
+    /// cancel token once `trip_after` items have run, and honours the
+    /// observer's cancel poll before taking each next item — the same
+    /// item-boundary contract the built-in backends keep.
+    struct CancelAfter {
+        scenarios: Vec<Arc<dyn Scenario>>,
+        token: Arc<AtomicBool>,
+        trip_after: usize,
+        executed: std::sync::Mutex<usize>,
+    }
+
+    impl Executor for CancelAfter {
+        fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            self.execute_observed(items, &())
         }
 
+        fn execute_observed(
+            &self,
+            items: Vec<WorkItem>,
+            observer: &dyn ExecutionObserver,
+        ) -> Result<Vec<PartResult>, ExecutorError> {
+            let mut results = Vec::new();
+            for item in items {
+                if observer.cancelled() {
+                    break;
+                }
+                let scenario = self
+                    .scenarios
+                    .iter()
+                    .find(|s| s.id() == item.scenario_id)
+                    .expect("known scenario");
+                let reports = crate::executor::run_work_item(&**scenario, &item);
+                results.push(PartResult::ok(&item, reports));
+                *self.executed.lock().unwrap() += 1;
+                if results.len() == self.trip_after {
+                    self.token.store(true, Ordering::SeqCst);
+                }
+            }
+            Ok(results)
+        }
+    }
+
+    #[test]
+    fn mid_run_cancel_drains_pending_items_and_poisons_nothing() {
         let (cache, dir) = temp_cache("cancel-mid");
         let token = Arc::new(AtomicBool::new(false));
-        let backend = Arc::new(CancelAfterFirst {
+        let backend = Arc::new(CancelAfter {
+            scenarios: scenarios(),
             token: token.clone(),
+            trip_after: 2,
             executed: std::sync::Mutex::new(0),
         });
         let error = Runner::new(ScenarioParams::with_seed(6))
@@ -1089,11 +1121,11 @@ mod tests {
         assert_eq!(
             *backend.executed.lock().unwrap(),
             2,
-            "only the first jobs-sized batch ran"
+            "no item starts after the token trips"
         );
-        // Even the *completed* batch is discarded: results are stored
+        // Even the *completed* items are discarded: results are stored
         // only after the whole dispatch succeeds, so the cache holds no
-        // partial (and here: empty-report) state from the cancelled run.
+        // partial state from the cancelled run.
         let (_, stats) = Runner::new(ScenarioParams::with_seed(6))
             .with_cache(cache)
             .run_with_stats(&scenarios());
@@ -1101,6 +1133,81 @@ mod tests {
         assert_eq!(stats.hits, 0, "no entry from a cancelled run may survive");
         assert_eq!(stats.misses, 7);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cancel_after_the_last_item_loses_the_race_and_the_run_completes() {
+        let (cache, dir) = temp_cache("cancel-late");
+        let params = ScenarioParams::with_seed(6);
+        let token = Arc::new(AtomicBool::new(false));
+        let backend = Arc::new(CancelAfter {
+            scenarios: scenarios(),
+            token: token.clone(),
+            trip_after: 7,
+            executed: std::sync::Mutex::new(0),
+        });
+        let (summary, stats) = Runner::new(params.clone())
+            .jobs(2)
+            .with_cache(cache.clone())
+            .backend(Backend::Custom(backend))
+            .cancel_token(token.clone())
+            .try_run_with_stats(&scenarios())
+            .unwrap();
+        assert!(token.load(Ordering::SeqCst), "the token did trip");
+        assert_eq!(stats.unwrap().stored, 7, "every result was stored");
+        assert_eq!(
+            summary.to_json(),
+            Runner::new(params.clone()).run(&scenarios()).to_json()
+        );
+        let (_, stats) = Runner::new(params)
+            .with_cache(cache)
+            .run_with_stats(&scenarios());
+        let stats = stats.unwrap();
+        assert!(stats.all_hits(), "{stats:?}");
+        assert_eq!(stats.hits, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_cancellable_run_dispatches_to_one_executor_call() {
+        /// Counts `execute_observed` calls and runs items in-process.
+        struct Counting {
+            scenarios: Vec<Arc<dyn Scenario>>,
+            calls: std::sync::Mutex<usize>,
+        }
+        impl Executor for Counting {
+            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+                self.execute_observed(items, &())
+            }
+            fn execute_observed(
+                &self,
+                items: Vec<WorkItem>,
+                observer: &dyn ExecutionObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
+                *self.calls.lock().unwrap() += 1;
+                LocalExecutor::new(self.scenarios.clone()).execute_observed(items, observer)
+            }
+        }
+
+        let backend = Arc::new(Counting {
+            scenarios: scenarios(),
+            calls: std::sync::Mutex::new(0),
+        });
+        let params = ScenarioParams::with_seed(42);
+        let summary = Runner::new(params.clone())
+            .jobs(2)
+            .backend(Backend::Custom(backend.clone()))
+            .cancel_token(Arc::new(AtomicBool::new(false)))
+            .run(&scenarios());
+        assert_eq!(
+            *backend.calls.lock().unwrap(),
+            1,
+            "all 7 items go to one executor call"
+        );
+        assert_eq!(
+            summary.to_json(),
+            Runner::new(params).run(&scenarios()).to_json()
+        );
     }
 
     #[test]
@@ -1114,7 +1221,7 @@ mod tests {
         assert_eq!(
             cancellable.to_json(),
             reference.to_json(),
-            "batched dispatch must be byte-identical to the single batch"
+            "a cancellable run must be byte-identical to a plain one"
         );
     }
 

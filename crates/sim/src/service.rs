@@ -32,16 +32,20 @@
 //! connection has wound down.
 //!
 //! A misbehaving client cannot hurt the daemon: a malformed frame gets
-//! an [`Event::Error`] answer and the connection keeps serving, and a
-//! client that disconnects mid-job merely stops receiving events — the
-//! job still runs to completion, so the shared cache is warmed, never
-//! poisoned.
+//! an [`Event::Error`] answer and the connection keeps serving; a line
+//! longer than [`MAX_FRAME_BYTES`] gets an [`Event::Error`] answer and
+//! the connection is closed, so the read buffer never grows past the
+//! bound; and a client that disconnects mid-job merely stops receiving
+//! events — the job still runs to completion, so the shared cache is
+//! warmed, never poisoned.
 //!
 //! Resource use is bounded and jobs are revocable: admission control
 //! refuses submissions beyond [`ServiceConfig::max_active_jobs`]
 //! concurrently running jobs with an [`Event::Rejected`] frame (nothing
 //! queues — the client retries), and [`Request::Cancel`] drains a
-//! running job's remaining work items at the next batch boundary.
+//! running job's remaining work items at the next *item* boundary: a job
+//! runs on one executor, which polls the job's cancel token each time it
+//! is about to take the next item, lets in-flight items finish and stops.
 //! Because the runner stores results only after a dispatch fully
 //! succeeds, a cancelled job writes *nothing* to the shared cache — no
 //! partial state can ever be replayed. The `service.job` and
@@ -660,9 +664,10 @@ impl Service {
         }
     }
 
-    /// Requests cancellation of a running job. The job's remaining items
-    /// are drained at the next batch boundary; its submitter receives
-    /// [`Event::Cancelled`] as the final frame.
+    /// Requests cancellation of a running job. The job's executor takes
+    /// no further items once it sees the request: pending items are
+    /// drained at the next item boundary, in-flight items finish, and
+    /// the submitter receives [`Event::Cancelled`] as the final frame.
     ///
     /// # Errors
     /// Returns a human-readable reason when `job` is unknown or no longer
@@ -721,7 +726,9 @@ impl Service {
     ///
     /// # Errors
     /// Returns the underlying I/O error when the transport fails in a
-    /// way that is neither EOF nor a read timeout.
+    /// way that is neither EOF nor a read timeout, or when a request
+    /// line exceeds [`MAX_FRAME_BYTES`]; either is first answered with
+    /// an [`Event::Error`] frame where the transport still allows it.
     pub fn handle_connection<R: Read, W: Write + Send>(
         &self,
         input: R,
@@ -730,7 +737,19 @@ impl Service {
         let sink = EventSink::new(output);
         let mut frames = FrameReader::new(input);
         loop {
-            match frames.read_frame()? {
+            let frame = match frames.read_frame() {
+                Ok(frame) => frame,
+                Err(error) => {
+                    // An oversized line leaves the stream unframeable, so
+                    // the client is told why and the connection ends.
+                    sink.send(&Event::Error {
+                        job: None,
+                        message: format!("cannot read request frame: {error}"),
+                    });
+                    return Err(error);
+                }
+            };
+            match frame {
                 Frame::Eof => return Ok(()),
                 Frame::Idle => {
                     if self.is_draining() {
@@ -939,15 +958,26 @@ pub enum Frame {
     Eof,
 }
 
+/// The longest line, in bytes and without its terminator, a
+/// [`FrameReader`] accepts. A peer that streams more bytes than this
+/// without a newline gets an [`io::ErrorKind::InvalidData`] error instead
+/// of an ever-growing buffer. 16 MiB is about 700 times the `Done` frame
+/// of the whole quick registry.
+pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
+
 /// An incremental NDJSON line reader that survives read timeouts.
 ///
 /// `BufRead::read_line` would lose buffered partial lines across a
 /// timeout; this reader keeps partial bytes between calls, so a
 /// transport with a read timeout (as the serve loops configure) yields
-/// [`Frame::Idle`] without corrupting the stream.
+/// [`Frame::Idle`] without corrupting the stream. Lines are bounded by
+/// [`MAX_FRAME_BYTES`].
 pub struct FrameReader<R: Read> {
     input: R,
     buffer: Vec<u8>,
+    /// How much of `buffer` is known to hold no newline, so each read
+    /// scans only the bytes it appended.
+    scanned: usize,
 }
 
 impl<R: Read> FrameReader<R> {
@@ -956,6 +986,7 @@ impl<R: Read> FrameReader<R> {
         FrameReader {
             input,
             buffer: Vec::new(),
+            scanned: 0,
         }
     }
 
@@ -963,10 +994,25 @@ impl<R: Read> FrameReader<R> {
     ///
     /// # Errors
     /// Returns the underlying I/O error for failures that are neither
-    /// timeouts nor EOF.
+    /// timeouts nor EOF, and an [`io::ErrorKind::InvalidData`] error for
+    /// a line longer than [`MAX_FRAME_BYTES`].
     pub fn read_frame(&mut self) -> io::Result<Frame> {
         loop {
-            if let Some(pos) = self.buffer.iter().position(|&b| b == b'\n') {
+            let newline = self.buffer[self.scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|offset| self.scanned + offset);
+            self.scanned = newline.unwrap_or(self.buffer.len());
+            if self.scanned > MAX_FRAME_BYTES {
+                self.buffer = Vec::new();
+                self.scanned = 0;
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("frame exceeds the {MAX_FRAME_BYTES}-byte line limit"),
+                ));
+            }
+            if let Some(pos) = newline {
+                self.scanned = 0;
                 let rest = self.buffer.split_off(pos + 1);
                 let mut line = std::mem::replace(&mut self.buffer, rest);
                 line.pop(); // the '\n'
@@ -982,6 +1028,7 @@ impl<R: Read> FrameReader<R> {
                         return Ok(Frame::Eof);
                     }
                     // A final unterminated line; the next call sees EOF.
+                    self.scanned = 0;
                     let line = std::mem::take(&mut self.buffer);
                     return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
                 }
@@ -1433,7 +1480,7 @@ mod tests {
         /// A scenario whose first part cancels its own job — a
         /// deterministic stand-in for a second client connection sending
         /// `Cancel` while the job is mid-run (no timing race: the token
-        /// is guaranteed set before the second single-item batch).
+        /// is guaranteed set before the executor takes the second part).
         struct CancelSelf {
             service: std::sync::Weak<Service>,
         }
@@ -1485,8 +1532,9 @@ mod tests {
                 },
             )
         });
-        // jobs=1 → 5 single-item batches with a token check between each:
-        // part 0 trips the token, the check before batch 2 drains.
+        // jobs=1 → the local executor runs the parts in order and polls
+        // the token before taking each: part 0 trips it, so no further
+        // part starts.
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(13))]);
         assert_eq!(
             events.last(),
@@ -1633,6 +1681,58 @@ mod tests {
             "a final unterminated line is delivered"
         );
         assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+    }
+
+    #[test]
+    fn frame_reader_bounds_a_line_that_never_ends() {
+        // An endless stream with no newline is a clean InvalidData error
+        // once the buffered line passes the bound, not an unbounded
+        // allocation.
+        let mut reader = FrameReader::new(io::repeat(b'x'));
+        let error = reader.read_frame().unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("line limit"), "{error}");
+        // A line of exactly the bound still parses, followed by a
+        // normal one: the limit is on one line, not on the stream.
+        let input = io::repeat(b'y')
+            .take(MAX_FRAME_BYTES as u64)
+            .chain(&b"\nnext\n"[..]);
+        let mut reader = FrameReader::new(input);
+        let Frame::Line(line) = reader.read_frame().unwrap() else {
+            panic!("expected the bound-sized line");
+        };
+        assert_eq!(line.len(), MAX_FRAME_BYTES);
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("next".into()));
+        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+        // One byte over the bound is refused even when its newline is
+        // already buffered.
+        let input = io::repeat(b'z')
+            .take(MAX_FRAME_BYTES as u64 + 1)
+            .chain(&b"\n"[..]);
+        let error = FrameReader::new(input).read_frame().unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn an_oversized_request_line_is_answered_and_closes_the_connection() {
+        let service = service(None);
+        let mut input = vec![b'x'; MAX_FRAME_BYTES + 1];
+        input.extend_from_slice(b"\n\"List\"\n");
+        let mut output = Vec::new();
+        let error = service
+            .handle_connection(&input[..], &mut output)
+            .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let text = String::from_utf8(output).unwrap();
+        let frames: Vec<Event> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        assert_eq!(frames.len(), 1, "nothing after the oversized line: {text}");
+        let Event::Error { job: None, message } = &frames[0] else {
+            panic!("expected an Error frame, got {:?}", frames[0]);
+        };
+        assert!(message.contains("line limit"), "{message}");
     }
 
     #[test]
