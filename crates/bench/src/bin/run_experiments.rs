@@ -29,11 +29,10 @@
 //! and flush to the cache, and the process exits 0.
 //!
 //! The hidden `worker` mode (`run_experiments worker`) is the subprocess
-//! side of `--backend process`: it speaks the newline-delimited JSON
-//! work-item protocol on stdin/stdout and is not meant to be invoked by
-//! hand. `serve-worker --listen ADDR` is the same loop as a standalone
-//! TCP worker host — the fleet side of `--backend remote --worker ADDR`
-//! (see [`sim::remote`]).
+//! side of `--backend process`: it speaks the [`sim::wire`] frames on
+//! stdin/stdout and is not meant to be invoked by hand. `serve-worker
+//! --listen ADDR` is the same loop as a standalone TCP worker host — the
+//! fleet side of `--backend remote --worker ADDR`.
 
 // Deny (not forbid) so the one inventoried exception below can carry a
 // scoped `#[allow]`; detlint rule D004 pins this binary to exactly one
@@ -95,7 +94,7 @@ struct Options {
     workers: Vec<String>,
     threads_per_item: ThreadsPerItem,
     faults: Vec<String>,
-    remote_deadline_ms: Option<u64>,
+    item_deadline_ms: Option<u64>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -134,11 +133,12 @@ Options:
   --worker ADDR       remote worker host address, repeatable (requires
                       --backend remote; list an address twice for two
                       concurrent channels to the same host)
-  --remote-deadline-ms MS
-                      per-item reply deadline for --backend remote
-                      (default: 60000). A host that accepts work but
-                      does not answer within MS is abandoned and its
-                      items re-queue on the surviving fleet
+  --item-deadline-ms MS
+                      per-item reply deadline for --backend process and
+                      remote (default: 60000). A worker that accepts
+                      work but does not answer within MS is abandoned
+                      and its items re-queue on the surviving workers;
+                      raise it for parts that run longer than MS
   --faults POINT=SPEC deterministic fault injection, repeatable; also
                       via env ONIONBOTS_FAULTS (';'-separated). SPEC is
                       ACTION[:MILLIS]@ORDINALS with ACTION one of
@@ -176,7 +176,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         workers: Vec::new(),
         threads_per_item: ThreadsPerItem::Auto,
         faults: Vec::new(),
-        remote_deadline_ms: None,
+        item_deadline_ms: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -256,15 +256,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 };
             }
             "--worker" => options.workers.push(value_for("--worker")?),
-            "--remote-deadline-ms" => {
-                let value = value_for("--remote-deadline-ms")?;
-                options.remote_deadline_ms = Some(
+            "--item-deadline-ms" => {
+                let value = value_for("--item-deadline-ms")?;
+                options.item_deadline_ms = Some(
                     value
                         .parse::<u64>()
                         .ok()
                         .filter(|&ms| ms >= 1)
                         .ok_or_else(|| {
-                            format!("invalid --remote-deadline-ms value '{value}' (MS >= 1)")
+                            format!("invalid --item-deadline-ms value '{value}' (MS >= 1)")
                         })?,
                 );
             }
@@ -300,9 +300,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if options.backend != BackendChoice::Remote && !options.workers.is_empty() {
         return Err("--worker is only valid together with --backend remote".to_string());
     }
-    if options.backend != BackendChoice::Remote && options.remote_deadline_ms.is_some() {
+    if options.backend == BackendChoice::Local && options.item_deadline_ms.is_some() {
         return Err(
-            "--remote-deadline-ms is only valid together with --backend remote".to_string(),
+            "--item-deadline-ms is only valid together with --backend process or remote"
+                .to_string(),
         );
     }
     Ok(options)
@@ -461,8 +462,8 @@ fn main() -> ExitCode {
         .jobs(options.jobs)
         .backend(backend)
         .threads_per_item(options.threads_per_item);
-    if let Some(millis) = options.remote_deadline_ms {
-        runner = runner.remote_deadline_ms(millis);
+    if let Some(millis) = options.item_deadline_ms {
+        runner = runner.item_deadline_ms(millis);
     }
     let mut cache_active = false;
     if let Some(dir) = cache_dir {

@@ -14,7 +14,7 @@
 //! see `EXPERIMENTS.md` at the repository root for the full walkthrough.
 //! With `--backend process` the run fans its work items out to
 //! `run_experiments worker` subprocesses (the [`worker`] module) over the
-//! newline-delimited JSON protocol in [`sim::executor`], with the same
+//! newline-delimited JSON protocol in [`sim::wire`], with the same
 //! byte-identical summaries.
 //! `run_experiments serve` keeps the whole stack resident as a daemon
 //! ([`service_cli`], over [`sim::service`]): clients `submit` jobs and

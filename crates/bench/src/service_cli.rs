@@ -20,7 +20,8 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
 use sim::scenario_api::parse_override;
-use sim::service::{Event, Frame, FrameReader, Request};
+use sim::service::{Event, Request};
+use sim::wire::{write_frame, Frame, FrameReader};
 use sim::{
     BackendSpec, JobSpec, ResultCache, Service, ServiceConfig, ThreadsPerItem, ThreadsSpec,
     WorkerCommand,
@@ -108,12 +109,7 @@ fn connect(transport: &Transport) -> Result<Connection, String> {
 /// (dropping a cloned read/write half does not shut the socket down).
 fn request_one(transport: &Transport, request: &Request) -> Result<Event, String> {
     let (reader, mut writer) = connect(transport)?;
-    let frame = serde_json::to_string(request).expect("requests serialize");
-    writer
-        .write_all(frame.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
-        .map_err(|e| format!("cannot send request: {e}"))?;
+    write_frame(&mut writer, request).map_err(|e| format!("cannot send request: {e}"))?;
     let mut frames = FrameReader::new(reader);
     loop {
         match frames
@@ -156,9 +152,9 @@ Options:
   --max-jobs N        admission bound: at most N jobs run concurrently;
                       further submissions are answered with a Rejected
                       frame instead of queueing (default: 8)
-  --remote-deadline-ms MS
-                      per-item reply deadline for remote-backend jobs
-                      (default: 60000)
+  --item-deadline-ms MS
+                      per-item reply deadline for process- and
+                      remote-backend jobs (default: 60000)
   --cache-dir DIR     shared result cache for every job
                       (default: env ONIONBOTS_CACHE_DIR; unset = no cache)
   --no-cache          run every job uncached
@@ -175,7 +171,7 @@ struct ServeOptions {
     workers: Vec<String>,
     threads_per_item: ThreadsPerItem,
     max_active_jobs: usize,
-    remote_deadline_ms: Option<u64>,
+    item_deadline_ms: Option<u64>,
     cache_dir: Option<String>,
     no_cache: bool,
 }
@@ -188,7 +184,7 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
         workers: Vec::new(),
         threads_per_item: ThreadsPerItem::Auto,
         max_active_jobs: sim::service::DEFAULT_MAX_ACTIVE_JOBS,
-        remote_deadline_ms: None,
+        item_deadline_ms: None,
         cache_dir: None,
         no_cache: false,
     };
@@ -229,11 +225,11 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
                         format!("invalid --max-jobs value '{value}' (need N >= 1)")
                     })?;
             }
-            "--remote-deadline-ms" => {
-                let value = value_for("--remote-deadline-ms")?;
-                options.remote_deadline_ms =
+            "--item-deadline-ms" => {
+                let value = value_for("--item-deadline-ms")?;
+                options.item_deadline_ms =
                     Some(value.parse().ok().filter(|&ms| ms >= 1).ok_or_else(|| {
-                        format!("invalid --remote-deadline-ms value '{value}' (need MS >= 1)")
+                        format!("invalid --item-deadline-ms value '{value}' (need MS >= 1)")
                     })?);
             }
             "--cache-dir" => options.cache_dir = Some(value_for("--cache-dir")?),
@@ -307,7 +303,7 @@ pub fn serve_main(args: &[String], stop: &AtomicBool) -> ExitCode {
             workers: options.workers,
             threads_per_item: options.threads_per_item,
             max_active_jobs: options.max_active_jobs,
-            remote_deadline_ms: options.remote_deadline_ms,
+            item_deadline_ms: options.item_deadline_ms,
             cache,
         },
     );
@@ -514,12 +510,7 @@ fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, String> {
 
 fn run_submit(options: &SubmitOptions) -> Result<(), String> {
     let (reader, mut writer) = connect(&options.transport)?;
-    let frame =
-        serde_json::to_string(&Request::Submit(options.spec.clone())).expect("requests serialize");
-    writer
-        .write_all(frame.as_bytes())
-        .and_then(|()| writer.write_all(b"\n"))
-        .and_then(|()| writer.flush())
+    write_frame(&mut writer, &Request::Submit(options.spec.clone()))
         .map_err(|e| format!("cannot send job: {e}"))?;
     let mut frames = FrameReader::new(reader);
     loop {
@@ -754,7 +745,7 @@ mod tests {
             "2",
             "--max-jobs",
             "2",
-            "--remote-deadline-ms",
+            "--item-deadline-ms",
             "3000",
             "--no-cache",
         ]))
@@ -764,20 +755,19 @@ mod tests {
         assert_eq!(options.backend, BackendSpec::Process);
         assert_eq!(options.threads_per_item, ThreadsPerItem::Fixed(2));
         assert_eq!(options.max_active_jobs, 2);
-        assert_eq!(options.remote_deadline_ms, Some(3000));
+        assert_eq!(options.item_deadline_ms, Some(3000));
         assert!(options.no_cache);
         let defaults = parse_serve_options(&args(&["--socket", "/tmp/svc.sock"])).unwrap();
         assert_eq!(
             defaults.max_active_jobs,
             sim::service::DEFAULT_MAX_ACTIVE_JOBS
         );
-        assert_eq!(defaults.remote_deadline_ms, None);
+        assert_eq!(defaults.item_deadline_ms, None);
         assert!(parse_serve_options(&args(&["--socket"])).is_err());
         assert!(parse_serve_options(&args(&["--socket", "p", "--backend", "warp"])).is_err());
         assert!(parse_serve_options(&args(&["--socket", "p", "--max-jobs", "0"])).is_err());
         assert!(
-            parse_serve_options(&args(&["--socket", "p", "--remote-deadline-ms", "never"]))
-                .is_err()
+            parse_serve_options(&args(&["--socket", "p", "--item-deadline-ms", "never"])).is_err()
         );
     }
 

@@ -1,31 +1,33 @@
 //! The hidden `run_experiments worker` mode: the subprocess side of the
-//! [`sim::ProcessExecutor`] backend.
+//! `--backend process` dispatcher ([`sim::Dispatcher::processes`]).
 //!
-//! A worker is a plain filter: it reads one [`sim::WorkItem`] JSON line
-//! at a time from stdin, looks the scenario up by id in the same
-//! [`registry`](crate::scenarios::registry) the parent uses, executes
-//! the part with its precomputed seed, and writes one [`sim::PartResult`]
-//! JSON line to stdout. Per-item failures (an unknown scenario id) are
-//! reported *in* the result line — the parent aggregates status and
-//! prints every summary; a worker writes nothing to stdout but result
-//! lines and nothing user-facing to stderr.
+//! A worker serves one dispatcher channel over its stdio with
+//! [`sim::serve_connection`], the same loop a worker host runs per TCP
+//! connection: a `Hello`/`Welcome` version handshake, then one
+//! [`sim::WorkItem`] per `Assign` frame, looked up by id in the same
+//! [`registry`](crate::scenarios::registry) the parent uses and executed
+//! with its precomputed seed, answered by one `Completed` frame carrying
+//! the [`sim::PartResult`]. Per-item failures (an unknown scenario id)
+//! are reported *in* the result — the parent aggregates status and
+//! prints every summary; a worker writes nothing to stdout but frames
+//! and nothing user-facing to stderr.
 //!
-//! EOF on stdin is the shutdown signal: the parent closes the pipe and
-//! the worker exits cleanly. Crash-recovery tests inject deterministic
+//! EOF on stdin ends the worker; the dispatcher kills and reaps it when
+//! it closes the channel. Crash-recovery tests inject deterministic
 //! deaths through [`CRASH_AFTER_ENV`].
 //!
 //! The `run_experiments serve-worker --listen ADDR` mode
 //! ([`serve_worker_main`]) is the same loop promoted to a standalone
 //! **worker host** for `--backend remote`: registry loaded once, one
-//! thread per dispatcher connection, the identical work-item frames over
-//! TCP behind a one-line version handshake (see [`sim::remote`]).
+//! thread per dispatcher connection, the identical frames over TCP (see
+//! [`sim::wire`]).
 
 use std::io;
 use std::net::TcpListener;
 use std::process::ExitCode;
 
-use sim::executor::serve_work_items;
-use sim::remote::serve_remote_host;
+use sim::faults::points::WORKER_ITEM;
+use sim::{serve_connection, serve_remote_host};
 
 use crate::scenarios;
 
@@ -74,18 +76,20 @@ fn arm_worker_faults() {
     }
 }
 
-/// Runs the worker loop over stdin/stdout until EOF.
+/// Serves one dispatcher channel over stdin/stdout until EOF.
 ///
 /// # Errors
-/// Returns the underlying I/O error when a pipe breaks or the parent
-/// sends a malformed work item (a protocol violation, not a recoverable
-/// condition).
+/// Returns the underlying I/O error when the channel breaks or the
+/// parent violates the protocol (not a recoverable condition).
 pub fn run_worker() -> io::Result<()> {
     let registry = scenarios::registry();
     arm_worker_faults();
-    let stdin = io::stdin();
-    let stdout = io::stdout();
-    serve_work_items(stdin.lock(), stdout.lock(), |id| registry.get(id))
+    serve_connection(
+        io::stdin().lock(),
+        io::stdout().lock(),
+        |id| registry.get(id),
+        WORKER_ITEM,
+    )
 }
 
 /// Usage text for the `serve-worker` subcommand.
@@ -175,21 +179,39 @@ pub fn serve_worker_main(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use sim::executor::{run_work_item, serve_work_items, PartResult, WorkItem};
+    use sim::executor::{run_work_item, PartResult, WorkItem};
     use sim::scenario_api::ScenarioParams;
+    use sim::wire::{write_frame, DispatchFrame, WorkerFrame, PROTOCOL_VERSION};
+    use sim::{faults, serve_connection};
 
     use crate::scenarios;
 
     /// Drives the worker loop against the real registry through in-memory
-    /// pipes, mirroring what `run_worker` wires to stdin/stdout.
-    fn serve(lines: &str) -> Vec<PartResult> {
+    /// buffers, mirroring what `run_worker` wires to stdin/stdout: a
+    /// handshake, then one assignment per item.
+    fn serve(items: &[WorkItem]) -> Vec<PartResult> {
         let registry = scenarios::registry();
+        let mut input = Vec::new();
+        let hello = DispatchFrame::Hello {
+            protocol: PROTOCOL_VERSION,
+        };
+        write_frame(&mut input, &hello).unwrap();
+        for item in items {
+            write_frame(&mut input, &DispatchFrame::Assign(item.clone())).unwrap();
+        }
         let mut output = Vec::new();
-        serve_work_items(lines.as_bytes(), &mut output, |id| registry.get(id)).unwrap();
-        std::str::from_utf8(&output)
+        let point = faults::points::WORKER_ITEM;
+        serve_connection(&input[..], &mut output, |id| registry.get(id), point).unwrap();
+        let mut frames = std::str::from_utf8(&output)
             .unwrap()
             .lines()
-            .map(|line| serde_json::from_str(line).unwrap())
+            .map(|line| serde_json::from_str::<WorkerFrame>(line).unwrap());
+        assert!(matches!(frames.next(), Some(WorkerFrame::Welcome { .. })));
+        frames
+            .map(|frame| match frame {
+                WorkerFrame::Completed(result) => result,
+                other => panic!("expected a result, got {other:?}"),
+            })
             .collect()
     }
 
@@ -203,11 +225,7 @@ mod tests {
         let items: Vec<WorkItem> = (0..2)
             .map(|part| WorkItem::new(&*fig6, part, &params))
             .collect();
-        let input: String = items
-            .iter()
-            .map(|item| serde_json::to_string(item).unwrap() + "\n")
-            .collect();
-        let results = serve(&input);
+        let results = serve(&items);
         assert_eq!(results.len(), 2);
         for (item, result) in items.iter().zip(&results) {
             assert_eq!(result.error, None);
@@ -227,8 +245,7 @@ mod tests {
         let params = ScenarioParams::with_seed(1).with_override("steps", "1");
         let mut stranger = WorkItem::new(&*fig6, 0, &params);
         stranger.scenario_id = "not-a-scenario".to_string();
-        let input = serde_json::to_string(&stranger).unwrap() + "\n";
-        let results = serve(&input);
+        let results = serve(&[stranger]);
         assert_eq!(results.len(), 1);
         let error = results[0].error.as_deref().unwrap();
         assert!(error.contains("not-a-scenario"), "{error}");

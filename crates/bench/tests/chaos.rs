@@ -157,7 +157,7 @@ struct Schedule {
     faults: &'static [&'static str],
     /// Fault schedule armed on the second remote host only.
     host_faults: Option<&'static str>,
-    /// Extra CLI flags (e.g. a tightened remote deadline).
+    /// Extra CLI flags (e.g. a tightened item deadline).
     extra: &'static [&'static str],
     /// Re-execute cached parts (`--refresh`) so the faults actually
     /// fire instead of being swallowed by warm hits from the previous
@@ -362,6 +362,17 @@ fn process_backend_absorbs_or_cleanly_fails_every_seeded_schedule() {
                 Expect::Identical,
             ),
             schedule("store-error", &["cache.store=err@1"], Expect::Identical),
+            // Each worker hangs on its second item: the per-item deadline
+            // must kill both and fail the run with a named cause, where a
+            // deadline-less dispatcher would wait on them forever.
+            Schedule {
+                name: "hung-worker",
+                faults: &["worker.item=hang@2"],
+                host_faults: None,
+                extra: &["--item-deadline-ms", "2000"],
+                refresh: true,
+                expect: Expect::CleanError("deadline"),
+            },
             schedule(
                 "worker-crash-loop",
                 &["worker.item=crash@1"],
@@ -399,7 +410,7 @@ fn remote_backend_absorbs_or_cleanly_fails_every_seeded_schedule() {
                 name: "hung-host",
                 faults: &[],
                 host_faults: Some("remote.host.item=hang@2"),
-                extra: &["--remote-deadline-ms", "2000"],
+                extra: &["--item-deadline-ms", "2000"],
                 refresh: true,
                 expect: Expect::Identical,
             },

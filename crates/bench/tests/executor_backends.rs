@@ -1,8 +1,9 @@
 //! Integration tests for the pluggable execution backends against real
 //! registered scenarios: `RunSummary` byte-equality local-vs-process at
 //! several worker counts, worker-kill recovery with identical output,
-//! retry exhaustion for an item that keeps killing workers, and cache
-//! sharing across backends (parts computed by worker subprocesses replay
+//! retry exhaustion for an item that keeps killing workers, a clean
+//! failure on a worker that streams an endless line, and cache sharing
+//! across backends (parts computed by worker subprocesses replay
 //! as hits in a local run, byte-identically).
 //!
 //! The worker subprocess is this package's own `run_experiments` binary
@@ -172,4 +173,22 @@ fn parts_computed_by_workers_replay_as_local_cache_hits_byte_identically() {
     assert_eq!(stats.hits, PARTS);
     assert_eq!(warm.to_json(), cold.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_worker_streaming_an_endless_line_fails_the_run_naming_the_line_limit() {
+    // A "worker" that answers the handshake with more than MAX_FRAME_BYTES
+    // bytes and no newline: the bounded reader must refuse it cleanly.
+    let endless = WorkerCommand::new("sh")
+        .arg("-c")
+        .arg("head -c 17000000 /dev/zero");
+    let error = Runner::new(params(3))
+        .backend(Backend::Process(endless))
+        .try_run_with_stats(&selected())
+        .unwrap_err();
+    let message = error.to_string();
+    assert!(
+        message.contains("line limit"),
+        "unexpected error: {message}"
+    );
 }

@@ -3,7 +3,8 @@
 //! `RunSummary` byte-equality remote-vs-local at several fleet sizes
 //! (cold and warm), host-kill recovery with identical output, retry
 //! exhaustion against a host that keeps corrupting the stream, fatal
-//! rejection by a host that refuses the handshake, and cache sharing
+//! rejection by a host that refuses the handshake, a reply that pauses
+//! mid-character, a clean failure on an endless line, and cache sharing
 //! (parts computed by remote hosts replay as local hits, byte-identically
 //! — and a failed remote run never poisons the cache).
 //!
@@ -12,16 +13,18 @@
 //! bound address as its first stdout line, which is how the tests learn
 //! the ephemeral ports.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
+use std::time::Duration;
 
 use onionbots_bench::scenarios;
 use onionbots_bench::worker::CRASH_AFTER_ENV;
-use sim::remote::{DispatchFrame, WorkerFrame, REMOTE_PROTOCOL_VERSION};
+use sim::executor::{run_work_item, PartResult, WorkItem};
 use sim::scenario_api::ScenarioParams;
+use sim::wire::{DispatchFrame, WorkerFrame, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use sim::{Backend, ResultCache, Runner, Scenario, ThreadsPerItem};
 
 /// A `serve-worker` host subprocess; killed (and reaped) on drop so a
@@ -159,7 +162,7 @@ fn spawn_hung_host() -> String {
                 continue;
             }
             let welcome = serde_json::to_string(&WorkerFrame::Welcome {
-                protocol: REMOTE_PROTOCOL_VERSION,
+                protocol: PROTOCOL_VERSION,
             })
             .unwrap();
             if writeln!(writer, "{welcome}").is_err() {
@@ -189,7 +192,7 @@ fn a_hung_host_is_abandoned_after_the_deadline_and_its_items_requeue() {
     let hung = spawn_hung_host();
     let summary = Runner::new(params(9))
         .jobs(2)
-        .remote_deadline_ms(1_500)
+        .item_deadline_ms(1_500)
         .backend(Backend::Remote(vec![real.addr.clone(), hung]))
         .run(&selected());
     assert_eq!(summary.to_json(), reference.to_json());
@@ -212,7 +215,7 @@ fn spawn_garbage_host() -> (String, std::thread::JoinHandle<()>) {
                 continue;
             }
             let welcome = serde_json::to_string(&WorkerFrame::Welcome {
-                protocol: REMOTE_PROTOCOL_VERSION,
+                protocol: PROTOCOL_VERSION,
             })
             .unwrap();
             if writeln!(writer, "{welcome}").is_err() {
@@ -336,4 +339,91 @@ fn warm_remote_submission_is_byte_identical_to_its_cold_run() {
     assert!(warm_stats.unwrap().all_hits());
     assert_eq!(warm.to_json(), cold.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An in-test "host" that completes the handshake, then answers every
+/// assignment on every connection through `answer`, which writes its
+/// reply (or none) onto the stream.
+fn spawn_scripted_host(answer: fn(&mut TcpStream, WorkItem)) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { break };
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                continue;
+            }
+            let welcome = serde_json::to_string(&WorkerFrame::Welcome {
+                protocol: PROTOCOL_VERSION,
+            })
+            .unwrap();
+            if writeln!(stream, "{welcome}").is_err() {
+                continue;
+            }
+            loop {
+                line.clear();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    break;
+                }
+                let Ok(DispatchFrame::Assign(item)) = serde_json::from_str(&line) else {
+                    break;
+                };
+                answer(&mut stream, item);
+            }
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_reply_that_pauses_mid_character_is_merged_intact() {
+    // table1's report carries multi-byte characters. The host pauses
+    // longer than one dispatcher read poll inside the first of them, so
+    // the dispatcher's read times out mid-character and must keep the
+    // bytes it already has.
+    let answer = |stream: &mut TcpStream, item: WorkItem| {
+        let scenario = scenarios::registry().get(&item.scenario_id).unwrap();
+        let result = PartResult::ok(&item, run_work_item(&*scenario, &item));
+        let line = serde_json::to_string(&WorkerFrame::Completed(result)).unwrap() + "\n";
+        let split = line
+            .bytes()
+            .position(|b| b >= 0xC0)
+            .expect("a multi-byte character")
+            + 1;
+        let _ = stream.write_all(&line.as_bytes()[..split]);
+        // detlint: allow(D002) reason="test host pacing: the pause only positions a read timeout inside a character"
+        std::thread::sleep(Duration::from_millis(500));
+        let _ = stream.write_all(&line.as_bytes()[split..]);
+    };
+    let table1 = scenarios::registry()
+        .select(&["table1".to_string()])
+        .unwrap();
+    let params = ScenarioParams::with_seed(2015);
+    let reference = Runner::new(params.clone()).run(&table1);
+    let summary = Runner::new(params)
+        .backend(Backend::Remote(vec![spawn_scripted_host(answer)]))
+        .try_run_with_stats(&table1)
+        .unwrap()
+        .0;
+    assert_eq!(summary.to_json(), reference.to_json());
+}
+
+#[test]
+fn a_host_streaming_an_endless_line_fails_the_run_naming_the_line_limit() {
+    let answer = |stream: &mut TcpStream, _item: WorkItem| {
+        let mut endless = std::io::repeat(b'x').take(MAX_FRAME_BYTES as u64 + 1);
+        let _ = std::io::copy(&mut endless, stream);
+    };
+    let error = Runner::new(params(3))
+        .backend(Backend::Remote(vec![spawn_scripted_host(answer)]))
+        .try_run_with_stats(&selected())
+        .unwrap_err();
+    let message = error.to_string();
+    assert!(
+        message.contains("line limit"),
+        "unexpected error: {message}"
+    );
 }

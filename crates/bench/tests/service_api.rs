@@ -23,7 +23,8 @@ use std::time::{Duration, Instant};
 use onionbots_bench::scenarios;
 use onionbots_bench::worker::CRASH_AFTER_ENV;
 use sim::scenario_api::ScenarioParams;
-use sim::service::{Event, Request, MAX_FRAME_BYTES};
+use sim::service::{Event, Request};
+use sim::wire::MAX_FRAME_BYTES;
 use sim::{CacheStats, JobSpec, PartState, RunSummary, Runner};
 
 fn bin() -> &'static str {

@@ -16,26 +16,18 @@
 //!   `Runner` used to hard-wire, extracted with its behavior pinned:
 //!   sequential in-order execution for one job or one item, a shared
 //!   work queue drained by `jobs` scoped threads otherwise.
-//! * [`ProcessExecutor`] — spawns `jobs` worker subprocesses (a
-//!   [`WorkerCommand`], e.g. `run_experiments worker`) and streams
-//!   newline-delimited JSON: one [`WorkItem`] per line down a worker's
-//!   stdin, one [`PartResult`] per line back up its stdout. A worker that
-//!   dies mid-item is reaped, its in-flight item re-queued, and a fresh
-//!   worker spawned in its place; an item that keeps killing workers
-//!   fails the run after a bounded number of retries instead of looping
-//!   forever.
+//! * [`Dispatcher`](crate::dispatch::Dispatcher) — the out-of-process
+//!   backend: worker subprocesses or TCP worker hosts, both driven
+//!   through one channel state machine speaking the [`crate::wire`]
+//!   frames.
 //!
 //! Because both backends consume the same serialized work items and
 //! per-part seeding makes results position-independent, a `RunSummary`
-//! is byte-identical across backends and worker counts — and the
-//! multi-host [`RemoteExecutor`](crate::remote::RemoteExecutor) speaks
-//! the same one-line-JSON protocol over TCP.
+//! is byte-identical across backends and worker counts.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, Write};
-use std::path::PathBuf;
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::io;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -239,7 +231,7 @@ impl std::error::Error for ExecutorError {}
 /// [`cancelled`](Self::cancelled). The built-in backends poll it each
 /// time they are about to take the next item off their queue; once it
 /// reads `true` they take no further items, let in-flight items finish,
-/// shut their workers down normally and return the results they have.
+/// close their worker channels and return the results they have.
 pub trait ExecutionObserver: Sync {
     /// An item is about to execute (again, if it was re-queued).
     fn item_started(&self, item: &WorkItem) {
@@ -415,356 +407,6 @@ impl Executor for LocalExecutor {
     }
 }
 
-/// How to launch one worker subprocess for the [`ProcessExecutor`]:
-/// program, arguments and any extra environment variables.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerCommand {
-    program: PathBuf,
-    args: Vec<String>,
-    envs: Vec<(String, String)>,
-}
-
-impl WorkerCommand {
-    /// A worker launched as `program` with no arguments.
-    pub fn new(program: impl Into<PathBuf>) -> Self {
-        WorkerCommand {
-            program: program.into(),
-            args: Vec::new(),
-            envs: Vec::new(),
-        }
-    }
-
-    /// Appends one argument.
-    #[must_use]
-    pub fn arg(mut self, arg: impl Into<String>) -> Self {
-        self.args.push(arg.into());
-        self
-    }
-
-    /// Sets one extra environment variable for the worker (on top of the
-    /// inherited environment). Used, among other things, to inject
-    /// deterministic crashes in the worker-recovery tests.
-    #[must_use]
-    pub fn env(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.envs.push((key.into(), value.into()));
-        self
-    }
-
-    fn command(&self) -> Command {
-        let mut command = Command::new(&self.program);
-        command.args(&self.args);
-        for (key, value) in &self.envs {
-            command.env(key, value);
-        }
-        command
-    }
-}
-
-/// A live worker subprocess with line-buffered JSON pipes.
-struct Worker {
-    child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    /// Items this incarnation answered successfully — distinguishes a
-    /// worker that dies on its very first item (the item is suspect) from
-    /// one that wears out after completing work (the item is innocent).
-    completed: usize,
-}
-
-impl Worker {
-    fn spawn(command: &WorkerCommand) -> io::Result<Self> {
-        let mut child = command
-            .command()
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            // stderr is inherited: worker panics and warnings surface on
-            // the parent's stderr, but workers never print summaries.
-            .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
-        let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
-        Ok(Worker {
-            child,
-            stdin,
-            stdout,
-            completed: 0,
-        })
-    }
-
-    /// Sends one item and reads back its result. Any error here means the
-    /// worker is unusable (died, closed its pipes, emitted garbage) and
-    /// must be replaced.
-    fn round_trip(&mut self, item: &WorkItem) -> io::Result<PartResult> {
-        let line = serde_json::to_string(item).expect("work items serialize");
-        self.stdin.write_all(line.as_bytes())?;
-        self.stdin.write_all(b"\n")?;
-        self.stdin.flush()?;
-        let mut response = String::new();
-        if self.stdout.read_line(&mut response)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "worker closed its stdout mid-item",
-            ));
-        }
-        serde_json::from_str(&response).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("worker sent an unparseable result line: {e}"),
-            )
-        })
-    }
-
-    /// Reaps a worker that is known or suspected dead.
-    fn reap(mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-
-    /// Shuts a healthy worker down: closing stdin delivers EOF, the
-    /// worker loop exits, and the child is reaped.
-    fn shutdown(self) {
-        let Worker {
-            mut child, stdin, ..
-        } = self;
-        drop(stdin);
-        let _ = child.wait();
-    }
-}
-
-/// Default bound on how many *freshly spawned* workers one item may kill
-/// before the run fails.
-pub const DEFAULT_MAX_ITEM_RETRIES: usize = 3;
-
-/// The multi-process backend: `jobs` worker subprocesses speaking
-/// newline-delimited JSON over stdin/stdout.
-///
-/// Each parent-side thread owns one worker and drains the shared queue
-/// through it. When a worker dies mid-item the item is re-queued and a
-/// replacement worker is spawned on demand, so a crashing worker costs
-/// retries, never results. Only deaths of *fresh* workers (no completed
-/// items since spawn) are charged to the in-flight item — that is the
-/// toxic-item signature — and an item that kills more than
-/// [`DEFAULT_MAX_ITEM_RETRIES`] fresh workers fails the run; workers
-/// that wear out after completing items can die indefinitely as long as
-/// each incarnation makes progress.
-pub struct ProcessExecutor {
-    command: WorkerCommand,
-    jobs: usize,
-    max_item_retries: usize,
-}
-
-impl ProcessExecutor {
-    /// Creates a process executor with one worker.
-    pub fn new(command: WorkerCommand) -> Self {
-        ProcessExecutor {
-            command,
-            jobs: 1,
-            max_item_retries: DEFAULT_MAX_ITEM_RETRIES,
-        }
-    }
-
-    /// Sets the number of worker subprocesses (clamped to at least 1).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets how many times one item may be re-queued after a worker death
-    /// before the run fails.
-    #[must_use]
-    pub fn max_item_retries(mut self, retries: usize) -> Self {
-        self.max_item_retries = retries;
-        self
-    }
-}
-
-impl Executor for ProcessExecutor {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
-        &self,
-        items: Vec<WorkItem>,
-        observer: &dyn ExecutionObserver,
-    ) -> Result<Vec<PartResult>, ExecutorError> {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = self.jobs.min(items.len());
-        let queue: Mutex<VecDeque<(WorkItem, usize)>> =
-            Mutex::new(items.into_iter().map(|item| (item, 0)).collect());
-        let results: Mutex<Vec<PartResult>> = Mutex::new(Vec::new());
-        let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        let fail = |message: String| {
-            fatal
-                .lock()
-                .expect("fatal lock")
-                .get_or_insert(ExecutorError::new(message));
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut worker: Option<Worker> = None;
-                    loop {
-                        if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
-                            break;
-                        }
-                        let next = queue.lock().expect("queue lock").pop_front();
-                        let Some((item, retries)) = next else {
-                            break;
-                        };
-                        if worker.is_none() {
-                            match Worker::spawn(&self.command) {
-                                Ok(spawned) => worker = Some(spawned),
-                                Err(e) => {
-                                    fail(format!(
-                                        "cannot spawn worker process '{}': {e}",
-                                        self.command.program.display()
-                                    ));
-                                    break;
-                                }
-                            }
-                        }
-                        let active = worker.as_mut().expect("worker just ensured");
-                        observer.item_started(&item);
-                        match active.round_trip(&item) {
-                            Ok(result) => {
-                                if let Some(error) = &result.error {
-                                    fail(format!(
-                                        "worker failed on {}#{}: {error}",
-                                        item.scenario_id, item.part
-                                    ));
-                                    break;
-                                }
-                                if result.scenario_id != item.scenario_id
-                                    || result.part != item.part
-                                    || result.fingerprint != item.fingerprint
-                                {
-                                    fail(format!(
-                                        "worker answered {}#{} with a result for {}#{} (protocol error)",
-                                        item.scenario_id,
-                                        item.part,
-                                        result.scenario_id,
-                                        result.part
-                                    ));
-                                    break;
-                                }
-                                active.completed += 1;
-                                observer.item_finished(&result);
-                                results.lock().expect("results lock").push(result);
-                            }
-                            Err(e) => {
-                                // The worker is gone or confused: reap it,
-                                // re-queue the in-flight item and respawn
-                                // lazily on the next loop iteration. The
-                                // death only counts against the item when
-                                // the worker died on its *first* item
-                                // since spawn — a toxic item kills every
-                                // fresh worker it meets, while a worker
-                                // wearing out after completed work says
-                                // nothing about the item it happened to
-                                // hold (charging those would fail runs
-                                // whose workers crash every N items even
-                                // though each incarnation makes progress).
-                                let fresh_death = worker
-                                    .take()
-                                    .map(|dead| {
-                                        let fresh = dead.completed == 0;
-                                        dead.reap();
-                                        fresh
-                                    })
-                                    .unwrap_or(true);
-                                let retries = if fresh_death { retries + 1 } else { retries };
-                                if retries > self.max_item_retries {
-                                    fail(format!(
-                                        "{}#{} killed {retries} fresh worker(s) ({e}); giving up",
-                                        item.scenario_id, item.part
-                                    ));
-                                    break;
-                                }
-                                eprintln!(
-                                    "warning: worker died while running {}#{} ({e}); re-queueing ({retries}/{} charged retries)",
-                                    item.scenario_id,
-                                    item.part,
-                                    self.max_item_retries
-                                );
-                                queue
-                                    .lock()
-                                    .expect("queue lock")
-                                    .push_back((item, retries));
-                            }
-                        }
-                    }
-                    if let Some(active) = worker.take() {
-                        active.shutdown();
-                    }
-                });
-            }
-        });
-        if let Some(error) = fatal.into_inner().expect("fatal lock") {
-            return Err(error);
-        }
-        Ok(results.into_inner().expect("results lock"))
-    }
-}
-
-/// The worker side of the process backend: read one [`WorkItem`] JSON
-/// line at a time from `input`, execute it against `resolve`, and write
-/// one [`PartResult`] JSON line to `output`.
-///
-/// An unknown scenario id becomes a per-item error result (the parent
-/// decides whether that is fatal); a malformed input line is a protocol
-/// violation and returns an error, terminating the worker. The loop exits
-/// cleanly on EOF — the parent closes stdin to shut a worker down.
-///
-/// Every read assignment hits the `worker.item` failpoint
-/// ([`faults::points::WORKER_ITEM`]) before it is answered, so a fault
-/// schedule can crash, stall or kill this worker deterministically (the
-/// bench worker translates the legacy `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
-/// hook into a `crash@N+1` spec on this point). An injected error
-/// terminates the worker without answering — the parent treats that
-/// exactly like a death and re-queues the item.
-///
-/// # Errors
-/// Returns the underlying I/O error when a pipe breaks or an input line
-/// is not a valid work item.
-pub fn serve_work_items<R, W, F>(input: R, mut output: W, resolve: F) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write,
-    F: Fn(&str) -> Option<Arc<dyn Scenario>>,
-{
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let item: WorkItem = serde_json::from_str(&line).map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed work item line: {e}"),
-            )
-        })?;
-        faults::hit_io(faults::points::WORKER_ITEM)?;
-        let result = match resolve(&item.scenario_id) {
-            Some(scenario) => PartResult::ok(&item, run_work_item(&*scenario, &item)),
-            None => PartResult::failed(
-                &item,
-                format!(
-                    "scenario '{}' is not registered in this worker",
-                    item.scenario_id
-                ),
-            ),
-        };
-        let rendered = serde_json::to_string(&result).expect("part results serialize");
-        output.write_all(rendered.as_bytes())?;
-        output.write_all(b"\n")?;
-        output.flush()?;
-    }
-    Ok(())
-}
-
 /// Builds one [`WorkItem`] per part of every scenario, in `(scenario,
 /// part)` order, alongside the scenario's index in `scenarios` — the
 /// planning step the `Runner` feeds into the cache pass and then an
@@ -805,6 +447,7 @@ pub fn index_by_id(scenarios: &[Arc<dyn Scenario>]) -> BTreeMap<String, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{Dispatcher, WorkerCommand};
     use crate::experiment::Series;
     use rand::Rng;
 
@@ -1047,57 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_work_items_executes_and_reports_per_item_status() {
-        let params = ScenarioParams::with_seed(2);
-        let scenarios = toys();
-        let known = WorkItem::new(&*scenarios[0], 0, &params);
-        let stranger = Toy {
-            id: "stranger",
-            parts: 1,
-            keys: None,
-        };
-        let unknown = WorkItem::new(&stranger, 0, &params);
-        let input = format!(
-            "{}\n\n{}\n",
-            serde_json::to_string(&known).unwrap(),
-            serde_json::to_string(&unknown).unwrap()
-        );
-        let mut output = Vec::new();
-        let lookup = {
-            let scenarios = scenarios.clone();
-            move |id: &str| scenarios.iter().find(|s| s.id() == id).cloned()
-        };
-        serve_work_items(input.as_bytes(), &mut output, lookup).unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
-        assert_eq!(
-            lines.len(),
-            2,
-            "one result line per item, blank lines skipped"
-        );
-        let first: PartResult = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(first.error, None);
-        assert_eq!(first.fingerprint, known.fingerprint);
-        assert_eq!(
-            first.reports,
-            run_work_item(&*scenarios[0], &known),
-            "worker output equals in-process execution"
-        );
-        let second: PartResult = serde_json::from_str(lines[1]).unwrap();
-        assert!(second.error.as_deref().unwrap().contains("stranger"));
-    }
-
-    #[test]
-    fn serve_work_items_rejects_malformed_lines() {
-        let mut output = Vec::new();
-        let error = serve_work_items("this is not json\n".as_bytes(), &mut output, |_| {
-            None::<Arc<dyn Scenario>>
-        })
-        .unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(output.is_empty());
-    }
-
-    #[test]
     fn plan_work_items_enumerates_every_part_in_order() {
         let params = ScenarioParams::with_seed(4);
         let planned = plan_work_items(&toys(), &params);
@@ -1145,7 +737,7 @@ mod tests {
         };
         let item = WorkItem::new(&scenario, 0, &params);
         let command = WorkerCommand::new("/nonexistent/onionbots-worker-binary");
-        let error = ProcessExecutor::new(command)
+        let error = Dispatcher::processes(command, 1)
             .execute(vec![item])
             .unwrap_err();
         assert!(error.to_string().contains("cannot spawn worker"), "{error}");

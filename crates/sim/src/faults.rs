@@ -65,18 +65,18 @@ pub mod points {
     /// [`LocalExecutor`](crate::executor::LocalExecutor): before each
     /// item executes (both the sequential and the threaded path).
     pub const LOCAL_ITEM: &str = "local.item";
-    /// Worker side of the process backend
-    /// ([`serve_work_items`](crate::executor::serve_work_items)): before
-    /// each assignment is answered.
+    /// Worker-subprocess side of the process backend
+    /// ([`serve_connection`](crate::wire::serve_connection) over stdio):
+    /// before each assignment is answered.
     pub const WORKER_ITEM: &str = "worker.item";
-    /// [`RemoteExecutor`](crate::remote::RemoteExecutor) dispatcher:
+    /// [`Dispatcher`](crate::dispatch::Dispatcher), TCP channels only:
     /// before each host connection attempt.
     pub const REMOTE_CONNECT: &str = "remote.connect";
-    /// `RemoteExecutor` dispatcher: before each reply read.
+    /// `Dispatcher`, TCP channels only: before each reply read.
     pub const REMOTE_READ: &str = "remote.read";
     /// Worker-host side of the remote backend
-    /// ([`serve_remote_connection`](crate::remote::serve_remote_connection)):
-    /// before each assignment is answered.
+    /// ([`serve_remote_host`](crate::wire::serve_remote_host)): before
+    /// each assignment is answered.
     pub const REMOTE_HOST_ITEM: &str = "remote.host.item";
     /// [`ResultCache::lookup`](crate::cache::ResultCache::lookup): before
     /// the entry file is read.

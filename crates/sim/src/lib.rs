@@ -17,20 +17,26 @@
 //!   cache, dispatches the misses to a pluggable execution [`Backend`]
 //!   and collects a [`RunSummary`] whose JSON is byte-identical for any
 //!   worker count and backend.
-//! * [`executor`] — the execution backends behind the runner: the
-//!   [`Executor`] trait over serializable [`WorkItem`]s (whose identity
-//!   is the cache fingerprint), the in-process [`LocalExecutor`] thread
-//!   pool and the [`ProcessExecutor`], which streams newline-delimited
-//!   JSON work items to `run_experiments worker` subprocesses and
-//!   re-queues items when a worker dies.
+//! * [`executor`] — the [`Executor`] trait over serializable
+//!   [`WorkItem`]s (whose identity is the cache fingerprint) and the
+//!   in-process [`LocalExecutor`] thread pool.
+//! * [`dispatch`] — the out-of-process backend: one work-stealing
+//!   [`Dispatcher`] driving worker subprocesses (`run_experiments
+//!   worker`) and TCP worker hosts (`serve-worker`) through the same
+//!   channel state machine — handshake, per-item deadline, crash
+//!   re-queue, fingerprint dedup.
+//! * [`wire`] — the one NDJSON framing every out-of-process channel
+//!   speaks: the bounded [`wire::FrameReader`], [`wire::write_frame`],
+//!   the versioned dispatcher↔worker frames and the one serving loop,
+//!   [`serve_connection`].
 //! * [`service`] — the always-on simulation service: a persistent
 //!   daemon over the same runner pipeline, speaking an NDJSON job API
 //!   ([`service::Request`]/[`service::Event`] frames) over Unix-domain
 //!   or TCP loopback sockets, streaming per-part lifecycle events and
 //!   fronting one shared result cache for every client.
 //! * [`faults`] — deterministic fault injection: named failpoints
-//!   compiled into the executors, the remote dispatcher, the cache and
-//!   the service, armed via `--faults NAME=SPEC` schedules with
+//!   compiled into the executors, the dispatcher, the cache and the
+//!   service, armed via `--faults NAME=SPEC` schedules with
 //!   count-based (never wall-clock) triggers — the chaos layer behind
 //!   the robustness tests.
 //! * [`cache`] — the persistent, content-addressed [`ResultCache`]: stores
@@ -62,26 +68,22 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
+pub mod dispatch;
 pub mod engine;
 pub mod executor;
 pub mod experiment;
 pub mod faults;
-pub mod remote;
 pub mod runner;
 pub mod scenario;
 pub mod scenario_api;
 pub mod service;
+pub mod wire;
 
 pub use cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache, CACHE_FORMAT_VERSION};
-pub use executor::{
-    Executor, ExecutorError, LocalExecutor, PartResult, ProcessExecutor, WorkItem, WorkerCommand,
-};
+pub use dispatch::{Dispatcher, WorkerCommand};
+pub use executor::{Executor, ExecutorError, LocalExecutor, PartResult, WorkItem};
 pub use experiment::{CsvDirSink, ExperimentReport, JsonDirSink, ReportSink, Series, TableSink};
 pub use faults::FAULTS_ENV;
-pub use remote::{
-    serve_remote_connection, serve_remote_host, DispatchFrame, RemoteExecutor, WorkerFrame,
-    REMOTE_PROTOCOL_VERSION,
-};
 pub use runner::{
     Backend, PartEvent, PartState, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
 };
@@ -96,3 +98,4 @@ pub use scenario_api::{
 pub use service::{
     BackendSpec, JobSpec, JobState, JobStatus, ScenarioInfo, Service, ServiceConfig, ThreadsSpec,
 };
+pub use wire::{serve_connection, serve_remote_host, DispatchFrame, WorkerFrame, PROTOCOL_VERSION};

@@ -16,7 +16,8 @@
 //! the [`ResultCache`] by its fingerprint (which is the work item's
 //! identity), hits are replayed from disk, and only the misses are
 //! dispatched — to in-process threads ([`Backend::Local`]), worker
-//! subprocesses ([`Backend::Process`]) or any custom [`Executor`]
+//! subprocesses ([`Backend::Process`]), worker hosts
+//! ([`Backend::Remote`]) or any custom [`Executor`]
 //! ([`Backend::Custom`]). Workers report per-item status; the parent
 //! aggregates the [`CacheStats`] and prints the single stderr summary.
 
@@ -26,9 +27,10 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
+use crate::dispatch::{Dispatcher, WorkerCommand, DEFAULT_ITEM_DEADLINE_MS};
 use crate::executor::{
     index_by_id, plan_work_items, ExecutionObserver, Executor, ExecutorError, LocalExecutor,
-    PartResult, ProcessExecutor, WorkItem, WorkerCommand,
+    PartResult, WorkItem,
 };
 use crate::experiment::ExperimentReport;
 use crate::scenario_api::{merge_reports, Scenario, ScenarioParams};
@@ -179,11 +181,11 @@ pub enum Backend {
     #[default]
     Local,
     /// Worker subprocesses launched from this command, speaking the
-    /// newline-delimited JSON work-item protocol.
+    /// [`crate::wire`] frames over their stdio
+    /// ([`Dispatcher::processes`]).
     Process(WorkerCommand),
     /// A fleet of `serve-worker` hosts at these socket addresses,
-    /// speaking the same work-item frames over TCP
-    /// ([`RemoteExecutor`](crate::remote::RemoteExecutor)).
+    /// speaking the same frames over TCP ([`Dispatcher::hosts`]).
     Remote(Vec<String>),
     /// Any user-provided executor (e.g. a remote/multi-host backend that
     /// speaks the same protocol over a different transport).
@@ -252,7 +254,7 @@ pub struct Runner {
     backend: Backend,
     threads_per_item: ThreadsPerItem,
     cancel: Option<Arc<AtomicBool>>,
-    remote_deadline_ms: Option<u64>,
+    item_deadline_ms: u64,
 }
 
 impl Runner {
@@ -266,7 +268,7 @@ impl Runner {
             backend: Backend::Local,
             threads_per_item: ThreadsPerItem::default(),
             cancel: None,
-            remote_deadline_ms: None,
+            item_deadline_ms: DEFAULT_ITEM_DEADLINE_MS,
         }
     }
 
@@ -326,12 +328,12 @@ impl Runner {
         self
     }
 
-    /// Overrides the per-item reply deadline (milliseconds) used by
-    /// [`Backend::Remote`]; see
-    /// [`RemoteExecutor::deadline_millis`](crate::remote::RemoteExecutor::deadline_millis).
-    /// Has no effect on the other backends.
-    pub fn remote_deadline_ms(mut self, millis: u64) -> Self {
-        self.remote_deadline_ms = Some(millis);
+    /// Overrides the per-item reply deadline (milliseconds) of the
+    /// out-of-process backends, [`Backend::Process`] and
+    /// [`Backend::Remote`]; see [`Dispatcher::deadline_millis`]. Has no
+    /// effect on the other backends.
+    pub fn item_deadline_ms(mut self, millis: u64) -> Self {
+        self.item_deadline_ms = millis;
         self
     }
 
@@ -600,17 +602,13 @@ impl Runner {
                 let command = command
                     .clone()
                     .env(onion_graph::budget::THREADS_ENV, threads.to_string());
-                ProcessExecutor::new(command)
-                    .jobs(self.jobs)
+                Dispatcher::processes(command, self.jobs)
+                    .deadline_millis(self.item_deadline_ms)
                     .execute_observed(pending, &forward)
             }
-            Backend::Remote(workers) => {
-                let mut executor = crate::remote::RemoteExecutor::new(workers.clone());
-                if let Some(millis) = self.remote_deadline_ms {
-                    executor = executor.deadline_millis(millis);
-                }
-                executor.execute_observed(pending, &forward)
-            }
+            Backend::Remote(workers) => Dispatcher::hosts(workers.clone())
+                .deadline_millis(self.item_deadline_ms)
+                .execute_observed(pending, &forward),
             Backend::Custom(executor) => executor.execute_observed(pending, &forward),
         }?;
         if forward.cancelled() && executed.len() < total {

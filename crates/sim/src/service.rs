@@ -5,11 +5,10 @@
 //! [`ResultCache`] and the executor backend configuration, and serves
 //! concurrent client connections over a Unix domain socket
 //! ([`Service::serve_unix`]) or TCP loopback ([`Service::serve_tcp`]).
-//! The wire protocol is newline-delimited JSON — the same framing
-//! discipline as the worker protocol in [`crate::executor`]: one
-//! [`Request`] frame per client line, one [`Event`] frame per daemon
-//! line. No HTTP stack is involved; `std::net` and
-//! `std::os::unix::net` suffice.
+//! The wire protocol is newline-delimited JSON — the one framing in
+//! [`crate::wire`], shared with the worker protocol: one [`Request`]
+//! frame per client line, one [`Event`] frame per daemon line. No HTTP
+//! stack is involved; `std::net` and `std::os::unix::net` suffice.
 //!
 //! A submitted job ([`JobSpec`]) runs through the exact pipeline the
 //! one-shot CLI uses — [`Runner::try_run_observed`] — so for a fixed
@@ -33,9 +32,9 @@
 //!
 //! A misbehaving client cannot hurt the daemon: a malformed frame gets
 //! an [`Event::Error`] answer and the connection keeps serving; a line
-//! longer than [`MAX_FRAME_BYTES`] gets an [`Event::Error`] answer and
-//! the connection is closed, so the read buffer never grows past the
-//! bound; and a client that disconnects mid-job merely stops receiving
+//! longer than [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES) gets an
+//! [`Event::Error`] answer and the connection is closed, so the read
+//! buffer never grows past the bound; and a client that disconnects mid-job merely stops receiving
 //! events — the job still runs to completion, so the shared cache is
 //! warmed, never poisoned.
 //!
@@ -71,12 +70,13 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
-use crate::executor::WorkerCommand;
+use crate::dispatch::WorkerCommand;
 use crate::faults;
 use crate::runner::{
     Backend, PartEvent, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
 };
 use crate::scenario_api::{ScenarioParams, ScenarioRegistry};
+use crate::wire::{write_frame, Duplex, Frame, FrameReader};
 
 // The unused-import lint would otherwise flag these doc-link-only names.
 #[allow(unused_imports)]
@@ -358,9 +358,9 @@ pub struct ServiceConfig {
     /// [`Event::Rejected`] instead of being queued — the daemon's memory
     /// and thread use stay bounded no matter how many clients push work.
     pub max_active_jobs: usize,
-    /// Per-item reply deadline (milliseconds) for remote-backend jobs;
-    /// `None` keeps the executor default.
-    pub remote_deadline_ms: Option<u64>,
+    /// Per-item reply deadline (milliseconds) for process- and
+    /// remote-backend jobs; `None` keeps the dispatcher default.
+    pub item_deadline_ms: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -373,7 +373,7 @@ impl Default for ServiceConfig {
             threads_per_item: ThreadsPerItem::Sequential,
             cache: None,
             max_active_jobs: DEFAULT_MAX_ACTIVE_JOBS,
-            remote_deadline_ms: None,
+            item_deadline_ms: None,
         }
     }
 }
@@ -619,8 +619,8 @@ impl Service {
                     .map_or(self.config.threads_per_item, ThreadsSpec::to_policy),
             )
             .cancel_token(cancel.clone());
-        if let Some(millis) = self.config.remote_deadline_ms {
-            runner = runner.remote_deadline_ms(millis);
+        if let Some(millis) = self.config.item_deadline_ms {
+            runner = runner.item_deadline_ms(millis);
         }
         if let Some(cache) = &self.config.cache {
             runner = runner
@@ -727,8 +727,9 @@ impl Service {
     /// # Errors
     /// Returns the underlying I/O error when the transport fails in a
     /// way that is neither EOF nor a read timeout, or when a request
-    /// line exceeds [`MAX_FRAME_BYTES`]; either is first answered with
-    /// an [`Event::Error`] frame where the transport still allows it.
+    /// line exceeds [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES);
+    /// either is first answered with an [`Event::Error`] frame where the
+    /// transport still allows it.
     pub fn handle_connection<R: Read, W: Write + Send>(
         &self,
         input: R,
@@ -783,7 +784,7 @@ impl Service {
     /// accepting and join every connection thread before returning.
     fn serve_with<S, A>(&self, mut accept: A, stop: &AtomicBool) -> io::Result<()>
     where
-        S: ServeStream,
+        S: Duplex,
         A: FnMut() -> io::Result<Option<S>>,
     {
         std::thread::scope(|scope| -> io::Result<()> {
@@ -912,30 +913,22 @@ impl<W: Write> EventSink<W> {
         if self.is_broken() {
             return;
         }
-        let line = serde_json::to_string(event).expect("events serialize");
         let mut writer = self.writer.lock().expect("sink lock");
         // The `service.sink` failpoint models the peer vanishing mid
         // stream; a `partial` action additionally delivers a truncated
         // frame first — the worst case a real half-closed socket can
         // produce — before the sink goes silent.
-        match faults::hit(faults::points::SERVICE_SINK) {
-            Ok(faults::Injected::None) => {}
+        let delivered = match faults::hit(faults::points::SERVICE_SINK) {
+            Ok(faults::Injected::None) => write_frame(&mut *writer, event).is_ok(),
             Ok(faults::Injected::PartialWrite) => {
+                let line = serde_json::to_string(event).expect("events serialize");
                 let _ = writer.write_all(&line.as_bytes()[..line.len() / 2]);
                 let _ = writer.flush();
-                self.broken.store(true, Ordering::SeqCst);
-                return;
+                false
             }
-            Err(_) => {
-                self.broken.store(true, Ordering::SeqCst);
-                return;
-            }
-        }
-        let outcome = writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush());
-        if outcome.is_err() {
+            Err(_) => false,
+        };
+        if !delivered {
             self.broken.store(true, Ordering::SeqCst);
         }
     }
@@ -943,134 +936,6 @@ impl<W: Write> EventSink<W> {
     /// Whether a previous write failed (the peer is gone).
     pub fn is_broken(&self) -> bool {
         self.broken.load(Ordering::SeqCst)
-    }
-}
-
-/// One read step of a [`FrameReader`].
-#[derive(Debug, PartialEq, Eq)]
-pub enum Frame {
-    /// A complete line (without its terminator).
-    Line(String),
-    /// The read timed out with no complete line buffered — the caller
-    /// may poll state (e.g. the drain flag) and try again.
-    Idle,
-    /// The peer closed the connection.
-    Eof,
-}
-
-/// The longest line, in bytes and without its terminator, a
-/// [`FrameReader`] accepts. A peer that streams more bytes than this
-/// without a newline gets an [`io::ErrorKind::InvalidData`] error instead
-/// of an ever-growing buffer. 16 MiB is about 700 times the `Done` frame
-/// of the whole quick registry.
-pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-
-/// An incremental NDJSON line reader that survives read timeouts.
-///
-/// `BufRead::read_line` would lose buffered partial lines across a
-/// timeout; this reader keeps partial bytes between calls, so a
-/// transport with a read timeout (as the serve loops configure) yields
-/// [`Frame::Idle`] without corrupting the stream. Lines are bounded by
-/// [`MAX_FRAME_BYTES`].
-pub struct FrameReader<R: Read> {
-    input: R,
-    buffer: Vec<u8>,
-    /// How much of `buffer` is known to hold no newline, so each read
-    /// scans only the bytes it appended.
-    scanned: usize,
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps a reader.
-    pub fn new(input: R) -> Self {
-        FrameReader {
-            input,
-            buffer: Vec::new(),
-            scanned: 0,
-        }
-    }
-
-    /// Reads until one complete line, a timeout, or EOF.
-    ///
-    /// # Errors
-    /// Returns the underlying I/O error for failures that are neither
-    /// timeouts nor EOF, and an [`io::ErrorKind::InvalidData`] error for
-    /// a line longer than [`MAX_FRAME_BYTES`].
-    pub fn read_frame(&mut self) -> io::Result<Frame> {
-        loop {
-            let newline = self.buffer[self.scanned..]
-                .iter()
-                .position(|&b| b == b'\n')
-                .map(|offset| self.scanned + offset);
-            self.scanned = newline.unwrap_or(self.buffer.len());
-            if self.scanned > MAX_FRAME_BYTES {
-                self.buffer = Vec::new();
-                self.scanned = 0;
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("frame exceeds the {MAX_FRAME_BYTES}-byte line limit"),
-                ));
-            }
-            if let Some(pos) = newline {
-                self.scanned = 0;
-                let rest = self.buffer.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buffer, rest);
-                line.pop(); // the '\n'
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.input.read(&mut chunk) {
-                Ok(0) => {
-                    if self.buffer.is_empty() {
-                        return Ok(Frame::Eof);
-                    }
-                    // A final unterminated line; the next call sees EOF.
-                    self.scanned = 0;
-                    let line = std::mem::take(&mut self.buffer);
-                    return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
-                }
-                Ok(read) => self.buffer.extend_from_slice(&chunk[..read]),
-                Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
-                Err(error)
-                    if matches!(
-                        error.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(Frame::Idle)
-                }
-                Err(error) => return Err(error),
-            }
-        }
-    }
-}
-
-/// What the serve loops need from a connection transport: a second
-/// handle for the read side and a poll-friendly read timeout.
-trait ServeStream: Read + Write + Send + Sized {
-    fn duplicate(&self) -> io::Result<Self>;
-    fn set_read_interval(&self, timeout: Duration) -> io::Result<()>;
-}
-
-#[cfg(unix)]
-impl ServeStream for std::os::unix::net::UnixStream {
-    fn duplicate(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_read_interval(&self, timeout: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(timeout))
-    }
-}
-
-impl ServeStream for std::net::TcpStream {
-    fn duplicate(&self) -> io::Result<Self> {
-        self.try_clone()
-    }
-    fn set_read_interval(&self, timeout: Duration) -> io::Result<()> {
-        self.set_read_timeout(Some(timeout))
     }
 }
 
@@ -1086,6 +951,7 @@ mod tests {
     use super::*;
     use crate::experiment::{ExperimentReport, Series};
     use crate::scenario_api::Scenario;
+    use crate::wire::MAX_FRAME_BYTES;
     use rand::rngs::StdRng;
     use rand::Rng;
     use std::os::unix::net::UnixStream;
@@ -1630,87 +1496,6 @@ mod tests {
         assert!(params.full_scale);
         assert_eq!(params.override_str("offset"), Some("1.5"));
         assert_eq!(spec.selector(), Vec::<String>::new());
-    }
-
-    #[test]
-    fn frame_reader_survives_timeouts_and_split_lines() {
-        // A reader that yields a line in fragments with timeouts between
-        // them — the shape a socket with a read timeout produces.
-        struct Choppy {
-            steps: std::collections::VecDeque<Result<Vec<u8>, io::ErrorKind>>,
-        }
-        impl Read for Choppy {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                match self.steps.pop_front() {
-                    None => Ok(0),
-                    Some(Err(kind)) => Err(io::Error::new(kind, "injected")),
-                    Some(Ok(bytes)) => {
-                        buf[..bytes.len()].copy_from_slice(&bytes);
-                        Ok(bytes.len())
-                    }
-                }
-            }
-        }
-        let mut reader = FrameReader::new(Choppy {
-            steps: [
-                Ok(b"{\"half".to_vec()),
-                Err(io::ErrorKind::WouldBlock),
-                Err(io::ErrorKind::TimedOut),
-                Ok(b"\":1}\r\nsecond".to_vec()),
-                Err(io::ErrorKind::Interrupted),
-                Ok(b" line\n".to_vec()),
-                Ok(b"tail".to_vec()),
-            ]
-            .into_iter()
-            .collect(),
-        });
-        assert_eq!(reader.read_frame().unwrap(), Frame::Idle);
-        assert_eq!(reader.read_frame().unwrap(), Frame::Idle);
-        assert_eq!(
-            reader.read_frame().unwrap(),
-            Frame::Line("{\"half\":1}".to_string()),
-            "partial bytes survive timeouts; CRLF is stripped"
-        );
-        assert_eq!(
-            reader.read_frame().unwrap(),
-            Frame::Line("second line".to_string())
-        );
-        assert_eq!(
-            reader.read_frame().unwrap(),
-            Frame::Line("tail".to_string()),
-            "a final unterminated line is delivered"
-        );
-        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
-    }
-
-    #[test]
-    fn frame_reader_bounds_a_line_that_never_ends() {
-        // An endless stream with no newline is a clean InvalidData error
-        // once the buffered line passes the bound, not an unbounded
-        // allocation.
-        let mut reader = FrameReader::new(io::repeat(b'x'));
-        let error = reader.read_frame().unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert!(error.to_string().contains("line limit"), "{error}");
-        // A line of exactly the bound still parses, followed by a
-        // normal one: the limit is on one line, not on the stream.
-        let input = io::repeat(b'y')
-            .take(MAX_FRAME_BYTES as u64)
-            .chain(&b"\nnext\n"[..]);
-        let mut reader = FrameReader::new(input);
-        let Frame::Line(line) = reader.read_frame().unwrap() else {
-            panic!("expected the bound-sized line");
-        };
-        assert_eq!(line.len(), MAX_FRAME_BYTES);
-        assert_eq!(reader.read_frame().unwrap(), Frame::Line("next".into()));
-        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
-        // One byte over the bound is refused even when its newline is
-        // already buffered.
-        let input = io::repeat(b'z')
-            .take(MAX_FRAME_BYTES as u64 + 1)
-            .chain(&b"\n"[..]);
-        let error = FrameReader::new(input).read_frame().unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

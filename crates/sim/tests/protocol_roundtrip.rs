@@ -1,22 +1,27 @@
-//! Property tests for the wire protocols: arbitrary [`WorkItem`]s and
-//! [`PartResult`]s must survive the newline-delimited JSON framing the
-//! [`ProcessExecutor`](sim::ProcessExecutor) and the worker loop use —
-//! one message per line, parse(render(m)) == m, no embedded newlines —
-//! and the simulation service's job API ([`Request`]/[`Event`] frames,
-//! with every payload type they embed) must survive the same framing.
-//! The remote backend's handshake/assignment frames
-//! ([`DispatchFrame`]/[`WorkerFrame`]) ride the same one-line-JSON
-//! contract, and the worker-host side must *reject* — never execute —
+//! Property tests for the one wire ([`sim::wire`]): arbitrary
+//! [`WorkItem`]s and [`PartResult`]s must survive the newline-delimited
+//! JSON framing — one message per line, parse(render(m)) == m, no
+//! embedded newlines — and so must the simulation service's job API
+//! ([`Request`]/[`Event`] frames, with every payload type they embed)
+//! and the dispatcher↔worker frames ([`DispatchFrame`]/[`WorkerFrame`]).
+//! The bounded [`FrameReader`] must decode any chunking of a valid frame
+//! stream, timeouts interleaved, to the same frames, and must never
+//! panic or buffer past [`MAX_FRAME_BYTES`] on arbitrary bytes. The
+//! serving loop ([`serve_connection`]) must *reject* — never execute —
 //! malformed or version-skewed handshakes.
 
+use std::io::Read;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use sim::executor::{PartResult, WorkItem};
 use sim::experiment::{ExperimentReport, Series};
-use sim::remote::{serve_remote_connection, DispatchFrame, WorkerFrame, REMOTE_PROTOCOL_VERSION};
 use sim::scenario_api::{Scenario, ScenarioParams};
 use sim::service::{Event, Request};
+use sim::wire::{
+    serve_connection, write_frame, DispatchFrame, Frame, FrameReader, WorkerFrame, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+};
 use sim::{
     BackendSpec, CacheStats, JobSpec, JobState, JobStatus, PartEvent, PartState, RunSummary,
     ScenarioInfo, ScenarioOutcome, ThreadsSpec,
@@ -394,6 +399,153 @@ proptest! {
     }
 }
 
+/// A reader that hands out `bytes` in the given chunk sizes (cycled),
+/// answering a read timeout before every chunk whose flag is set — the
+/// shape a socket with a read timeout produces under any scheduling.
+struct Chunked {
+    bytes: Vec<u8>,
+    at: usize,
+    sizes: Vec<usize>,
+    stalls: Vec<bool>,
+    step: usize,
+    stalled: bool,
+}
+
+impl Chunked {
+    fn new(bytes: Vec<u8>, sizes: Vec<usize>, stalls: Vec<bool>) -> Self {
+        Chunked {
+            bytes,
+            at: 0,
+            sizes,
+            stalls,
+            step: 0,
+            stalled: false,
+        }
+    }
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let step = self.step;
+        if !self.stalled && self.stalls[step % self.stalls.len()] {
+            self.stalled = true;
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        self.stalled = false;
+        self.step += 1;
+        let size = self.sizes[step % self.sizes.len()].min(buf.len());
+        let end = (self.at + size).min(self.bytes.len());
+        buf[..end - self.at].copy_from_slice(&self.bytes[self.at..end]);
+        let read = end - self.at;
+        self.at = end;
+        Ok(read)
+    }
+}
+
+/// Every complete line the reader yields until EOF, skipping timeouts.
+fn decode_lines<R: Read>(reader: &mut FrameReader<R>) -> std::io::Result<Vec<String>> {
+    let mut lines = Vec::new();
+    loop {
+        match reader.read_frame()? {
+            Frame::Line(line) => lines.push(line),
+            Frame::Idle => {}
+            Frame::Eof => return Ok(lines),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_chunking_with_timeouts_decodes_the_same_frames(
+        frames in prop::collection::vec(worker_frame_strategy(), 1..6),
+        sizes in prop::collection::vec(1usize..64, 1..8),
+        stalls in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        let mut stream = Vec::new();
+        for frame in &frames {
+            write_frame(&mut stream, frame).unwrap();
+        }
+        let mut reader = FrameReader::new(Chunked::new(stream, sizes, stalls));
+        let decoded: Vec<WorkerFrame> = decode_lines(&mut reader)
+            .unwrap()
+            .iter()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        prop_assert_eq!(decoded, frames);
+    }
+
+    #[test]
+    fn arbitrary_bytes_never_panic_and_lines_stay_bounded(
+        bytes in prop::collection::vec(any::<u8>(), 0..2048),
+        sizes in prop::collection::vec(1usize..512, 1..8),
+        stalls in prop::collection::vec(any::<bool>(), 1..8),
+    ) {
+        let mut reader = FrameReader::new(Chunked::new(bytes.clone(), sizes, stalls));
+        let lines = decode_lines(&mut reader).unwrap();
+        prop_assert!(lines.len() <= bytes.len() + 1);
+        for line in &lines {
+            prop_assert!(!line.contains('\n'), "one line per frame");
+            // Garbage is rejected by the frame parser, never executed.
+            let _ = serde_json::from_str::<DispatchFrame>(line);
+        }
+    }
+}
+
+/// Counts the bytes a reader has handed out.
+struct Counting<R> {
+    inner: R,
+    read: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl<R: Read> Read for Counting<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let read = self.inner.read(buf)?;
+        self.read
+            .fetch_add(read, std::sync::atomic::Ordering::SeqCst);
+        Ok(read)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn arbitrary_bytes_then_an_endless_line_stop_at_the_bound(
+        prefix in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        // Whatever came before, a line that never ends is refused once it
+        // passes MAX_FRAME_BYTES: the reader consumes at most one more
+        // read chunk beyond the bound, never the endless rest.
+        let read = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let input = Counting {
+            inner: std::io::Cursor::new(prefix.clone()).chain(std::io::repeat(b'x')),
+            read: read.clone(),
+        };
+        let mut reader = FrameReader::new(input);
+        let error = decode_lines(&mut reader).unwrap_err();
+        prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+        let consumed = read.load(std::sync::atomic::Ordering::SeqCst);
+        prop_assert!(consumed <= prefix.len() + MAX_FRAME_BYTES + 8192, "read {consumed}");
+    }
+}
+
+#[test]
+fn serve_connection_refuses_an_endless_hello_without_answering() {
+    let mut output = Vec::new();
+    let error = serve_connection(
+        std::io::repeat(b'{'),
+        &mut output,
+        |_| None,
+        sim::faults::points::REMOTE_HOST_ITEM,
+    )
+    .unwrap_err();
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+    assert!(error.to_string().contains("line limit"), "{error}");
+    assert!(output.is_empty(), "no frame answers an unframeable stream");
+}
+
 #[test]
 fn absent_job_spec_fields_fall_back_to_defaults() {
     // A client may send a bare submission; every omitted field must read
@@ -425,7 +577,7 @@ impl Scenario for Toy {
     }
 }
 
-/// Drives [`serve_remote_connection`] over in-memory buffers: `lines`
+/// Drives [`serve_connection`] over in-memory buffers: `lines`
 /// become the dispatcher's input; returns the loop outcome and the
 /// worker frames it wrote back.
 fn serve_lines(lines: &[&str]) -> (std::io::Result<()>, Vec<WorkerFrame>) {
@@ -434,9 +586,12 @@ fn serve_lines(lines: &[&str]) -> (std::io::Result<()>, Vec<WorkerFrame>) {
         .map(|line| format!("{line}\n"))
         .collect::<String>();
     let mut output = Vec::new();
-    let outcome = serve_remote_connection(input.as_bytes(), &mut output, |id| {
-        (id == "toy").then(|| Arc::new(Toy) as Arc<dyn Scenario>)
-    });
+    let outcome = serve_connection(
+        input.as_bytes(),
+        &mut output,
+        |id| (id == "toy").then(|| Arc::new(Toy) as Arc<dyn Scenario>),
+        sim::faults::points::REMOTE_HOST_ITEM,
+    );
     let frames = String::from_utf8(output)
         .unwrap()
         .lines()
@@ -447,7 +602,7 @@ fn serve_lines(lines: &[&str]) -> (std::io::Result<()>, Vec<WorkerFrame>) {
 
 fn hello() -> String {
     serde_json::to_string(&DispatchFrame::Hello {
-        protocol: REMOTE_PROTOCOL_VERSION,
+        protocol: PROTOCOL_VERSION,
     })
     .unwrap()
 }
@@ -472,7 +627,7 @@ fn worker_host_welcomes_a_matching_dispatcher_and_answers_items() {
     assert_eq!(
         frames[0],
         WorkerFrame::Welcome {
-            protocol: REMOTE_PROTOCOL_VERSION
+            protocol: PROTOCOL_VERSION
         }
     );
     match &frames[1] {
@@ -487,7 +642,7 @@ fn worker_host_welcomes_a_matching_dispatcher_and_answers_items() {
 #[test]
 fn worker_host_rejects_a_version_skewed_dispatcher() {
     let skewed = serde_json::to_string(&DispatchFrame::Hello {
-        protocol: REMOTE_PROTOCOL_VERSION + 1,
+        protocol: PROTOCOL_VERSION + 1,
     })
     .unwrap();
     let (outcome, frames) = serve_lines(&[&skewed, &assign("toy")]);
@@ -532,7 +687,7 @@ fn worker_host_dies_on_a_malformed_assignment_without_answering_it() {
     assert_eq!(
         frames,
         vec![WorkerFrame::Welcome {
-            protocol: REMOTE_PROTOCOL_VERSION
+            protocol: PROTOCOL_VERSION
         }],
         "a malformed frame terminates the connection before any result"
     );
