@@ -347,8 +347,8 @@ where
                     return;
                 }
             };
-            let points = faults::points::REMOTE_HOST_ITEM;
-            if let Err(e) = serve_connection(reader, &stream, resolve, points) {
+            let failpoint = faults::points::REMOTE_HOST_ITEM;
+            if let Err(e) = serve_connection(reader, &stream, resolve, failpoint) {
                 eprintln!("warning: connection from {peer} ended with a protocol error: {e}");
             }
         });
