@@ -70,15 +70,12 @@ pub enum PeeringDecision {
 
 /// Picks the peer to displace under the paper's "replace the
 /// highest-degree peer" rule: the highest-degree entry of `peers`, ties
-/// broken at random. That peer has the most alternative paths, so
-/// dropping it "maintains the reachability of all nodes" (§IV-C).
+/// broken by one `choose` draw over the tied entries in list order. That
+/// peer has the most alternative paths, so dropping it "maintains the
+/// reachability of all nodes" (§IV-C).
 ///
-/// This is the one shared implementation of the rule — the peering
-/// acceptance policy below, the overlay's sequential prune loop
-/// (`DdsrOverlay::prune_node`) and the sharded frozen-degree prune
-/// planner (`shard::sharded_wave_repair`) all select victims through it,
-/// and all consume exactly one `choose` draw per selection so the
-/// sequential RNG streams are unchanged by the sharing.
+/// The peering acceptance policy below selects through it. The prune
+/// loops, which drop several peers at once, use `prune_victims`.
 pub fn highest_degree_victim<R: Rng + ?Sized>(
     peers: &[(NodeId, usize)],
     rng: &mut R,
@@ -90,6 +87,53 @@ pub fn highest_degree_victim<R: Rng + ?Sized>(
         .map(|&(id, _)| id)
         .collect();
     candidates.choose(rng).copied()
+}
+
+/// Sheds `drops` peers (at most `peers.len()`) under the highest-degree
+/// rule, emitting each victim in selection order. `peers` holds
+/// `(neighbor, degree)` pairs and is reordered in place.
+///
+/// The list is sorted once by (degree desc, id asc); each victim is then
+/// one `choose` draw over the remaining members of the current top degree
+/// class, in ascending id order. For a list in ascending id order (every
+/// neighbor list is) this emits the same victims, in the same order and
+/// from the same draws, as repeated [`highest_degree_victim`] calls on the
+/// shrinking list.
+///
+/// There is no separate `d_min` filter: sparing peers at or below `d_min`
+/// while one above it remains is implied by highest-degree selection. If
+/// any peer is above `d_min`, the whole top class is, so the top class of
+/// the filtered list is the top class of the whole list.
+pub(crate) fn prune_victims<R: Rng + ?Sized>(
+    peers: &mut [(NodeId, usize)],
+    drops: usize,
+    rng: &mut R,
+    mut emit: impl FnMut(NodeId),
+) {
+    peers.sort_unstable_by_key(|&(id, degree)| (std::cmp::Reverse(degree), id));
+    // `peers[..start]` are already dropped; `peers[start..end]` is the
+    // rest of the current top class, still in ascending id order.
+    let (mut start, mut end) = (0, 0);
+    for _ in 0..drops.min(peers.len()) {
+        if start == end {
+            let degree = peers[start].1;
+            end = start + peers[start..].partition_point(|&(_, d)| d == degree);
+        }
+        let class = &peers[start..end];
+        let Some(&(victim, _)) = class.choose(rng) else {
+            return;
+        };
+        let picked = start
+            + class
+                .iter()
+                .position(|&(id, _)| id == victim)
+                .expect("the victim is a member of its class");
+        // Move the victim to the front of the class; the others keep
+        // their order.
+        peers[start..=picked].rotate_right(1);
+        start += 1;
+        emit(victim);
+    }
 }
 
 /// Decides how a node with the given peers responds to a peering request.
@@ -186,6 +230,74 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s), "all tied peers must be reachable");
+    }
+
+    /// The per-drop prune loop `prune_victims` replaced: rebuild the
+    /// `d_min` eligibility filter and select one highest-degree victim
+    /// from the shrinking list on every drop.
+    fn oracle_victims<R: Rng + ?Sized>(
+        peers: &[(NodeId, usize)],
+        d_min: usize,
+        drops: usize,
+        rng: &mut R,
+    ) -> Vec<NodeId> {
+        let mut remaining = peers.to_vec();
+        let mut victims = Vec::new();
+        while victims.len() < drops {
+            let above_min: Vec<(NodeId, usize)> = remaining
+                .iter()
+                .copied()
+                .filter(|&(_, d)| d > d_min)
+                .collect();
+            let eligible = if above_min.is_empty() {
+                remaining.clone()
+            } else {
+                above_min
+            };
+            let Some(victim) = highest_degree_victim(&eligible, rng) else {
+                break;
+            };
+            victims.push(victim);
+            remaining.retain(|&(id, _)| id != victim);
+        }
+        victims
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Sort-once selection is the per-drop loop: same victims, same
+            /// order, and the RNG ends at the same stream position. Degrees
+            /// come from a narrow range so ties are heavy; `d_min` often
+            /// exceeds every degree; `d_max` 0 drops the whole list.
+            #[test]
+            fn prune_victims_matches_the_per_drop_loop(
+                ids in prop::collection::btree_set(0usize..1_000, 0..24),
+                degrees in prop::collection::vec(0usize..6, 24..25),
+                d_min in 0usize..8,
+                d_max in 0usize..24,
+                seed in any::<u64>(),
+            ) {
+                let peers: Vec<(NodeId, usize)> = ids
+                    .iter()
+                    .zip(&degrees)
+                    .map(|(&id, &d)| (NodeId(id), d))
+                    .collect();
+                let drops = peers.len().saturating_sub(d_max);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let expected = oracle_victims(&peers, d_min, drops, &mut oracle_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut got = Vec::new();
+                prune_victims(&mut peers.clone(), drops, &mut rng, |v| got.push(v));
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+            }
+        }
     }
 
     #[test]

@@ -259,45 +259,32 @@ impl DdsrOverlay {
 
     /// Applies the pruning rule to one node: while its degree exceeds
     /// `d_max`, drop the neighbor with the highest degree (ties broken at
-    /// random), provided that neighbor would not be pushed below `d_min`
-    /// while alternatives exist.
+    /// random). That neighbor has the most alternative paths, so removing
+    /// it "maintains the reachability of all nodes". The rule also spares
+    /// neighbors at or below `d_min` while one above `d_min` remains: the
+    /// highest degree is above `d_min` then, so no separate filter is
+    /// needed. When every neighbor is at or below `d_min`, the rule still
+    /// drops down to `d_max` (the paper's fallback).
+    ///
+    /// A drop lowers only the dropped neighbor's degree, and that neighbor
+    /// leaves the list, so all drops are planned up front by
+    /// [`prune_victims`](crate::maintenance::prune_victims) and then
+    /// applied.
     fn prune_node<R: Rng + ?Sized>(&mut self, node: NodeId, rng: &mut R) {
-        loop {
-            let Some(deg) = self.graph.degree(node) else {
-                return;
-            };
-            if deg <= self.config.d_max {
-                return;
-            }
-            let neighbors: Vec<(NodeId, usize)> = match self.graph.neighbors(node) {
-                Some(set) => set
-                    .iter()
-                    .filter_map(|&n| self.graph.degree(n).map(|d| (n, d)))
-                    .collect(),
-                None => return,
-            };
-            // A victim at degree <= d_min would be pushed below d_min by the
-            // edge removal, so it is only eligible when no neighbor sits
-            // above d_min — the paper's unconditional fallback, "only
-            // applicable as long as there are enough surviving nodes".
-            let eligible: Vec<(NodeId, usize)> = {
-                let above_min: Vec<(NodeId, usize)> = neighbors
-                    .iter()
-                    .copied()
-                    .filter(|&(_, d)| d > self.config.d_min)
-                    .collect();
-                if above_min.is_empty() {
-                    neighbors.clone()
-                } else {
-                    above_min
-                }
-            };
-            let victim = match crate::maintenance::highest_degree_victim(&eligible, rng) {
-                Some(v) => v,
-                None => return,
-            };
-            // Removing the highest-degree peer "maintains the reachability of
-            // all nodes": that peer has the most alternative paths.
+        let Some(neighbors) = self.graph.neighbors(node) else {
+            return;
+        };
+        if neighbors.len() <= self.config.d_max {
+            return;
+        }
+        let drops = neighbors.len() - self.config.d_max;
+        let mut peers: Vec<(NodeId, usize)> = neighbors
+            .iter()
+            .filter_map(|&n| self.graph.degree(n).map(|d| (n, d)))
+            .collect();
+        let mut victims = Vec::with_capacity(drops);
+        crate::maintenance::prune_victims(&mut peers, drops, rng, |victim| victims.push(victim));
+        for victim in victims {
             self.graph.remove_edge(node, victim);
             self.stats.edges_pruned += 1;
         }

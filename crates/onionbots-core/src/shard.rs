@@ -372,8 +372,11 @@ pub struct WaveOutcome {
 /// 3. **Prune planning** (parallel by shard): affected survivors are
 ///    partitioned by owning shard; each shard walks its nodes in
 ///    ascending id order with its own stream split from the wave base via
-///    [`shard_stream_seed`], choosing victims against **frozen**
-///    post-repair degrees (the graph is read-only during this phase).
+///    [`shard_stream_seed`], choosing victims with
+///    `maintenance::prune_victims` against **frozen** post-repair degrees
+///    (the graph is read-only during this phase). Highest-degree
+///    selection already spares neighbors at or below `d_min` while
+///    others remain; there is no separate filter.
 ///    Unlike the sequential pass, one survivor's drops do not lower the
 ///    degree another survivor sees — a documented divergence that keeps
 ///    shards independent; each node still sheds enough edges on its own
@@ -443,9 +446,10 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
         let frozen: &Graph = graph;
         let planned = run_on_shards(grid.shards(), |s| {
             let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+            let mut peers: Vec<(NodeId, usize)> = Vec::new();
             let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
             for &u in &by_shard[s] {
-                plan_prune(frozen, config, u, &mut shard_rng, &mut drops);
+                plan_prune(frozen, config, u, &mut shard_rng, &mut peers, &mut drops);
             }
             drops
         });
@@ -462,50 +466,32 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     outcome
 }
 
-/// Plans the prune drops for one survivor against frozen degrees: while
-/// the (locally simulated) degree exceeds `d_max`, drop the
-/// highest-degree remaining neighbor — sparing neighbors at or below
-/// `d_min` while higher-degree alternatives remain, with random
-/// tie-breaks from the shard stream — exactly the sequential rule, except
-/// that neighbor degrees are the frozen post-repair ones.
+/// Plans the prune drops for one survivor against frozen degrees: it
+/// sheds its highest-degree neighbors until it is back at `d_max`, with
+/// random tie-breaks from the shard stream, through the same
+/// [`prune_victims`](crate::maintenance::prune_victims) rule as the
+/// sequential pass, except that neighbor degrees are the frozen
+/// post-repair ones. Sparing neighbors at or below `d_min` while
+/// higher-degree alternatives remain is implied by that rule, not a
+/// separate filter. `peers` is scratch space reused across survivors.
 fn plan_prune(
     graph: &Graph,
     config: &DdsrConfig,
     u: NodeId,
     rng: &mut StdRng,
+    peers: &mut Vec<(NodeId, usize)>,
     out: &mut Vec<(NodeId, NodeId)>,
 ) {
     let Some(neighbors) = graph.neighbors(u) else {
         return;
     };
-    let mut degree = neighbors.len();
-    if degree <= config.d_max {
+    if neighbors.len() <= config.d_max {
         return;
     }
-    let mut remaining: Vec<(NodeId, usize)> = neighbors
-        .iter()
-        .map(|&v| (v, graph.degree(v).unwrap_or(0)))
-        .collect();
-    while degree > config.d_max && !remaining.is_empty() {
-        let eligible: Vec<(NodeId, usize)> = {
-            let above_min: Vec<(NodeId, usize)> = remaining
-                .iter()
-                .copied()
-                .filter(|&(_, d)| d > config.d_min)
-                .collect();
-            if above_min.is_empty() {
-                remaining.clone()
-            } else {
-                above_min
-            }
-        };
-        let Some(victim) = crate::maintenance::highest_degree_victim(&eligible, rng) else {
-            return;
-        };
-        out.push((u, victim));
-        remaining.retain(|&(v, _)| v != victim);
-        degree -= 1;
-    }
+    let drops = neighbors.len() - config.d_max;
+    peers.clear();
+    peers.extend(neighbors.iter().map(|&v| (v, graph.degree(v).unwrap_or(0))));
+    crate::maintenance::prune_victims(peers, drops, rng, |victim| out.push((u, victim)));
 }
 
 #[cfg(test)]
