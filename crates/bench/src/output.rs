@@ -135,7 +135,9 @@ mod tests {
         }
 
         let scenarios: Vec<Arc<dyn Scenario>> = vec![Arc::new(Tiny)];
-        let summary = Runner::new(ScenarioParams::with_seed(1)).run(&scenarios);
+        let (summary, _) = Runner::new(ScenarioParams::with_seed(1))
+            .try_run_observed(&scenarios, &())
+            .unwrap();
         let dir = std::env::temp_dir().join(format!(
             "bench-output-render-{}-{:?}",
             std::process::id(),

@@ -1,10 +1,9 @@
 //! The registered paper scenarios.
 //!
-//! Each submodule ports one former stand-alone binary into a
-//! [`Scenario`](sim::scenario_api::Scenario): Figures 3–8, Table I and the
-//! two ablations. [`registry`] returns them all; the legacy figure
-//! binaries call [`run_legacy`] and the `run_experiments` binary drives
-//! the registry through the parallel [`sim::Runner`].
+//! Each submodule is one [`Scenario`](sim::scenario_api::Scenario):
+//! Figures 3–8, Table I, the two ablations and the scale run.
+//! [`registry`] returns them all; the `run_experiments` binary drives the
+//! registry through the parallel [`sim::Runner`].
 
 pub mod ablation_non;
 pub mod ablation_soap;
@@ -17,9 +16,7 @@ pub mod fig8;
 pub mod scale;
 pub mod table1;
 
-use sim::scenario_api::{ScenarioParams, ScenarioRegistry};
-
-use crate::Scale;
+use sim::scenario_api::ScenarioRegistry;
 
 /// Builds the registry holding every paper scenario, in paper order.
 pub fn registry() -> ScenarioRegistry {
@@ -38,39 +35,10 @@ pub fn registry() -> ScenarioRegistry {
     registry
 }
 
-/// Entry point for the thin legacy figure binaries: parses the scale from
-/// the binary's own arguments (plus the `ONIONBOTS_FULL` environment
-/// fallback), runs the named scenario sequentially and prints each report
-/// as a table.
-///
-/// # Panics
-/// Panics if `id` is not registered — the legacy binaries only name
-/// registry ids.
-pub fn run_legacy(id: &str) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = match Scale::from_args(&args) {
-        Ok(scale) => scale,
-        Err(message) => {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        }
-    };
-    let params = ScenarioParams {
-        full_scale: scale.is_full(),
-        ..ScenarioParams::default()
-    };
-    let scenario = registry()
-        .get(id)
-        .unwrap_or_else(|| panic!("scenario '{id}' is not registered"));
-    println!("# {} ({})\n", scenario.title(), scenario.id());
-    for report in scenario.run(&params) {
-        println!("{}", report.to_table());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::scenario_api::ScenarioParams;
 
     #[test]
     fn registry_contains_every_scenario_exactly_once() {

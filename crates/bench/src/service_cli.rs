@@ -19,17 +19,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
-use sim::scenario_api::parse_override;
 use sim::service::{Event, Request};
 use sim::wire::{write_frame, Frame, FrameReader};
-use sim::{
-    BackendSpec, JobSpec, ResultCache, Service, ServiceConfig, ThreadsPerItem, ThreadsSpec,
-    WorkerCommand,
-};
+use sim::{JobSpec, Service, ServiceConfig};
 
-use crate::output::{render_summary, Format};
+use crate::cli::{number, Args, JobFlags, ServiceFlags};
+use crate::output::render_summary;
 use crate::scenarios;
-use crate::Scale;
 
 /// Where a daemon listens / a client connects.
 enum Transport {
@@ -40,41 +36,13 @@ enum Transport {
 }
 
 /// Interprets the shared `--socket PATH` / `--tcp ADDR` transport flags.
-/// Returns `Ok(Some(...))` when `arg` was a transport flag (consuming
-/// `value`), `Ok(None)` otherwise.
-fn match_transport(arg: &str, value: Option<&String>) -> Result<Option<Transport>, String> {
-    let required = |name: &str| {
-        value
-            .cloned()
-            .ok_or_else(|| format!("{name} requires a value"))
-    };
-    match arg {
-        "--socket" => Ok(Some(Transport::Unix(PathBuf::from(required("--socket")?)))),
-        "--tcp" => Ok(Some(Transport::Tcp(required("--tcp")?))),
+/// Returns `Ok(Some(...))` when `flag` was a transport flag (consuming
+/// its value), `Ok(None)` otherwise.
+fn match_transport(flag: &str, args: &mut Args) -> Result<Option<Transport>, String> {
+    match flag {
+        "--socket" => Ok(Some(Transport::Unix(PathBuf::from(args.value(flag)?)))),
+        "--tcp" => Ok(Some(Transport::Tcp(args.value(flag)?.to_string()))),
         _ => Ok(None),
-    }
-}
-
-fn parse_threads_per_item(value: &str) -> Result<ThreadsPerItem, String> {
-    match value {
-        "auto" => Ok(ThreadsPerItem::Auto),
-        raw => raw
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .map(ThreadsPerItem::Fixed)
-            .ok_or_else(|| format!("invalid --threads-per-item value '{raw}' (auto or N >= 1)")),
-    }
-}
-
-fn parse_backend(value: &str) -> Result<BackendSpec, String> {
-    match value {
-        "local" => Ok(BackendSpec::Local),
-        "process" => Ok(BackendSpec::Process),
-        "remote" => Ok(BackendSpec::Remote),
-        other => Err(format!(
-            "unknown --backend '{other}' (local|process|remote)"
-        )),
     }
 }
 
@@ -166,74 +134,38 @@ jobs finish and flush their cache entries, then the process exits 0.
 
 struct ServeOptions {
     transports: Vec<Transport>,
-    jobs: usize,
-    backend: BackendSpec,
-    workers: Vec<String>,
-    threads_per_item: ThreadsPerItem,
+    /// The per-job defaults: `--jobs`, `--backend`, `--worker` and
+    /// `--threads-per-item`, parsed exactly like a job's own flags.
+    defaults: JobSpec,
+    service: ServiceFlags,
     max_active_jobs: usize,
-    item_deadline_ms: Option<u64>,
-    cache_dir: Option<String>,
-    no_cache: bool,
 }
 
 fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let mut options = ServeOptions {
-        transports: Vec::new(),
-        jobs: 1,
-        backend: BackendSpec::Local,
-        workers: Vec::new(),
-        threads_per_item: ThreadsPerItem::Auto,
-        max_active_jobs: sim::service::DEFAULT_MAX_ACTIVE_JOBS,
-        item_deadline_ms: None,
-        cache_dir: None,
-        no_cache: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        if let Some(transport) = match_transport(arg, args.get(i))? {
-            options.transports.push(transport);
-            i += 1;
+    let mut transports = Vec::new();
+    let mut defaults = JobFlags::default();
+    let mut service = ServiceFlags::default();
+    let mut max_active_jobs = sim::service::DEFAULT_MAX_ACTIVE_JOBS;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        if let Some(transport) = match_transport(flag, &mut args)? {
+            transports.push(transport);
             continue;
         }
-        let mut value_for = |name: &str| -> Result<String, String> {
-            let value = args
-                .get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"));
-            i += 1;
-            value
-        };
-        match arg.as_str() {
-            "--jobs" => {
-                let value = value_for("--jobs")?;
-                options.jobs = value
-                    .parse()
-                    .map_err(|_| format!("invalid --jobs value '{value}'"))?;
-            }
-            "--backend" => options.backend = parse_backend(&value_for("--backend")?)?,
-            "--worker" => options.workers.push(value_for("--worker")?),
-            "--threads-per-item" => {
-                options.threads_per_item =
-                    parse_threads_per_item(&value_for("--threads-per-item")?)?;
+        if service.apply(flag, &mut args)? {
+            continue;
+        }
+        match flag {
+            "--jobs" | "--backend" | "--worker" | "--threads-per-item" => {
+                defaults.apply(flag, &mut args)?;
             }
             "--max-jobs" => {
-                let value = value_for("--max-jobs")?;
-                options.max_active_jobs =
+                let value = args.value(flag)?;
+                max_active_jobs =
                     value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
                         format!("invalid --max-jobs value '{value}' (need N >= 1)")
                     })?;
             }
-            "--item-deadline-ms" => {
-                let value = value_for("--item-deadline-ms")?;
-                options.item_deadline_ms =
-                    Some(value.parse().ok().filter(|&ms| ms >= 1).ok_or_else(|| {
-                        format!("invalid --item-deadline-ms value '{value}' (need MS >= 1)")
-                    })?);
-            }
-            "--cache-dir" => options.cache_dir = Some(value_for("--cache-dir")?),
-            "--no-cache" => options.no_cache = true,
             "--help" | "-h" => {
                 print!("{SERVE_USAGE}");
                 std::process::exit(0);
@@ -241,10 +173,15 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if options.transports.is_empty() {
+    if transports.is_empty() {
         return Err("serve needs at least one of --socket PATH or --tcp ADDR".to_string());
     }
-    Ok(options)
+    Ok(ServeOptions {
+        transports,
+        defaults: defaults.spec,
+        service,
+        max_active_jobs,
+    })
 }
 
 /// Runs the daemon until `stop` is set (the binary's signal handler) or
@@ -265,48 +202,16 @@ pub fn serve_main(args: &[String], stop: &AtomicBool) -> ExitCode {
         eprintln!("error: invalid {} schedule: {error}", sim::FAULTS_ENV);
         return ExitCode::from(2);
     }
-    let cache_dir = match (options.no_cache, &options.cache_dir) {
-        (true, _) => None,
-        (false, Some(dir)) => Some(dir.clone()),
-        (false, None) => std::env::var("ONIONBOTS_CACHE_DIR")
-            .ok()
-            .filter(|dir| !dir.is_empty()),
+    // Worker subprocesses inherit the daemon's environment, schedule
+    // included, so no schedule is exported explicitly.
+    let config = ServiceConfig {
+        max_active_jobs: options.max_active_jobs,
+        ..options.service.config(&options.defaults, "")
     };
-    let cache = match cache_dir {
-        None => None,
-        Some(dir) => match ResultCache::open(&dir) {
-            Ok(cache) => {
-                eprintln!("service: caching results under {dir}");
-                Some(cache)
-            }
-            Err(error) => {
-                eprintln!("warning: cache dir {dir} is unusable ({error}); serving uncached");
-                None
-            }
-        },
-    };
-    // Workers are this very binary re-invoked in worker mode, exactly
-    // like the one-shot --backend process path.
-    let worker_command = std::env::current_exe()
-        .ok()
-        .map(|exe| WorkerCommand::new(exe).arg("worker"));
-    if options.backend == BackendSpec::Process && worker_command.is_none() {
-        eprintln!("error: cannot locate own executable for worker mode");
-        return ExitCode::FAILURE;
+    if let Some(cache) = &config.cache {
+        eprintln!("service: caching results under {}", cache.dir().display());
     }
-    let service = Service::new(
-        scenarios::registry(),
-        ServiceConfig {
-            jobs: options.jobs,
-            backend: options.backend,
-            worker_command,
-            workers: options.workers,
-            threads_per_item: options.threads_per_item,
-            max_active_jobs: options.max_active_jobs,
-            item_deadline_ms: options.item_deadline_ms,
-            cache,
-        },
-    );
+    let service = Service::new(scenarios::registry(), config);
     // Bind TCP listeners up front so `--tcp 127.0.0.1:0` can report the
     // assigned port before the first client tries to connect.
     let mut tcp_listeners = Vec::new();
@@ -393,90 +298,26 @@ Options:
   --help              show this help
 ";
 
-struct SubmitOptions {
+pub(crate) struct SubmitOptions {
     transport: Transport,
-    spec: JobSpec,
-    format: Format,
-    out: Option<String>,
+    pub(crate) job: JobFlags,
     quiet: bool,
 }
 
-fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, String> {
+pub(crate) fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, String> {
     let mut transport = None;
-    let mut spec = JobSpec::default();
-    let mut format = Format::Table;
-    let mut out = None;
+    let mut job = JobFlags::default();
     let mut quiet = false;
-    let mut only: Vec<String> = Vec::new();
-    let mut overrides: Vec<(String, String)> = Vec::new();
-    let mut workers: Vec<String> = Vec::new();
-    let mut scale = Scale::from_env();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        if let Some(parsed) = match_transport(arg, args.get(i))? {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        if let Some(parsed) = match_transport(flag, &mut args)? {
             transport = Some(parsed);
-            i += 1;
             continue;
         }
-        if let Some((parsed, consumed_value)) =
-            Scale::match_flag(arg, args.get(i).map(String::as_str))?
-        {
-            scale = parsed;
-            i += usize::from(consumed_value);
+        if job.apply(flag, &mut args)? {
             continue;
         }
-        let mut value_for = |name: &str| -> Result<String, String> {
-            let value = args
-                .get(i)
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"));
-            i += 1;
-            value
-        };
-        match arg.as_str() {
-            "--only" => {
-                let value = value_for("--only")?;
-                only.extend(
-                    value
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from),
-                );
-            }
-            "--seed" => {
-                let value = value_for("--seed")?;
-                spec.seed = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --seed value '{value}'"))?,
-                );
-            }
-            "--set" => overrides.push(parse_override(&value_for("--set")?)?),
-            "--jobs" => {
-                let value = value_for("--jobs")?;
-                spec.jobs = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("invalid --jobs value '{value}'"))?,
-                );
-            }
-            "--backend" => spec.backend = Some(parse_backend(&value_for("--backend")?)?),
-            "--worker" => workers.push(value_for("--worker")?),
-            "--threads-per-item" => {
-                spec.threads_per_item = Some(
-                    match parse_threads_per_item(&value_for("--threads-per-item")?)? {
-                        ThreadsPerItem::Sequential => ThreadsSpec::Sequential,
-                        ThreadsPerItem::Auto => ThreadsSpec::Auto,
-                        ThreadsPerItem::Fixed(n) => ThreadsSpec::Fixed(n),
-                    },
-                );
-            }
-            "--refresh" => spec.refresh = Some(true),
-            "--out" => out = Some(value_for("--out")?),
-            "--format" => format = Format::parse(&value_for("--format")?)?,
+        match flag {
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 print!("{SUBMIT_USAGE}");
@@ -485,32 +326,18 @@ fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if !only.is_empty() {
-        spec.only = Some(only);
-    }
-    if !overrides.is_empty() {
-        spec.overrides = Some(overrides.into_iter().collect());
-    }
-    if !workers.is_empty() {
-        spec.workers = Some(workers);
-    }
-    if scale.is_full() {
-        spec.full_scale = Some(true);
-    }
     let transport =
         transport.ok_or_else(|| "submit needs --socket PATH or --tcp ADDR".to_string())?;
     Ok(SubmitOptions {
         transport,
-        spec,
-        format,
-        out,
+        job,
         quiet,
     })
 }
 
 fn run_submit(options: &SubmitOptions) -> Result<(), String> {
     let (reader, mut writer) = connect(&options.transport)?;
-    write_frame(&mut writer, &Request::Submit(options.spec.clone()))
+    write_frame(&mut writer, &Request::Submit(options.job.spec.clone()))
         .map_err(|e| format!("cannot send job: {e}"))?;
     let mut frames = FrameReader::new(reader);
     loop {
@@ -547,7 +374,7 @@ fn run_submit(options: &SubmitOptions) -> Result<(), String> {
                 if let Some(stats) = cache {
                     eprintln!("cache: {stats}");
                 }
-                render_summary(&summary, options.format, options.out.as_deref())?;
+                render_summary(&summary, options.job.format, options.job.out.as_deref())?;
                 eprintln!(
                     "job {job} completed: {} scenario(s), {} report(s)",
                     summary.outcomes.len(),
@@ -627,41 +454,16 @@ fn parse_status_options(args: &[String]) -> Result<StatusOptions, String> {
     let mut list = false;
     let mut cancel = None;
     let mut shutdown = false;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        if let Some(parsed) = match_transport(arg, args.get(i))? {
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        if let Some(parsed) = match_transport(flag, &mut args)? {
             transport = Some(parsed);
-            i += 1;
             continue;
         }
-        match arg.as_str() {
-            "--job" => {
-                let value = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| "--job requires a value".to_string())?;
-                i += 1;
-                job = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --job value '{value}'"))?,
-                );
-            }
+        match flag {
+            "--job" => job = Some(number(flag, args.value(flag)?)?),
             "--list" => list = true,
-            "--cancel" => {
-                let value = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| "--cancel requires a value".to_string())?;
-                i += 1;
-                cancel = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("invalid --cancel value '{value}'"))?,
-                );
-            }
+            "--cancel" => cancel = Some(number(flag, args.value(flag)?)?),
             "--shutdown" => shutdown = true,
             "--help" | "-h" => {
                 print!("{STATUS_USAGE}");
@@ -724,6 +526,8 @@ pub fn status_main(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::output::Format;
+    use sim::{BackendSpec, ThreadsPerItem};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -751,18 +555,23 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(options.transports.len(), 2);
-        assert_eq!(options.jobs, 4);
-        assert_eq!(options.backend, BackendSpec::Process);
-        assert_eq!(options.threads_per_item, ThreadsPerItem::Fixed(2));
+        assert_eq!(options.defaults.jobs, Some(4));
+        assert_eq!(options.defaults.backend, Some(BackendSpec::Process));
+        assert_eq!(
+            options.defaults.threads_per_item,
+            Some(ThreadsPerItem::Fixed(2))
+        );
         assert_eq!(options.max_active_jobs, 2);
-        assert_eq!(options.item_deadline_ms, Some(3000));
-        assert!(options.no_cache);
+        assert_eq!(options.service.item_deadline_ms, Some(3000));
+        assert!(options.service.no_cache);
         let defaults = parse_serve_options(&args(&["--socket", "/tmp/svc.sock"])).unwrap();
         assert_eq!(
             defaults.max_active_jobs,
             sim::service::DEFAULT_MAX_ACTIVE_JOBS
         );
-        assert_eq!(defaults.item_deadline_ms, None);
+        assert_eq!(defaults.service.item_deadline_ms, None);
+        // Job flags that are not per-job defaults stay unknown to serve.
+        assert!(parse_serve_options(&args(&["--socket", "p", "--only", "fig6"])).is_err());
         assert!(parse_serve_options(&args(&["--socket"])).is_err());
         assert!(parse_serve_options(&args(&["--socket", "p", "--backend", "warp"])).is_err());
         assert!(parse_serve_options(&args(&["--socket", "p", "--max-jobs", "0"])).is_err());
@@ -797,24 +606,27 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(
-            options.spec.only,
+            options.job.spec.only,
             Some(vec!["fig6".to_string(), "fig4".to_string()])
         );
-        assert_eq!(options.spec.seed, Some(99));
-        assert_eq!(options.spec.full_scale, Some(true));
+        assert_eq!(options.job.spec.seed, Some(99));
+        assert_eq!(options.job.spec.full_scale, Some(true));
         assert_eq!(
-            options.spec.overrides.as_ref().unwrap().get("steps"),
+            options.job.spec.overrides.as_ref().unwrap().get("steps"),
             Some(&"2".to_string())
         );
-        assert_eq!(options.spec.jobs, Some(3));
-        assert_eq!(options.spec.backend, Some(BackendSpec::Local));
-        assert_eq!(options.spec.threads_per_item, Some(ThreadsSpec::Auto));
-        assert_eq!(options.spec.refresh, Some(true));
-        assert_eq!(options.format, Format::Json);
+        assert_eq!(options.job.spec.jobs, Some(3));
+        assert_eq!(options.job.spec.backend, Some(BackendSpec::Local));
+        assert_eq!(
+            options.job.spec.threads_per_item,
+            Some(ThreadsPerItem::Auto)
+        );
+        assert_eq!(options.job.spec.refresh, Some(true));
+        assert_eq!(options.job.format, Format::Json);
         assert!(options.quiet);
         // Defaults: an empty flag set is a bare full-registry submission.
         let bare = parse_submit_options(&args(&["--tcp", "127.0.0.1:7415"])).unwrap();
-        assert_eq!(bare.spec, JobSpec::default());
+        assert_eq!(bare.job.spec, JobSpec::default());
         assert!(
             parse_submit_options(&args(&["--seed", "1"])).is_err(),
             "no transport"

@@ -53,9 +53,16 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn process_backend_is_byte_identical_to_local_at_jobs_1_4_8() {
-    let reference = Runner::new(params(2015)).run(&selected());
+    let reference = Runner::new(params(2015))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     for jobs in [1, 4, 8] {
-        let local = Runner::new(params(2015)).jobs(jobs).run(&selected());
+        let local = Runner::new(params(2015))
+            .jobs(jobs)
+            .try_run_observed(&selected(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             local.to_json(),
             reference.to_json(),
@@ -64,7 +71,9 @@ fn process_backend_is_byte_identical_to_local_at_jobs_1_4_8() {
         let process = Runner::new(params(2015))
             .jobs(jobs)
             .backend(Backend::Process(worker_command()))
-            .run(&selected());
+            .try_run_observed(&selected(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             process.to_json(),
             reference.to_json(),
@@ -89,7 +98,10 @@ fn threads_per_item_is_byte_invariant_across_backends_and_budgets() {
     let params = ScenarioParams::with_seed(2015)
         .with_override("n", "2000")
         .with_override("waves", "3");
-    let reference = Runner::new(params.clone()).run(&scale_only());
+    let reference = Runner::new(params.clone())
+        .try_run_observed(&scale_only(), &())
+        .unwrap()
+        .0;
     for threads in [1usize, 4] {
         for process in [false, true] {
             let mut runner = Runner::new(params.clone())
@@ -98,7 +110,7 @@ fn threads_per_item_is_byte_invariant_across_backends_and_budgets() {
             if process {
                 runner = runner.backend(Backend::Process(worker_command()));
             }
-            let summary = runner.run(&scale_only());
+            let summary = runner.try_run_observed(&scale_only(), &()).unwrap().0;
             assert_eq!(
                 summary.to_json(),
                 reference.to_json(),
@@ -112,13 +124,18 @@ fn threads_per_item_is_byte_invariant_across_backends_and_budgets() {
     let auto = Runner::new(params)
         .jobs(2)
         .threads_per_item(ThreadsPerItem::Auto)
-        .run(&scale_only());
+        .try_run_observed(&scale_only(), &())
+        .unwrap()
+        .0;
     assert_eq!(auto.to_json(), reference.to_json(), "threads-per-item=auto");
 }
 
 #[test]
 fn killed_workers_are_respawned_and_the_output_is_unchanged() {
-    let reference = Runner::new(params(7)).run(&selected());
+    let reference = Runner::new(params(7))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     // Every worker incarnation abruptly exits while holding its second
     // item (read, never answered), so the run survives a worker death for
     // nearly every part and still converges to the same bytes.
@@ -126,7 +143,9 @@ fn killed_workers_are_respawned_and_the_output_is_unchanged() {
     let summary = Runner::new(params(7))
         .jobs(2)
         .backend(Backend::Process(flaky))
-        .run(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     assert_eq!(summary.to_json(), reference.to_json());
 }
 
@@ -138,7 +157,7 @@ fn an_item_that_keeps_killing_workers_fails_the_run_instead_of_looping() {
     let error = Runner::new(params(3))
         .jobs(2)
         .backend(Backend::Process(hopeless))
-        .try_run_with_stats(&selected())
+        .try_run_observed(&selected(), &())
         .unwrap_err();
     let message = error.to_string();
     assert!(
@@ -157,7 +176,8 @@ fn parts_computed_by_workers_replay_as_local_cache_hits_byte_identically() {
         .jobs(4)
         .backend(Backend::Process(worker_command()))
         .with_cache(cache.clone())
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.misses, PARTS);
     assert_eq!(stats.stored, PARTS);
@@ -167,7 +187,8 @@ fn parts_computed_by_workers_replay_as_local_cache_hits_byte_identically() {
     let (warm, stats) = Runner::new(params(11))
         .jobs(4)
         .with_cache(cache)
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert!(stats.all_hits(), "{stats:?}");
     assert_eq!(stats.hits, PARTS);
@@ -184,7 +205,7 @@ fn a_worker_streaming_an_endless_line_fails_the_run_naming_the_line_limit() {
         .arg("head -c 17000000 /dev/zero");
     let error = Runner::new(params(3))
         .backend(Backend::Process(endless))
-        .try_run_with_stats(&selected())
+        .try_run_observed(&selected(), &())
         .unwrap_err();
     let message = error.to_string();
     assert!(

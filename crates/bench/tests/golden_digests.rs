@@ -1,6 +1,9 @@
 //! Golden digests: the SHA-256 of `RunSummary::to_json` (the bytes
 //! `run_experiments --out DIR` writes to `DIR/summary.json`) for pinned
-//! runs, committed as constants.
+//! runs, committed as constants. The quick-registry digest is checked
+//! through every front end: the `Runner` itself, the built one-shot
+//! binary on the local and process backends, and a simulation-service
+//! job.
 //!
 //! Every performance change to a hot path promises "byte-identical for a
 //! fixed seed"; these tests turn that promise into a tier-1 check. A
@@ -17,11 +20,14 @@
 //!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
 //! ```
 
+use std::process::{Command, Stdio};
+
 use onion_crypto::sha256::Sha256;
 use onionbots_bench::scenarios;
 use sim::runner::ThreadsPerItem;
 use sim::scenario_api::ScenarioParams;
-use sim::Runner;
+use sim::service::{Event, Request};
+use sim::{JobSpec, Runner, Service, ServiceConfig};
 
 /// The whole quick registry at seed 2015.
 const QUICK_REGISTRY: &str = "fc99b29c86680e38f6d0604977910327d862f90377f2d48565911e8047796224";
@@ -52,8 +58,55 @@ fn quick_registry_summary_matches_its_golden_digest() {
     let all = registry.select(&[]).unwrap();
     let summary = Runner::new(ScenarioParams::with_seed(2015))
         .jobs(2)
-        .run(&all);
+        .try_run_observed(&all, &())
+        .unwrap()
+        .0;
     assert_eq!(sha256_hex(&summary.to_json()), QUICK_REGISTRY);
+}
+
+#[test]
+fn quick_registry_digest_holds_through_the_one_shot_binary() {
+    for backend in ["local", "process"] {
+        let out =
+            std::env::temp_dir().join(format!("golden-digests-{backend}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let status = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+            .args(["--jobs", "2", "--seed", "2015", "--no-cache"])
+            .args(["--backend", backend, "--out"])
+            .arg(&out)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .unwrap();
+        assert!(status.success(), "--backend {backend}: {status}");
+        let summary = std::fs::read_to_string(out.join("summary.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&out);
+        assert_eq!(sha256_hex(&summary), QUICK_REGISTRY, "--backend {backend}");
+    }
+}
+
+#[test]
+fn quick_registry_digest_holds_through_a_service_job() {
+    let service = Service::new(scenarios::registry(), ServiceConfig::default());
+    let spec = JobSpec {
+        seed: Some(2015),
+        jobs: Some(2),
+        ..JobSpec::default()
+    };
+    let request = format!(
+        "{}\n",
+        serde_json::to_string(&Request::Submit(spec)).unwrap()
+    );
+    let mut output = Vec::new();
+    service
+        .handle_connection(request.as_bytes(), &mut output)
+        .unwrap();
+    let frames = String::from_utf8(output).unwrap();
+    let last = frames.lines().last().expect("the job answers");
+    match serde_json::from_str::<Event>(last).unwrap() {
+        Event::Done { summary, .. } => assert_eq!(sha256_hex(&summary.to_json()), QUICK_REGISTRY),
+        other => panic!("expected a Done frame, got {other:?}"),
+    }
 }
 
 #[test]
@@ -68,7 +121,9 @@ fn scale_n2000_summaries_match_their_golden_digests() {
                 .with_override("shards", shards);
             let summary = Runner::new(params)
                 .threads_per_item(ThreadsPerItem::Fixed(threads))
-                .run(&scale);
+                .try_run_observed(&scale, &())
+                .unwrap()
+                .0;
             assert_eq!(
                 sha256_hex(&summary.to_json()),
                 golden,

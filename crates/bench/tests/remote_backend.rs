@@ -98,13 +98,18 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn remote_backend_is_byte_identical_to_local_at_1_2_4_hosts() {
-    let reference = Runner::new(params(2015)).run(&selected());
+    let reference = Runner::new(params(2015))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     for host_count in [1usize, 2, 4] {
         let hosts: Vec<WorkerHost> = (0..host_count).map(|_| WorkerHost::spawn(None)).collect();
         let summary = Runner::new(params(2015))
             .jobs(host_count)
             .backend(Backend::Remote(fleet(&hosts)))
-            .run(&selected());
+            .try_run_observed(&selected(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             summary.to_json(),
             reference.to_json(),
@@ -116,13 +121,18 @@ fn remote_backend_is_byte_identical_to_local_at_1_2_4_hosts() {
 #[test]
 fn remote_hosts_honor_threads_per_item_byte_identically() {
     let hosts = [WorkerHost::spawn(None), WorkerHost::spawn(None)];
-    let reference = Runner::new(params(2015)).run(&selected());
+    let reference = Runner::new(params(2015))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     for threads in [1usize, 4] {
         let summary = Runner::new(params(2015))
             .jobs(2)
             .threads_per_item(ThreadsPerItem::Fixed(threads))
             .backend(Backend::Remote(fleet(&hosts)))
-            .run(&selected());
+            .try_run_observed(&selected(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             summary.to_json(),
             reference.to_json(),
@@ -133,7 +143,10 @@ fn remote_hosts_honor_threads_per_item_byte_identically() {
 
 #[test]
 fn a_host_killed_mid_run_requeues_its_items_and_the_output_is_unchanged() {
-    let reference = Runner::new(params(7)).run(&selected());
+    let reference = Runner::new(params(7))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     // The second host abruptly exits while holding its second assignment
     // (read, never answered); its items must re-queue on the survivor and
     // the run must still converge to the reference bytes.
@@ -141,7 +154,9 @@ fn a_host_killed_mid_run_requeues_its_items_and_the_output_is_unchanged() {
     let summary = Runner::new(params(7))
         .jobs(2)
         .backend(Backend::Remote(fleet(&hosts)))
-        .run(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     assert_eq!(summary.to_json(), reference.to_json());
 }
 
@@ -183,7 +198,10 @@ fn spawn_hung_host() -> String {
 
 #[test]
 fn a_hung_host_is_abandoned_after_the_deadline_and_its_items_requeue() {
-    let reference = Runner::new(params(9)).run(&selected());
+    let reference = Runner::new(params(9))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     // One healthy host, one that accepts work and never answers. The
     // per-item deadline must cut the hung channel loose and re-queue its
     // in-flight item on the survivor — same bytes, no stall, no retry
@@ -194,7 +212,9 @@ fn a_hung_host_is_abandoned_after_the_deadline_and_its_items_requeue() {
         .jobs(2)
         .item_deadline_ms(1_500)
         .backend(Backend::Remote(vec![real.addr.clone(), hung]))
-        .run(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     assert_eq!(summary.to_json(), reference.to_json());
 }
 
@@ -241,7 +261,7 @@ fn an_item_that_keeps_corrupting_the_stream_fails_the_run_instead_of_looping() {
     let error = Runner::new(params(3))
         .jobs(1)
         .backend(Backend::Remote(vec![addr]))
-        .try_run_with_stats(&selected())
+        .try_run_observed(&selected(), &())
         .unwrap_err();
     let message = error.to_string();
     assert!(
@@ -278,7 +298,7 @@ fn a_host_that_rejects_the_handshake_fails_the_run_and_never_poisons_the_cache()
         .jobs(1)
         .backend(Backend::Remote(vec![addr]))
         .with_cache(cache.clone())
-        .try_run_with_stats(&selected())
+        .try_run_observed(&selected(), &())
         .unwrap_err();
     let message = error.to_string();
     assert!(message.contains("refused"), "unexpected error: {message}");
@@ -286,7 +306,8 @@ fn a_host_that_rejects_the_handshake_fails_the_run_and_never_poisons_the_cache()
     // the same cache starts fully cold.
     let (_, stats) = Runner::new(params(5))
         .with_cache(cache)
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.hits, 0, "failed remote run poisoned the cache");
     assert_eq!(stats.misses, PARTS);
@@ -304,7 +325,8 @@ fn parts_computed_by_remote_hosts_replay_as_local_cache_hits_byte_identically() 
         .jobs(2)
         .backend(Backend::Remote(fleet(&hosts)))
         .with_cache(cache.clone())
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.misses, PARTS);
     assert_eq!(stats.stored, PARTS);
@@ -313,7 +335,8 @@ fn parts_computed_by_remote_hosts_replay_as_local_cache_hits_byte_identically() 
     let (warm, stats) = Runner::new(params(11))
         .jobs(4)
         .with_cache(cache)
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert!(stats.all_hits(), "{stats:?}");
     assert_eq!(stats.hits, PARTS);
@@ -331,7 +354,8 @@ fn warm_remote_submission_is_byte_identical_to_its_cold_run() {
             .jobs(1)
             .backend(Backend::Remote(fleet(&hosts)))
             .with_cache(cache)
-            .run_with_stats(&selected())
+            .try_run_observed(&selected(), &())
+            .unwrap()
     };
     let (cold, cold_stats) = run(cache.clone());
     assert_eq!(cold_stats.unwrap().misses, PARTS);
@@ -402,10 +426,13 @@ fn a_reply_that_pauses_mid_character_is_merged_intact() {
         .select(&["table1".to_string()])
         .unwrap();
     let params = ScenarioParams::with_seed(2015);
-    let reference = Runner::new(params.clone()).run(&table1);
+    let reference = Runner::new(params.clone())
+        .try_run_observed(&table1, &())
+        .unwrap()
+        .0;
     let summary = Runner::new(params)
         .backend(Backend::Remote(vec![spawn_scripted_host(answer)]))
-        .try_run_with_stats(&table1)
+        .try_run_observed(&table1, &())
         .unwrap()
         .0;
     assert_eq!(summary.to_json(), reference.to_json());
@@ -419,7 +446,7 @@ fn a_host_streaming_an_endless_line_fails_the_run_naming_the_line_limit() {
     };
     let error = Runner::new(params(3))
         .backend(Backend::Remote(vec![spawn_scripted_host(answer)]))
-        .try_run_with_stats(&selected())
+        .try_run_observed(&selected(), &())
         .unwrap_err();
     let message = error.to_string();
     assert!(

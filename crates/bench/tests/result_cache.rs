@@ -39,11 +39,15 @@ const PARTS: usize = 3 + 5; // fig6 steps=3 + five defense configurations
 fn warm_runs_are_all_hits_and_byte_identical_at_any_jobs_value() {
     let dir = temp_dir("warm");
     let cache = ResultCache::open(&dir).unwrap();
-    let uncached = Runner::new(params(42)).run(&selected());
+    let uncached = Runner::new(params(42))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     let (cold, stats) = Runner::new(params(42))
         .jobs(8)
         .with_cache(cache.clone())
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.misses, PARTS);
     assert_eq!(stats.stored, PARTS);
@@ -56,7 +60,8 @@ fn warm_runs_are_all_hits_and_byte_identical_at_any_jobs_value() {
         let (warm, stats) = Runner::new(params(42))
             .jobs(jobs)
             .with_cache(cache.clone())
-            .run_with_stats(&selected());
+            .try_run_observed(&selected(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert!(
             stats.all_hits(),
@@ -73,33 +78,43 @@ fn seed_scale_and_override_changes_invalidate_exactly_the_affected_parts() {
     let dir = temp_dir("fingerprint");
     let cache = ResultCache::open(&dir).unwrap();
     let runner = |p: ScenarioParams| Runner::new(p).jobs(4).with_cache(cache.clone());
-    runner(params(1)).run(&selected());
+    runner(params(1))
+        .try_run_observed(&selected(), &())
+        .unwrap();
 
     // Different seed: every part derives a new part seed -> all miss.
-    let (_, stats) = runner(params(2)).run_with_stats(&selected());
+    let (_, stats) = runner(params(2))
+        .try_run_observed(&selected(), &())
+        .unwrap();
     assert_eq!(stats.unwrap().hits, 0);
 
     // Different scale: all miss.
     let mut full = params(1);
     full.full_scale = true;
-    let (_, stats) = runner(full).run_with_stats(&selected());
+    let (_, stats) = runner(full).try_run_observed(&selected(), &()).unwrap();
     assert_eq!(stats.unwrap().hits, 0);
 
     // fig6 consumes `steps`; the ablation declares only `n`/`k`, so its
     // five parts stay warm — invalidation is scoped to the affected parts.
-    let (_, stats) = runner(params(1).with_override("steps", "2")).run_with_stats(&selected());
+    let (_, stats) = runner(params(1).with_override("steps", "2"))
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.hits, 5, "the SOAP ablation must stay cached");
     assert_eq!(stats.misses, 2, "only the changed fig6 sweep re-executes");
 
     // Symmetrically, changing `n` re-executes only the ablation.
-    let (_, stats) = runner(params(1).with_override("n", "700")).run_with_stats(&selected());
+    let (_, stats) = runner(params(1).with_override("n", "700"))
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.hits, 3, "fig6 must stay cached");
     assert_eq!(stats.misses, 5, "only the ablation re-executes");
 
     // The original parameterization is still fully warm.
-    let (_, stats) = runner(params(1)).run_with_stats(&selected());
+    let (_, stats) = runner(params(1))
+        .try_run_observed(&selected(), &())
+        .unwrap();
     assert!(stats.unwrap().all_hits());
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -110,12 +125,15 @@ fn refresh_reexecutes_everything_but_changes_nothing() {
     let cache = ResultCache::open(&dir).unwrap();
     let baseline = Runner::new(params(3))
         .with_cache(cache.clone())
-        .run(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     let (refreshed, stats) = Runner::new(params(3))
         .jobs(4)
         .with_cache(cache.clone())
         .refresh(true)
-        .run_with_stats(&selected());
+        .try_run_observed(&selected(), &())
+        .unwrap();
     let stats = stats.unwrap();
     assert_eq!(stats.hits, 0);
     assert_eq!(stats.invalidated, PARTS);

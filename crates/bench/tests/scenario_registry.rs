@@ -63,8 +63,15 @@ fn run_summary_json_is_identical_for_any_worker_count() {
         .select(&["fig6".to_string(), "fig8".to_string(), "table1".to_string()])
         .unwrap();
     let params = ScenarioParams::with_seed(77);
-    let sequential = Runner::new(params.clone()).run(&selected);
-    let parallel = Runner::new(params).jobs(8).run(&selected);
+    let sequential = Runner::new(params.clone())
+        .try_run_observed(&selected, &())
+        .unwrap()
+        .0;
+    let parallel = Runner::new(params)
+        .jobs(8)
+        .try_run_observed(&selected, &())
+        .unwrap()
+        .0;
     assert_eq!(
         sequential.to_json(),
         parallel.to_json(),
@@ -83,7 +90,11 @@ fn sequential_run_matches_runner_output() {
     let scenario = registry.get("fig6").unwrap();
     let params = ScenarioParams::with_seed(5);
     let direct = scenario.run(&params);
-    let summary = Runner::new(params).jobs(4).run(&[scenario]);
+    let summary = Runner::new(params)
+        .jobs(4)
+        .try_run_observed(&[scenario], &())
+        .unwrap()
+        .0;
     assert_eq!(summary.outcomes[0].reports, direct);
 }
 
@@ -92,7 +103,13 @@ fn sequential_run_matches_runner_output() {
 fn seeds_flow_into_scenario_results() {
     let registry = scenarios::registry();
     let selected = registry.select(&["fig6".to_string()]).unwrap();
-    let a = Runner::new(ScenarioParams::with_seed(1)).run(&selected);
-    let b = Runner::new(ScenarioParams::with_seed(2)).run(&selected);
+    let a = Runner::new(ScenarioParams::with_seed(1))
+        .try_run_observed(&selected, &())
+        .unwrap()
+        .0;
+    let b = Runner::new(ScenarioParams::with_seed(2))
+        .try_run_observed(&selected, &())
+        .unwrap()
+        .0;
     assert_ne!(a.outcomes[0].reports, b.outcomes[0].reports);
 }

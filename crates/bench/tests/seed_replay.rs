@@ -50,14 +50,25 @@ fn selected() -> Vec<std::sync::Arc<dyn sim::Scenario>> {
 
 #[test]
 fn runner_replays_byte_identically_for_a_fixed_seed() {
-    let first = Runner::new(params(11)).jobs(4).run(&selected());
-    let second = Runner::new(params(11)).jobs(4).run(&selected());
+    let first = Runner::new(params(11))
+        .jobs(4)
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
+    let second = Runner::new(params(11))
+        .jobs(4)
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     assert_eq!(
         first.to_json(),
         second.to_json(),
         "two runs with the same seed must be byte-identical"
     );
-    let serial = Runner::new(params(11)).run(&selected());
+    let serial = Runner::new(params(11))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
     assert_eq!(
         serial.to_json(),
         first.to_json(),

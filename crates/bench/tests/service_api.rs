@@ -153,7 +153,10 @@ fn fig6_spec(seed: u64) -> JobSpec {
 fn fig6_reference(seed: u64) -> RunSummary {
     let params = ScenarioParams::with_seed(seed).with_override("steps", "4");
     let selected = scenarios::registry().select(&["fig6".to_string()]).unwrap();
-    Runner::new(params).run(&selected)
+    Runner::new(params)
+        .try_run_observed(&selected, &())
+        .unwrap()
+        .0
 }
 
 #[test]

@@ -31,7 +31,9 @@ fn scale_summary_is_byte_identical_at_shard_worker_counts_1_2_8() {
     let run = |threads: usize| {
         Runner::new(scale_params())
             .threads_per_item(ThreadsPerItem::Fixed(threads))
-            .run(&scale_only())
+            .try_run_observed(&scale_only(), &())
+            .unwrap()
+            .0
             .to_json()
     };
     let reference = run(1);
@@ -53,7 +55,9 @@ fn scale_summary_does_not_depend_on_job_fan_out() {
         Runner::new(params.clone())
             .jobs(jobs)
             .threads_per_item(threads)
-            .run(&scale_only())
+            .try_run_observed(&scale_only(), &())
+            .unwrap()
+            .0
             .to_json()
     };
     let reference = run(1, ThreadsPerItem::Sequential);
@@ -65,7 +69,9 @@ fn scale_summary_does_not_depend_on_job_fan_out() {
 fn coarser_shard_grids_change_the_stream_but_stay_deterministic() {
     let with_shards = |shards: &str| {
         Runner::new(scale_params().with_override("shards", shards))
-            .run(&scale_only())
+            .try_run_observed(&scale_only(), &())
+            .unwrap()
+            .0
             .to_json()
     };
     // A different grid is a different logical experiment: the per-shard

@@ -161,7 +161,7 @@ impl ExperimentReport {
 
     /// Renders as an aligned text table with the title (rows aligned by x
     /// value, like [`to_csv`](Self::to_csv)), followed by any notes —
-    /// suitable for the console output of the figure binaries.
+    /// the console output of `run_experiments --format table`.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== {} ({}) ==", self.title, self.id);

@@ -96,6 +96,6 @@ pub use scenario_api::{
 // (`sim::service::{Request, Event}`) so they cannot be confused with the
 // discrete-event `engine` types; the nouns below are unambiguous.
 pub use service::{
-    BackendSpec, JobSpec, JobState, JobStatus, ScenarioInfo, Service, ServiceConfig, ThreadsSpec,
+    BackendSpec, JobSpec, JobState, JobStatus, ScenarioInfo, Service, ServiceConfig,
 };
 pub use wire::{serve_connection, serve_remote_host, DispatchFrame, WorkerFrame, PROTOCOL_VERSION};

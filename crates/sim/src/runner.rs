@@ -137,15 +137,15 @@ impl PartEvent {
 /// to its clients as results land.
 ///
 /// Implementations must be `Sync`: events are delivered concurrently from
-/// the executing backend's worker threads. The no-op observer `&()` turns
-/// [`Runner::try_run_observed`] back into
-/// [`Runner::try_run_with_stats`].
+/// the executing backend's worker threads. The no-op observer `&()` is
+/// what a caller without a progress display passes to
+/// [`Runner::try_run_observed`].
 pub trait RunObserver: Sync {
     /// Called once per part lifecycle transition, in completion order.
     fn part_event(&self, event: PartEvent);
 }
 
-/// The no-op observer used by the plain one-shot entry points.
+/// The no-op observer, for callers that need no progress events.
 impl RunObserver for () {
     fn part_event(&self, _event: PartEvent) {}
 }
@@ -213,7 +213,11 @@ impl std::fmt::Debug for Backend {
 /// The hint can never change output bytes — the BFS kernel is
 /// deterministic at any thread count — so any setting is safe; it is
 /// purely a throughput knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// It is also the wire form of a job's `threads_per_item` field
+/// ([`crate::service::JobSpec`]): `"Sequential"`, `"Auto"` or
+/// `{"Fixed":N}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ThreadsPerItem {
     /// Keep intra-item work sequential (the pinned legacy behavior and
     /// the library default).
@@ -337,64 +341,27 @@ impl Runner {
         self
     }
 
-    /// Runs the scenarios and returns their deterministic summary.
+    /// Runs the scenarios and returns their deterministic summary plus the
+    /// cache counters (`None` when no cache is attached): the one
+    /// plan → cache → dispatch → validate → merge pipeline.
     ///
     /// Work items are planned in `(scenario, part)` order, resolved
     /// against the cache, dispatched to the backend, and reassembled in
     /// `(scenario, part)` order before merging — so neither scheduling
-    /// order, cache hits nor the backend leak into the output.
-    ///
-    /// # Panics
-    /// Panics when the backend fails (e.g. the worker binary cannot be
-    /// spawned); use [`try_run_with_stats`](Self::try_run_with_stats) to
-    /// handle that gracefully.
-    pub fn run(&self, scenarios: &[Arc<dyn Scenario>]) -> RunSummary {
-        self.run_with_stats(scenarios).0
-    }
-
-    /// Like [`run`](Self::run), additionally returning the cache counters
-    /// (`None` when no cache is attached).
-    ///
-    /// # Panics
-    /// Panics when the backend fails, like [`run`](Self::run).
-    pub fn run_with_stats(
-        &self,
-        scenarios: &[Arc<dyn Scenario>],
-    ) -> (RunSummary, Option<CacheStats>) {
-        self.try_run_with_stats(scenarios)
-            .unwrap_or_else(|error| panic!("execution backend failed: {error}"))
-    }
-
-    /// Runs the scenarios, reporting backend failures as an error instead
-    /// of panicking. When a cache is attached the counters are also
-    /// reported on stderr — by this parent process only, never by a
-    /// worker — as are store failures: a cache that stops being writable
+    /// order, cache hits nor the backend leak into the output. Every part
+    /// reports `Queued`/`CacheHit` to `observer` during the cache pass and
+    /// `Started`/`Finished`/`Error` live from the backend as it executes;
+    /// the one-shot CLI attaches the no-op observer `&()`, the simulation
+    /// service daemon forwards events to its clients, and the observer can
+    /// never change output bytes. When a cache is attached the counters
+    /// are also reported on stderr — by this parent process only, never by
+    /// a worker — as are store failures: a cache that stops being writable
     /// mid-run degrades to a warning, never a failed run.
     ///
     /// # Errors
     /// Returns the [`ExecutorError`] when the backend cannot complete the
     /// batch (worker binary missing, an item that keeps killing workers,
     /// a scenario unknown to the executor, ...).
-    pub fn try_run_with_stats(
-        &self,
-        scenarios: &[Arc<dyn Scenario>],
-    ) -> Result<(RunSummary, Option<CacheStats>), ExecutorError> {
-        self.try_run_observed(scenarios, &())
-    }
-
-    /// The full plan → cache → dispatch → validate → merge pipeline with a
-    /// streaming [`RunObserver`] attached: every part reports
-    /// `Queued`/`CacheHit` during the cache pass and
-    /// `Started`/`Finished`/`Error` live from the backend as it executes.
-    /// This is the shared entry point behind both the one-shot CLI path
-    /// ([`try_run_with_stats`](Self::try_run_with_stats), which attaches
-    /// the no-op observer) and the simulation service daemon (which
-    /// forwards events to connected clients); the observer can never
-    /// change output bytes.
-    ///
-    /// # Errors
-    /// Returns the [`ExecutorError`] when the backend cannot complete the
-    /// batch, like [`try_run_with_stats`](Self::try_run_with_stats).
     pub fn try_run_observed(
         &self,
         scenarios: &[Arc<dyn Scenario>],
@@ -675,8 +642,15 @@ mod tests {
     #[test]
     fn parallel_runs_match_sequential_runs_byte_for_byte() {
         let params = ScenarioParams::with_seed(42);
-        let sequential = Runner::new(params.clone()).run(&scenarios());
-        let parallel = Runner::new(params).jobs(8).run(&scenarios());
+        let sequential = Runner::new(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
+        let parallel = Runner::new(params)
+            .jobs(8)
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(sequential, parallel);
         assert_eq!(sequential.to_json(), parallel.to_json());
     }
@@ -685,7 +659,9 @@ mod tests {
     fn outcomes_follow_selection_order_and_merge_parts_in_order() {
         let summary = Runner::new(ScenarioParams::with_seed(7))
             .jobs(4)
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(summary.outcomes.len(), 3);
         assert_eq!(summary.outcomes[0].scenario_id, "s1");
         assert_eq!(summary.outcomes[0].parts, 4);
@@ -696,14 +672,23 @@ mod tests {
 
     #[test]
     fn different_seeds_change_results() {
-        let a = Runner::new(ScenarioParams::with_seed(1)).run(&scenarios());
-        let b = Runner::new(ScenarioParams::with_seed(2)).run(&scenarios());
+        let a = Runner::new(ScenarioParams::with_seed(1))
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
+        let b = Runner::new(ScenarioParams::with_seed(2))
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_ne!(a, b);
     }
 
     #[test]
     fn summary_json_roundtrips() {
-        let summary = Runner::new(ScenarioParams::with_seed(3)).run(&scenarios());
+        let summary = Runner::new(ScenarioParams::with_seed(3))
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         let restored: RunSummary = serde_json::from_str(&summary.to_json()).unwrap();
         assert_eq!(restored, summary);
     }
@@ -742,10 +727,15 @@ mod tests {
             seen: std::sync::Mutex::new(0),
         });
         let params = ScenarioParams::with_seed(42);
-        let reference = Runner::new(params.clone()).run(&scenarios());
+        let reference = Runner::new(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         let custom = Runner::new(params)
             .backend(Backend::Custom(recording.clone()))
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(custom.to_json(), reference.to_json());
         assert_eq!(*recording.seen.lock().unwrap(), 7, "4 + 2 + 1 parts");
     }
@@ -779,7 +769,10 @@ mod tests {
         }
 
         let params = ScenarioParams::with_seed(42);
-        let reference = Runner::new(params.clone()).run(&scenarios());
+        let reference = Runner::new(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         for policy in [
             ThreadsPerItem::Sequential,
             ThreadsPerItem::Fixed(3),
@@ -793,7 +786,9 @@ mod tests {
                 .jobs(2)
                 .threads_per_item(policy)
                 .backend(Backend::Custom(recording.clone()))
-                .run(&scenarios());
+                .try_run_observed(&scenarios(), &())
+                .unwrap()
+                .0;
             assert_eq!(
                 summary.to_json(),
                 reference.to_json(),
@@ -902,7 +897,7 @@ mod tests {
             let error = Runner::new(params.clone())
                 .backend(backend)
                 .with_cache(cache.clone())
-                .try_run_with_stats(&scenarios())
+                .try_run_observed(&scenarios(), &())
                 .unwrap_err();
             let message = error.to_string();
             assert!(message.contains(expected), "{message}");
@@ -911,7 +906,8 @@ mod tests {
         // instead of replaying a poisoned (empty or partial) entry.
         let (_, stats) = Runner::new(params)
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.hits, 0, "no entry from a failed run may survive");
         assert_eq!(stats.misses, 7);
@@ -928,7 +924,7 @@ mod tests {
         }
         let error = Runner::new(ScenarioParams::with_seed(1))
             .backend(Backend::Custom(Arc::new(Broken)))
-            .try_run_with_stats(&scenarios())
+            .try_run_observed(&scenarios(), &())
             .unwrap_err();
         assert_eq!(error.to_string(), "backend exploded");
     }
@@ -947,10 +943,14 @@ mod tests {
     fn warm_cache_run_executes_nothing_and_matches_cold_run_byte_for_byte() {
         let (cache, dir) = temp_cache("warm");
         let params = ScenarioParams::with_seed(42);
-        let uncached = Runner::new(params.clone()).run(&scenarios());
+        let uncached = Runner::new(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         let (cold, cold_stats) = Runner::new(params.clone())
             .with_cache(cache.clone())
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let cold_stats = cold_stats.unwrap();
         assert_eq!(cold_stats.misses, 7, "4 + 2 + 1 parts all miss");
         assert_eq!(cold_stats.hits, 0);
@@ -964,7 +964,8 @@ mod tests {
             let (warm, warm_stats) = Runner::new(params.clone())
                 .jobs(jobs)
                 .with_cache(cache.clone())
-                .run_with_stats(&scenarios());
+                .try_run_observed(&scenarios(), &())
+                .unwrap();
             let warm_stats = warm_stats.unwrap();
             assert!(warm_stats.all_hits(), "jobs={jobs}: {warm_stats:?}");
             assert_eq!(warm_stats.hits, 7);
@@ -982,26 +983,34 @@ mod tests {
         let (cache, dir) = temp_cache("invalidate");
         let params = ScenarioParams::with_seed(1);
         let runner = |p: ScenarioParams| Runner::new(p).with_cache(cache.clone());
-        runner(params.clone()).run(&scenarios());
+        runner(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         // A different seed misses everywhere (part seeds derive from it).
-        let (_, stats) = runner(ScenarioParams::with_seed(2)).run_with_stats(&scenarios());
+        let (_, stats) = runner(ScenarioParams::with_seed(2))
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 7);
         // Toggling full_scale misses everywhere too.
         let mut full = params.clone();
         full.full_scale = true;
-        let (_, stats) = runner(full).run_with_stats(&scenarios());
+        let (_, stats) = runner(full).try_run_observed(&scenarios(), &()).unwrap();
         assert_eq!(stats.unwrap().hits, 0);
         // An override misses everywhere for scenarios with undeclared keys
         // (the conservative default fingerprints every override).
         let with_override = params.clone().with_override("n", "5");
-        let (_, stats) = runner(with_override.clone()).run_with_stats(&scenarios());
+        let (_, stats) = runner(with_override.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         assert_eq!(stats.unwrap().hits, 0);
         // ... and each parameterization stays warm independently.
-        let (_, stats) = runner(params).run_with_stats(&scenarios());
+        let (_, stats) = runner(params).try_run_observed(&scenarios(), &()).unwrap();
         assert!(stats.unwrap().all_hits());
-        let (_, stats) = runner(with_override).run_with_stats(&scenarios());
+        let (_, stats) = runner(with_override)
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         assert!(stats.unwrap().all_hits());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1012,11 +1021,14 @@ mod tests {
         let params = ScenarioParams::with_seed(9);
         let baseline = Runner::new(params.clone())
             .with_cache(cache.clone())
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         let (refreshed, stats) = Runner::new(params.clone())
             .with_cache(cache.clone())
             .refresh(true)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.hits, 0, "refresh must not serve cached entries");
         assert_eq!(stats.invalidated, 7, "all existing entries are bypassed");
@@ -1025,7 +1037,8 @@ mod tests {
         // The refreshed entries are valid: a follow-up run is all hits.
         let (_, stats) = Runner::new(params)
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         assert!(stats.unwrap().all_hits());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1037,7 +1050,7 @@ mod tests {
         let error = Runner::new(ScenarioParams::with_seed(6))
             .with_cache(cache.clone())
             .cancel_token(token)
-            .try_run_with_stats(&scenarios())
+            .try_run_observed(&scenarios(), &())
             .unwrap_err();
         assert_eq!(
             error.to_string(),
@@ -1046,7 +1059,8 @@ mod tests {
         // Nothing reached the cache: a follow-up run misses everywhere.
         let (_, stats) = Runner::new(ScenarioParams::with_seed(6))
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.hits, 0, "a cancelled run must not warm the cache");
         assert_eq!(stats.misses, 7);
@@ -1110,7 +1124,7 @@ mod tests {
             .with_cache(cache.clone())
             .backend(Backend::Custom(backend.clone()))
             .cancel_token(token)
-            .try_run_with_stats(&scenarios())
+            .try_run_observed(&scenarios(), &())
             .unwrap_err();
         assert_eq!(
             error.to_string(),
@@ -1126,7 +1140,8 @@ mod tests {
         // partial state from the cancelled run.
         let (_, stats) = Runner::new(ScenarioParams::with_seed(6))
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.hits, 0, "no entry from a cancelled run may survive");
         assert_eq!(stats.misses, 7);
@@ -1149,17 +1164,22 @@ mod tests {
             .with_cache(cache.clone())
             .backend(Backend::Custom(backend))
             .cancel_token(token.clone())
-            .try_run_with_stats(&scenarios())
+            .try_run_observed(&scenarios(), &())
             .unwrap();
         assert!(token.load(Ordering::SeqCst), "the token did trip");
         assert_eq!(stats.unwrap().stored, 7, "every result was stored");
         assert_eq!(
             summary.to_json(),
-            Runner::new(params.clone()).run(&scenarios()).to_json()
+            Runner::new(params.clone())
+                .try_run_observed(&scenarios(), &())
+                .unwrap()
+                .0
+                .to_json()
         );
         let (_, stats) = Runner::new(params)
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert!(stats.all_hits(), "{stats:?}");
         assert_eq!(stats.hits, 7);
@@ -1196,7 +1216,9 @@ mod tests {
             .jobs(2)
             .backend(Backend::Custom(backend.clone()))
             .cancel_token(Arc::new(AtomicBool::new(false)))
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             *backend.calls.lock().unwrap(),
             1,
@@ -1204,18 +1226,27 @@ mod tests {
         );
         assert_eq!(
             summary.to_json(),
-            Runner::new(params).run(&scenarios()).to_json()
+            Runner::new(params)
+                .try_run_observed(&scenarios(), &())
+                .unwrap()
+                .0
+                .to_json()
         );
     }
 
     #[test]
     fn unset_cancel_token_changes_nothing_about_the_run() {
         let params = ScenarioParams::with_seed(42);
-        let reference = Runner::new(params.clone()).run(&scenarios());
+        let reference = Runner::new(params.clone())
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         let cancellable = Runner::new(params)
             .jobs(2)
             .cancel_token(Arc::new(AtomicBool::new(false)))
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(
             cancellable.to_json(),
             reference.to_json(),
@@ -1234,13 +1265,18 @@ mod tests {
         let params = ScenarioParams::with_seed(4);
         let (summary, stats) = Runner::new(params.clone())
             .with_cache(cache)
-            .run_with_stats(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap();
         let stats = stats.unwrap();
         assert_eq!(stats.store_failures, 7);
         assert_eq!(stats.stored, 0);
         assert_eq!(
             summary.to_json(),
-            Runner::new(params).run(&scenarios()).to_json()
+            Runner::new(params)
+                .try_run_observed(&scenarios(), &())
+                .unwrap()
+                .0
+                .to_json()
         );
         let _ = std::fs::remove_file(&dir);
     }

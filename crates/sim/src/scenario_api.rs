@@ -256,7 +256,7 @@ pub trait Scenario: Send + Sync {
     ) -> Vec<ExperimentReport>;
 
     /// Runs every part sequentially and merges the reports — the
-    /// single-threaded entry point used by the thin figure binaries.
+    /// single-threaded entry point for tests and examples.
     fn run(&self, params: &ScenarioParams) -> Vec<ExperimentReport> {
         let mut merged = Vec::new();
         for part in 0..self.parts(params) {

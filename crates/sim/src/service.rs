@@ -10,10 +10,15 @@
 //! frame per client line, one [`Event`] frame per daemon line. No HTTP
 //! stack is involved; `std::net` and `std::os::unix::net` suffice.
 //!
-//! A submitted job ([`JobSpec`]) runs through the exact pipeline the
-//! one-shot CLI uses — [`Runner::try_run_observed`] — so for a fixed
-//! seed the final [`RunSummary`] is **byte-identical** to a one-shot
-//! run, cold or fully cached, no matter how many clients are connected.
+//! A submitted job ([`JobSpec`]) becomes a [`Runner`] through
+//! [`ServiceConfig::runner`] — the same path the one-shot CLI takes — and
+//! runs through [`Runner::try_run_observed`], so for a fixed seed the
+//! final [`RunSummary`] is **byte-identical** to a one-shot run, cold or
+//! fully cached, no matter how many clients are connected. A backend the
+//! daemon cannot provide (no worker command, no worker hosts) is only
+//! an error once a job actually has parts to dispatch: the job is
+//! accepted, a fully cached one completes from the cache, and an
+//! uncached one fails with a job-scoped [`Event::Error`].
 //! While the job executes, the daemon streams per-part lifecycle frames
 //! ([`Event::Part`] wrapping [`PartEvent`]:
 //! queued/cache-hit/started/finished/error) as they land, so cached
@@ -22,7 +27,12 @@
 //! [`CacheStats`].
 //!
 //! Job lifecycle is tracked in a small job table ([`JobStatus`] rows)
-//! that serves [`Request::Status`] from any connection. Shutdown is
+//! that serves [`Request::Status`] from any connection. The table is
+//! bounded: it keeps every `Running` row plus the
+//! [`MAX_FINISHED_JOBS`] most recent finished ones, evicting the oldest
+//! finished row first, so a long-lived daemon's memory does not grow
+//! with the number of jobs it has served. An evicted job answers
+//! `Status` and `Cancel` exactly like an unknown one. Shutdown is
 //! graceful: once draining begins (SIGTERM/ctrl-c in the CLI, or a
 //! [`Request::Shutdown`] frame), new submissions are refused with an
 //! error frame, in-flight jobs run to completion (their fresh parts are
@@ -69,8 +79,9 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::dispatch::WorkerCommand;
+use crate::executor::{Executor, ExecutorError, PartResult, WorkItem};
 use crate::faults;
 use crate::runner::{
     Backend, PartEvent, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
@@ -130,29 +141,6 @@ pub enum BackendSpec {
     Remote,
 }
 
-/// The intra-item thread budget a job asks for, on the wire (mirrors
-/// [`ThreadsPerItem`], which is not itself a protocol type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThreadsSpec {
-    /// Sequential intra-item sweeps.
-    Sequential,
-    /// Split the machine's cores across in-flight items.
-    Auto,
-    /// A fixed thread count per item.
-    Fixed(usize),
-}
-
-impl ThreadsSpec {
-    /// The runner policy this wire value selects.
-    pub fn to_policy(self) -> ThreadsPerItem {
-        match self {
-            ThreadsSpec::Sequential => ThreadsPerItem::Sequential,
-            ThreadsSpec::Auto => ThreadsPerItem::Auto,
-            ThreadsSpec::Fixed(threads) => ThreadsPerItem::Fixed(threads),
-        }
-    }
-}
-
 /// One job submission: scenario selector, seed, scale, overrides and
 /// execution knobs. Every field is optional on the wire — an absent (or
 /// `null`) field falls back to the daemon's configuration, and the
@@ -183,7 +171,7 @@ pub struct JobSpec {
     /// the service's configuration).
     pub workers: Option<Vec<String>>,
     /// Intra-item thread budget (default: the service's configuration).
-    pub threads_per_item: Option<ThreadsSpec>,
+    pub threads_per_item: Option<ThreadsPerItem>,
 }
 
 impl JobSpec {
@@ -342,11 +330,12 @@ pub struct ServiceConfig {
     /// Default execution backend.
     pub backend: BackendSpec,
     /// How to launch worker subprocesses for [`BackendSpec::Process`]
-    /// jobs; `None` makes process-backend submissions fail cleanly.
+    /// jobs; `None` makes process-backend jobs with parts to execute
+    /// fail cleanly.
     pub worker_command: Option<WorkerCommand>,
     /// Default worker host addresses for [`BackendSpec::Remote`] jobs;
-    /// empty makes remote submissions without their own `workers` fail
-    /// cleanly.
+    /// empty makes remote jobs without their own `workers` fail cleanly
+    /// once they have parts to execute.
     pub workers: Vec<String>,
     /// Default intra-item thread budget.
     pub threads_per_item: ThreadsPerItem,
@@ -378,8 +367,76 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// The one path from a job description to a [`Runner`]: every field
+    /// the spec leaves unset falls back to this configuration. The daemon
+    /// adds its cancel token; the one-shot CLI runs the result as is.
+    pub fn runner(&self, spec: &JobSpec) -> Runner {
+        let mut runner = Runner::new(spec.params())
+            .jobs(spec.jobs.unwrap_or(self.jobs))
+            .backend(self.resolve_backend(spec))
+            .threads_per_item(spec.threads_per_item.unwrap_or(self.threads_per_item));
+        if let Some(millis) = self.item_deadline_ms {
+            runner = runner.item_deadline_ms(millis);
+        }
+        if let Some(cache) = &self.cache {
+            runner = runner
+                .with_cache(cache.clone())
+                .refresh(spec.refresh.unwrap_or(false));
+        }
+        runner
+    }
+
+    /// The backend a job runs on. A backend this configuration cannot
+    /// provide becomes an executor that fails at dispatch, so a job whose
+    /// parts are all cache hits never notices it.
+    fn resolve_backend(&self, spec: &JobSpec) -> Backend {
+        let unavailable =
+            |message: &str| Backend::Custom(std::sync::Arc::new(Unavailable(message.to_string())));
+        match spec.backend.unwrap_or(self.backend) {
+            BackendSpec::Local => Backend::Local,
+            BackendSpec::Process => match &self.worker_command {
+                Some(command) => Backend::Process(command.clone()),
+                None => unavailable(
+                    "this service has no worker command configured; \
+                     the process backend is unavailable",
+                ),
+            },
+            BackendSpec::Remote => {
+                let workers = spec
+                    .workers
+                    .clone()
+                    .filter(|workers| !workers.is_empty())
+                    .unwrap_or_else(|| self.workers.clone());
+                if workers.is_empty() {
+                    unavailable(
+                        "this service has no worker hosts configured; \
+                         the remote backend is unavailable",
+                    )
+                } else {
+                    Backend::Remote(workers)
+                }
+            }
+        }
+    }
+}
+
+/// The executor behind a backend the service cannot provide: it fails
+/// every dispatch with the reason.
+struct Unavailable(String);
+
+impl Executor for Unavailable {
+    fn execute(&self, _items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+        Err(ExecutorError::new(self.0.clone()))
+    }
+}
+
 /// Default admission bound for [`ServiceConfig::max_active_jobs`].
 pub const DEFAULT_MAX_ACTIVE_JOBS: usize = 8;
+
+/// How many finished rows the job table keeps besides the `Running`
+/// ones; the oldest finished row is evicted first.
+pub const MAX_FINISHED_JOBS: usize = 64;
 
 /// The persistent simulation service: registry + cache + backend loaded
 /// once, serving concurrent NDJSON clients.
@@ -468,40 +525,21 @@ impl Service {
         }
     }
 
+    /// Closes a job's row and, past [`MAX_FINISHED_JOBS`] finished rows,
+    /// evicts the oldest finished one (rows are in job-id order).
     fn finish_job(&self, job: u64, state: JobState, cache: Option<CacheStats>) {
         let mut table = self.table.lock().expect("job table lock");
         if let Some(row) = table.iter_mut().find(|row| row.job == job) {
             row.state = state;
             row.cache = cache;
         }
-    }
-
-    fn resolve_backend(&self, spec: &JobSpec) -> Result<Backend, String> {
-        match spec.backend.unwrap_or(self.config.backend) {
-            BackendSpec::Local => Ok(Backend::Local),
-            BackendSpec::Process => self
-                .config
-                .worker_command
-                .clone()
-                .map(Backend::Process)
-                .ok_or_else(|| {
-                    "this service has no worker command configured; \
-                     the process backend is unavailable"
-                        .to_string()
-                }),
-            BackendSpec::Remote => {
-                let workers = spec
-                    .workers
-                    .clone()
-                    .filter(|workers| !workers.is_empty())
-                    .unwrap_or_else(|| self.config.workers.clone());
-                if workers.is_empty() {
-                    Err("this service has no worker hosts configured; \
-                         the remote backend is unavailable"
-                        .to_string())
-                } else {
-                    Ok(Backend::Remote(workers))
-                }
+        let finished = table
+            .iter()
+            .filter(|row| row.state != JobState::Running)
+            .count();
+        if finished > MAX_FINISHED_JOBS {
+            if let Some(oldest) = table.iter().position(|row| row.state != JobState::Running) {
+                table.remove(oldest);
             }
         }
     }
@@ -533,32 +571,6 @@ impl Service {
             }
         };
         let params = spec.params();
-        // Summary memoization: when every planned part is already a
-        // *validated* cache hit (and the job is not a refresh), the run
-        // replays entirely from the cache, so no backend dispatch is
-        // planned at all — a fully-cached submission returns `Done` even
-        // when its requested backend is currently unavailable (a remote
-        // fleet that went home, a missing worker command).
-        let fully_cached = !spec.refresh.unwrap_or(false)
-            && self.config.cache.as_ref().is_some_and(|cache| {
-                selected.iter().all(|scenario| {
-                    (0..scenario.parts(&params).max(1)).all(|part| {
-                        let fingerprint = PartFingerprint::compute(&**scenario, part, &params);
-                        matches!(cache.lookup(&fingerprint), CacheLookup::Hit(_))
-                    })
-                })
-            });
-        let backend = if fully_cached {
-            Backend::Local
-        } else {
-            match self.resolve_backend(spec) {
-                Ok(backend) => backend,
-                Err(message) => {
-                    sink.send(&Event::Error { job: None, message });
-                    return;
-                }
-            }
-        };
         let parts_total: usize = selected.iter().map(|s| s.parts(&params).max(1)).sum();
         // Admission control: the Running count is checked and the new row
         // inserted under one table lock, so concurrent submissions cannot
@@ -611,22 +623,7 @@ impl Service {
             return;
         }
 
-        let mut runner = Runner::new(params)
-            .jobs(spec.jobs.unwrap_or(self.config.jobs))
-            .backend(backend)
-            .threads_per_item(
-                spec.threads_per_item
-                    .map_or(self.config.threads_per_item, ThreadsSpec::to_policy),
-            )
-            .cancel_token(cancel.clone());
-        if let Some(millis) = self.config.item_deadline_ms {
-            runner = runner.item_deadline_ms(millis);
-        }
-        if let Some(cache) = &self.config.cache {
-            runner = runner
-                .with_cache(cache.clone())
-                .refresh(spec.refresh.unwrap_or(false));
-        }
+        let runner = self.config.runner(spec).cancel_token(cancel.clone());
         let observer = JobObserver {
             service: self,
             job,
@@ -1104,7 +1101,9 @@ mod tests {
         // summaries are byte-identical.
         let one_shot = Runner::new(ScenarioParams::with_seed(42))
             .jobs(2)
-            .run(&scenarios());
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(summary.to_json(), one_shot.to_json());
         // The job table records completion.
         let jobs = service.jobs_snapshot(None);
@@ -1147,7 +1146,10 @@ mod tests {
         // Cold and warm submissions are byte-identical, and both match
         // the uncached one-shot run.
         assert_eq!(cold_summary.to_json(), warm_summary.to_json());
-        let one_shot = Runner::new(ScenarioParams::with_seed(7)).run(&scenarios());
+        let one_shot = Runner::new(ScenarioParams::with_seed(7))
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(warm_summary.to_json(), one_shot.to_json());
         // The table keeps each job's own counters.
         let rows = service.jobs_snapshot(None);
@@ -1196,6 +1198,25 @@ mod tests {
         assert!(service.jobs_snapshot(None).is_empty());
     }
 
+    /// Asserts the frames of a job that was accepted and then failed at
+    /// dispatch, and its `Failed` row; returns the job's error message.
+    fn accepted_then_failed(service: &Service, events: &[Event]) -> String {
+        let Some(Event::Accepted { job }) = events.first() else {
+            panic!("expected the job to be accepted, got {events:?}");
+        };
+        let Some(Event::Error {
+            job: Some(failed),
+            message,
+        }) = events.last()
+        else {
+            panic!("expected a job-scoped Error frame, got {events:?}");
+        };
+        assert_eq!(failed, job);
+        let rows = service.jobs_snapshot(Some(*job));
+        assert_eq!(rows[0].state, JobState::Failed(message.clone()));
+        message.clone()
+    }
+
     #[test]
     fn process_backend_without_a_worker_command_fails_cleanly() {
         let service = service(None);
@@ -1204,9 +1225,7 @@ mod tests {
             ..JobSpec::default()
         };
         let events = roundtrip(&service, &[submit_frame(&spec)]);
-        let Event::Error { job: None, message } = &events[0] else {
-            panic!("expected rejection, got {:?}", events[0]);
-        };
+        let message = accepted_then_failed(&service, &events);
         assert!(message.contains("no worker command"), "{message}");
     }
 
@@ -1218,9 +1237,7 @@ mod tests {
             ..JobSpec::default()
         };
         let events = roundtrip(&service, &[submit_frame(&spec)]);
-        let Event::Error { job: None, message } = &events[0] else {
-            panic!("expected rejection, got {:?}", events[0]);
-        };
+        let message = accepted_then_failed(&service, &events);
         assert!(message.contains("no worker hosts"), "{message}");
     }
 
@@ -1231,8 +1248,8 @@ mod tests {
         let cold = roundtrip(&service, &[submit_frame(&spec_with_seed(11))]);
         let (_, cold_summary, _) = done_frame(&cold);
         // The sentinel: a remote submission with no fleet configured can
-        // only succeed if the memoized summary short-circuits before the
-        // backend is resolved.
+        // only succeed if the runner's cache pass leaves nothing to
+        // dispatch.
         let spec = JobSpec {
             backend: Some(BackendSpec::Remote),
             ..spec_with_seed(11)
@@ -1241,16 +1258,14 @@ mod tests {
         let (_, warm_summary, warm_stats) = done_frame(&warm);
         assert!(warm_stats.expect("cached service reports stats").all_hits());
         assert_eq!(cold_summary.to_json(), warm_summary.to_json());
-        // refresh=true must bypass the memoized summary and fail on the
+        // refresh=true must bypass the cached parts and fail on the
         // missing fleet — a forced re-run really re-runs.
         let refresh = JobSpec {
             refresh: Some(true),
             ..spec.clone()
         };
         let events = roundtrip(&service, &[submit_frame(&refresh)]);
-        let Event::Error { message, .. } = &events[0] else {
-            panic!("refresh must reach the backend, got {:?}", events[0]);
-        };
+        let message = accepted_then_failed(&service, &events);
         assert!(message.contains("no worker hosts"), "{message}");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1339,6 +1354,57 @@ mod tests {
         service.table.lock().unwrap()[0].state = JobState::Done;
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
         let (_, _, _) = done_frame(&events);
+    }
+
+    #[test]
+    fn job_table_keeps_running_rows_and_the_newest_finished_rows() {
+        let service = service(None);
+        // A pinned Running row older than every real job: the oldest row
+        // in the table, and never evictable.
+        service.table.lock().unwrap().push(JobStatus {
+            job: 0,
+            state: JobState::Running,
+            scenarios: vec!["s1".to_string()],
+            parts_total: 3,
+            parts_done: 0,
+            cache: None,
+        });
+        let extra = 3;
+        for seed in 0..(MAX_FINISHED_JOBS + extra) as u64 {
+            service.run_job(&spec_with_seed(seed), &EventSink::new(Vec::new()));
+        }
+        let rows = service.jobs_snapshot(None);
+        assert_eq!(rows.len(), MAX_FINISHED_JOBS + 1, "the table stays bounded");
+        assert_eq!(rows[0].job, 0);
+        assert_eq!(rows[0].state, JobState::Running);
+        let kept: Vec<u64> = rows[1..].iter().map(|row| row.job).collect();
+        let newest: Vec<u64> = (extra as u64 + 1..=(MAX_FINISHED_JOBS + extra) as u64).collect();
+        assert_eq!(kept, newest, "the oldest finished rows go first");
+        // An evicted job answers like an unknown one.
+        assert!(service.jobs_snapshot(Some(1)).is_empty());
+        let error = service.cancel_job(1).unwrap_err();
+        assert!(error.contains("unknown job"), "{error}");
+    }
+
+    #[test]
+    fn job_spec_wire_json_is_pinned() {
+        // Recorded before `threads_per_item` changed type: the frames a
+        // client sends must not change.
+        let fields = "\"only\":null,\"seed\":null,\"full_scale\":null,\"overrides\":null,\
+                      \"refresh\":null,\"jobs\":null,\"backend\":null,\"workers\":null";
+        for (threads, wire) in [
+            (ThreadsPerItem::Sequential, "\"Sequential\""),
+            (ThreadsPerItem::Auto, "\"Auto\""),
+            (ThreadsPerItem::Fixed(3), "{\"Fixed\":3}"),
+        ] {
+            let spec = JobSpec {
+                threads_per_item: Some(threads),
+                ..JobSpec::default()
+            };
+            let json = format!("{{{fields},\"threads_per_item\":{wire}}}");
+            assert_eq!(serde_json::to_string(&spec).unwrap(), json);
+            assert_eq!(serde_json::from_str::<JobSpec>(&json).unwrap(), spec);
+        }
     }
 
     #[test]
@@ -1532,7 +1598,10 @@ mod tests {
         let (_, left_summary, _) = done_frame(&left);
         let (_, right_summary, _) = done_frame(&right);
         assert_eq!(left_summary.to_json(), right_summary.to_json());
-        let one_shot = Runner::new(ScenarioParams::with_seed(21)).run(&scenarios());
+        let one_shot = Runner::new(ScenarioParams::with_seed(21))
+            .try_run_observed(&scenarios(), &())
+            .unwrap()
+            .0;
         assert_eq!(left_summary.to_json(), one_shot.to_json());
         // Both jobs are on the table with distinct ids.
         let mut ids: Vec<u64> = service.jobs_snapshot(None).iter().map(|r| r.job).collect();

@@ -24,7 +24,7 @@ use sim::wire::{
 };
 use sim::{
     BackendSpec, CacheStats, JobSpec, JobState, JobStatus, PartEvent, PartState, RunSummary,
-    ScenarioInfo, ScenarioOutcome, ThreadsSpec,
+    ScenarioInfo, ScenarioOutcome, ThreadsPerItem,
 };
 
 /// A printable-ASCII identifier-ish string (scenario ids, override keys
@@ -199,9 +199,9 @@ fn job_spec_strategy() -> impl Strategy<Value = JobSpec> {
                     }),
                     workers,
                     threads_per_item: threads.map(|(variant, count)| match variant {
-                        0 => ThreadsSpec::Sequential,
-                        1 => ThreadsSpec::Auto,
-                        _ => ThreadsSpec::Fixed(count),
+                        0 => ThreadsPerItem::Sequential,
+                        1 => ThreadsPerItem::Auto,
+                        _ => ThreadsPerItem::Fixed(count),
                     }),
                 }
             },

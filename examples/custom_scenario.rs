@@ -65,9 +65,10 @@ fn main() {
     registry.register(ThresholdByDegree);
 
     let selected = registry.select(&[]).expect("empty selection = everything");
-    let summary = Runner::new(ScenarioParams::with_seed(7))
+    let (summary, _) = Runner::new(ScenarioParams::with_seed(7))
         .jobs(4)
-        .run(&selected);
+        .try_run_observed(&selected, &())
+        .expect("the local backend runs every part");
 
     for outcome in &summary.outcomes {
         for report in &outcome.reports {

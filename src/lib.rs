@@ -38,10 +38,9 @@
 //!
 //! Scenarios split into independent parts that fan out across worker
 //! threads with per-part deterministic seeds, so reports (and their JSON)
-//! are byte-identical for any `--jobs` value. The per-figure binaries
-//! (`fig4`, `fig7_soap`, ...) remain as thin wrappers over the same
-//! registry. See `examples/custom_scenario.rs` for registering your own
-//! workload.
+//! are byte-identical for any `--jobs` value. `run_experiments --only ID`
+//! is the one way to run a single figure or table. See
+//! `examples/custom_scenario.rs` for registering your own workload.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured record of every table and figure.
