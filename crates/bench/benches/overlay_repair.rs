@@ -3,11 +3,10 @@
 //!
 //! `sequential_takedown_n*` removes 1% of the population one victim at a
 //! time (repair + prune after each), the mode the gradual-takedown
-//! experiments use; `batched_takedown_n*` removes the same victims in one
-//! `remove_nodes` wave (coalesced repair, single prune pass), the mode the
-//! `scale` scenario uses. Results for n ∈ {10^4, 10^5} are recorded in
-//! `BENCH_graph_core.json` at the repository root as the perf trajectory of
-//! the graph core.
+//! experiments use. The wave mode the `scale` scenario uses
+//! (`remove_nodes_sharded`) is measured by the `overlay_shard` bench.
+//! Results for n ∈ {10^4, 10^5} are recorded in `BENCH_graph_core.json` at
+//! the repository root as the perf trajectory of the graph core.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use onion_graph::graph::NodeId;
@@ -32,16 +31,6 @@ fn bench_overlay_repair(c: &mut Criterion) {
                     for &v in &victims {
                         overlay.remove_node_with_repair(v, &mut rng);
                     }
-                    overlay
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        group.bench_function(format!("batched_takedown_n{n}"), |b| {
-            b.iter_batched(
-                || (base.clone(), StdRng::seed_from_u64(7)),
-                |(mut overlay, mut rng)| {
-                    overlay.remove_nodes(&victims, &mut rng);
                     overlay
                 },
                 BatchSize::LargeInput,

@@ -1,16 +1,14 @@
 //! Benchmarks of sharded overlay construction and partitioned wave repair
-//! (PR 8) against the sequential paths they replace — the build-bound hot
-//! path of the `scale` scenario at 10^4–10^6 nodes.
+//! — the build-bound hot path of the `scale` scenario at 10^4–10^6 nodes.
 //!
 //! `sequential_build_n*` runs the global pairing model
 //! (`DdsrOverlay::new_regular`); `sharded_build_n*` runs the per-shard
 //! pairing model over a 64-shard grid with the deterministic
-//! ascending-shard merge (`new_regular_sharded`). `sequential_wave_n*`
-//! removes a 5% wave through `remove_nodes` (per-insert binary search and
-//! shift); `sharded_wave_n*` removes the same wave through
-//! `remove_nodes_sharded` (partitioned bulk insertion with one deferred
-//! sort per touched list, frozen-degree prune planning, sequential
-//! reconciliation). Both sharded paths honor the ambient thread budget,
+//! ascending-shard merge (`new_regular_sharded`). `sharded_wave_n*`
+//! removes a 5% wave through `remove_nodes_sharded`, the overlay's one
+//! wave API (partitioned bulk insertion with one deferred sort per touched
+//! list, frozen-degree prune planning, sequential reconciliation). Both
+//! sharded paths honor the ambient thread budget,
 //! which defaults to 1 — on a single-core container the comparison shows
 //! the batch-insert/deferred-sort and shard-locality win alone. Medians
 //! for n ∈ {10^4, 10^5} are recorded in `BENCH_overlay_shard.json` at the
@@ -67,16 +65,6 @@ fn bench_overlay_shard(c: &mut Criterion) {
         );
         let wave = ((n as f64 * WAVE_FRAC) as usize).max(1);
         let victims: Vec<NodeId> = ids.iter().copied().take(wave).collect();
-        group.bench_function(format!("sequential_wave_n{n}"), |b| {
-            b.iter_batched(
-                || (base.clone(), StdRng::seed_from_u64(7)),
-                |(mut overlay, mut rng)| {
-                    overlay.remove_nodes(&victims, &mut rng);
-                    overlay
-                },
-                BatchSize::LargeInput,
-            );
-        });
         group.bench_function(format!("sharded_wave_n{n}"), |b| {
             b.iter_batched(
                 || (base.clone(), StdRng::seed_from_u64(7)),

@@ -10,9 +10,7 @@ use onion_graph::budget::with_thread_budget;
 use onion_graph::csr::CsrSnapshot;
 use onion_graph::generators::random_regular;
 use onion_graph::graph::NodeId;
-use onion_graph::metrics::{
-    average_path_length, diameter, parallel_bfs_from_sources, path_metrics, sampled_diameter,
-};
+use onion_graph::metrics::{parallel_bfs_from_sources, sampled_diameter};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -56,18 +54,6 @@ fn bench_parallel_metrics(c: &mut Criterion) {
             });
         });
     }
-    // The combined sweep vs its two individual entry points, at a size
-    // where exact all-pairs metrics are affordable: path_metrics exists
-    // so callers needing several fields pay one snapshot + one component
-    // pass + one sweep instead of two of each.
-    let mut rng = StdRng::seed_from_u64(3);
-    let (small, _) = random_regular(2_000, DEGREE, &mut rng);
-    group.bench_function("path_metrics_combined_n2000", |b| {
-        b.iter(|| path_metrics(&small));
-    });
-    group.bench_function("diameter_plus_apl_separate_n2000", |b| {
-        b.iter(|| (diameter(&small), average_path_length(&small)));
-    });
     group.finish();
 }
 

@@ -6,36 +6,29 @@
 //! 10-regular graphs). These helpers provide the underlying measurements.
 //!
 //! Every sweep is generic over [`Adjacency`], so it runs identically on the
-//! mutable slab [`Graph`] and on a frozen [`CsrSnapshot`] — measurement
-//! phases that already hold a snapshot (see [`crate::metrics::path_metrics`])
-//! reuse it instead of re-walking the slab. The counting helpers
-//! ([`component_count`], [`largest_component_size`],
+//! mutable slab [`Graph`] and on a frozen
+//! [`CsrSnapshot`](crate::csr::CsrSnapshot). A measurement phase that
+//! already holds a snapshot (a takedown sample measuring components,
+//! closeness and diameter together) reuses it; one that does not scans
+//! the slab directly, because a single scan runs about as fast over the
+//! slab as over a snapshot and a freeze would not pay for itself. The
+//! counting helpers ([`component_count`], [`largest_component_size`],
 //! [`largest_component_fraction`]) deliberately do **not** materialize the
 //! component vectors: a per-wave robustness sample over a million-node
 //! overlay needs one number, not a million sorted node ids.
 
-use crate::csr::CsrSnapshot;
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Adjacency;
 
 /// Returns the connected components as sorted lists of node ids (largest
 /// component first, ties broken by smallest node id).
 ///
-/// One flat-array BFS sweep over the slab: a `Vec<bool>` indexed by node id
-/// tracks visitation and each component vector doubles as its own BFS
-/// queue, so the whole pass is `O(n + m)` with no hashing.
-pub fn connected_components(graph: &Graph) -> Vec<Vec<NodeId>> {
-    connected_components_impl(graph)
-}
-
-/// [`connected_components`] over a frozen [`CsrSnapshot`] — identical
-/// output (the snapshot preserves slot and neighbor order), one dense
-/// read-only traversal.
-pub fn connected_components_csr(csr: &CsrSnapshot) -> Vec<Vec<NodeId>> {
-    connected_components_impl(csr)
-}
-
-fn connected_components_impl<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> {
+/// One flat-array BFS sweep: a `Vec<bool>` indexed by node id tracks
+/// visitation and each component vector doubles as its own BFS queue, so
+/// the whole pass is `O(n + m)` with no hashing. A
+/// [`CsrSnapshot`](crate::csr::CsrSnapshot) yields the same output as the
+/// graph it froze (the snapshot preserves slot and neighbor order).
+pub fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> {
     let mut visited = vec![false; adj.id_bound()];
     let mut components = Vec::new();
     for node in adj.live_nodes() {
@@ -76,7 +69,7 @@ fn connected_components_impl<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>>
 /// [`connected_components`] orders them: by size, then by smallest
 /// member id. A BFS from the seed re-derives the largest component's
 /// membership in `O(largest)` when a caller needs it (see
-/// `metrics::path_metrics`).
+/// [`diameter`](crate::metrics::diameter)).
 pub(crate) fn component_seed_scan<A: Adjacency + ?Sized>(
     adj: &A,
 ) -> Option<(usize, usize, NodeId)> {
@@ -113,8 +106,8 @@ pub(crate) fn component_seed_scan<A: Adjacency + ?Sized>(
 }
 
 /// Number of connected components (`0` for an empty graph). Generic over
-/// [`Adjacency`]: pass a [`CsrSnapshot`] to count over an existing freeze
-/// instead of re-walking the slab.
+/// [`Adjacency`]: pass a [`CsrSnapshot`](crate::csr::CsrSnapshot) to count
+/// over an existing freeze instead of re-walking the slab.
 pub fn component_count<A: Adjacency + ?Sized>(adj: &A) -> usize {
     component_seed_scan(adj).map_or(0, |(count, _, _)| count)
 }
@@ -147,6 +140,7 @@ pub fn largest_component_fraction(graph: &Graph) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::CsrSnapshot;
     use crate::generators::random_regular;
     use crate::graph::Graph;
     use rand::rngs::StdRng;
@@ -233,7 +227,7 @@ mod tests {
         g.remove_node(ids[6]);
         g.remove_node(ids[9]);
         let csr = CsrSnapshot::build(&g);
-        assert_eq!(connected_components_csr(&csr), connected_components(&g));
+        assert_eq!(connected_components(&csr), connected_components(&g));
         let (count, largest) = (component_count(&g), largest_component_size(&g));
         let via_vectors = connected_components(&g);
         assert_eq!(count, via_vectors.len());

@@ -2,8 +2,8 @@
 //!
 //! The paper's evaluation (§V-B) starts from *k-regular* graphs of 5000 and
 //! 15000 nodes with k ∈ {5, 10, 15}; [`random_regular`] reproduces that
-//! setup. A deterministic [`ring_lattice`] (circulant graph) and an
-//! Erdős–Rényi generator are provided for tests and ablations.
+//! setup. A deterministic [`ring_lattice`] (circulant graph) gives tests a
+//! graph whose distances are known in closed form.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -74,19 +74,6 @@ pub fn ring_lattice(n: usize, k: usize) -> (Graph, Vec<NodeId>) {
     (graph, ids)
 }
 
-/// Generates an Erdős–Rényi graph G(n, p).
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> (Graph, Vec<NodeId>) {
-    let (mut graph, ids) = Graph::with_nodes(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            if rng.gen_bool(p) {
-                graph.add_edge(ids[i], ids[j]);
-            }
-        }
-    }
-    (graph, ids)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,21 +126,5 @@ mod tests {
         assert!(!g.has_edge(ids[0], ids[3]));
         assert!(g.has_edge(ids[0], ids[9]));
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn erdos_renyi_edge_probability() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let (g, _) = erdos_renyi(100, 0.1, &mut rng);
-        let possible = 100 * 99 / 2;
-        let observed = g.edge_count() as f64 / possible as f64;
-        assert!(
-            (0.05..0.15).contains(&observed),
-            "observed density {observed}"
-        );
-        let (empty, _) = erdos_renyi(50, 0.0, &mut rng);
-        assert_eq!(empty.edge_count(), 0);
-        let (full, _) = erdos_renyi(20, 1.0, &mut rng);
-        assert_eq!(full.edge_count(), 20 * 19 / 2);
     }
 }

@@ -397,14 +397,6 @@ impl Graph {
             .unwrap_or(0)
     }
 
-    /// Average degree over live nodes (`0.0` for an empty graph).
-    pub fn average_degree(&self) -> f64 {
-        if self.live_count == 0 {
-            return 0.0;
-        }
-        2.0 * self.edge_count as f64 / self.live_count as f64
-    }
-
     /// Lists all edges as `(smaller id, larger id)` pairs, sorted.
     ///
     /// The slab walk visits slots ascending and each neighbor list is
@@ -616,7 +608,6 @@ mod tests {
         g.add_edge(ids[0], ids[3]);
         assert_eq!(g.max_degree(), 3);
         assert_eq!(g.min_degree(), 1);
-        assert!((g.average_degree() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -632,7 +623,6 @@ mod tests {
         let g = Graph::new();
         assert_eq!(g.max_degree(), 0);
         assert_eq!(g.min_degree(), 0);
-        assert_eq!(g.average_degree(), 0.0);
         assert!(g.edges().is_empty());
         assert_eq!(g.id_bound(), 0);
         g.check_invariants().unwrap();

@@ -20,14 +20,20 @@
 //! the visit-order record. No hash maps or hash sets are involved, so the
 //! traversal order is deterministic by construction.
 //!
-//! The BFS-sweep metrics ([`sampled_diameter`], [`diameter`],
-//! [`average_path_length`], [`path_metrics`]) additionally freeze the slab
-//! into a [`CsrSnapshot`] and fan their sources across the
-//! [`parallel_bfs_from_sources`] kernel. Source selection stays sequential
-//! and up front (the RNG stream is untouched by the rewrite) and every
-//! source's result lands in its slot by source index, so the output is
-//! byte-identical to the sequential path at any thread budget — see
-//! [`crate::budget`] for how many threads a sweep may use.
+//! The BFS-sweep metrics ([`diameter`], [`sampled_diameter`],
+//! [`average_closeness_centrality`] and
+//! [`sampled_average_closeness_centrality`]) are one function each, generic
+//! over [`Adjacency`]. Each sweeps the [`CsrSnapshot`] that
+//! [`Adjacency::snapshot`] yields: a `&Graph` is frozen once per call and a
+//! `&CsrSnapshot` is swept as it is, so a caller measuring several metrics
+//! on one unchanged graph freezes it once and passes the snapshot. Sources
+//! fan across the [`parallel_bfs_from_sources`] kernel. Source selection
+//! stays sequential and up front (the RNG stream is untouched by the
+//! rewrite) and every source's result lands in its slot by source index,
+//! so the output is byte-identical to the sequential path at any thread
+//! budget — see [`crate::budget`] for how many threads a sweep may use.
+
+use std::borrow::Cow;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -52,6 +58,9 @@ pub trait Adjacency {
     fn neighbors_of(&self, node: NodeId) -> &[NodeId];
     /// The live node ids in ascending order.
     fn live_nodes(&self) -> Vec<NodeId>;
+    /// A [`CsrSnapshot`] for the BFS-sweep metrics: a [`Graph`] freezes
+    /// itself (one `O(n + m)` pass per call), a snapshot borrows itself.
+    fn snapshot(&self) -> Cow<'_, CsrSnapshot>;
 }
 
 impl Adjacency for Graph {
@@ -67,6 +76,9 @@ impl Adjacency for Graph {
     fn live_nodes(&self) -> Vec<NodeId> {
         self.nodes()
     }
+    fn snapshot(&self) -> Cow<'_, CsrSnapshot> {
+        Cow::Owned(CsrSnapshot::build(self))
+    }
 }
 
 impl Adjacency for CsrSnapshot {
@@ -81,6 +93,9 @@ impl Adjacency for CsrSnapshot {
     }
     fn live_nodes(&self) -> Vec<NodeId> {
         CsrSnapshot::live_nodes(self)
+    }
+    fn snapshot(&self) -> Cow<'_, CsrSnapshot> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -330,31 +345,13 @@ pub fn parallel_bfs_from_sources<A: Adjacency + Sync + ?Sized>(
     out
 }
 
-/// Closeness centrality of a single node, normalized by `n - 1` over the
-/// whole graph (matching the paper's formula). Unreachable nodes contribute
-/// nothing: the sum only ranges over the node's connected component, scaled
-/// by the fraction of the graph that is reachable (the standard
-/// Wasserman–Faust correction), so values remain comparable when the graph
-/// partitions.
-pub fn closeness_centrality(graph: &Graph, node: NodeId) -> f64 {
-    let n = graph.node_count();
-    if n <= 1 || !graph.contains(node) {
-        return 0.0;
-    }
-    let dist = bfs_distances(graph, node);
-    let reachable = dist.reached_count() - 1; // excluding the node itself
-    if reachable == 0 {
-        return 0.0;
-    }
-    let total = dist.total();
-    // (reachable / (n-1)) * (reachable / total): closeness within the
-    // component scaled by component coverage.
-    (reachable as f64 / (n - 1) as f64) * (reachable as f64 / total as f64)
-}
-
-/// The closeness formula applied to one source's aggregate BFS stats:
-/// identical arithmetic to [`closeness_centrality`], shared by the
-/// kernel-backed average variants.
+/// Closeness centrality of one BFS source from its aggregate stats,
+/// normalized by `n - 1` over the whole graph (matching the paper's
+/// formula). Unreachable nodes contribute nothing: the sum only ranges over
+/// the source's connected component, scaled by the fraction of the graph
+/// that is reachable (the standard Wasserman–Faust correction), so values
+/// remain comparable when the graph partitions. Zero for an isolated or
+/// missing source.
 fn closeness_from_stats(stats: &BfsStats, n: usize) -> f64 {
     if n <= 1 {
         return 0.0;
@@ -363,54 +360,64 @@ fn closeness_from_stats(stats: &BfsStats, n: usize) -> f64 {
     if reachable == 0 {
         return 0.0;
     }
+    // (reachable / (n-1)) * (reachable / total): closeness within the
+    // component scaled by component coverage.
     (reachable as f64 / (n - 1) as f64) * (reachable as f64 / stats.total_distance as f64)
+}
+
+/// Up to `samples` (at least one) distinct live nodes, drawn by one
+/// shuffle of the ascending live-node list. The draw is sequential and up
+/// front, so the RNG stream never depends on the thread budget.
+fn sample_sources<R: Rng + ?Sized>(csr: &CsrSnapshot, samples: usize, rng: &mut R) -> Vec<NodeId> {
+    let mut nodes = csr.live_nodes();
+    nodes.shuffle(rng);
+    nodes.truncate(samples.max(1).min(nodes.len()));
+    nodes
+}
+
+/// Mean closeness over a non-empty `sources` list, swept by the kernel.
+fn mean_closeness(csr: &CsrSnapshot, sources: &[NodeId]) -> f64 {
+    let n = csr.node_count();
+    let stats = parallel_bfs_from_sources(csr, sources, thread_budget());
+    let sum: f64 = stats.iter().map(|s| closeness_from_stats(s, n)).sum();
+    sum / sources.len() as f64
+}
+
+/// The largest eccentricity over `sources`, swept by the kernel.
+fn max_eccentricity(csr: &CsrSnapshot, sources: &[NodeId]) -> usize {
+    parallel_bfs_from_sources(csr, sources, thread_budget())
+        .iter()
+        .map(|s| s.eccentricity)
+        .max()
+        .unwrap_or(0)
 }
 
 /// Average closeness centrality over all nodes (exact, all-pairs BFS over
 /// a frozen snapshot, sources fanned across the thread budget).
-pub fn average_closeness_centrality(graph: &Graph) -> f64 {
-    let nodes = graph.nodes();
+pub fn average_closeness_centrality<A: Adjacency + ?Sized>(adj: &A) -> f64 {
+    let csr = adj.snapshot();
+    let nodes = csr.live_nodes();
     if nodes.is_empty() {
         return 0.0;
     }
-    let csr = CsrSnapshot::build(graph);
-    let stats = parallel_bfs_from_sources(&csr, &nodes, thread_budget());
-    let n = graph.node_count();
-    let sum: f64 = stats.iter().map(|s| closeness_from_stats(s, n)).sum();
-    sum / nodes.len() as f64
+    mean_closeness(&csr, &nodes)
 }
 
 /// Average closeness centrality estimated from `samples` random BFS
 /// sources (drawn sequentially up front, swept by the kernel — the RNG
 /// stream and the resulting sum are byte-identical to the sequential
 /// per-source path).
-pub fn sampled_average_closeness_centrality<R: Rng + ?Sized>(
-    graph: &Graph,
+pub fn sampled_average_closeness_centrality<A: Adjacency + ?Sized, R: Rng + ?Sized>(
+    adj: &A,
     samples: usize,
     rng: &mut R,
 ) -> f64 {
-    sampled_average_closeness_centrality_csr(&CsrSnapshot::build(graph), samples, rng)
-}
-
-/// [`sampled_average_closeness_centrality`] over a caller-provided
-/// snapshot, so several sampled metrics on one unchanged graph (e.g. a
-/// takedown sample measuring closeness *and* diameter) share a single
-/// freeze instead of each paying the `O(n + m)` build.
-pub fn sampled_average_closeness_centrality_csr<R: Rng + ?Sized>(
-    csr: &CsrSnapshot,
-    samples: usize,
-    rng: &mut R,
-) -> f64 {
-    let mut nodes = csr.live_nodes();
-    if nodes.is_empty() {
+    let csr = adj.snapshot();
+    let sources = sample_sources(&csr, samples, rng);
+    if sources.is_empty() {
         return 0.0;
     }
-    nodes.shuffle(rng);
-    nodes.truncate(samples.max(1).min(nodes.len()));
-    let stats = parallel_bfs_from_sources(csr, &nodes, thread_budget());
-    let n = csr.node_count();
-    let sum: f64 = stats.iter().map(|s| closeness_from_stats(s, n)).sum();
-    sum / nodes.len() as f64
+    mean_closeness(&csr, &sources)
 }
 
 /// Degree centrality of a node: `deg(u) / (n - 1)`.
@@ -432,19 +439,8 @@ pub fn average_degree_centrality(graph: &Graph) -> f64 {
     sum / nodes.len() as f64
 }
 
-/// Eccentricity of a node: the greatest BFS distance to any reachable node.
-/// Returns `None` for nodes absent from the graph.
-pub fn eccentricity(graph: &Graph, node: NodeId) -> Option<usize> {
-    if !graph.contains(node) {
-        return None;
-    }
-    let mut scratch = BfsScratch::new();
-    Some(scratch.run(graph, node).eccentricity)
-}
-
 /// Exact diameter of the largest connected component (all-pairs BFS over
-/// a frozen [`CsrSnapshot`], sources fanned across the thread budget) —
-/// a thin wrapper over the [`path_metrics`] sweep.
+/// a frozen [`CsrSnapshot`], sources fanned across the thread budget).
 ///
 /// Returns `None` for an empty graph. When the graph is partitioned the
 /// diameter of the *largest* component (by node count, ties broken by
@@ -452,17 +448,15 @@ pub fn eccentricity(graph: &Graph, node: NodeId) -> Option<usize> {
 /// diameter for DDSR while a shattered normal graph's diameter "is
 /// infinite". A long thin minority component therefore cannot inflate the
 /// reported value.
-pub fn diameter(graph: &Graph) -> Option<usize> {
-    let csr = CsrSnapshot::build(graph);
-    let (_, _, seed) = crate::components::component_seed_scan(&csr)?;
+pub fn diameter<A: Adjacency + ?Sized>(adj: &A) -> Option<usize> {
+    let csr = adj.snapshot();
+    let (_, _, seed) = crate::components::component_seed_scan(&*csr)?;
     // Re-derive the largest component's members with one O(largest) BFS,
     // then sweep only them — a partitioned graph never pays for sources
     // outside the component whose diameter is being reported.
     let mut scratch = BfsScratch::new();
-    scratch.run(&csr, seed);
-    let sources = scratch.reached().to_vec();
-    let stats = parallel_bfs_from_sources(&csr, &sources, thread_budget());
-    Some(stats.iter().map(|s| s.eccentricity).max().unwrap_or(0))
+    scratch.run(&*csr, seed);
+    Some(max_eccentricity(&csr, scratch.reached()))
 }
 
 /// Diameter lower bound estimated from `samples` random BFS sources.
@@ -474,110 +468,17 @@ pub fn diameter(graph: &Graph) -> Option<usize> {
 /// The sources are drawn sequentially up front (the RNG stream is
 /// identical to the pre-parallel implementation), then swept over a CSR
 /// snapshot by the multi-source kernel under the current thread budget.
-pub fn sampled_diameter<R: Rng + ?Sized>(
-    graph: &Graph,
+pub fn sampled_diameter<A: Adjacency + ?Sized, R: Rng + ?Sized>(
+    adj: &A,
     samples: usize,
     rng: &mut R,
 ) -> Option<usize> {
-    sampled_diameter_csr(&CsrSnapshot::build(graph), samples, rng)
-}
-
-/// [`sampled_diameter`] over a caller-provided snapshot — the
-/// freeze-sharing sibling of
-/// [`sampled_average_closeness_centrality_csr`].
-pub fn sampled_diameter_csr<R: Rng + ?Sized>(
-    csr: &CsrSnapshot,
-    samples: usize,
-    rng: &mut R,
-) -> Option<usize> {
-    let mut nodes = csr.live_nodes();
-    if nodes.is_empty() {
+    let csr = adj.snapshot();
+    let sources = sample_sources(&csr, samples, rng);
+    if sources.is_empty() {
         return None;
     }
-    nodes.shuffle(rng);
-    nodes.truncate(samples.max(1).min(nodes.len()));
-    let stats = parallel_bfs_from_sources(csr, &nodes, thread_budget());
-    Some(stats.iter().map(|s| s.eccentricity).max().unwrap_or(0))
-}
-
-/// Average shortest path length within connected pairs (exact): an
-/// all-sources sweep over a frozen snapshot under the thread budget.
-/// Returns `None` when there are no connected pairs.
-pub fn average_path_length(graph: &Graph) -> Option<f64> {
-    let csr = CsrSnapshot::build(graph);
-    let nodes = csr.live_nodes();
-    let stats = parallel_bfs_from_sources(&csr, &nodes, thread_budget());
-    average_from_stats(&stats)
-}
-
-fn average_from_stats(stats: &[BfsStats]) -> Option<f64> {
-    let mut total = 0u64;
-    let mut pairs = 0u64;
-    for s in stats {
-        total += s.total_distance;
-        pairs += s.reached.saturating_sub(1) as u64; // reached minus the source
-    }
-    if pairs == 0 {
-        None
-    } else {
-        Some(total as f64 / pairs as f64)
-    }
-}
-
-/// The distance metrics one all-sources BFS sweep yields.
-///
-/// Computed by [`path_metrics`] from a single component pass plus a
-/// single multi-source sweep over one CSR snapshot — callers needing both
-/// the diameter and the average path length (previously two independent
-/// component scans and two sweeps) get them for one traversal's cost.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathMetrics {
-    /// Diameter of the largest connected component (see [`diameter`]).
-    pub diameter: usize,
-    /// Average shortest path length over connected pairs; `None` when no
-    /// pair is connected (see [`average_path_length`]).
-    pub average_path_length: Option<f64>,
-    /// Number of connected components.
-    pub component_count: usize,
-    /// Size of the largest connected component.
-    pub largest_component_size: usize,
-}
-
-/// Computes [`PathMetrics`] — diameter, average path length and component
-/// shape — from one shared component pass and one all-sources BFS sweep
-/// over a single frozen snapshot. Returns `None` for an empty graph.
-///
-/// Equals calling [`diameter`], [`average_path_length`] and the
-/// `components` counting helpers separately, for roughly half the
-/// traversal cost (one snapshot, one component pass, one sweep — the
-/// `parallel_metrics` bench records ~1.8× vs the separate calls); call
-/// it when more than one of its fields is needed. Forward-looking API:
-/// no registered scenario consumes it yet (their reports are pinned to
-/// the individual entry points), so today it is exercised by tests and
-/// benches only.
-pub fn path_metrics(graph: &Graph) -> Option<PathMetrics> {
-    let csr = CsrSnapshot::build(graph);
-    let (component_count, largest_component_size, seed) =
-        crate::components::component_seed_scan(&csr)?;
-    // Largest-component membership from one O(largest) BFS; the scratch's
-    // marks serve as the membership set directly.
-    let mut membership = BfsScratch::new();
-    membership.run(&csr, seed);
-    let nodes = csr.live_nodes();
-    let stats = parallel_bfs_from_sources(&csr, &nodes, thread_budget());
-    let diameter = nodes
-        .iter()
-        .zip(&stats)
-        .filter(|(&n, _)| membership.contains(n))
-        .map(|(_, s)| s.eccentricity)
-        .max()
-        .unwrap_or(0);
-    Some(PathMetrics {
-        diameter,
-        average_path_length: average_from_stats(&stats),
-        component_count,
-        largest_component_size,
-    })
+    Some(max_eccentricity(&csr, &sources))
 }
 
 #[cfg(test)]
@@ -586,7 +487,7 @@ mod tests {
     use crate::generators::{random_regular, ring_lattice};
     use crate::graph::Graph;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// Builds a path graph a-b-c-d and returns (graph, ids).
     fn path_graph(n: usize) -> (Graph, Vec<NodeId>) {
@@ -711,6 +612,11 @@ mod tests {
         assert_eq!(stats[1], BfsStats::default(), "dead source yields zeros");
     }
 
+    /// One node's closeness, through the formula the sweeps apply.
+    fn closeness(g: &Graph, node: NodeId) -> f64 {
+        closeness_from_stats(&BfsScratch::new().run(g, node), g.node_count())
+    }
+
     #[test]
     fn closeness_on_star_graph() {
         // Star with center c and 4 leaves: C(center) = 1.0, C(leaf) = 4/7.
@@ -718,17 +624,17 @@ mod tests {
         for &leaf in &ids[1..] {
             g.add_edge(ids[0], leaf);
         }
-        assert!((closeness_centrality(&g, ids[0]) - 1.0).abs() < 1e-12);
-        assert!((closeness_centrality(&g, ids[1]) - 4.0 / 7.0).abs() < 1e-12);
+        assert!((closeness(&g, ids[0]) - 1.0).abs() < 1e-12);
+        assert!((closeness(&g, ids[1]) - 4.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
     fn closeness_of_isolated_node_is_zero() {
         let (mut g, ids) = path_graph(3);
         let isolated = g.add_node();
-        assert_eq!(closeness_centrality(&g, isolated), 0.0);
+        assert_eq!(closeness(&g, isolated), 0.0);
         // Other nodes lose closeness because of the unreachable node.
-        assert!(closeness_centrality(&g, ids[1]) < 1.0);
+        assert!(closeness(&g, ids[1]) < 1.0);
     }
 
     #[test]
@@ -811,82 +717,57 @@ mod tests {
     }
 
     #[test]
-    fn average_path_length_on_path_graph() {
-        let (g, _) = path_graph(3);
-        // Distances: (0-1)=1, (0-2)=2, (1-2)=1 → mean = 4/3.
-        let apl = average_path_length(&g).unwrap();
-        assert!((apl - 4.0 / 3.0).abs() < 1e-12);
-        assert_eq!(average_path_length(&Graph::new()), None);
-    }
-
-    #[test]
     fn sweep_metrics_are_budget_invariant() {
         // The same sweep under different thread budgets must agree to the
         // bit — this is the determinism contract the cache relies on.
         let mut rng = StdRng::seed_from_u64(12);
         let (g, _) = random_regular(200, 6, &mut rng);
-        let reference = (
-            diameter(&g),
-            average_path_length(&g),
-            path_metrics(&g),
-            sampled_diameter(&g, 20, &mut StdRng::seed_from_u64(4)),
-        );
+        let sweep = || {
+            (
+                diameter(&g),
+                average_closeness_centrality(&g),
+                sampled_diameter(&g, 20, &mut StdRng::seed_from_u64(4)),
+                sampled_average_closeness_centrality(&g, 20, &mut StdRng::seed_from_u64(4)),
+            )
+        };
+        let reference = sweep();
         for budget in [2, 8] {
-            let under_budget = crate::budget::with_thread_budget(budget, || {
-                (
-                    diameter(&g),
-                    average_path_length(&g),
-                    path_metrics(&g),
-                    sampled_diameter(&g, 20, &mut StdRng::seed_from_u64(4)),
-                )
-            });
+            let under_budget = crate::budget::with_thread_budget(budget, sweep);
             assert_eq!(under_budget, reference, "budget={budget}");
         }
     }
 
     #[test]
-    fn path_metrics_agree_with_individual_metrics() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let (g, _) = random_regular(80, 4, &mut rng);
-        let combined = path_metrics(&g).unwrap();
-        assert_eq!(Some(combined.diameter), diameter(&g));
-        assert_eq!(combined.average_path_length, average_path_length(&g));
+    fn graph_and_snapshot_calls_agree() {
+        // A `&Graph` call freezes the graph itself; a `&CsrSnapshot` call
+        // sweeps the caller's freeze. Same sources, same bits, same RNG
+        // stream afterwards — on a graph with tombstones and two
+        // components.
+        let mut rng = StdRng::seed_from_u64(13);
+        let (mut g, ids) = random_regular(120, 4, &mut rng);
+        for &victim in ids.iter().step_by(3) {
+            g.remove_node(victim);
+        }
+        let csr = CsrSnapshot::build(&g);
+        assert_eq!(diameter(&g), diameter(&csr));
         assert_eq!(
-            combined.component_count,
-            crate::components::component_count(&g)
+            average_closeness_centrality(&g),
+            average_closeness_centrality(&csr)
+        );
+        let (mut via_graph, mut via_csr) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+        assert_eq!(
+            sampled_diameter(&g, 16, &mut via_graph),
+            sampled_diameter(&csr, 16, &mut via_csr)
         );
         assert_eq!(
-            combined.largest_component_size,
-            crate::components::largest_component_size(&g)
+            sampled_average_closeness_centrality(&g, 16, &mut via_graph),
+            sampled_average_closeness_centrality(&csr, 16, &mut via_csr)
         );
-        assert_eq!(path_metrics(&Graph::new()), None);
-    }
-
-    #[test]
-    fn path_metrics_on_partitioned_graph_restrict_diameter_correctly() {
-        // Same shape as the diameter regression test: 5-node star (the
-        // largest component, diameter 2) + 4-node path (diameter 3).
-        let (mut g, ids) = Graph::with_nodes(9);
-        for &leaf in &ids[1..5] {
-            g.add_edge(ids[0], leaf);
-        }
-        for w in ids[5..9].windows(2) {
-            g.add_edge(w[0], w[1]);
-        }
-        let metrics = path_metrics(&g).unwrap();
-        assert_eq!(metrics.diameter, 2, "largest component only");
-        assert_eq!(metrics.component_count, 2);
-        assert_eq!(metrics.largest_component_size, 5);
-        assert_eq!(metrics.average_path_length, average_path_length(&g));
-    }
-
-    #[test]
-    fn eccentricity_matches_diameter_extremes() {
-        let (g, ids) = path_graph(4);
-        assert_eq!(eccentricity(&g, ids[0]), Some(3));
-        assert_eq!(eccentricity(&g, ids[1]), Some(2));
-        let (mut g2, ids2) = path_graph(2);
-        g2.remove_node(ids2[0]);
-        assert_eq!(eccentricity(&g2, ids2[0]), None);
+        assert_eq!(via_graph.next_u64(), via_csr.next_u64());
+        assert_eq!(sampled_diameter(&Graph::new(), 4, &mut via_graph), None);
+        assert_eq!(
+            sampled_average_closeness_centrality(&Graph::new(), 4, &mut via_graph),
+            0.0
+        );
     }
 }

@@ -15,8 +15,6 @@
 //! * **Forgetting** — pruned peers' addresses are forgotten, and nodes
 //!   periodically rotate their `.onion` addresses (see [`crate::rotation`]).
 
-use std::collections::BTreeSet;
-
 use onion_graph::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -110,24 +108,6 @@ impl DdsrOverlay {
         self.graph.neighbors(node).map(<[NodeId]>::to_vec)
     }
 
-    /// The Neighbors-of-Neighbor view of a node: every peer of its peers,
-    /// excluding the node itself. This is exactly the knowledge the repair
-    /// step relies on.
-    pub fn neighbors_of_neighbors(&self, node: NodeId) -> Option<BTreeSet<NodeId>> {
-        let peers = self.graph.neighbors(node)?;
-        let mut non = BTreeSet::new();
-        for &p in peers {
-            if let Some(pp) = self.graph.neighbors(p) {
-                for &q in pp {
-                    if q != node {
-                        non.insert(q);
-                    }
-                }
-            }
-        }
-        Some(non)
-    }
-
     /// Removes a node *with* the self-healing protocol: repair then
     /// (optionally) prune. Returns `false` if the node was already gone.
     pub fn remove_node_with_repair<R: Rng + ?Sized>(&mut self, node: NodeId, rng: &mut R) -> bool {
@@ -159,80 +139,31 @@ impl DdsrOverlay {
         true
     }
 
-    /// Removes a whole wave of nodes with *batched* repair: all victims go
-    /// down first, then the repair edge-insertions are coalesced, then a
-    /// **single prune pass** runs over the affected survivors (each pruned
-    /// once, in ascending id order) instead of once per victim. Returns the
-    /// number of nodes actually removed.
+    /// Removes a whole takedown wave — the overlay's one wave API. All
+    /// victims go down first; then the repair edges among each victim's
+    /// surviving former neighbors go through one
+    /// [shard-partitioned](crate::shard) bulk insertion; then a single prune
+    /// pass plans per owning shard against frozen degrees, reconciled
+    /// sequentially in ascending shard order. Returns the number of nodes
+    /// actually removed. The caller's RNG advances by exactly one draw, and
+    /// the output is byte-identical at any worker-thread count.
     ///
     /// This models a coordinated takedown (*Master of Puppets*-style
-    /// campaigns, the §VII-A sweeps, the `scale` scenario's churn waves)
-    /// and does `O(wave)` less pruning work than calling
-    /// [`Self::remove_node_with_repair`] per victim.
+    /// campaigns, the `scale` scenario's churn waves) and does `O(wave)`
+    /// less pruning work than calling [`Self::remove_node_with_repair`] per
+    /// victim.
     ///
-    /// **Semantics versus sequential removal.** For victims that are not
-    /// adjacent and whose repairs never push a survivor past `d_max`, the
-    /// result is identical to sequential removal. The two diverge when
-    /// victims are adjacent: sequentially, removing `a` first grafts repair
-    /// edges onto its neighbor `b`, and `b`'s own later removal then spreads
-    /// those second-hand edges further; in the batch, `a`–`b` knowledge dies
-    /// with the wave (a dead neighbor cannot accept repair edges), which
-    /// matches simultaneous takedowns — both bots are gone before either
-    /// repair runs. Pruning can also differ when victims share survivors:
-    /// the batch prunes each survivor once against its final degree rather
+    /// **Semantics versus sequential removal.** With pruning off and
+    /// victims that are not adjacent, the result is identical to sequential
+    /// [`Self::remove_node_with_repair`] calls. The two diverge when victims
+    /// are adjacent: sequentially, removing `a` first grafts repair edges
+    /// onto its neighbor `b`, and `b`'s own later removal then spreads those
+    /// second-hand edges further; in the wave, `a`–`b` knowledge dies with
+    /// both (a dead neighbor cannot accept repair edges), which matches
+    /// simultaneous takedowns. Pruning differs too: each affected survivor
+    /// is pruned once, against frozen post-repair degrees (see
+    /// [`sharded_wave_repair`](crate::shard::sharded_wave_repair)), rather
     /// than once per incident victim.
-    pub fn remove_nodes<R: Rng + ?Sized>(&mut self, victims: &[NodeId], rng: &mut R) -> usize {
-        let mut neighborhoods: Vec<Vec<NodeId>> = Vec::with_capacity(victims.len());
-        let mut removed = 0usize;
-        for &v in victims {
-            if let Some(former) = self.graph.remove_node(v) {
-                removed += 1;
-                self.stats.nodes_repaired += 1;
-                neighborhoods.push(former);
-            }
-        }
-        // Coalesced repair: every pair of a victim's *surviving* former
-        // neighbors peers up (NoN knowledge), exactly as in the single-node
-        // protocol but without interleaved pruning.
-        for former in &neighborhoods {
-            for i in 0..former.len() {
-                if !self.graph.contains(former[i]) {
-                    continue;
-                }
-                for j in i + 1..former.len() {
-                    if self.graph.contains(former[j]) && self.graph.add_edge(former[i], former[j]) {
-                        self.stats.edges_added += 1;
-                    }
-                }
-            }
-        }
-        // Single prune pass per wave: each affected survivor sheds excess
-        // degree once, in ascending id order (deterministic by
-        // construction).
-        if self.config.pruning {
-            let mut affected: Vec<NodeId> = neighborhoods
-                .into_iter()
-                .flatten()
-                .filter(|&u| self.graph.contains(u))
-                .collect();
-            affected.sort_unstable();
-            affected.dedup();
-            for u in affected {
-                self.prune_node(u, rng);
-            }
-        }
-        removed
-    }
-
-    /// Removes a whole wave with [shard-partitioned](crate::shard) repair
-    /// and pruning: the coalesced repair edges go through one partitioned
-    /// bulk insertion and the prune pass plans per owning shard against
-    /// frozen degrees, with a sequential ascending-shard reconciliation.
-    /// Semantics match [`Self::remove_nodes`] at the wave level (see
-    /// [`sharded_wave_repair`](crate::shard::sharded_wave_repair) for the
-    /// documented frozen-degree divergence in pruning), the caller's RNG
-    /// advances by exactly one draw, and output is byte-identical at any
-    /// worker-thread count. Returns the number of nodes actually removed.
     pub fn remove_nodes_sharded<R: Rng + ?Sized>(
         &mut self,
         victims: &[NodeId],
@@ -288,12 +219,6 @@ impl DdsrOverlay {
             self.graph.remove_edge(node, victim);
             self.stats.edges_pruned += 1;
         }
-    }
-
-    /// Picks a live node uniformly at random, if any.
-    pub fn random_node<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeId> {
-        let nodes = self.graph.nodes();
-        nodes.choose(rng).copied()
     }
 
     /// Adds a brand-new node with no peers. Callers peer it explicitly via
@@ -357,6 +282,7 @@ impl DdsrOverlay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardGrid;
     use onion_graph::components::is_connected;
     use onion_graph::metrics::average_degree_centrality;
     use rand::rngs::StdRng;
@@ -454,28 +380,33 @@ mod tests {
     #[test]
     fn batched_removal_equals_sequential_for_non_adjacent_victims() {
         // Two victims far apart in a 10-regular graph, with pruning off so
-        // the comparison isolates the repair coalescing: the batched wave
-        // must produce exactly the graph sequential removal produces.
-        let (mut batched, ids, mut rng_a) = overlay(200, 10, false, 21);
-        let (mut sequential, ids_s, mut rng_b) = overlay(200, 10, false, 21);
-        assert_eq!(ids, ids_s);
-        let (a, b) = (ids[0], ids[100]);
-        assert!(
-            !batched.graph().has_edge(a, b),
-            "victims must be non-adjacent for this comparison"
-        );
-        batched.remove_nodes(&[a, b], &mut rng_a);
-        sequential.remove_node_with_repair(a, &mut rng_b);
-        sequential.remove_node_with_repair(b, &mut rng_b);
-        assert_eq!(batched.graph(), sequential.graph());
-        assert_eq!(batched.stats(), sequential.stats());
+        // the comparison isolates the repair coalescing: the wave must
+        // produce exactly the graph and counters sequential removal
+        // produces, on a one-shard and a multi-shard grid.
+        for shards in [1, 8] {
+            let (mut batched, ids, mut rng_a) = overlay(200, 10, false, 21);
+            let (mut sequential, ids_s, mut rng_b) = overlay(200, 10, false, 21);
+            assert_eq!(ids, ids_s);
+            let grid = ShardGrid::new(200, 10, shards);
+            assert_eq!(grid.shards(), shards);
+            let (a, b) = (ids[0], ids[100]);
+            assert!(
+                !batched.graph().has_edge(a, b),
+                "victims must be non-adjacent for this comparison"
+            );
+            assert_eq!(batched.remove_nodes_sharded(&[a, b], &grid, &mut rng_a), 2);
+            sequential.remove_node_with_repair(a, &mut rng_b);
+            sequential.remove_node_with_repair(b, &mut rng_b);
+            assert_eq!(batched.graph(), sequential.graph(), "shards={shards}");
+            assert_eq!(batched.stats(), sequential.stats(), "shards={shards}");
+        }
     }
 
     #[test]
     fn batched_removal_of_adjacent_victims_drops_edges_through_the_dead() {
         // Documented divergence: in a path p - a - b - q, sequentially
         // removing a repairs p–b, and then removing b repairs p–q through
-        // that grafted edge. In one batch both a and b die before any
+        // that grafted edge. In one wave both a and b die before any
         // repair runs, so b (dead) cannot relay p's knowledge: p and q end
         // up disconnected — the simultaneous-takedown semantics.
         let make = || {
@@ -499,48 +430,19 @@ mod tests {
             "sequential removal relays repair knowledge through b"
         );
 
-        let (mut batched, (p, a, b, q)) = make();
-        assert_eq!(batched.remove_nodes(&[a, b], &mut rng), 2);
-        assert!(
-            !batched.graph().has_edge(p, q),
-            "batched removal must not create edges through dead victims"
-        );
-        batched.graph().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn batched_removal_prunes_once_and_respects_d_max() {
-        let (mut ov, ids, mut rng) = overlay(300, 10, true, 22);
-        let victims: Vec<NodeId> = ids.iter().copied().take(60).collect();
-        let removed = ov.remove_nodes(&victims, &mut rng);
-        assert_eq!(removed, 60);
-        assert_eq!(ov.node_count(), 240);
-        assert!(
-            ov.graph().max_degree() <= ov.config().d_max,
-            "single prune pass must still enforce d_max (got {})",
-            ov.graph().max_degree()
-        );
-        assert!(is_connected(ov.graph()), "wave repair keeps DDSR connected");
-        ov.graph().check_invariants().unwrap();
-        // Re-removing the same wave is a no-op.
-        assert_eq!(ov.remove_nodes(&victims, &mut rng), 0);
-    }
-
-    #[test]
-    fn neighbors_of_neighbors_knowledge() {
-        let (mut g, ids) = onion_graph::graph::Graph::with_nodes(5);
-        g.add_edge(ids[0], ids[1]);
-        g.add_edge(ids[1], ids[2]);
-        g.add_edge(ids[2], ids[3]);
-        let overlay = DdsrOverlay::from_graph(g, DdsrConfig::default());
-        let non = overlay.neighbors_of_neighbors(ids[0]).unwrap();
-        assert!(non.contains(&ids[2]));
-        assert!(!non.contains(&ids[0]));
-        assert!(
-            !non.contains(&ids[3]),
-            "three hops away is beyond NoN knowledge"
-        );
-        assert!(overlay.neighbors_of_neighbors(NodeId(999)).is_none());
+        // The grid's degree argument only sizes its shards: with k = 1 two
+        // shards of two nodes fit, so a and b land in different shards.
+        for shards in [1, 2] {
+            let grid = ShardGrid::new(4, 1, shards);
+            assert_eq!(grid.shards(), shards);
+            let (mut batched, (p, a, b, q)) = make();
+            assert_eq!(batched.remove_nodes_sharded(&[a, b], &grid, &mut rng), 2);
+            assert!(
+                !batched.graph().has_edge(p, q),
+                "a wave must not create edges through dead victims (shards={shards})"
+            );
+            batched.graph().check_invariants().unwrap();
+        }
     }
 
     #[test]
@@ -668,15 +570,5 @@ mod tests {
         let accepted = ov.request_peering(requester, target, 2, &mut rng);
         assert!(accepted);
         assert!(ov.graph().has_edge(requester, target));
-    }
-
-    #[test]
-    fn random_node_returns_live_nodes_only() {
-        let (mut ov, ids, mut rng) = overlay(10, 4, true, 9);
-        for &id in ids.iter().take(9) {
-            ov.remove_node_with_repair(id, &mut rng);
-        }
-        let survivor = ov.random_node(&mut rng).unwrap();
-        assert_eq!(survivor, ids[9]);
     }
 }

@@ -11,8 +11,8 @@
 //! identifier directly from the period secret instead of generating a fresh
 //! RSA key per period per bot; the *sequence structure* (deterministic from
 //! `(PK_CC, K_B, period)`, unlinkable without `K_B`) is what the experiments
-//! rely on, and [`rotated_service_key_seed`] exposes the seed a full
-//! RSA-backed rotation would use.
+//! rely on, and [`AddressSchedule::rotated_service_key_seed`] exposes the
+//! seed a full RSA-backed rotation would use.
 
 use onion_crypto::kdf::{derive_period_secret, derive_period_seed};
 use onion_crypto::rsa::RsaPublicKey;

@@ -38,7 +38,7 @@
 //! stream, which is exactly why the thread count cannot change output.
 //!
 //! Construction runs the same pairing model as
-//! [`random_regular`](onion_graph::generators::random_regular)
+//! [`random_regular`]
 //! independently per shard (a single shard degenerates to it exactly),
 //! assembles the per-shard blocks in ascending shard order, and then
 //! stitches shards together with degree-preserving edge swaps from a
@@ -358,9 +358,11 @@ pub struct WaveOutcome {
 
 /// Removes one takedown wave with shard-partitioned repair and pruning.
 ///
-/// Four phases, mirroring [`DdsrOverlay::remove_nodes`] semantics at the
-/// wave level (all victims die before any repair runs; each affected
-/// survivor is pruned once):
+/// All victims die before any repair runs, and each affected survivor is
+/// pruned once; with pruning off and no two victims adjacent, the result
+/// equals sequential
+/// [`remove_node_with_repair`](crate::overlay::DdsrOverlay::remove_node_with_repair)
+/// calls. Four phases:
 ///
 /// 1. **Takedown** (sequential): victims are removed and their former
 ///    neighborhoods collected.

@@ -193,8 +193,9 @@ pub enum CacheLookup {
     Hit(Vec<ExperimentReport>),
     /// No entry exists for this fingerprint.
     Miss,
-    /// An entry exists but is unreadable, unparseable or inconsistent with
-    /// its own key — it must be re-executed and overwritten.
+    /// An entry exists but is unreadable, inconsistent with its own key,
+    /// or corrupt and impossible to move aside — it must be re-executed
+    /// and overwritten.
     Invalid,
 }
 
@@ -311,12 +312,14 @@ impl ResultCache {
             return CacheLookup::Miss;
         }
         let path = self.entry_path(fp);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
+        // Bytes, not a string: invalid UTF-8 (a flipped high bit) is
+        // corruption like any other parse failure and goes to quarantine.
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return CacheLookup::Miss,
             Err(_) => return CacheLookup::Invalid,
         };
-        match serde_json::from_str::<CacheEntry>(&text) {
+        match serde_json::from_slice::<CacheEntry>(&bytes) {
             Ok(entry)
                 if entry.format == CACHE_FORMAT_VERSION
                     && entry.fingerprint == fp.hex
@@ -549,7 +552,20 @@ mod tests {
             !cache.entry_path(&fp).exists(),
             "the corrupt entry is renamed out of the way"
         );
-        let quarantined: Vec<_> = std::fs::read_dir(cache.entry_path(&fp).parent().unwrap())
+        assert_eq!(
+            quarantined_siblings(&cache, &fp),
+            1,
+            "exactly one quarantined sibling"
+        );
+        // A later store through the normal path repairs the slot.
+        cache.store(&fp, &sample_reports()).unwrap();
+        assert_eq!(cache.lookup(&fp), CacheLookup::Hit(sample_reports()));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// How many `.corrupt-*` siblings sit next to `fp`'s entry.
+    fn quarantined_siblings(cache: &ResultCache, fp: &PartFingerprint) -> usize {
+        std::fs::read_dir(cache.entry_path(fp).parent().unwrap())
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| {
@@ -557,11 +573,45 @@ mod tests {
                     .extension()
                     .is_some_and(|ext| ext.to_string_lossy().starts_with("corrupt-"))
             })
-            .collect();
-        assert_eq!(quarantined.len(), 1, "exactly one quarantined sibling");
-        // A later store through the normal path repairs the slot.
+            .count()
+    }
+
+    #[test]
+    fn invalid_utf8_entries_are_quarantined_not_overwritten() {
+        // One flipped high bit turns an ASCII byte into invalid UTF-8.
+        // That is corruption like any other parse failure: the evidence
+        // is kept, not silently overwritten as "invalidated".
+        let (cache, dir) = temp_cache("utf8");
+        let fp = PartFingerprint::compute(&toy("s"), 0, &ScenarioParams::with_seed(1));
         cache.store(&fp, &sample_reports()).unwrap();
-        assert_eq!(cache.lookup(&fp), CacheLookup::Hit(sample_reports()));
+        let mut bytes = std::fs::read(cache.entry_path(&fp)).unwrap();
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x80;
+        assert!(std::str::from_utf8(&bytes).is_err());
+        std::fs::write(cache.entry_path(&fp), &bytes).unwrap();
+        assert_eq!(cache.lookup(&fp), CacheLookup::Miss);
+        assert!(!cache.entry_path(&fp).exists());
+        assert_eq!(quarantined_siblings(&cache, &fp), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_with_unequal_series_axes_are_quarantined() {
+        // A series built around `Series::new` (its fields are public) can
+        // reach the disk with axes of different lengths, e.g. from another
+        // build. Serving it would panic the renderers; it must not parse.
+        let (cache, dir) = temp_cache("axes");
+        let fp = PartFingerprint::compute(&toy("s"), 0, &ScenarioParams::with_seed(1));
+        let mut report = ExperimentReport::new("r1", "title", "x", "y");
+        report.push_series(Series {
+            label: "torn".into(),
+            x: vec![0.0, 1.0],
+            y: vec![0.125],
+        });
+        cache.store(&fp, &[report]).unwrap();
+        assert_eq!(cache.lookup(&fp), CacheLookup::Miss);
+        assert!(!cache.entry_path(&fp).exists());
+        assert_eq!(quarantined_siblings(&cache, &fp), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

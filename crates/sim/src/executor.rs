@@ -1,5 +1,5 @@
-//! Pluggable execution backends for the experiment [`Runner`]
-//! (`crate::runner::Runner`).
+//! Pluggable execution backends for the experiment
+//! [`Runner`](crate::runner::Runner).
 //!
 //! The unit of execution is a [`WorkItem`]: one *(scenario id, part,
 //! derived part seed, scale, scoped overrides)* tuple, self-contained

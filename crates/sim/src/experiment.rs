@@ -1,5 +1,5 @@
 //! Experiment series, reports, renderers and output sinks shared by the
-//! scenario registry and the figure-generation binaries.
+//! scenario registry and the `run_experiments` front ends.
 
 use std::fmt::Write as _;
 use std::io;
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// A named data series: `(x, y)` pairs plus a label, the unit the figures
 /// plot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Series {
     /// Legend label (e.g. `"deg = 5"`, `"DDSR"`, `"Normal"`).
     pub label: String,
@@ -17,6 +17,34 @@ pub struct Series {
     pub x: Vec<f64>,
     /// Y values (e.g. average closeness centrality).
     pub y: Vec<f64>,
+}
+
+/// Hand-written so a decoded series upholds [`Series::new`]'s invariant.
+/// Cache entries and worker frames arrive from outside the process, and a
+/// series whose axes differ in length would panic the renderers, which
+/// index `y` by positions in `x`. Rejecting it here sends a bad cache
+/// entry to quarantine and a bad frame down the undecodable-frame path.
+impl serde::Deserialize for Series {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let entries = value
+            .as_object()
+            .ok_or_else(|| serde::Error::custom("expected object for Series"))?;
+        let field = |name: &str| serde::obj_get(entries, name);
+        let series = Series {
+            label: serde::Deserialize::from_value(field("label"))?,
+            x: serde::Deserialize::from_value(field("x"))?,
+            y: serde::Deserialize::from_value(field("y"))?,
+        };
+        if series.x.len() != series.y.len() {
+            return Err(serde::Error::custom(format!(
+                "series '{}' has {} x value(s) but {} y value(s)",
+                series.label,
+                series.x.len(),
+                series.y.len()
+            )));
+        }
+        Ok(series)
+    }
 }
 
 impl Series {

@@ -11,7 +11,7 @@ use onion_graph::components::component_count;
 use onion_graph::csr::CsrSnapshot;
 use onion_graph::graph::NodeId;
 use onion_graph::metrics::{
-    average_degree_centrality, sampled_average_closeness_centrality_csr, sampled_diameter_csr,
+    average_degree_centrality, sampled_average_closeness_centrality, sampled_diameter,
 };
 use onionbots_core::overlay::DdsrOverlay;
 use rand::seq::SliceRandom;
@@ -40,8 +40,9 @@ pub struct TakedownSample {
     pub degree_centrality: f64,
     /// Average closeness centrality (sampled estimate).
     pub closeness_centrality: f64,
-    /// Diameter of the largest component (sampled estimate); `None` when the
-    /// graph is empty.
+    /// Largest sampled eccentricity over all components (a lower bound on
+    /// the diameter; sources are drawn from the whole graph); `None` when
+    /// the graph is empty.
     pub diameter: Option<usize>,
 }
 
@@ -103,8 +104,8 @@ fn sample<R: Rng + ?Sized>(
         nodes_remaining: graph.node_count(),
         connected_components: component_count(&csr),
         degree_centrality: average_degree_centrality(graph),
-        closeness_centrality: sampled_average_closeness_centrality_csr(&csr, metric_samples, rng),
-        diameter: sampled_diameter_csr(&csr, metric_samples, rng),
+        closeness_centrality: sampled_average_closeness_centrality(&csr, metric_samples, rng),
+        diameter: sampled_diameter(&csr, metric_samples, rng),
     }
 }
 

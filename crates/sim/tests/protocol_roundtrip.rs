@@ -8,12 +8,15 @@
 //! stream, timeouts interleaved, to the same frames, and must never
 //! panic or buffer past [`MAX_FRAME_BYTES`] on arbitrary bytes. The
 //! serving loop ([`serve_connection`]) must *reject* — never execute —
-//! malformed or version-skewed handshakes.
+//! malformed or version-skewed handshakes. Cache entries are the other
+//! bytes decoded from outside the process: a torn or bit-flipped entry
+//! must never panic a [`ResultCache`] lookup or the renderers.
 
 use std::io::Read;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use sim::cache::{CacheLookup, PartFingerprint, ResultCache};
 use sim::executor::{PartResult, WorkItem};
 use sim::experiment::{ExperimentReport, Series};
 use sim::scenario_api::{Scenario, ScenarioParams};
@@ -490,6 +493,99 @@ proptest! {
             // Garbage is rejected by the frame parser, never executed.
             let _ = serde_json::from_str::<DispatchFrame>(line);
         }
+    }
+}
+
+#[test]
+fn completed_frames_with_unequal_series_axes_are_rejected() {
+    // A remote host's reports are decoded from the wire; a series whose
+    // axes differ in length would panic the renderers later, so the frame
+    // must fail to decode (the dispatcher's undecodable-frame path).
+    let item = WorkItem {
+        scenario_id: "toy".into(),
+        part: 0,
+        part_seed: 1,
+        fingerprint: "00".repeat(32),
+        params: ScenarioParams::with_seed(1),
+        threads: 1,
+    };
+    let mut report = ExperimentReport::new("r", "t", "x", "y");
+    report.push_series(Series {
+        label: "torn".into(),
+        x: vec![0.0, 1.0, 2.0],
+        y: vec![0.5, 0.25],
+    });
+    let mut stream = Vec::new();
+    write_frame(
+        &mut stream,
+        &WorkerFrame::Completed(PartResult::ok(&item, vec![report])),
+    )
+    .unwrap();
+    let mut reader = FrameReader::new(std::io::Cursor::new(stream));
+    let lines = decode_lines(&mut reader).unwrap();
+    assert_eq!(lines.len(), 1, "the frame itself is well formed");
+    let error = serde_json::from_str::<WorkerFrame>(&lines[0]).unwrap_err();
+    assert!(error.to_string().contains("2 y value(s)"), "{error}");
+}
+
+/// A fresh, empty cache directory for one property case.
+fn scratch_cache() -> (ResultCache, std::path::PathBuf) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "sim-cache-fuzz-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    (ResultCache::open(&dir).unwrap(), dir)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn torn_or_bit_flipped_cache_entries_never_panic(
+        reports in prop::collection::vec(report_strategy(), 1..3),
+        offset in any::<usize>(),
+        bit in 0u8..8,
+        truncate in any::<bool>(),
+    ) {
+        // Damage a stored entry by truncating it at any offset (the whole
+        // file included) or by flipping any one bit. The lookup must then
+        // quarantine it (a miss, with a `.corrupt-*` sibling), invalidate
+        // it (still parses, no longer matches its key), or serve a hit
+        // whose reports render — and never panic.
+        let (cache, dir) = scratch_cache();
+        let fp = PartFingerprint::from_parts("toy", 0, &"ab".repeat(32));
+        cache.store(&fp, &reports).unwrap();
+        let path = cache.entry_path(&fp);
+        let mut bytes = std::fs::read(&path).unwrap();
+        if truncate {
+            bytes.truncate(offset % (bytes.len() + 1));
+        } else {
+            let at = offset % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        match cache.lookup(&fp) {
+            CacheLookup::Miss => {
+                prop_assert!(!path.exists(), "a miss moved the entry aside");
+                let siblings = std::fs::read_dir(path.parent().unwrap())
+                    .unwrap()
+                    .filter_map(|e| e.ok())
+                    .filter(|e| e.file_name().to_string_lossy().contains(".corrupt-"))
+                    .count();
+                prop_assert_eq!(siblings, 1);
+            }
+            CacheLookup::Invalid => prop_assert!(path.exists(), "left in place"),
+            CacheLookup::Hit(found) => {
+                for report in &found {
+                    let _ = report.to_csv();
+                    let _ = report.to_table();
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
