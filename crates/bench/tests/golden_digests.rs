@@ -18,6 +18,8 @@
 //! run_experiments --jobs 2 --seed 2015 --no-cache --out q && sha256sum q/summary.json
 //! run_experiments --only scale --set n=2000 --set shards=8 --threads-per-item 1 \
 //!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
+//! run_experiments --only scale --set n=50000 --threads-per-item 1 \
+//!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
 //! ```
 
 use std::process::{Command, Stdio};
@@ -44,6 +46,11 @@ const SCALE_N2000: [(&str, &str); 2] = [
         "542bb434aeb6cac396de340556a5228dec30c39c50dcdefe4d7c75b54d78841c",
     ),
 ];
+
+/// `scale` at `n=50000`, seed 2015: the smallest population on the
+/// default 64-shard grid, so every wave runs the multi-shard repair. It
+/// holds at thread budgets 1 and 2.
+const SCALE_N50000: &str = "16e7f9c7902be05d1867ebbfbe70c1729b5431bf1facb8547cc124198ddab2d9";
 
 fn sha256_hex(text: &str) -> String {
     Sha256::digest_array(text.as_bytes())
@@ -109,26 +116,43 @@ fn quick_registry_digest_holds_through_a_service_job() {
     }
 }
 
-#[test]
-fn scale_n2000_summaries_match_their_golden_digests() {
+/// The `summary.json` digest of one uncached `scale` run at seed 2015.
+fn scale_digest(params: ScenarioParams, threads: usize) -> String {
     let scale = scenarios::registry()
         .select(&["scale".to_string()])
         .unwrap();
+    let summary = Runner::new(params)
+        .threads_per_item(ThreadsPerItem::Fixed(threads))
+        .try_run_observed(&scale, &())
+        .unwrap()
+        .0;
+    sha256_hex(&summary.to_json())
+}
+
+#[test]
+fn scale_n2000_summaries_match_their_golden_digests() {
     for (shards, golden) in SCALE_N2000 {
         for threads in [1usize, 2] {
             let params = ScenarioParams::with_seed(2015)
                 .with_override("n", "2000")
                 .with_override("shards", shards);
-            let summary = Runner::new(params)
-                .threads_per_item(ThreadsPerItem::Fixed(threads))
-                .try_run_observed(&scale, &())
-                .unwrap()
-                .0;
             assert_eq!(
-                sha256_hex(&summary.to_json()),
+                scale_digest(params, threads),
                 golden,
                 "scale n=2000 shards={shards} threads={threads}"
             );
         }
+    }
+}
+
+#[test]
+fn scale_n50000_summary_on_the_default_grid_matches_its_golden_digest() {
+    for threads in [1usize, 2] {
+        let params = ScenarioParams::with_seed(2015).with_override("n", "50000");
+        assert_eq!(
+            scale_digest(params, threads),
+            SCALE_N50000,
+            "scale n=50000 threads={threads}"
+        );
     }
 }

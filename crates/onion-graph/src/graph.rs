@@ -216,140 +216,129 @@ impl Graph {
         Some(neighbors)
     }
 
-    /// Inserts a batch of undirected edges with **deferred sorting**:
-    /// every half-edge is appended first and each touched neighbor list is
-    /// sorted and merged exactly once, instead of paying a binary search
-    /// plus `Vec::insert` shift per edge the way [`add_edge`](Self::add_edge)
-    /// does. Self loops, edges touching absent nodes, duplicates within the
-    /// batch and edges that already exist are all skipped, so the resulting
-    /// graph is exactly the one a sequential `add_edge` loop over `edges`
-    /// produces. Returns the number of edges actually added (the number of
-    /// `true`s that loop would have returned).
-    pub fn add_edges_bulk(&mut self, edges: &[(NodeId, NodeId)]) -> usize {
-        let mut half: Vec<(NodeId, NodeId)> = Vec::with_capacity(edges.len() * 2);
-        for &(a, b) in edges {
-            if a == b || !self.contains(a) || !self.contains(b) {
-                continue;
-            }
-            half.push((a, b));
-            half.push((b, a));
-        }
-        half.sort_unstable();
-        let mut added_half = 0usize;
-        let mut i = 0;
-        while i < half.len() {
-            let node = half[i].0;
-            let mut j = i;
-            while j < half.len() && half[j].0 == node {
-                j += 1;
-            }
-            let list = self.slots[node.0].as_mut().expect("validated present");
-            added_half += merge_sorted_candidates(list, &half[i..j]);
-            i = j;
-        }
-        debug_assert!(
-            added_half.is_multiple_of(2),
-            "half-edge insertion must be symmetric"
-        );
-        self.edge_count += added_half / 2;
-        added_half / 2
-    }
-
-    /// [`add_edges_bulk`](Self::add_edges_bulk), partitioned across the
-    /// disjoint id ranges delimited by `bounds` and fanned over up to
-    /// `threads` workers. `bounds` lists the range cut points ascending
-    /// (e.g. a [shard grid's] boundaries); every neighbor list belongs to
-    /// exactly one range, each range is handled by exactly one worker on a
-    /// `split_at_mut` view of the slab, and a range's insertions depend
-    /// only on the batch and the prior graph — so the result is
-    /// **byte-identical at any thread count** and equal to the sequential
-    /// [`add_edges_bulk`](Self::add_edges_bulk). Ids at or past the last
-    /// cut point fall into the final range.
+    /// Removes one takedown wave and repairs it in place: every live node
+    /// in `victims` is removed (duplicates and absent ids are skipped) and
+    /// every pair of a victim's surviving former neighbors becomes
+    /// adjacent. The result is exactly the graph that
+    /// [`remove_node`](Self::remove_node) on each victim followed by
+    /// [`add_edge`](Self::add_edge) on every such pair builds, but each
+    /// affected survivor's list is rebuilt once — (its old list − victims)
+    /// ∪ (each adjacent victim's list − victims − itself), sorted and
+    /// deduplicated — instead of paying a shift per inserted edge.
     ///
-    /// [shard grid's]: Self::add_edges_bulk_partitioned
-    pub fn add_edges_bulk_partitioned(
+    /// The rebuild is partitioned across the id ranges delimited by
+    /// `bounds` (e.g. a shard grid's boundaries: range `r` owns
+    /// `bounds[r]..bounds[r + 1]`, and the last range also owns every id
+    /// past its end) and fanned over up to `threads` workers. Each range is
+    /// rebuilt by exactly one worker on a `split_at_mut` view of the slab
+    /// and reads only its own lists plus the victims' removed lists, so the
+    /// result is **byte-identical at any thread count**.
+    ///
+    /// Returns the number of victims removed, the number of edges added,
+    /// and, per range, its surviving former neighbors of the victims in
+    /// ascending order.
+    ///
+    /// # Panics
+    /// Panics if `bounds` has fewer than two entries or is not ascending.
+    pub fn remove_nodes_with_clique_repair(
         &mut self,
-        edges: &[(NodeId, NodeId)],
+        victims: &[NodeId],
         bounds: &[usize],
         threads: usize,
-    ) -> usize {
-        // Interior cut points, clamped to the slab and deduplicated; the
-        // implicit outer bounds are 0 and id_bound.
-        let mut cuts: Vec<usize> = bounds
-            .iter()
-            .copied()
-            .filter(|&b| b > 0 && b < self.slots.len())
-            .collect();
-        cuts.sort_unstable();
-        cuts.dedup();
-        let ranges = cuts.len() + 1;
-        let threads = threads.clamp(1, ranges);
-        if ranges == 1 || threads == 1 {
-            return self.add_edges_bulk(edges);
-        }
-        let owner = |id: usize| cuts.partition_point(|&c| c <= id);
-        // Bucket each valid half-edge by the range owning its list.
-        let mut buckets: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); ranges];
-        for &(a, b) in edges {
-            if a == b || !self.contains(a) || !self.contains(b) {
-                continue;
+    ) -> (usize, usize, Vec<Vec<NodeId>>) {
+        assert!(
+            bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] <= w[1]),
+            "range bounds must be ascending with at least two entries"
+        );
+        let ranges = bounds.len() - 1;
+        let cuts = &bounds[1..ranges];
+        // Take the victims out, as `remove_node` does, but leave their ids
+        // in the survivors' lists until the rebuild drops them.
+        let mut is_victim = vec![false; self.slots.len()];
+        let mut taken: Vec<Vec<NodeId>> = Vec::new();
+        for &v in victims {
+            if let Some(list) = self.slots.get_mut(v.0).and_then(Option::take) {
+                is_victim[v.0] = true;
+                taken.push(list);
             }
-            buckets[owner(a.0)].push((a, b));
-            buckets[owner(b.0)].push((b, a));
         }
-        // Split the slab at the cut points and hand each worker its
-        // statically assigned ranges (round-robin by range index, so the
-        // work distribution — and the output — never depends on timing).
-        // One range's task: its first slot index, its slab chunk, and
-        // the half-edges destined for lists it owns.
-        type RangeTask<'a> = (usize, &'a mut [Option<Vec<NodeId>>], Vec<(NodeId, NodeId)>);
+        self.live_count -= taken.len();
+        // One `(survivor, victim index)` pair per survivor-victim edge,
+        // bucketed by the range owning the survivor's list.
+        let mut buckets: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); ranges];
+        let mut victim_halves = 0usize;
+        for (i, list) in taken.iter().enumerate() {
+            victim_halves += list.len();
+            for &w in list.iter().filter(|w| !is_victim[w.0]) {
+                buckets[cuts.partition_point(|&c| c <= w.0)].push((w, i));
+            }
+        }
+        let dropped_halves = victim_halves + buckets.iter().map(Vec::len).sum::<usize>();
+        // Hand each worker its statically assigned ranges (round-robin by
+        // range index, so the work distribution — and the output — never
+        // depends on timing).
+        let threads = threads.clamp(1, ranges);
         let mut tasks: Vec<Vec<RangeTask<'_>>> = Vec::with_capacity(threads);
         tasks.resize_with(threads, Vec::new);
+        let len = self.slots.len();
         let mut rest: &mut [Option<Vec<NodeId>>] = &mut self.slots;
         let mut start = 0usize;
         for (range, bucket) in buckets.into_iter().enumerate() {
-            let end = cuts.get(range).copied().unwrap_or(start + rest.len());
+            let end = if range + 1 < ranges {
+                bounds[range + 1].min(len)
+            } else {
+                len
+            };
             let (chunk, tail) = rest.split_at_mut(end - start);
-            tasks[range % threads].push((start, chunk, bucket));
+            tasks[range % threads].push(RangeTask {
+                range,
+                start,
+                chunk,
+                bucket,
+            });
             rest = tail;
             start = end;
         }
-        let added_half: usize = std::thread::scope(|scope| {
-            let handles: Vec<_> = tasks
+        let rebuild = |assigned: Vec<RangeTask<'_>>| {
+            assigned
                 .into_iter()
-                .map(|assigned| {
-                    scope.spawn(move || {
-                        let mut added = 0usize;
-                        for (start, chunk, mut bucket) in assigned {
-                            bucket.sort_unstable();
-                            let mut i = 0;
-                            while i < bucket.len() {
-                                let node = bucket[i].0;
-                                let mut j = i;
-                                while j < bucket.len() && bucket[j].0 == node {
-                                    j += 1;
-                                }
-                                let list =
-                                    chunk[node.0 - start].as_mut().expect("validated present");
-                                added += merge_sorted_candidates(list, &bucket[i..j]);
-                                i = j;
-                            }
-                        }
-                        added
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("bulk-insert worker panicked"))
-                .sum()
-        });
+                .map(|task| task.rebuild(&taken, &is_victim))
+                .collect::<Vec<_>>()
+        };
+        let rebuilt: Vec<(usize, Vec<NodeId>, usize)> = if threads == 1 {
+            tasks.into_iter().flat_map(rebuild).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = tasks
+                    .into_iter()
+                    .map(|assigned| scope.spawn(move || rebuild(assigned)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("wave-repair worker panicked"))
+                    .collect()
+            })
+        };
+        let mut affected = vec![Vec::new(); ranges];
+        let mut added_halves = 0usize;
+        for (range, survivors, added) in rebuilt {
+            affected[range] = survivors;
+            added_halves += added;
+        }
         debug_assert!(
-            added_half.is_multiple_of(2),
-            "half-edge insertion must be symmetric"
+            added_halves.is_multiple_of(2) && dropped_halves.is_multiple_of(2),
+            "wave repair must stay symmetric"
         );
-        self.edge_count += added_half / 2;
-        added_half / 2
+        self.edge_count = self.edge_count + added_halves / 2 - dropped_halves / 2;
+        let removed = taken.len();
+        for mut list in taken {
+            if self.free_pool.len() >= FREE_POOL_LIMIT {
+                break;
+            }
+            list.clear();
+            self.free_pool.push(list);
+        }
+        (removed, added_halves / 2, affected)
     }
 
     /// Concatenates per-range graphs into one slab: part `p`'s node `i`
@@ -460,30 +449,41 @@ impl Graph {
     }
 }
 
-/// Merges the peer halves of a sorted half-edge run `(node, peer)*` into
-/// `node`'s sorted neighbor list, skipping peers already present and
-/// duplicates within the run, and returns how many were appended. The one
-/// deferred sort per touched list happens here — candidates arrive sorted,
-/// so existing membership is a binary search over the original prefix and
-/// the final sort sees an almost-sorted vector.
-fn merge_sorted_candidates(list: &mut Vec<NodeId>, run: &[(NodeId, NodeId)]) -> usize {
-    let old_len = list.len();
-    let mut appended = 0usize;
-    let mut prev: Option<NodeId> = None;
-    for &(_, peer) in run {
-        if prev == Some(peer) {
-            continue;
+/// One range's share of a wave rebuild: its index, its first slot index,
+/// its slab chunk, and one `(survivor, victim index)` pair per edge
+/// between a survivor it owns and a victim.
+struct RangeTask<'a> {
+    range: usize,
+    start: usize,
+    chunk: &'a mut [Option<Vec<NodeId>>],
+    bucket: Vec<(NodeId, usize)>,
+}
+
+impl RangeTask<'_> {
+    /// Rebuilds every survivor of the range once, in its own list. Returns
+    /// the range index, its ascending survivors and the number of
+    /// half-edges it added.
+    fn rebuild(mut self, taken: &[Vec<NodeId>], is_victim: &[bool]) -> (usize, Vec<NodeId>, usize) {
+        self.bucket.sort_unstable();
+        let mut survivors = Vec::new();
+        let mut added = 0usize;
+        for group in self.bucket.chunk_by(|a, b| a.0 == b.0) {
+            let u = group[0].0;
+            let list = self.chunk[u.0 - self.start]
+                .as_mut()
+                .expect("a victim's neighbor outside the wave is live");
+            list.retain(|w| !is_victim[w.0]);
+            let kept = list.len();
+            for &(_, v) in group {
+                list.extend(taken[v].iter().filter(|&&w| w != u && !is_victim[w.0]));
+            }
+            list.sort_unstable();
+            list.dedup();
+            added += list.len() - kept;
+            survivors.push(u);
         }
-        prev = Some(peer);
-        if list[..old_len].binary_search(&peer).is_err() {
-            list.push(peer);
-            appended += 1;
-        }
+        (self.range, survivors, added)
     }
-    if appended > 0 {
-        list.sort_unstable();
-    }
-    appended
 }
 
 #[cfg(test)]
@@ -629,79 +629,29 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insertion_equals_sequential_insertion() {
-        let (mut bulk, ids) = Graph::with_nodes(8);
-        let (mut sequential, _) = Graph::with_nodes(8);
-        bulk.remove_node(ids[7]);
-        sequential.remove_node(ids[7]);
-        let batch = vec![
-            (ids[0], ids[1]),
-            (ids[1], ids[0]), // duplicate in reverse orientation
-            (ids[2], ids[2]), // self loop
-            (ids[3], ids[7]), // dead endpoint
-            (ids[4], ids[5]),
-            (ids[0], ids[1]), // duplicate verbatim
-            (ids[5], ids[4]), // another reverse duplicate
-            (ids[1], ids[6]),
-        ];
-        let added = bulk.add_edges_bulk(&batch);
-        let sequential_added = batch
-            .iter()
-            .filter(|&&(a, b)| sequential.add_edge(a, b))
-            .count();
-        assert_eq!(added, sequential_added);
-        assert_eq!(added, 3);
-        assert_eq!(bulk, sequential);
-        bulk.check_invariants().unwrap();
-        // A second identical batch is a full no-op.
-        assert_eq!(bulk.add_edges_bulk(&batch), 0);
-        assert_eq!(bulk, sequential);
-    }
-
-    #[test]
-    fn bulk_insertion_merges_into_existing_lists() {
-        let (mut g, ids) = Graph::with_nodes(5);
-        g.add_edge(ids[0], ids[2]);
-        g.add_edge(ids[0], ids[4]);
-        let added = g.add_edges_bulk(&[(ids[0], ids[1]), (ids[0], ids[2]), (ids[3], ids[0])]);
-        assert_eq!(added, 2, "one of the three already existed");
-        assert_eq!(
-            g.neighbors(ids[0]).unwrap(),
-            &[ids[1], ids[2], ids[3], ids[4]]
-        );
+    fn wave_repair_joins_surviving_neighbors_and_skips_dead_victims() {
+        // Path 0-1-2-3 plus a triangle 4-5-6 hanging off 1 via 1-4.
+        let (mut g, ids) = Graph::with_nodes(7);
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (1, 4)] {
+            g.add_edge(ids[a], ids[b]);
+        }
+        g.remove_node(ids[6]);
+        // Victim 1 twice, the tombstone 6 and a ghost past the slab: only 1
+        // goes, and 0, 2 and 4 become a triangle.
+        let victims = [ids[1], ids[1], ids[6], NodeId(99)];
+        let (removed, added, by_range) = g.remove_nodes_with_clique_repair(&victims, &[0, 3, 7], 2);
+        assert_eq!((removed, added), (1, 3));
+        assert_eq!(by_range, vec![vec![ids[0], ids[2]], vec![ids[4]]]);
+        assert_eq!(g.neighbors(ids[0]).unwrap(), &[ids[2], ids[4]]);
+        assert_eq!(g.neighbors(ids[4]).unwrap(), &[ids[0], ids[2], ids[5]]);
+        assert_eq!((g.node_count(), g.edge_count()), (5, 5));
         g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn partitioned_bulk_insertion_matches_sequential_at_any_thread_count() {
-        let batch: Vec<(NodeId, NodeId)> = (0..40)
-            .flat_map(|i| {
-                [
-                    (NodeId(i), NodeId((i * 7 + 3) % 40)),
-                    (NodeId((i * 13 + 5) % 40), NodeId(i)),
-                ]
-            })
-            .collect();
-        let (mut reference, _) = Graph::with_nodes(40);
-        let reference_added = reference.add_edges_bulk(&batch);
-        for threads in [1usize, 2, 3, 8] {
-            let (mut g, _) = Graph::with_nodes(40);
-            let added = g.add_edges_bulk_partitioned(&batch, &[10, 20, 30], threads);
-            assert_eq!(added, reference_added, "threads={threads}");
-            assert_eq!(g, reference, "threads={threads}");
-            g.check_invariants().unwrap();
-        }
-        // Degenerate grids: no interior cuts, cuts past the slab, unsorted
-        // and duplicated cuts all degrade to the sequential path or to a
-        // smaller effective grid — never to a wrong graph.
-        for bounds in [vec![], vec![0, 40, 500], vec![30, 10, 10]] {
-            let (mut g, _) = Graph::with_nodes(40);
-            assert_eq!(
-                g.add_edges_bulk_partitioned(&batch, &bounds, 4),
-                reference_added
-            );
-            assert_eq!(g, reference, "bounds={bounds:?}");
-        }
+        // Adjacent victims 2 and 4: 3 and 5 knew each other only through
+        // the two of them, so that knowledge dies with both.
+        let (removed, added, _) = g.remove_nodes_with_clique_repair(&[ids[2], ids[4]], &[0, 7], 1);
+        assert_eq!((removed, added), (2, 2));
+        assert_eq!(g.edges(), vec![(ids[0], ids[3]), (ids[0], ids[5])]);
+        g.check_invariants().unwrap();
     }
 
     #[test]

@@ -203,47 +203,75 @@ mod property_tests {
             }
         }
 
-        /// Bulk edge insertion (unsorted batch, one deferred sort per
-        /// touched list) is equivalent to sequential `add_edge` over the
-        /// same batch — same resulting graph, same number of edges added —
-        /// for arbitrary batches full of duplicates, self loops and
-        /// references to tombstoned nodes, against arbitrary churned base
-        /// graphs. The partitioned variant must agree at every thread
-        /// count and under degenerate shard bounds.
+        /// In-place wave repair builds the graph that removing each victim
+        /// with `remove_node` and then `add_edge`-ing every pair of each
+        /// victim's surviving former neighbors builds — same graph, same
+        /// removed and added counts — against arbitrary churned base
+        /// graphs, victim lists full of duplicates, tombstones, ids past
+        /// the slab and adjacent victims, arbitrary (also empty or
+        /// past-the-slab) ranges and every thread count. Each range's
+        /// survivors are the oracle's surviving former neighbors it owns,
+        /// ascending.
         #[test]
-        fn bulk_insertion_equals_sequential_insertion_under_churn(
+        fn wave_repair_equals_sequential_removal_then_insertion(
             ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
-            batch in prop::collection::vec((0usize..40, 0usize..40), 0..150),
-            cuts in prop::collection::vec(0usize..40, 0..6),
+            picks in prop::collection::vec((0usize..48, prop::bool::ANY), 0..16),
+            cuts in prop::collection::vec(0usize..40, 1..6),
         ) {
+            use crate::graph::NodeId;
             let base = churned_graph(&ops);
-            let bound = base.id_bound().max(1);
-            let edges: Vec<(crate::graph::NodeId, crate::graph::NodeId)> = batch
-                .iter()
-                .map(|&(a, b)| (crate::graph::NodeId(a % bound), crate::graph::NodeId(b % bound)))
-                .collect();
+            // A pick either names an id (possibly dead or past the slab)
+            // or, when flagged, a neighbor of the previous victim.
+            let mut victims: Vec<NodeId> = Vec::new();
+            for &(pick, adjacent) in &picks {
+                let near = victims
+                    .last()
+                    .and_then(|&v| base.neighbors(v))
+                    .filter(|list| adjacent && !list.is_empty());
+                victims.push(match near {
+                    Some(list) => list[pick % list.len()],
+                    None => NodeId(pick % (base.id_bound() + 8)),
+                });
+            }
+            let mut bounds = cuts.clone();
+            bounds.push(0);
+            bounds.sort_unstable();
 
-            let mut sequential = base.clone();
-            let mut seq_added = 0usize;
-            for &(a, b) in &edges {
-                if sequential.add_edge(a, b) {
-                    seq_added += 1;
+            let mut oracle = base.clone();
+            let mut neighborhoods = Vec::new();
+            for &v in &victims {
+                neighborhoods.extend(oracle.remove_node(v));
+            }
+            let mut oracle_added = 0usize;
+            for former in &neighborhoods {
+                for (i, &a) in former.iter().enumerate() {
+                    for &b in &former[i + 1..] {
+                        oracle_added += usize::from(oracle.add_edge(a, b));
+                    }
                 }
             }
-
-            let mut bulk = base.clone();
-            prop_assert_eq!(bulk.add_edges_bulk(&edges), seq_added);
-            prop_assert_eq!(&bulk, &sequential);
-            prop_assert!(bulk.check_invariants().is_ok());
+            let mut survivors: Vec<NodeId> = neighborhoods
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&u| oracle.contains(u))
+                .collect();
+            survivors.sort_unstable();
+            survivors.dedup();
+            let mut oracle_by_range = vec![Vec::new(); bounds.len() - 1];
+            for u in survivors {
+                oracle_by_range[bounds[1..bounds.len() - 1].partition_point(|&c| c <= u.0)].push(u);
+            }
 
             for threads in [1usize, 3, 8] {
-                let mut partitioned = base.clone();
-                prop_assert_eq!(
-                    partitioned.add_edges_bulk_partitioned(&edges, &cuts, threads),
-                    seq_added,
-                    "threads={}", threads
-                );
-                prop_assert_eq!(&partitioned, &sequential, "threads={}", threads);
+                let mut repaired = base.clone();
+                let (removed, added, by_range) =
+                    repaired.remove_nodes_with_clique_repair(&victims, &bounds, threads);
+                prop_assert_eq!(removed, neighborhoods.len(), "threads={}", threads);
+                prop_assert_eq!(added, oracle_added, "threads={}", threads);
+                prop_assert_eq!(&repaired, &oracle, "threads={}", threads);
+                prop_assert!(repaired.check_invariants().is_ok());
+                prop_assert_eq!(&by_range, &oracle_by_range, "threads={}", threads);
             }
         }
 

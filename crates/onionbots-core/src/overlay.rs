@@ -140,13 +140,14 @@ impl DdsrOverlay {
     }
 
     /// Removes a whole takedown wave — the overlay's one wave API. All
-    /// victims go down first; then the repair edges among each victim's
-    /// surviving former neighbors go through one
-    /// [shard-partitioned](crate::shard) bulk insertion; then a single prune
-    /// pass plans per owning shard against frozen degrees, reconciled
-    /// sequentially in ascending shard order. Returns the number of nodes
-    /// actually removed. The caller's RNG advances by exactly one draw, and
-    /// the output is byte-identical at any worker-thread count.
+    /// victims go down first; then each affected survivor's neighbor list is
+    /// rebuilt once, in place and [shard-partitioned](crate::shard), so that
+    /// every pair of a victim's surviving former neighbors is adjacent;
+    /// then a single prune pass plans per owning shard against frozen
+    /// degrees, reconciled sequentially in ascending shard order. Returns
+    /// the number of nodes actually removed. The caller's RNG advances by
+    /// exactly one draw, and the output is byte-identical at any
+    /// worker-thread count.
     ///
     /// This models a coordinated takedown (*Master of Puppets*-style
     /// campaigns, the `scale` scenario's churn waves) and does `O(wave)`

@@ -43,11 +43,12 @@
 //! assembles the per-shard blocks in ascending shard order, and then
 //! stitches shards together with degree-preserving edge swaps from a
 //! dedicated merge stream — the assembled overlay is still exactly
-//! `k`-regular. Wave repair partitions the coalesced repair-edge
-//! insertions by owning shard (through
-//! [`Graph::add_edges_bulk_partitioned`]) and the prune pass by owning
-//! shard against frozen degrees, with the actual cross-shard edge
-//! removals replayed sequentially in ascending shard/id order.
+//! `k`-regular. Wave repair rebuilds each affected survivor's neighbor
+//! list once, in place, partitioned by owning shard (through
+//! [`Graph::remove_nodes_with_clique_repair`]), and partitions the prune
+//! pass by owning shard against frozen degrees, with the actual
+//! cross-shard edge removals replayed sequentially in ascending shard/id
+//! order.
 
 use onion_graph::budget::thread_budget;
 use onion_graph::generators::random_regular;
@@ -151,7 +152,7 @@ impl ShardGrid {
 
     /// The ascending range cut points (`shards() + 1` entries, first `0`,
     /// last `n`) — the partition handed to
-    /// [`Graph::add_edges_bulk_partitioned`].
+    /// [`Graph::remove_nodes_with_clique_repair`].
     pub fn bounds(&self) -> &[usize] {
         &self.bounds
     }
@@ -174,8 +175,8 @@ impl ShardGrid {
 
 /// Splits one drawn base value into the seed of shard `s`'s stream —
 /// SplitMix64-style finalization over `(base, s)`, the same mixing
-/// discipline [`part_seed`](sim-crate) uses to split part streams from
-/// the base seed. Shard index `shards()` (one past the last shard) is
+/// discipline `sim::scenario_api::part_seed` uses to split part streams
+/// from the base seed. Shard index `shards()` (one past the last shard) is
 /// reserved for the construction merge stream.
 pub fn shard_stream_seed(base: u64, shard: usize) -> u64 {
     let mut z = base ^ (shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -350,7 +351,7 @@ fn try_swap(graph: &mut Graph, u: NodeId, v: NodeId, rng: &mut StdRng) -> bool {
 pub struct WaveOutcome {
     /// Victims actually removed (present before the wave).
     pub removed: usize,
-    /// Repair edges inserted by the partitioned bulk pass.
+    /// Repair edges added by the in-place repair.
     pub edges_added: u64,
     /// Edges dropped by the reconciled prune pass.
     pub edges_pruned: u64,
@@ -362,19 +363,18 @@ pub struct WaveOutcome {
 /// pruned once; with pruning off and no two victims adjacent, the result
 /// equals sequential
 /// [`remove_node_with_repair`](crate::overlay::DdsrOverlay::remove_node_with_repair)
-/// calls. Four phases:
+/// calls. Three phases:
 ///
-/// 1. **Takedown** (sequential): victims are removed and their former
-///    neighborhoods collected.
-/// 2. **Coalesced repair** (parallel by shard): every pair of a victim's
-///    surviving former neighbors becomes a candidate edge; the whole
-///    wave's candidates go through one
-///    [`Graph::add_edges_bulk_partitioned`] call — per-shard half-edge
-///    insertion with one deferred sort per touched list.
-/// 3. **Prune planning** (parallel by shard): affected survivors are
-///    partitioned by owning shard; each shard walks its nodes in
-///    ascending id order with its own stream split from the wave base via
-///    [`shard_stream_seed`], choosing victims with
+/// 1. **In-place repair** (parallel by shard): one
+///    [`Graph::remove_nodes_with_clique_repair`] call takes the victims'
+///    lists out of the slab (sequential), then each shard rebuilds every
+///    affected survivor it owns once — its old list minus the victims,
+///    joined with each adjacent victim's former list — so every pair of a
+///    victim's surviving former neighbors ends up adjacent. It returns
+///    each shard's affected survivors in ascending order.
+/// 2. **Prune planning** (parallel by shard): each shard walks its
+///    affected survivors in ascending id order with its own stream split
+///    from the wave base via [`shard_stream_seed`], choosing victims with
 ///    `maintenance::prune_victims` against **frozen** post-repair degrees
 ///    (the graph is read-only during this phase). Highest-degree
 ///    selection already spares neighbors at or below `d_min` while
@@ -383,7 +383,7 @@ pub struct WaveOutcome {
 ///    degree another survivor sees — a documented divergence that keeps
 ///    shards independent; each node still sheds enough edges on its own
 ///    to return to `d_max`.
-/// 4. **Reconciliation** (sequential): planned removals are applied in
+/// 3. **Reconciliation** (sequential): planned removals are applied in
 ///    ascending shard-then-id order; a drop both endpoints planned is
 ///    applied (and counted) once.
 ///
@@ -398,53 +398,16 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> WaveOutcome {
     let wave_base = rng.next_u64(); // the ONE draw on the caller's stream
-    let mut outcome = WaveOutcome::default();
-
-    // Phase 1: takedown.
-    let mut neighborhoods: Vec<Vec<NodeId>> = Vec::with_capacity(victims.len());
-    for &v in victims {
-        if let Some(former) = graph.remove_node(v) {
-            outcome.removed += 1;
-            neighborhoods.push(former);
-        }
-    }
-
-    // Phase 2: coalesced repair. Candidate generation is sequential and
-    // cheap (the insertions were the hot path); liveness is checked here
-    // so the bulk pass sees only valid pairs, and the bulk pass dedupes
-    // against both the batch and the existing lists.
-    let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for former in &neighborhoods {
-        for i in 0..former.len() {
-            if !graph.contains(former[i]) {
-                continue;
-            }
-            for j in i + 1..former.len() {
-                if graph.contains(former[j]) {
-                    candidates.push((former[i], former[j]));
-                }
-            }
-        }
-    }
     let threads = thread_budget().clamp(1, MAX_SHARD_THREADS);
-    outcome.edges_added =
-        graph.add_edges_bulk_partitioned(&candidates, grid.bounds(), threads) as u64;
-
-    // Phases 3 and 4: pruning.
+    let (removed, edges_added, by_shard) =
+        graph.remove_nodes_with_clique_repair(victims, grid.bounds(), threads);
+    let mut outcome = WaveOutcome {
+        removed,
+        edges_added: edges_added as u64,
+        edges_pruned: 0,
+    };
     if config.pruning {
-        let mut affected: Vec<NodeId> = neighborhoods
-            .into_iter()
-            .flatten()
-            .filter(|&u| graph.contains(u))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        // Partition the (already ascending) survivors by owning shard.
-        let mut by_shard: Vec<Vec<NodeId>> = vec![Vec::new(); grid.shards()];
-        for u in affected {
-            by_shard[grid.owner(u)].push(u);
-        }
-        // Phase 3: plan drops per shard against the frozen graph.
+        // Phase 2: plan drops per shard against the frozen graph.
         let frozen: &Graph = graph;
         let planned = run_on_shards(grid.shards(), |s| {
             let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
@@ -455,7 +418,7 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
             }
             drops
         });
-        // Phase 4: apply in ascending shard order (plans within a shard
+        // Phase 3: apply in ascending shard order (plans within a shard
         // are already in ascending node order).
         for drops in planned.into_iter().flatten() {
             for (u, victim) in drops {

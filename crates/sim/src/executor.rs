@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -302,7 +303,8 @@ pub trait Executor: Send + Sync {
 ///
 /// One job (or at most one item) executes sequentially in submission
 /// order on the calling thread; otherwise `jobs` scoped threads drain a
-/// shared queue.
+/// shared queue. A part that panics fails the batch with an error naming
+/// it.
 pub struct LocalExecutor {
     scenarios: Vec<Arc<dyn Scenario>>,
     jobs: usize,
@@ -327,6 +329,26 @@ impl LocalExecutor {
             ExecutorError::new(format!("scenario '{id}' is not known to this executor"))
         })
     }
+}
+
+/// Runs one item on the calling thread and turns a panicking part (an
+/// infeasible `--set` override, say) into an error naming the part, so
+/// the run fails cleanly instead of unwinding through its caller — a
+/// daemon would otherwise lose the job's row and its admission slot.
+fn run_caught(scenario: &dyn Scenario, item: &WorkItem) -> Result<PartResult, ExecutorError> {
+    std::panic::catch_unwind(AssertUnwindSafe(|| run_work_item(scenario, item)))
+        .map(|reports| PartResult::ok(item, reports))
+        .map_err(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|text| text.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "a non-text panic payload".to_string());
+            ExecutorError::new(format!(
+                "{}#{} panicked: {message}",
+                item.scenario_id, item.part
+            ))
+        })
 }
 
 impl Executor for LocalExecutor {
@@ -357,8 +379,7 @@ impl Executor for LocalExecutor {
                 let scenario = self.resolve(&item.scenario_id)?;
                 faults::hit_io(faults::points::LOCAL_ITEM).map_err(|e| injected(&item, e))?;
                 observer.item_started(&item);
-                let reports = run_work_item(&**scenario, &item);
-                let result = PartResult::ok(&item, reports);
+                let result = run_caught(&**scenario, &item)?;
                 observer.item_finished(&result);
                 results.push(result);
             }
@@ -385,16 +406,19 @@ impl Executor for LocalExecutor {
                     let Some((scenario, item)) = next else {
                         break;
                     };
-                    if let Err(e) = faults::hit_io(faults::points::LOCAL_ITEM) {
-                        fatal
-                            .lock()
-                            .expect("fatal lock")
-                            .get_or_insert(injected(&item, e));
-                        break;
-                    }
-                    observer.item_started(&item);
-                    let reports = run_work_item(&*scenario, &item);
-                    let result = PartResult::ok(&item, reports);
+                    let outcome = faults::hit_io(faults::points::LOCAL_ITEM)
+                        .map_err(|e| injected(&item, e))
+                        .and_then(|()| {
+                            observer.item_started(&item);
+                            run_caught(&*scenario, &item)
+                        });
+                    let result = match outcome {
+                        Ok(result) => result,
+                        Err(error) => {
+                            fatal.lock().expect("fatal lock").get_or_insert(error);
+                            break;
+                        }
+                    };
                     observer.item_finished(&result);
                     results.lock().expect("results lock").push(result);
                 });

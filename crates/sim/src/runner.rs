@@ -929,6 +929,45 @@ mod tests {
         assert_eq!(error.to_string(), "backend exploded");
     }
 
+    #[test]
+    fn a_panicking_part_fails_a_local_run_with_an_error_naming_it() {
+        struct Infeasible;
+        impl Scenario for Infeasible {
+            fn id(&self) -> &str {
+                "infeasible"
+            }
+            fn title(&self) -> &str {
+                "part 1 panics"
+            }
+            fn parts(&self, _params: &ScenarioParams) -> usize {
+                3
+            }
+            fn run_part(
+                &self,
+                part: usize,
+                params: &ScenarioParams,
+                rng: &mut StdRng,
+            ) -> Vec<ExperimentReport> {
+                if part == 1 {
+                    panic!("part {part} has no feasible grid");
+                }
+                Skewed { id: "s", parts: 3 }.run_part(part, params, rng)
+            }
+        }
+        let all: Vec<Arc<dyn Scenario>> = vec![Arc::new(Infeasible)];
+        for jobs in [1usize, 2] {
+            let error = Runner::new(ScenarioParams::with_seed(1))
+                .jobs(jobs)
+                .try_run_observed(&all, &())
+                .unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                "infeasible#1 panicked: part 1 has no feasible grid",
+                "jobs={jobs}"
+            );
+        }
+    }
+
     fn temp_cache(tag: &str) -> (ResultCache, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "sim-runner-cache-{tag}-{}-{:?}",

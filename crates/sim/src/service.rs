@@ -979,6 +979,7 @@ mod tests {
             rng: &mut StdRng,
         ) -> Vec<ExperimentReport> {
             let offset = params.override_f64("offset", 0.0);
+            assert!(offset >= 0.0, "offset must not be negative");
             let mut r = ExperimentReport::new(self.id, "toy", "part", "value");
             r.push_series(Series::new(
                 "trace",
@@ -1354,6 +1355,31 @@ mod tests {
         service.table.lock().unwrap()[0].state = JobState::Done;
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
         let (_, _, _) = done_frame(&events);
+    }
+
+    #[test]
+    fn a_panicking_job_is_rowed_failed_and_frees_its_slot() {
+        let service = Service::new(
+            registry(),
+            ServiceConfig {
+                max_active_jobs: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let infeasible = JobSpec {
+            overrides: Some([("offset".to_string(), "-1".to_string())].into()),
+            ..spec_with_seed(5)
+        };
+        let events = roundtrip(&service, &[submit_frame(&infeasible)]);
+        let message = accepted_then_failed(&service, &events);
+        assert!(
+            message.contains("panicked: offset must not be negative"),
+            "{message}"
+        );
+        // The failed job holds no slot: the next submission runs.
+        let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
+        let (job, _, _) = done_frame(&events);
+        assert_eq!(service.jobs_snapshot(Some(job))[0].state, JobState::Done);
     }
 
     #[test]
