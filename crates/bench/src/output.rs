@@ -7,8 +7,8 @@
 //! rendering layer cannot drift between the two paths.
 
 use std::io::Write as _;
+use std::path::Path;
 
-use sim::experiment::{CsvDirSink, JsonDirSink, ReportSink, TableSink};
 use sim::RunSummary;
 
 /// How reports are rendered to stdout.
@@ -39,8 +39,10 @@ impl Format {
 }
 
 /// Renders a summary to stdout in `format` and, with `out` set, writes
-/// per-report `.json`/`.csv` files plus `summary.json` under that
-/// directory — exactly what the one-shot CLI has always produced.
+/// `<out>/<scenario id>/<report id>.json` and `.csv` per report plus
+/// `summary.json` — exactly what the one-shot CLI has always produced.
+/// Namespacing the report files by scenario keeps two scenarios that
+/// reuse a report id from overwriting each other's files.
 ///
 /// # Errors
 /// Returns a human-readable message when the output directory or a file
@@ -50,45 +52,45 @@ pub fn render_summary(
     format: Format,
     out: Option<&str>,
 ) -> Result<(), String> {
-    let mut sinks: Vec<Box<dyn ReportSink>> = Vec::new();
-    if format == Format::Table {
-        sinks.push(Box::new(TableSink::new(std::io::stdout())));
-    }
     if let Some(dir) = out {
-        match (JsonDirSink::new(dir), CsvDirSink::new(dir)) {
-            (Ok(json), Ok(csv)) => {
-                sinks.push(Box::new(json));
-                sinks.push(Box::new(csv));
-            }
-            (Err(error), _) | (_, Err(error)) => {
-                return Err(format!("cannot create output directory {dir}: {error}"));
-            }
-        }
+        std::fs::create_dir_all(dir)
+            .map_err(|error| format!("cannot create output directory {dir}: {error}"))?;
     }
     let mut stdout = std::io::stdout();
     for outcome in &summary.outcomes {
         for report in &outcome.reports {
-            match format {
+            let written = match format {
+                Format::Table => writeln!(stdout, "{}", report.to_table()),
                 Format::Csv => {
                     let _ = writeln!(stdout, "# {}\n{}", report.id, report.to_csv());
+                    Ok(())
                 }
                 Format::Json => {
                     let _ = writeln!(stdout, "{}", report.to_json());
+                    Ok(())
                 }
-                Format::Table => {}
-            }
-            for sink in &mut sinks {
-                sink.write_report(&outcome.scenario_id, report)
-                    .map_err(|error| format!("writing report {}: {error}", report.id))?;
-            }
+            };
+            written
+                .and_then(|()| match out {
+                    Some(dir) => {
+                        let scenario_dir = Path::new(dir).join(&outcome.scenario_id);
+                        std::fs::create_dir_all(&scenario_dir)?;
+                        let file = |ext: &str| scenario_dir.join(format!("{}.{ext}", report.id));
+                        std::fs::write(file("json"), report.to_json())?;
+                        std::fs::write(file("csv"), report.to_csv())
+                    }
+                    None => Ok(()),
+                })
+                .map_err(|error| format!("writing report {}: {error}", report.id))?;
         }
     }
-    for sink in &mut sinks {
-        sink.finish()
+    if format == Format::Table {
+        stdout
+            .flush()
             .map_err(|error| format!("flushing output: {error}"))?;
     }
     if let Some(dir) = out {
-        let path = std::path::Path::new(dir).join("summary.json");
+        let path = Path::new(dir).join("summary.json");
         std::fs::write(&path, summary.to_json())
             .map_err(|error| format!("writing {}: {error}", path.display()))?;
     }
@@ -114,10 +116,11 @@ mod tests {
         use sim::Runner;
         use std::sync::Arc;
 
-        struct Tiny;
+        /// Every instance emits a report with the same id, `tiny`.
+        struct Tiny(&'static str);
         impl Scenario for Tiny {
             fn id(&self) -> &str {
-                "tiny"
+                self.0
             }
             fn title(&self) -> &str {
                 "tiny"
@@ -128,13 +131,14 @@ mod tests {
                 _params: &ScenarioParams,
                 _rng: &mut rand::rngs::StdRng,
             ) -> Vec<sim::ExperimentReport> {
-                let mut r = sim::ExperimentReport::new("tiny", "tiny", "x", "y");
+                let mut r = sim::ExperimentReport::new("tiny", self.0, "x", "y");
                 r.push_series(sim::Series::new("s", vec![0.0], vec![1.0]));
                 vec![r]
             }
         }
 
-        let scenarios: Vec<Arc<dyn Scenario>> = vec![Arc::new(Tiny)];
+        let scenarios: Vec<Arc<dyn Scenario>> =
+            vec![Arc::new(Tiny("tiny")), Arc::new(Tiny("other"))];
         let (summary, _) = Runner::new(ScenarioParams::with_seed(1))
             .try_run_observed(&scenarios, &())
             .unwrap();
@@ -147,8 +151,15 @@ mod tests {
         render_summary(&summary, Format::Json, Some(dir.to_str().unwrap())).unwrap();
         let written = std::fs::read_to_string(dir.join("summary.json")).unwrap();
         assert_eq!(written, summary.to_json());
-        assert!(dir.join("tiny/tiny.json").exists());
-        assert!(dir.join("tiny/tiny.csv").exists());
+        // Each scenario's report lands under its own directory, so the
+        // shared report id does not clobber the first scenario's files.
+        for outcome in &summary.outcomes {
+            let report = &outcome.reports[0];
+            let stem = dir.join(&outcome.scenario_id).join("tiny");
+            let read = |ext: &str| std::fs::read_to_string(stem.with_extension(ext)).unwrap();
+            assert_eq!(read("json"), report.to_json());
+            assert_eq!(read("csv"), report.to_csv());
+        }
         // An unusable directory degrades to an error message, not a panic.
         let blocked = dir.join("summary.json"); // a file, not a directory
         let error =

@@ -2,8 +2,8 @@
 //! `run_experiments --out DIR` writes to `DIR/summary.json`) for pinned
 //! runs, committed as constants. The quick-registry digest is checked
 //! through every front end: the `Runner` itself, the built one-shot
-//! binary on the local and process backends, and a simulation-service
-//! job.
+//! binary on the local (one and two jobs), process and remote backends,
+//! and a simulation-service job.
 //!
 //! Every performance change to a hot path promises "byte-identical for a
 //! fixed seed"; these tests turn that promise into a tier-1 check. A
@@ -22,7 +22,8 @@
 //!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
 //! ```
 
-use std::process::{Command, Stdio};
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
 use onion_crypto::sha256::Sha256;
 use onionbots_bench::scenarios;
@@ -71,24 +72,78 @@ fn quick_registry_summary_matches_its_golden_digest() {
     assert_eq!(sha256_hex(&summary.to_json()), QUICK_REGISTRY);
 }
 
+/// A `serve-worker` host subprocess on an ephemeral loopback port;
+/// killed (and reaped) on drop so a failing test never leaks it.
+struct WorkerHost {
+    child: Child,
+    addr: String,
+}
+
+impl WorkerHost {
+    fn spawn() -> WorkerHost {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+            .args(["serve-worker", "--listen", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn serve-worker");
+        let mut addr = String::new();
+        BufReader::new(child.stdout.take().expect("piped stdout"))
+            .read_line(&mut addr)
+            .expect("read bound address");
+        let addr = addr.trim().to_string();
+        assert!(!addr.is_empty(), "serve-worker printed no bound address");
+        WorkerHost { child, addr }
+    }
+}
+
+impl Drop for WorkerHost {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 #[test]
 fn quick_registry_digest_holds_through_the_one_shot_binary() {
-    for backend in ["local", "process"] {
+    // One host listed twice: two channels to the same host.
+    let host = WorkerHost::spawn();
+    let runs: [(&str, Vec<&str>); 4] = [
+        ("local-jobs-2", vec!["--jobs", "2", "--backend", "local"]),
+        ("local-jobs-1", vec!["--jobs", "1", "--backend", "local"]),
+        (
+            "process-jobs-2",
+            vec!["--jobs", "2", "--backend", "process"],
+        ),
+        (
+            "remote",
+            vec![
+                "--backend",
+                "remote",
+                "--worker",
+                &host.addr,
+                "--worker",
+                &host.addr,
+            ],
+        ),
+    ];
+    for (label, args) in runs {
         let out =
-            std::env::temp_dir().join(format!("golden-digests-{backend}-{}", std::process::id()));
+            std::env::temp_dir().join(format!("golden-digests-{label}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&out);
         let status = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-            .args(["--jobs", "2", "--seed", "2015", "--no-cache"])
-            .args(["--backend", backend, "--out"])
+            .args(["--seed", "2015", "--no-cache"])
+            .args(&args)
+            .arg("--out")
             .arg(&out)
             .stdout(Stdio::null())
             .stderr(Stdio::null())
             .status()
             .unwrap();
-        assert!(status.success(), "--backend {backend}: {status}");
+        assert!(status.success(), "{label}: {status}");
         let summary = std::fs::read_to_string(out.join("summary.json")).unwrap();
         let _ = std::fs::remove_dir_all(&out);
-        assert_eq!(sha256_hex(&summary), QUICK_REGISTRY, "--backend {backend}");
+        assert_eq!(sha256_hex(&summary), QUICK_REGISTRY, "{label}");
     }
 }
 

@@ -51,8 +51,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use crate::executor::{ExecutionObserver, Executor, ExecutorError, PartResult, WorkItem};
+use crate::executor::{Executor, ExecutorError, PartResult, WorkItem};
 use crate::faults;
+use crate::runner::{PartEvent, PartState, RunObserver};
 use crate::wire::{
     write_frame, DispatchFrame, Duplex, Frame, FrameReader, WorkerFrame, PROTOCOL_VERSION,
 };
@@ -385,7 +386,7 @@ struct DispatchQueue {
 ///
 /// A slot whose first channel cannot be opened, or whose peer rejects the
 /// handshake (version skew), fails the run immediately. On cancel
-/// ([`ExecutionObserver::cancelled`]) each dispatcher thread stops taking
+/// ([`RunObserver::cancelled`]) each dispatcher thread stops taking
 /// items, lets its in-flight item finish and closes its channel.
 ///
 /// [`Backend::Process`]: crate::runner::Backend::Process
@@ -425,14 +426,10 @@ impl Dispatcher {
 }
 
 impl Executor for Dispatcher {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
-        observer: &dyn ExecutionObserver,
+        observer: &dyn RunObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
         dispatch(&self.peers, items, observer, self.deadline_ms)
     }
@@ -443,7 +440,7 @@ impl Executor for Dispatcher {
 fn dispatch<E: Endpoint>(
     endpoints: &[E],
     items: Vec<WorkItem>,
-    observer: &dyn ExecutionObserver,
+    observer: &dyn RunObserver,
     deadline_ms: u64,
 ) -> Result<Vec<PartResult>, ExecutorError> {
     if items.is_empty() {
@@ -568,7 +565,7 @@ fn dispatch<E: Endpoint>(
                         }
                     }
                     let active = channel.as_mut().expect("channel just ensured");
-                    observer.item_started(&item);
+                    observer.part_event(PartEvent::for_item(&item, PartState::Started));
                     match active.round_trip(&item) {
                         Ok(result) => {
                             if let Some(error) = &result.error {
@@ -596,7 +593,7 @@ fn dispatch<E: Endpoint>(
                                 .expect("merged lock")
                                 .insert(result.fingerprint.clone());
                             if first_landing {
-                                observer.item_finished(&result);
+                                observer.part_event(PartEvent::for_result(&result));
                                 results.lock().expect("results lock").push(result);
                             } else {
                                 eprintln!(
@@ -865,13 +862,14 @@ mod tests {
         cancelled: AtomicBool,
     }
 
-    impl ExecutionObserver for Recorder {
-        fn item_started(&self, _item: &WorkItem) {
-            self.started.fetch_add(1, Ordering::SeqCst);
-        }
-        fn item_finished(&self, result: &PartResult) {
+    impl RunObserver for Recorder {
+        fn part_event(&self, event: PartEvent) {
+            if event.state == PartState::Started {
+                self.started.fetch_add(1, Ordering::SeqCst);
+                return;
+            }
             let mut finished = self.finished.lock().unwrap();
-            finished.push(result.part);
+            finished.push(event.part);
             if Some(finished.len()) == self.cancel_after {
                 self.cancelled.store(true, Ordering::SeqCst);
             }
@@ -948,10 +946,12 @@ mod tests {
             answer: answer.clone(),
         };
         struct OpenGate(Arc<(Mutex<bool>, Condvar)>);
-        impl ExecutionObserver for OpenGate {
-            fn item_finished(&self, _result: &PartResult) {
-                *self.0 .0.lock().unwrap() = true;
-                self.0 .1.notify_all();
+        impl RunObserver for OpenGate {
+            fn part_event(&self, event: PartEvent) {
+                if event.state == PartState::Finished {
+                    *self.0 .0.lock().unwrap() = true;
+                    self.0 .1.notify_all();
+                }
             }
         }
         let batch = items(2);

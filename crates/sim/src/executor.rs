@@ -13,9 +13,9 @@
 //! Two backends implement the [`Executor`] trait:
 //!
 //! * [`LocalExecutor`] — the in-process `std::thread` fan-out the
-//!   `Runner` used to hard-wire, extracted with its behavior pinned:
-//!   sequential in-order execution for one job or one item, a shared
-//!   work queue drained by `jobs` scoped threads otherwise.
+//!   `Runner` used to hard-wire: one drain loop over a shared work
+//!   queue, run on the calling thread plus `jobs − 1` scoped threads
+//!   (so one job runs its items in order on the calling thread).
 //! * [`Dispatcher`](crate::dispatch::Dispatcher) — the out-of-process
 //!   backend: worker subprocesses or TCP worker hosts, both driven
 //!   through one channel state machine speaking the [`crate::wire`]
@@ -27,7 +27,6 @@
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::io;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
@@ -38,6 +37,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::PartFingerprint;
 use crate::experiment::ExperimentReport;
 use crate::faults;
+use crate::runner::{PartEvent, PartState, RunObserver};
 use crate::scenario_api::{part_seed, Scenario, ScenarioParams};
 
 /// One self-contained unit of executable work: a single part of a single
@@ -218,43 +218,6 @@ impl std::fmt::Display for ExecutorError {
 
 impl std::error::Error for ExecutorError {}
 
-/// Live notifications emitted while a backend executes a batch, so a
-/// caller (the simulation service daemon, a progress UI) can stream
-/// per-item lifecycle events instead of waiting for the whole batch.
-///
-/// Events are **informational**: they are emitted from worker threads in
-/// completion order, before the `Runner`'s validation pass, and a retried
-/// item (e.g. after a worker death) emits `item_started` again without an
-/// intervening `item_finished`. The batch's returned `Vec<PartResult>`
-/// stays the single source of truth.
-///
-/// The observer also carries the one control signal a batch accepts:
-/// [`cancelled`](Self::cancelled). The built-in backends poll it each
-/// time they are about to take the next item off their queue; once it
-/// reads `true` they take no further items, let in-flight items finish,
-/// close their worker channels and return the results they have.
-pub trait ExecutionObserver: Sync {
-    /// An item is about to execute (again, if it was re-queued).
-    fn item_started(&self, item: &WorkItem) {
-        let _ = item;
-    }
-
-    /// An item's result landed (successful or carrying a per-item error).
-    fn item_finished(&self, result: &PartResult) {
-        let _ = result;
-    }
-
-    /// Whether the caller wants the batch stopped at the next item
-    /// boundary. Returning fewer results than items is then expected,
-    /// not a failure: the caller knows it asked for the stop.
-    fn cancelled(&self) -> bool {
-        false
-    }
-}
-
-/// The no-op observer: `execute` is `execute_observed` with `&()`.
-impl ExecutionObserver for () {}
-
 /// A pluggable execution backend.
 ///
 /// `execute` consumes a batch of [`WorkItem`]s and returns one successful
@@ -262,49 +225,34 @@ impl ExecutionObserver for () {}
 /// by `(scenario, part)`; nothing about the output order is guaranteed).
 /// Backends retry transient failures themselves; an `Err` means the batch
 /// could not be completed and the run must fail.
+///
+/// While it runs, a backend reports a `Started` [`PartEvent`] as each
+/// item begins (again, if it was re-queued) and a `Finished` or `Error`
+/// event as each result lands. Events come from worker threads in
+/// completion order and are informational: the returned results stay the
+/// single source of truth. A backend polls
+/// [`RunObserver::cancelled`] each time it is about to take the next
+/// item; once it reads `true` it takes no further items, lets in-flight
+/// items finish and returns the results it has. Returning fewer results
+/// than items is then expected, not a failure: the caller asked for the
+/// stop.
 pub trait Executor: Send + Sync {
     /// Executes every item, returning their results in completion order.
     ///
     /// # Errors
     /// Returns an [`ExecutorError`] when any item cannot be executed
     /// (unknown scenario, worker that keeps dying, ...).
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError>;
-
-    /// Like [`execute`](Self::execute), additionally streaming per-item
-    /// lifecycle events to `observer` as items start and finish.
-    ///
-    /// The default implementation is the batch fallback for custom
-    /// executors that cannot observe their items mid-flight: it runs
-    /// [`execute`](Self::execute) and then reports every result as
-    /// finished. It never polls
-    /// [`ExecutionObserver::cancelled`], so a job on such an executor is
-    /// only cancellable before dispatch. The built-in backends override
-    /// it to emit events live from their worker threads and to stop at
-    /// the next item boundary on cancel; either way the returned results
-    /// are bit-identical to an unobserved `execute` call.
-    ///
-    /// # Errors
-    /// Returns an [`ExecutorError`] exactly like [`execute`](Self::execute).
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
-        observer: &dyn ExecutionObserver,
-    ) -> Result<Vec<PartResult>, ExecutorError> {
-        let results = self.execute(items)?;
-        for result in &results {
-            observer.item_finished(result);
-        }
-        Ok(results)
-    }
+        observer: &dyn RunObserver,
+    ) -> Result<Vec<PartResult>, ExecutorError>;
 }
 
-/// The in-process backend: the `std::thread` fan-out previously embedded
-/// in the `Runner`, extracted verbatim.
-///
-/// One job (or at most one item) executes sequentially in submission
-/// order on the calling thread; otherwise `jobs` scoped threads drain a
-/// shared queue. A part that panics fails the batch with an error naming
-/// it.
+/// The in-process backend: `jobs` workers drain a shared queue, the
+/// calling thread being one of them, so with one job (or one item) items
+/// run in submission order on the calling thread and no thread is
+/// spawned. A part that panics fails the batch with an error naming it.
 pub struct LocalExecutor {
     scenarios: Vec<Arc<dyn Scenario>>,
     jobs: usize,
@@ -352,42 +300,13 @@ fn run_caught(scenario: &dyn Scenario, item: &WorkItem) -> Result<PartResult, Ex
 }
 
 impl Executor for LocalExecutor {
-    fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-        self.execute_observed(items, &())
-    }
-
-    fn execute_observed(
+    fn execute(
         &self,
         items: Vec<WorkItem>,
-        observer: &dyn ExecutionObserver,
+        observer: &dyn RunObserver,
     ) -> Result<Vec<PartResult>, ExecutorError> {
-        // The failpoint turns into the same clean typed error on both
-        // paths: an injected fault fails the batch, never a single item
-        // silently.
-        let injected = |item: &WorkItem, e: io::Error| {
-            ExecutorError::new(format!(
-                "local executor failed on {}#{}: {e}",
-                item.scenario_id, item.part
-            ))
-        };
-        if self.jobs == 1 || items.len() <= 1 {
-            let mut results = Vec::with_capacity(items.len());
-            for item in items {
-                if observer.cancelled() {
-                    break;
-                }
-                let scenario = self.resolve(&item.scenario_id)?;
-                faults::hit_io(faults::points::LOCAL_ITEM).map_err(|e| injected(&item, e))?;
-                observer.item_started(&item);
-                let result = run_caught(&**scenario, &item)?;
-                observer.item_finished(&result);
-                results.push(result);
-            }
-            return Ok(results);
-        }
         // Resolve every id up front so an unknown scenario fails before
-        // any thread starts, then drain a shared queue exactly like the
-        // pre-extraction Runner did.
+        // any item runs.
         let resolved: Vec<(Arc<dyn Scenario>, WorkItem)> = items
             .into_iter()
             .map(|item| Ok((self.resolve(&item.scenario_id)?.clone(), item)))
@@ -396,33 +315,42 @@ impl Executor for LocalExecutor {
         let queue = Mutex::new(VecDeque::from(resolved));
         let results = Mutex::new(Vec::new());
         let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
-                        break;
-                    }
-                    let next = queue.lock().expect("queue lock").pop_front();
-                    let Some((scenario, item)) = next else {
-                        break;
-                    };
-                    let outcome = faults::hit_io(faults::points::LOCAL_ITEM)
-                        .map_err(|e| injected(&item, e))
-                        .and_then(|()| {
-                            observer.item_started(&item);
-                            run_caught(&*scenario, &item)
-                        });
-                    let result = match outcome {
-                        Ok(result) => result,
-                        Err(error) => {
-                            fatal.lock().expect("fatal lock").get_or_insert(error);
-                            break;
-                        }
-                    };
-                    observer.item_finished(&result);
-                    results.lock().expect("results lock").push(result);
-                });
+        let drain = || loop {
+            if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
+                break;
             }
+            let next = queue.lock().expect("queue lock").pop_front();
+            let Some((scenario, item)) = next else {
+                break;
+            };
+            // An injected fault fails the batch, never a single item
+            // silently.
+            let outcome = faults::hit_io(faults::points::LOCAL_ITEM)
+                .map_err(|e| {
+                    ExecutorError::new(format!(
+                        "local executor failed on {}#{}: {e}",
+                        item.scenario_id, item.part
+                    ))
+                })
+                .and_then(|()| {
+                    observer.part_event(PartEvent::for_item(&item, PartState::Started));
+                    run_caught(&*scenario, &item)
+                });
+            let result = match outcome {
+                Ok(result) => result,
+                Err(error) => {
+                    fatal.lock().expect("fatal lock").get_or_insert(error);
+                    break;
+                }
+            };
+            observer.part_event(PartEvent::for_result(&result));
+            results.lock().expect("results lock").push(result);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(drain);
+            }
+            drain();
         });
         if let Some(error) = fatal.into_inner().expect("fatal lock") {
             return Err(error);
@@ -686,11 +614,13 @@ mod tests {
             .into_iter()
             .map(|(_, item)| item)
             .collect();
-        let reference = LocalExecutor::new(toys()).execute(items.clone()).unwrap();
+        let reference = LocalExecutor::new(toys())
+            .execute(items.clone(), &())
+            .unwrap();
         for jobs in [2, 8] {
             let mut parallel = LocalExecutor::new(toys())
                 .jobs(jobs)
-                .execute(items.clone())
+                .execute(items.clone(), &())
                 .unwrap();
             parallel.sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
             let mut sorted_reference = reference.clone();
@@ -709,7 +639,9 @@ mod tests {
             keys: None,
         };
         let item = WorkItem::new(&stranger, 0, &params);
-        let error = LocalExecutor::new(toys()).execute(vec![item]).unwrap_err();
+        let error = LocalExecutor::new(toys())
+            .execute(vec![item], &())
+            .unwrap_err();
         assert!(error.to_string().contains("stranger"), "{error}");
     }
 
@@ -762,7 +694,7 @@ mod tests {
         let item = WorkItem::new(&scenario, 0, &params);
         let command = WorkerCommand::new("/nonexistent/onionbots-worker-binary");
         let error = Dispatcher::processes(command, 1)
-            .execute(vec![item])
+            .execute(vec![item], &())
             .unwrap_err();
         assert!(error.to_string().contains("cannot spawn worker"), "{error}");
     }

@@ -1,9 +1,8 @@
-//! Experiment series, reports, renderers and output sinks shared by the
-//! scenario registry and the `run_experiments` front ends.
+//! Experiment series and reports with their table, CSV and JSON
+//! renderers, shared by the scenario registry and the `run_experiments`
+//! front ends (which write the rendered reports to stdout and files).
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
@@ -220,116 +219,6 @@ impl ExperimentReport {
     }
 }
 
-/// A destination for finished reports, pluggable into the experiment
-/// runner's CLI (console table, CSV files, JSON files, ...).
-pub trait ReportSink {
-    /// Consumes one report from the named scenario.
-    ///
-    /// # Errors
-    /// Returns any I/O error from the underlying destination.
-    fn write_report(&mut self, scenario_id: &str, report: &ExperimentReport) -> io::Result<()>;
-
-    /// Flushes buffered state after the last report.
-    ///
-    /// # Errors
-    /// Returns any I/O error from the underlying destination.
-    fn finish(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Renders every report as an aligned text table to a writer.
-#[derive(Debug)]
-pub struct TableSink<W: io::Write> {
-    out: W,
-}
-
-impl<W: io::Write> TableSink<W> {
-    /// Creates a table sink over any writer (e.g. stdout).
-    pub fn new(out: W) -> Self {
-        TableSink { out }
-    }
-}
-
-impl<W: io::Write> ReportSink for TableSink<W> {
-    fn write_report(&mut self, _scenario_id: &str, report: &ExperimentReport) -> io::Result<()> {
-        writeln!(self.out, "{}", report.to_table())
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Resolves `<dir>/<scenario id>/<report id>.<ext>`, creating the
-/// scenario subdirectory. Namespacing by scenario keeps reports from two
-/// scenarios that happen to reuse a report id (easy with user-registered
-/// scenarios) from silently overwriting each other.
-fn report_path(
-    dir: &std::path::Path,
-    scenario_id: &str,
-    report_id: &str,
-    ext: &str,
-) -> io::Result<PathBuf> {
-    let scenario_dir = dir.join(scenario_id);
-    std::fs::create_dir_all(&scenario_dir)?;
-    Ok(scenario_dir.join(format!("{report_id}.{ext}")))
-}
-
-/// Writes `<dir>/<scenario id>/<report id>.csv` per report.
-#[derive(Debug)]
-pub struct CsvDirSink {
-    dir: PathBuf,
-}
-
-impl CsvDirSink {
-    /// Creates the sink, creating `dir` if needed.
-    ///
-    /// # Errors
-    /// Returns the error from `create_dir_all`.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(CsvDirSink { dir })
-    }
-}
-
-impl ReportSink for CsvDirSink {
-    fn write_report(&mut self, scenario_id: &str, report: &ExperimentReport) -> io::Result<()> {
-        std::fs::write(
-            report_path(&self.dir, scenario_id, &report.id, "csv")?,
-            report.to_csv(),
-        )
-    }
-}
-
-/// Writes `<dir>/<scenario id>/<report id>.json` per report.
-#[derive(Debug)]
-pub struct JsonDirSink {
-    dir: PathBuf,
-}
-
-impl JsonDirSink {
-    /// Creates the sink, creating `dir` if needed.
-    ///
-    /// # Errors
-    /// Returns the error from `create_dir_all`.
-    pub fn new(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(JsonDirSink { dir })
-    }
-}
-
-impl ReportSink for JsonDirSink {
-    fn write_report(&mut self, scenario_id: &str, report: &ExperimentReport) -> io::Result<()> {
-        std::fs::write(
-            report_path(&self.dir, scenario_id, &report.id, "json")?,
-            report.to_json(),
-        )
-    }
-}
-
 fn format_num(v: f64) -> String {
     if (v.fract()).abs() < 1e-9 && v.abs() < 1e12 {
         format!("{}", v as i64)
@@ -449,41 +338,6 @@ mod tests {
         assert!(table.ends_with("first note\nsecond note\n"));
         let restored: ExperimentReport = serde_json::from_str(&r.to_json()).unwrap();
         assert_eq!(restored, r);
-    }
-
-    #[test]
-    fn sinks_write_expected_files() {
-        let dir = std::env::temp_dir().join(format!("sim-sink-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let r = report();
-        let mut json_sink = JsonDirSink::new(&dir).unwrap();
-        json_sink.write_report("scenario", &r).unwrap();
-        json_sink.finish().unwrap();
-        let mut csv_sink = CsvDirSink::new(&dir).unwrap();
-        csv_sink.write_report("scenario", &r).unwrap();
-        let json = std::fs::read_to_string(dir.join("scenario/fig-test.json")).unwrap();
-        let restored: ExperimentReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored, r);
-        let csv = std::fs::read_to_string(dir.join("scenario/fig-test.csv")).unwrap();
-        assert_eq!(csv, r.to_csv());
-        // Same report id from a second scenario lands in its own
-        // subdirectory instead of clobbering the first scenario's file.
-        let mut other = report();
-        other.push_note("other scenario's variant");
-        let mut json_sink = JsonDirSink::new(&dir).unwrap();
-        json_sink.write_report("other", &other).unwrap();
-        assert!(dir.join("other/fig-test.json").exists());
-        assert_eq!(
-            std::fs::read_to_string(dir.join("scenario/fig-test.json")).unwrap(),
-            json,
-            "first scenario's report untouched"
-        );
-        let mut buf = Vec::new();
-        let mut table_sink = TableSink::new(&mut buf);
-        table_sink.write_report("scenario", &r).unwrap();
-        table_sink.finish().unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("Test figure"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -43,9 +43,9 @@
 //!   each part's reports under a SHA-256 fingerprint of *(scenario id,
 //!   part, seed, scale, overrides, format version)* so re-runs only
 //!   execute changed parts, with byte-identical summaries either way.
-//! * [`experiment`] — data series, CSV / table / JSON rendering and the
-//!   pluggable [`ReportSink`]s (console table, CSV directory, JSON
-//!   directory) used by the `run_experiments` binary in `crates/bench`.
+//! * [`experiment`] — data series and reports with their CSV / table /
+//!   JSON rendering, written out by the `run_experiments` binary in
+//!   `crates/bench`.
 //!
 //! ```
 //! use sim::scenario::{gradual_takedown, TakedownMode, TakedownParams};
@@ -82,7 +82,7 @@ pub mod wire;
 pub use cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache, CACHE_FORMAT_VERSION};
 pub use dispatch::{Dispatcher, WorkerCommand};
 pub use executor::{Executor, ExecutorError, LocalExecutor, PartResult, WorkItem};
-pub use experiment::{CsvDirSink, ExperimentReport, JsonDirSink, ReportSink, Series, TableSink};
+pub use experiment::{ExperimentReport, Series};
 pub use faults::FAULTS_ENV;
 pub use runner::{
     Backend, PartEvent, PartState, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,

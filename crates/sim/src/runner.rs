@@ -21,7 +21,6 @@
 //! ([`Backend::Custom`]). Workers report per-item status; the parent
 //! aggregates the [`CacheStats`] and prints the single stderr summary.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -29,8 +28,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
 use crate::dispatch::{Dispatcher, WorkerCommand, DEFAULT_ITEM_DEADLINE_MS};
 use crate::executor::{
-    index_by_id, plan_work_items, ExecutionObserver, Executor, ExecutorError, LocalExecutor,
-    PartResult, WorkItem,
+    index_by_id, plan_work_items, Executor, ExecutorError, LocalExecutor, PartResult, WorkItem,
 };
 use crate::experiment::ExperimentReport;
 use crate::scenario_api::{merge_reports, Scenario, ScenarioParams};
@@ -110,7 +108,7 @@ pub struct PartEvent {
 }
 
 impl PartEvent {
-    fn for_item(item: &WorkItem, state: PartState) -> Self {
+    pub(crate) fn for_item(item: &WorkItem, state: PartState) -> Self {
         PartEvent {
             scenario_id: item.scenario_id.clone(),
             part: item.part,
@@ -119,7 +117,7 @@ impl PartEvent {
         }
     }
 
-    fn for_result(result: &PartResult) -> Self {
+    pub(crate) fn for_result(result: &PartResult) -> Self {
         PartEvent {
             scenario_id: result.scenario_id.clone(),
             part: result.part,
@@ -134,7 +132,8 @@ impl PartEvent {
 
 /// Receives [`PartEvent`]s while a [`Runner`] executes — the streaming
 /// hook the simulation service daemon uses to forward per-part progress
-/// to its clients as results land.
+/// to its clients as results land — and carries the run's one control
+/// signal, [`cancelled`](Self::cancelled).
 ///
 /// Implementations must be `Sync`: events are delivered concurrently from
 /// the executing backend's worker threads. The no-op observer `&()` is
@@ -143,35 +142,19 @@ impl PartEvent {
 pub trait RunObserver: Sync {
     /// Called once per part lifecycle transition, in completion order.
     fn part_event(&self, event: PartEvent);
+
+    /// Whether the caller wants the run stopped at the next item
+    /// boundary. The runner checks it before dispatch and after the
+    /// backend returns; the backends poll it each time they are about to
+    /// take the next item (see [`Executor`]).
+    fn cancelled(&self) -> bool {
+        false
+    }
 }
 
 /// The no-op observer, for callers that need no progress events.
 impl RunObserver for () {
     fn part_event(&self, _event: PartEvent) {}
-}
-
-/// Adapts a [`RunObserver`] to the executor-level observer so backends
-/// can stream `Started`/`Finished`/`Error` transitions live, and answers
-/// the backends' cancel polls from the runner's cancel token.
-struct ForwardToRun<'a> {
-    observer: &'a dyn RunObserver,
-    cancel: Option<&'a AtomicBool>,
-}
-
-impl ExecutionObserver for ForwardToRun<'_> {
-    fn item_started(&self, item: &WorkItem) {
-        self.observer
-            .part_event(PartEvent::for_item(item, PartState::Started));
-    }
-
-    fn item_finished(&self, result: &PartResult) {
-        self.observer.part_event(PartEvent::for_result(result));
-    }
-
-    fn cancelled(&self) -> bool {
-        self.cancel
-            .is_some_and(|token| token.load(Ordering::SeqCst))
-    }
 }
 
 /// Which execution backend a [`Runner`] dispatches its work items to.
@@ -257,7 +240,6 @@ pub struct Runner {
     refresh: bool,
     backend: Backend,
     threads_per_item: ThreadsPerItem,
-    cancel: Option<Arc<AtomicBool>>,
     item_deadline_ms: u64,
 }
 
@@ -271,7 +253,6 @@ impl Runner {
             refresh: false,
             backend: Backend::Local,
             threads_per_item: ThreadsPerItem::default(),
-            cancel: None,
             item_deadline_ms: DEFAULT_ITEM_DEADLINE_MS,
         }
     }
@@ -315,23 +296,6 @@ impl Runner {
         self
     }
 
-    /// Attaches a cooperative cancellation token. The run still goes to
-    /// one executor as one batch; the backend polls the token (through
-    /// [`ExecutionObserver::cancelled`]) each time it is about to take
-    /// the next item. Once it reads `true`, no further item starts,
-    /// in-flight items finish, and the run fails with a "job cancelled"
-    /// [`ExecutorError`]. Because fresh results are only written back
-    /// after the *whole* dispatch succeeds, a cancelled run never leaves
-    /// partial state in the cache — the next run simply recomputes. A
-    /// cancel raised after the last item was taken loses the race and
-    /// the run completes normally. A [`Backend::Custom`] executor that
-    /// keeps the default [`Executor::execute_observed`] never polls the
-    /// token, so its runs are only cancellable before dispatch.
-    pub fn cancel_token(mut self, token: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Overrides the per-item reply deadline (milliseconds) of the
     /// out-of-process backends, [`Backend::Process`] and
     /// [`Backend::Remote`]; see [`Dispatcher::deadline_millis`]. Has no
@@ -357,6 +321,13 @@ impl Runner {
     /// are also reported on stderr — by this parent process only, never by
     /// a worker — as are store failures: a cache that stops being writable
     /// mid-run degrades to a warning, never a failed run.
+    ///
+    /// Once [`RunObserver::cancelled`] reads `true`, no further item
+    /// starts, in-flight items finish, and the run fails with a "job
+    /// cancelled" [`ExecutorError`]. Because fresh results are only
+    /// written back after the *whole* dispatch succeeds, a cancelled run
+    /// never leaves partial state in the cache. A cancel raised after the
+    /// last item was taken loses the race and the run completes normally.
     ///
     /// # Errors
     /// Returns the [`ExecutorError`] when the backend cannot complete the
@@ -526,11 +497,10 @@ impl Runner {
 
     /// Hands the pending items to the configured backend as one batch,
     /// stamping the resolved per-item thread budget onto every item first
-    /// (and, for worker subprocesses, into their environment). A
-    /// [`cancel_token`](Self::cancel_token) set before dispatch fails the
-    /// run without starting the backend; one set mid-run stops the
-    /// backend at its next item boundary, and the run fails if that left
-    /// items without a result.
+    /// (and, for worker subprocesses, into their environment). A cancel
+    /// raised before dispatch fails the run without starting the backend;
+    /// one raised mid-run stops the backend at its next item boundary,
+    /// and the run fails if that left items without a result.
     fn dispatch(
         &self,
         scenarios: &[Arc<dyn Scenario>],
@@ -546,11 +516,7 @@ impl Runner {
                 "job cancelled with {remaining} of {total} item(s) still pending"
             ))
         };
-        let forward = ForwardToRun {
-            observer,
-            cancel: self.cancel.as_deref(),
-        };
-        if forward.cancelled() {
+        if observer.cancelled() {
             return Err(cancelled(total));
         }
         let threads = self.threads_per_item.resolve(self.jobs, total);
@@ -560,7 +526,7 @@ impl Runner {
         let executed = match &self.backend {
             Backend::Local => LocalExecutor::new(scenarios.to_vec())
                 .jobs(self.jobs)
-                .execute_observed(pending, &forward),
+                .execute(pending, observer),
             Backend::Process(command) => {
                 // Belt and braces: the hint travels inside each work item
                 // (run_work_item scopes it), and the environment carries
@@ -571,14 +537,14 @@ impl Runner {
                     .env(onion_graph::budget::THREADS_ENV, threads.to_string());
                 Dispatcher::processes(command, self.jobs)
                     .deadline_millis(self.item_deadline_ms)
-                    .execute_observed(pending, &forward)
+                    .execute(pending, observer)
             }
             Backend::Remote(workers) => Dispatcher::hosts(workers.clone())
                 .deadline_millis(self.item_deadline_ms)
-                .execute_observed(pending, &forward),
-            Backend::Custom(executor) => executor.execute_observed(pending, &forward),
+                .execute(pending, observer),
+            Backend::Custom(executor) => executor.execute(pending, observer),
         }?;
-        if forward.cancelled() && executed.len() < total {
+        if observer.cancelled() && executed.len() < total {
             return Err(cancelled(total - executed.len()));
         }
         Ok(executed)
@@ -591,6 +557,7 @@ mod tests {
     use crate::experiment::Series;
     use rand::rngs::StdRng;
     use rand::Rng;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A scenario with configurable part count and artificial skew so
     /// parallel completion order differs from part order.
@@ -705,7 +672,11 @@ mod tests {
         }
 
         impl Executor for Recording {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                _observer: &dyn RunObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 *self.seen.lock().unwrap() += items.len();
                 Ok(items
                     .into_iter()
@@ -751,7 +722,11 @@ mod tests {
         }
 
         impl Executor for RecordingThreads {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                items: Vec<WorkItem>,
+                _observer: &dyn RunObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 let mut hints = self.hints.lock().unwrap();
                 Ok(items
                     .into_iter()
@@ -847,7 +822,11 @@ mod tests {
         }
 
         impl Executor for Lossy {
-            fn execute(&self, mut items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                mut items: Vec<WorkItem>,
+                _observer: &dyn RunObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 match self.mode {
                     Misbehavior::FailFirst => {
                         let first = items.remove(0);
@@ -918,7 +897,11 @@ mod tests {
     fn failing_backend_surfaces_as_an_error_not_a_hang() {
         struct Broken;
         impl Executor for Broken {
-            fn execute(&self, _items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+            fn execute(
+                &self,
+                _items: Vec<WorkItem>,
+                _observer: &dyn RunObserver,
+            ) -> Result<Vec<PartResult>, ExecutorError> {
                 Err(ExecutorError::new("backend exploded"))
             }
         }
@@ -1082,14 +1065,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An observer whose cancel poll reads a shared token, the way the
+    /// daemon's job observer does.
+    struct Token(Arc<AtomicBool>);
+
+    impl RunObserver for Token {
+        fn part_event(&self, _event: PartEvent) {}
+        fn cancelled(&self) -> bool {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
     #[test]
     fn pre_set_cancel_token_aborts_before_any_work_and_stores_nothing() {
         let (cache, dir) = temp_cache("cancel-early");
         let token = Arc::new(AtomicBool::new(true));
         let error = Runner::new(ScenarioParams::with_seed(6))
             .with_cache(cache.clone())
-            .cancel_token(token)
-            .try_run_observed(&scenarios(), &())
+            .try_run_observed(&scenarios(), &Token(token))
             .unwrap_err();
         assert_eq!(
             error.to_string(),
@@ -1118,14 +1111,10 @@ mod tests {
     }
 
     impl Executor for CancelAfter {
-        fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-            self.execute_observed(items, &())
-        }
-
-        fn execute_observed(
+        fn execute(
             &self,
             items: Vec<WorkItem>,
-            observer: &dyn ExecutionObserver,
+            observer: &dyn RunObserver,
         ) -> Result<Vec<PartResult>, ExecutorError> {
             let mut results = Vec::new();
             for item in items {
@@ -1162,8 +1151,7 @@ mod tests {
             .jobs(2)
             .with_cache(cache.clone())
             .backend(Backend::Custom(backend.clone()))
-            .cancel_token(token)
-            .try_run_observed(&scenarios(), &())
+            .try_run_observed(&scenarios(), &Token(token))
             .unwrap_err();
         assert_eq!(
             error.to_string(),
@@ -1202,8 +1190,7 @@ mod tests {
             .jobs(2)
             .with_cache(cache.clone())
             .backend(Backend::Custom(backend))
-            .cancel_token(token.clone())
-            .try_run_observed(&scenarios(), &())
+            .try_run_observed(&scenarios(), &Token(token.clone()))
             .unwrap();
         assert!(token.load(Ordering::SeqCst), "the token did trip");
         assert_eq!(stats.unwrap().stored, 7, "every result was stored");
@@ -1227,22 +1214,19 @@ mod tests {
 
     #[test]
     fn a_cancellable_run_dispatches_to_one_executor_call() {
-        /// Counts `execute_observed` calls and runs items in-process.
+        /// Counts `execute` calls and runs items in-process.
         struct Counting {
             scenarios: Vec<Arc<dyn Scenario>>,
             calls: std::sync::Mutex<usize>,
         }
         impl Executor for Counting {
-            fn execute(&self, items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
-                self.execute_observed(items, &())
-            }
-            fn execute_observed(
+            fn execute(
                 &self,
                 items: Vec<WorkItem>,
-                observer: &dyn ExecutionObserver,
+                observer: &dyn RunObserver,
             ) -> Result<Vec<PartResult>, ExecutorError> {
                 *self.calls.lock().unwrap() += 1;
-                LocalExecutor::new(self.scenarios.clone()).execute_observed(items, observer)
+                LocalExecutor::new(self.scenarios.clone()).execute(items, observer)
             }
         }
 
@@ -1254,8 +1238,7 @@ mod tests {
         let summary = Runner::new(params.clone())
             .jobs(2)
             .backend(Backend::Custom(backend.clone()))
-            .cancel_token(Arc::new(AtomicBool::new(false)))
-            .try_run_observed(&scenarios(), &())
+            .try_run_observed(&scenarios(), &Token(Arc::new(AtomicBool::new(false))))
             .unwrap()
             .0;
         assert_eq!(
@@ -1282,8 +1265,7 @@ mod tests {
             .0;
         let cancellable = Runner::new(params)
             .jobs(2)
-            .cancel_token(Arc::new(AtomicBool::new(false)))
-            .try_run_observed(&scenarios(), &())
+            .try_run_observed(&scenarios(), &Token(Arc::new(AtomicBool::new(false))))
             .unwrap()
             .0;
         assert_eq!(

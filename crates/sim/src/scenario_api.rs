@@ -375,7 +375,9 @@ impl ScenarioRegistry {
     }
 
     /// Resolves a selection: an empty `only` list selects everything;
-    /// otherwise each id must exist.
+    /// otherwise each id must exist. An id named more than once is
+    /// selected once, at its first position (`--only` accumulates across
+    /// flags, so a repeat is a convenience, not an error).
     ///
     /// # Errors
     /// Returns [`UnknownScenario`] for the first id that does not resolve.
@@ -383,14 +385,17 @@ impl ScenarioRegistry {
         if only.is_empty() {
             return Ok(self.scenarios.clone());
         }
-        only.iter()
-            .map(|id| {
-                self.get(id).ok_or_else(|| UnknownScenario {
-                    requested: id.clone(),
-                    known: self.ids().iter().map(|s| s.to_string()).collect(),
-                })
-            })
-            .collect()
+        let mut selected: Vec<Arc<dyn Scenario>> = Vec::new();
+        for id in only {
+            if selected.iter().any(|s| s.id() == id) {
+                continue;
+            }
+            selected.push(self.get(id).ok_or_else(|| UnknownScenario {
+                requested: id.clone(),
+                known: self.ids().iter().map(|s| s.to_string()).collect(),
+            })?);
+        }
+        Ok(selected)
     }
 }
 
@@ -502,6 +507,21 @@ mod tests {
         };
         assert_eq!(err.requested, "nope");
         assert!(err.to_string().contains("known scenarios: a, b"));
+    }
+
+    #[test]
+    fn repeated_ids_select_once_in_first_occurrence_order() {
+        let mut reg = ScenarioRegistry::new();
+        reg.register(Toy { id: "a", parts: 1 })
+            .register(Toy { id: "b", parts: 1 });
+        let only: Vec<String> = ["b", "a", "b", "a"].map(String::from).to_vec();
+        let picked: Vec<String> = reg
+            .select(&only)
+            .unwrap()
+            .iter()
+            .map(|s| s.id().to_string())
+            .collect();
+        assert_eq!(picked, vec!["b", "a"]);
     }
 
     #[test]

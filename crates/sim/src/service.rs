@@ -53,8 +53,9 @@
 //! concurrently running jobs with an [`Event::Rejected`] frame (nothing
 //! queues — the client retries), and [`Request::Cancel`] drains a
 //! running job's remaining work items at the next *item* boundary: a job
-//! runs on one executor, which polls the job's cancel token each time it
-//! is about to take the next item, lets in-flight items finish and stops.
+//! runs on one executor, which polls the job's cancel token (through the
+//! job's [`RunObserver`]) each time it is about to take the next item,
+//! lets in-flight items finish and stops.
 //! Because the runner stores results only after a dispatch fully
 //! succeeds, a cancelled job writes *nothing* to the shared cache — no
 //! partial state can ever be replayed. The `service.job` and
@@ -370,7 +371,8 @@ impl Default for ServiceConfig {
 impl ServiceConfig {
     /// The one path from a job description to a [`Runner`]: every field
     /// the spec leaves unset falls back to this configuration. The daemon
-    /// adds its cancel token; the one-shot CLI runs the result as is.
+    /// and the one-shot CLI both run the result as is; a daemon job's
+    /// cancel reaches the run through its observer.
     pub fn runner(&self, spec: &JobSpec) -> Runner {
         let mut runner = Runner::new(spec.params())
             .jobs(spec.jobs.unwrap_or(self.jobs))
@@ -426,7 +428,11 @@ impl ServiceConfig {
 struct Unavailable(String);
 
 impl Executor for Unavailable {
-    fn execute(&self, _items: Vec<WorkItem>) -> Result<Vec<PartResult>, ExecutorError> {
+    fn execute(
+        &self,
+        _items: Vec<WorkItem>,
+        _observer: &dyn RunObserver,
+    ) -> Result<Vec<PartResult>, ExecutorError> {
         Err(ExecutorError::new(self.0.clone()))
     }
 }
@@ -623,11 +629,12 @@ impl Service {
             return;
         }
 
-        let runner = self.config.runner(spec).cancel_token(cancel.clone());
+        let runner = self.config.runner(spec);
         let observer = JobObserver {
             service: self,
             job,
             sink,
+            cancel: &cancel,
         };
         let outcome = runner.try_run_observed(&selected, &observer);
         self.cancels.lock().expect("cancel map lock").remove(&job);
@@ -864,12 +871,14 @@ impl Service {
     }
 }
 
-/// Forwards runner part events to one job's client and keeps the job
-/// table's progress counter current.
+/// Forwards runner part events to one job's client, keeps the job
+/// table's progress counter current and answers the run's cancel polls
+/// from the job's cancel token.
 struct JobObserver<'a, W: Write + Send> {
     service: &'a Service,
     job: u64,
     sink: &'a EventSink<W>,
+    cancel: &'a AtomicBool,
 }
 
 impl<W: Write + Send> RunObserver for JobObserver<'_, W> {
@@ -881,6 +890,10 @@ impl<W: Write + Send> RunObserver for JobObserver<'_, W> {
             job: self.job,
             event,
         });
+    }
+
+    fn cancelled(&self) -> bool {
+        self.cancel.load(Ordering::SeqCst)
     }
 }
 
@@ -1380,6 +1393,29 @@ mod tests {
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
         let (job, _, _) = done_frame(&events);
         assert_eq!(service.jobs_snapshot(Some(job))[0].state, JobState::Done);
+    }
+
+    #[test]
+    fn a_repeated_selection_runs_once_and_frees_its_slot() {
+        let service = Service::new(
+            registry(),
+            ServiceConfig {
+                max_active_jobs: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let selecting = |ids: &[&str]| JobSpec {
+            only: Some(ids.iter().map(|id| id.to_string()).collect()),
+            ..spec_with_seed(5)
+        };
+        let events = roundtrip(&service, &[submit_frame(&selecting(&["s2", "s2"]))]);
+        let (job, repeated, _) = done_frame(&events);
+        assert_eq!(service.jobs_snapshot(Some(job))[0].state, JobState::Done);
+        // The slot is free again: the single selection is accepted and
+        // produces the same bytes.
+        let events = roundtrip(&service, &[submit_frame(&selecting(&["s2"]))]);
+        let (_, single, _) = done_frame(&events);
+        assert_eq!(repeated.to_json(), single.to_json());
     }
 
     #[test]

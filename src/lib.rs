@@ -23,7 +23,7 @@
 //!   defenses and the SuperOnion extension.
 //! * [`sim`] — the experiment layer: takedown primitives, the
 //!   [`sim::scenario_api::Scenario`] trait + registry, the parallel
-//!   [`sim::Runner`], and report rendering/sinks.
+//!   [`sim::Runner`], and report rendering.
 //!
 //! ## Reproducing the evaluation
 //!
