@@ -1,5 +1,7 @@
 //! Benchmarks of the evaluation metrics (closeness, degree centrality,
-//! diameter, connected components) used in Figures 4-6.
+//! diameter, connected components) used in Figures 4-6, and of the two
+//! kernels behind Figure 6 at its largest size: the k-regular generator
+//! and the partition threshold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use onion_graph::components::component_count;
@@ -9,6 +11,7 @@ use onion_graph::metrics::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use sim::scenario::partition_threshold;
 
 fn bench_metrics(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
@@ -31,6 +34,18 @@ fn bench_metrics(c: &mut Criterion) {
     });
     group.bench_function("component_count_n1000", |b| {
         b.iter(|| component_count(&graph));
+    });
+    group.bench_function("random_regular_n15000_k10", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(6);
+            random_regular(15_000, 10, &mut rng)
+        });
+    });
+    group.bench_function("partition_threshold_n15000_k10", |b| {
+        b.iter(|| {
+            let mut rng = StdRng::seed_from_u64(7);
+            partition_threshold(15_000, 10, 150, &mut rng)
+        });
     });
     group.finish();
 }

@@ -20,6 +20,8 @@
 //!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
 //! run_experiments --only scale --set n=50000 --threads-per-item 1 \
 //!     --seed 2015 --no-cache --out s && sha256sum s/summary.json
+//! run_experiments --only fig6 --scale full --seed 2015 --no-cache --out f \
+//!     && sha256sum f/summary.json
 //! ```
 
 use std::io::{BufRead, BufReader};
@@ -52,6 +54,10 @@ const SCALE_N2000: [(&str, &str); 2] = [
 /// default 64-shard grid, so every wave runs the multi-shard repair. It
 /// holds at thread budgets 1 and 2.
 const SCALE_N50000: &str = "16e7f9c7902be05d1867ebbfbe70c1729b5431bf1facb8547cc124198ddab2d9";
+
+/// `fig6 --scale full` at seed 2015: the paper's sweep, n = 1000..15000
+/// with a connectivity check every n/100 deletions.
+const FIG6_FULL: &str = "8d4d736ac572f7f198e316dce67d50d1109dffa7ab42cbe688bc7d67694961b9";
 
 fn sha256_hex(text: &str) -> String {
     Sha256::digest_array(text.as_bytes())
@@ -210,4 +216,19 @@ fn scale_n50000_summary_on_the_default_grid_matches_its_golden_digest() {
             "scale n=50000 threads={threads}"
         );
     }
+}
+
+#[test]
+fn fig6_full_scale_summary_matches_its_golden_digest() {
+    let fig6 = scenarios::registry().select(&["fig6".to_string()]).unwrap();
+    let params = ScenarioParams {
+        full_scale: true,
+        ..ScenarioParams::with_seed(2015)
+    };
+    let summary = Runner::new(params)
+        .jobs(2)
+        .try_run_observed(&fig6, &())
+        .unwrap()
+        .0;
+    assert_eq!(sha256_hex(&summary.to_json()), FIG6_FULL);
 }

@@ -1,9 +1,10 @@
 //! Connected-component analysis.
 //!
 //! The paper's Figures 5a/5b plot the number of connected components of DDSR
-//! versus a normal graph as nodes are deleted, and Figure 6 measures how many
-//! simultaneous deletions are needed before the graph partitions (~40% for
-//! 10-regular graphs). These helpers provide the underlying measurements.
+//! versus a normal graph as nodes are deleted; these helpers provide that
+//! measurement. (Figure 6's partition threshold does not call them: it
+//! counts components for every deletion count in one offline union-find
+//! pass, see `sim::scenario::partition_threshold`.)
 //!
 //! Every sweep is generic over [`Adjacency`], so it runs identically on the
 //! mutable slab [`Graph`] and on a frozen

@@ -341,6 +341,22 @@ impl Graph {
         (removed, added_halves / 2, affected)
     }
 
+    /// Builds a graph whose node `i` has the neighbor list `lists[i]`.
+    /// Every list must already be sorted ascending, deduplicated and
+    /// symmetric with the others; the lists become the slots as they are,
+    /// so their capacity is kept.
+    pub(crate) fn from_sorted_lists(lists: Vec<Vec<NodeId>>) -> Graph {
+        let half_edges: usize = lists.iter().map(Vec::len).sum();
+        let graph = Graph {
+            live_count: lists.len(),
+            edge_count: half_edges / 2,
+            slots: lists.into_iter().map(Some).collect(),
+            free_pool: Vec::new(),
+        };
+        debug_assert_eq!(graph.check_invariants(), Ok(()));
+        graph
+    }
+
     /// Concatenates per-range graphs into one slab: part `p`'s node `i`
     /// becomes `NodeId(offset_p + i)` where `offset_p` is the sum of the
     /// preceding parts' [`id_bound`](Self::id_bound)s, and every neighbor

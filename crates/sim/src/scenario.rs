@@ -4,12 +4,13 @@
 //!   time to self-repair between removals) and samples graph metrics along
 //!   the way — Figures 4 and 5.
 //! * [`partition_threshold`] removes nodes *simultaneously* (no repair in
-//!   between) until the graph partitions — Figure 6, which finds the
+//!   between) and reports the first *checked* deletion count whose
+//!   survivors have more than one component — Figure 6, which finds the
 //!   threshold around 40% for 10-regular graphs.
 
 use onion_graph::components::component_count;
 use onion_graph::csr::CsrSnapshot;
-use onion_graph::graph::NodeId;
+use onion_graph::graph::{Graph, NodeId};
 use onion_graph::metrics::{
     average_degree_centrality, sampled_average_closeness_centrality, sampled_diameter,
 };
@@ -130,8 +131,16 @@ impl PartitionThreshold {
 
 /// Finds how many *simultaneous* deletions are needed to partition a fresh
 /// `k`-regular graph of `n` nodes: nodes are removed in random order without
-/// giving the overlay a chance to repair, checking connectivity every
-/// `check_every` removals.
+/// giving the overlay a chance to repair, and connectivity is checked every
+/// `check_every` removals. The result is the first *checked* deletion count
+/// whose survivors form more than one component, or `n` when no check
+/// finds a split before the graph is empty.
+///
+/// The answer comes from one offline pass over the deletion order in
+/// reverse: the nodes are added back from the last deleted to the second,
+/// and a union-find tracks the survivors' component count after every
+/// deletion count at once, in O(n·k·α(n)) instead of one traversal per
+/// check.
 pub fn partition_threshold<R: Rng + ?Sized>(
     n: usize,
     k: usize,
@@ -139,32 +148,120 @@ pub fn partition_threshold<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> PartitionThreshold {
     let (graph, mut ids) = onion_graph::generators::random_regular(n, k, rng);
-    let mut graph = graph;
     ids.shuffle(rng);
-    let mut deleted = 0usize;
-    for node in ids {
-        graph.remove_node(node);
-        deleted += 1;
-        if graph.node_count() == 0 {
-            break;
-        }
-        if deleted.is_multiple_of(check_every.max(1)) && component_count(&graph) > 1 {
-            break;
-        }
-    }
     PartitionThreshold {
         initial_nodes: n,
         degree: k,
-        deletions_to_partition: deleted,
+        deletions_to_partition: first_checked_split(&graph, &ids, check_every.max(1)),
     }
+}
+
+/// The smallest `j` in `1..order.len()` that is a multiple of
+/// `check_every` and leaves the survivors `order[j..]` in more than one
+/// component, or `order.len()` if there is none. `order` lists every
+/// live node of `graph` once.
+fn first_checked_split(graph: &Graph, order: &[NodeId], check_every: usize) -> usize {
+    let bound = graph.id_bound();
+    let mut position = vec![0usize; bound];
+    for (j, node) in order.iter().enumerate() {
+        position[node.0] = j;
+    }
+    let mut parent: Vec<usize> = (0..bound).collect();
+    let mut size = vec![1usize; bound];
+    let find = |parent: &mut [usize], mut x: usize| {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    };
+    let mut components = 0usize;
+    let mut answer = order.len();
+    // Adding `order[j]` back leaves exactly the survivors of `j` deletions.
+    for j in (1..order.len()).rev() {
+        let node = order[j].0;
+        components += 1;
+        let neighbors = graph
+            .neighbors(order[j])
+            .expect("every node in the order is live");
+        for neighbor in neighbors {
+            if position[neighbor.0] <= j {
+                continue;
+            }
+            let (a, b) = (find(&mut parent, node), find(&mut parent, neighbor.0));
+            if a != b {
+                let (big, small) = if size[a] >= size[b] { (a, b) } else { (b, a) };
+                parent[small] = big;
+                size[big] += size[small];
+                components -= 1;
+            }
+        }
+        if j.is_multiple_of(check_every) && components > 1 {
+            answer = j;
+        }
+    }
+    answer
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use onionbots_core::DdsrConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The deletion loop `partition_threshold` replaced, kept as its
+    /// oracle: remove one node at a time and count components at every
+    /// check.
+    fn partition_threshold_oracle<R: Rng + ?Sized>(
+        n: usize,
+        k: usize,
+        check_every: usize,
+        rng: &mut R,
+    ) -> PartitionThreshold {
+        let (mut graph, mut ids) = onion_graph::generators::random_regular(n, k, rng);
+        ids.shuffle(rng);
+        let mut deleted = 0usize;
+        for node in ids {
+            graph.remove_node(node);
+            deleted += 1;
+            if graph.node_count() == 0 {
+                break;
+            }
+            if deleted.is_multiple_of(check_every.max(1)) && component_count(&graph) > 1 {
+                break;
+            }
+        }
+        PartitionThreshold {
+            initial_nodes: n,
+            degree: k,
+            deletions_to_partition: deleted,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn partition_threshold_matches_the_deletion_loop_oracle(
+            seed in any::<u64>(),
+            n in 12usize..400,
+            k_raw in 0usize..12,
+            check_raw in any::<usize>(),
+            small_check in any::<bool>(),
+        ) {
+            let k = if (n * k_raw).is_multiple_of(2) { k_raw } else { k_raw - 1 };
+            // 0 and values past `n` included; 0, 1 and 2 drawn often.
+            let check_every = check_raw % if small_check { 3 } else { n + 5 };
+            let mut fast_rng = StdRng::seed_from_u64(seed);
+            let mut oracle_rng = StdRng::seed_from_u64(seed);
+            let fast = partition_threshold(n, k, check_every, &mut fast_rng);
+            let oracle = partition_threshold_oracle(n, k, check_every, &mut oracle_rng);
+            prop_assert_eq!(fast, oracle, "n={} k={} check_every={}", n, k, check_every);
+            prop_assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64());
+        }
+    }
 
     fn params(deletions: usize) -> TakedownParams {
         TakedownParams {
