@@ -14,7 +14,10 @@
 //!
 //! EOF on stdin ends the worker; the dispatcher kills and reaps it when
 //! it closes the channel. Crash-recovery tests inject deterministic
-//! deaths through [`CRASH_AFTER_ENV`].
+//! deaths through a [`sim::FAULTS_ENV`] schedule: `worker.item=crash@2`
+//! makes every worker incarnation exit (status 101, without answering)
+//! on reading its second item, and `remote.host.item=crash@2` does the
+//! same to a worker host.
 //!
 //! The `run_experiments serve-worker --listen ADDR` mode
 //! ([`serve_worker_main`]) is the same loop promoted to a standalone
@@ -31,27 +34,8 @@ use sim::{serve_connection, serve_remote_host};
 
 use crate::scenarios;
 
-/// Environment variable for deterministic crash injection: a worker with
-/// `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS=N` exits abruptly (status 101,
-/// without responding) when it reads item `N + 1`, i.e. after fully
-/// processing `N` items. The in-flight item is lost and must be
-/// re-queued by the parent — exactly the failure mode a real worker
-/// death produces. Respawned workers inherit the variable, so every
-/// incarnation survives `N` items; any `N >= 1` still converges.
-///
-/// This legacy hook is now sugar over the general failpoint layer
-/// ([`sim::faults`]): it translates to `worker.item=crash@{N+1}` (and
-/// `remote.host.item=crash@{N+1}` for worker hosts). Richer schedules —
-/// delays, injected I/O errors, open-ended ranges — arm directly via
-/// [`sim::FAULTS_ENV`].
-pub const CRASH_AFTER_ENV: &str = "ONIONBOTS_WORKER_CRASH_AFTER_ITEMS";
-
-/// Arms this process's failpoint plan from the environment: first the
-/// general [`sim::FAULTS_ENV`] schedule, then the legacy
-/// [`CRASH_AFTER_ENV`] hook translated onto the `worker.item` /
-/// `remote.host.item` crash points (the failpoint fires *before* an item
-/// is answered, so hit `N + 1` crashes with exactly `N` items completed
-/// — the documented legacy semantics).
+/// Arms this process's failpoint plan from the [`sim::FAULTS_ENV`]
+/// schedule.
 fn arm_worker_faults() {
     if let Err(error) = sim::faults::arm_from_env() {
         // A bad schedule disables injection rather than killing a worker
@@ -60,19 +44,6 @@ fn arm_worker_faults() {
             "warning: ignoring invalid {} schedule: {error}",
             sim::FAULTS_ENV
         );
-    }
-    // detlint: allow(D003) reason="test-only crash-injection hook; read once at worker startup and never visible in results (a crashed worker's items re-queue elsewhere)"
-    let crash_after = std::env::var(CRASH_AFTER_ENV)
-        .ok()
-        .and_then(|raw| raw.parse::<u64>().ok());
-    if let Some(items) = crash_after {
-        for point in [
-            sim::faults::points::WORKER_ITEM,
-            sim::faults::points::REMOTE_HOST_ITEM,
-        ] {
-            sim::faults::arm(&format!("{point}=crash@{}", items + 1))
-                .expect("the translated legacy schedule always parses");
-        }
     }
 }
 

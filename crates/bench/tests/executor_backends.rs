@@ -14,7 +14,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use onionbots_bench::scenarios;
-use onionbots_bench::worker::CRASH_AFTER_ENV;
 use sim::scenario_api::ScenarioParams;
 use sim::{Backend, ResultCache, Runner, Scenario, ThreadsPerItem, WorkerCommand};
 
@@ -88,8 +87,8 @@ fn threads_per_item_is_byte_invariant_across_backends_and_budgets() {
     // one 2000-node part (waves shortened for debug-profile runtime).
     // Intra-item parallelism is a pure throughput knob: any thread budget
     // on any backend must produce the reference bytes — on the process
-    // backend this also exercises the ONIONBOTS_THREADS_PER_ITEM env
-    // passthrough to worker subprocesses.
+    // backend the budget reaches worker subprocesses inside each work
+    // item.
     let scale_only = || {
         scenarios::registry()
             .select(&["scale".to_string()])
@@ -139,7 +138,7 @@ fn killed_workers_are_respawned_and_the_output_is_unchanged() {
     // Every worker incarnation abruptly exits while holding its second
     // item (read, never answered), so the run survives a worker death for
     // nearly every part and still converges to the same bytes.
-    let flaky = worker_command().env(CRASH_AFTER_ENV, "1");
+    let flaky = worker_command().env(sim::FAULTS_ENV, "worker.item=crash@2");
     let summary = Runner::new(params(7))
         .jobs(2)
         .backend(Backend::Process(flaky))
@@ -151,9 +150,9 @@ fn killed_workers_are_respawned_and_the_output_is_unchanged() {
 
 #[test]
 fn an_item_that_keeps_killing_workers_fails_the_run_instead_of_looping() {
-    // Crash-after-zero: every incarnation dies on its very first item, so
-    // no item can ever complete and the retry bound must trip.
-    let hopeless = worker_command().env(CRASH_AFTER_ENV, "0");
+    // Every incarnation dies on its very first item, so no item can ever
+    // complete and the retry bound must trip.
+    let hopeless = worker_command().env(sim::FAULTS_ENV, "worker.item=crash@1");
     let error = Runner::new(params(3))
         .jobs(2)
         .backend(Backend::Process(hopeless))

@@ -21,7 +21,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use onionbots_bench::scenarios;
-use onionbots_bench::worker::CRASH_AFTER_ENV;
 use sim::executor::{run_work_item, PartResult, WorkItem};
 use sim::scenario_api::ScenarioParams;
 use sim::wire::{DispatchFrame, WorkerFrame, MAX_FRAME_BYTES, PROTOCOL_VERSION};
@@ -35,16 +34,17 @@ struct WorkerHost {
 }
 
 impl WorkerHost {
-    /// Spawns a host on an ephemeral loopback port and reads the bound
-    /// address off its first stdout line.
-    fn spawn(crash_after: Option<usize>) -> WorkerHost {
+    /// Spawns a host on an ephemeral loopback port, armed with the fault
+    /// schedule `faults` if given, and reads the bound address off its
+    /// first stdout line.
+    fn spawn(faults: Option<&str>) -> WorkerHost {
         let mut command = Command::new(env!("CARGO_BIN_EXE_run_experiments"));
         command
             .args(["serve-worker", "--listen", "127.0.0.1:0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
-        if let Some(n) = crash_after {
-            command.env(CRASH_AFTER_ENV, n.to_string());
+        if let Some(schedule) = faults {
+            command.env(sim::FAULTS_ENV, schedule);
         }
         let mut child = command.spawn().expect("spawn serve-worker");
         let stdout = child.stdout.take().expect("piped stdout");
@@ -150,7 +150,10 @@ fn a_host_killed_mid_run_requeues_its_items_and_the_output_is_unchanged() {
     // The second host abruptly exits while holding its second assignment
     // (read, never answered); its items must re-queue on the survivor and
     // the run must still converge to the reference bytes.
-    let hosts = [WorkerHost::spawn(None), WorkerHost::spawn(Some(1))];
+    let hosts = [
+        WorkerHost::spawn(None),
+        WorkerHost::spawn(Some("remote.host.item=crash@2")),
+    ];
     let summary = Runner::new(params(7))
         .jobs(2)
         .backend(Backend::Remote(fleet(&hosts)))

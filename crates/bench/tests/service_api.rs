@@ -8,8 +8,9 @@
 //! frames are rejected without killing the daemon, an oversized request
 //! line closes only its own connection, `Cancel` stops a process-backend
 //! job at an item boundary without warming the cache, and SIGTERM drains
-//! an in-flight job to completion — even while `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
-//! keeps killing its workers mid-drain — before the daemon exits 0.
+//! an in-flight job to completion — even while a `worker.item=crash@2`
+//! fault schedule keeps killing its workers mid-drain — before the
+//! daemon exits 0.
 
 #![cfg(unix)]
 
@@ -21,7 +22,6 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use onionbots_bench::scenarios;
-use onionbots_bench::worker::CRASH_AFTER_ENV;
 use sim::scenario_api::ScenarioParams;
 use sim::service::{Event, Request};
 use sim::wire::MAX_FRAME_BYTES;
@@ -259,7 +259,7 @@ fn sigterm_drains_an_inflight_job_despite_crashing_workers_then_exits_zero() {
         "drain",
         false,
         &["--backend", "process", "--jobs", "2"],
-        &[(CRASH_AFTER_ENV, "1")],
+        &[(sim::FAULTS_ENV, "worker.item=crash@2")],
     );
     let reference = fig6_reference(7).to_json();
 

@@ -1,33 +1,47 @@
-//! Thread budgeting for intra-graph parallelism.
+//! Thread budgeting and the one deterministic fan-out for intra-graph
+//! parallelism.
 //!
-//! The parallel BFS kernel ([`crate::metrics::parallel_bfs_from_sources`])
-//! can fan sources across threads, but the metrics entry points
-//! (`sampled_diameter`, `diameter`, ...) are called from inside experiment
-//! *parts* that an executor is already fanning across workers. Letting
-//! every BFS sweep grab all cores would oversubscribe the machine as soon
-//! as two parts run concurrently, so parallelism inside one part is
-//! governed by an explicit **thread budget**:
+//! Every parallel phase of the graph core — the BFS kernel
+//! ([`crate::metrics::parallel_bfs_from_sources`]), in-place wave repair
+//! ([`crate::graph::Graph::remove_nodes_with_clique_repair`]) and the
+//! sharded overlay build and prune planning in `onionbots-core` — fans
+//! its work out through [`map_in_order`], which returns results by item
+//! index and caps workers at [`MAX_THREADS`].
+//!
+//! These phases run inside experiment *parts* that an executor is
+//! already fanning across workers. Letting every phase grab all cores
+//! would oversubscribe the machine as soon as two parts run
+//! concurrently, so parallelism inside one part is governed by an
+//! explicit **thread budget**:
 //!
 //! * the executor scopes a per-item budget around each work item with
 //!   [`with_thread_budget`] (a thread-local, so concurrent items on
 //!   different worker threads cannot see each other's budgets);
-//! * standalone processes (or worker subprocesses, as a default) inherit
-//!   a process-wide budget from the [`THREADS_ENV`] environment variable;
-//! * with neither set, the budget is 1 and every metric runs exactly the
-//!   sequential path.
+//! * standalone processes inherit a process-wide budget from the
+//!   [`THREADS_ENV`] environment variable;
+//! * with neither set, the budget is 1 and every phase runs inline, on
+//!   the calling thread.
 //!
 //! The budget only bounds *resource use*; results never depend on it —
-//! the kernel writes each source's result into its slot by source index,
-//! so any budget produces byte-identical output.
+//! [`map_in_order`] writes each item's result into its slot by item
+//! index, so any budget produces byte-identical output.
 
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+/// Hard ceiling on the workers of one [`map_in_order`] call. Budgets are
+/// caller-supplied (CLI flag, environment variable), and an absurd value
+/// must degrade to "merely pointless", not to a failed `std::thread`
+/// spawn aborting the scope. 64 is far above any useful fan-out while
+/// keeping over-provisioned determinism tests (threads > cores)
+/// meaningful.
+pub const MAX_THREADS: usize = 64;
 
 /// Environment variable holding the process-wide default thread budget
 /// (`ONIONBOTS_THREADS_PER_ITEM`). Read once, on first use; values that
-/// are absent, unparseable or zero mean a budget of 1. The process
-/// executor sets it on worker subprocesses so they inherit the parent's
-/// per-item split even outside an explicitly scoped work item.
+/// are absent, unparseable or zero mean a budget of 1. It is the
+/// default for standalone processes (an example binary, a REPL); work
+/// items carry their own budget, which [`with_thread_budget`] scopes.
 pub const THREADS_ENV: &str = "ONIONBOTS_THREADS_PER_ITEM";
 
 thread_local! {
@@ -74,9 +88,61 @@ pub fn with_thread_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// Maps `f` over `items` on up to `threads` scoped workers and returns
+/// the results in item order.
+///
+/// `threads` is clamped to `1..=`[`MAX_THREADS`] and to the item count.
+/// With one worker the map runs inline with one `scratch()` and no thread
+/// machinery. Otherwise every worker builds one `scratch()`, claims the
+/// next unclaimed `(index, item)` from one shared queue and keeps the
+/// result with its index, so the output is **the sequential map's at any
+/// thread count and any scheduling**. A panic in `f` propagates out of
+/// the call.
+pub fn map_in_order<T: Send, U: Send, S>(
+    items: Vec<T>,
+    threads: usize,
+    scratch: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, T) -> U + Sync,
+) -> Vec<U> {
+    let threads = threads.clamp(1, MAX_THREADS).min(items.len());
+    if threads <= 1 {
+        let mut s = scratch();
+        return items.into_iter().map(|item| f(&mut s, item)).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, U)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut s = scratch();
+                    let mut local = Vec::new();
+                    loop {
+                        // Bound first, so the lock is released before `f` runs.
+                        let next = queue.lock().expect("queue lock").next();
+                        let Some((i, item)) = next else { break };
+                        local.push((i, f(&mut s, item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+    // The queue hands each index to exactly one worker.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, u)| u).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The budget the current environment implies outside any scope —
     /// tests assert against this instead of a literal 1, so the suite
@@ -130,6 +196,61 @@ mod tests {
             assert_eq!(other, ambient(), "a fresh thread sees the process default");
             assert_eq!(thread_budget(), 6);
         });
+    }
+
+    #[test]
+    fn map_in_order_equals_the_sequential_map() {
+        // At most 200 items, so even a broken clamp spawns no more threads.
+        for len in [0usize, 1, 5, 200] {
+            let items: Vec<usize> = (0..len).collect();
+            let expected: Vec<usize> = items.iter().map(|&i| i * i + 1).collect();
+            for threads in [1, 2, 3, 8, 64, usize::MAX] {
+                let mapped = map_in_order(items.clone(), threads, || (), |_, i| i * i + 1);
+                assert_eq!(mapped, expected, "len={len}, threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn map_in_order_builds_at_most_one_scratch_per_worker() {
+        for len in [1usize, 5, 200] {
+            for threads in [1, 2, 3, 8, 64, usize::MAX] {
+                let built = AtomicUsize::new(0);
+                let scratch = || {
+                    built.fetch_add(1, Ordering::Relaxed);
+                    0usize
+                };
+                let mapped = map_in_order((0..len).collect(), threads, scratch, |seen, i| {
+                    *seen += 1;
+                    i
+                });
+                assert_eq!(mapped, (0..len).collect::<Vec<_>>());
+                let workers = threads.clamp(1, MAX_THREADS).min(len);
+                let built = built.load(Ordering::Relaxed);
+                assert!(
+                    built <= workers,
+                    "len={len}, threads={threads}: {built} scratches for {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn map_in_order_propagates_a_panic() {
+        for threads in [1, 4] {
+            let result = std::panic::catch_unwind(|| {
+                map_in_order(
+                    (0..20usize).collect(),
+                    threads,
+                    || (),
+                    |_, i| {
+                        assert_ne!(i, 7, "item 7 fails");
+                        i
+                    },
+                )
+            });
+            assert!(result.is_err(), "threads={threads}");
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::budget::map_in_order;
+
 /// Identifier of a node inside a [`Graph`]: a direct index into the slab.
 ///
 /// Identifiers are never reused within one graph, so a `NodeId` remains a
@@ -229,10 +231,11 @@ impl Graph {
     /// The rebuild is partitioned across the id ranges delimited by
     /// `bounds` (e.g. a shard grid's boundaries: range `r` owns
     /// `bounds[r]..bounds[r + 1]`, and the last range also owns every id
-    /// past its end) and fanned over up to `threads` workers. Each range is
-    /// rebuilt by exactly one worker on a `split_at_mut` view of the slab
-    /// and reads only its own lists plus the victims' removed lists, so the
-    /// result is **byte-identical at any thread count**.
+    /// past its end) and fanned over up to `threads` workers through
+    /// [`map_in_order`]. Each range is rebuilt by exactly one worker on a
+    /// `split_at_mut` view of the slab and reads only its own lists plus
+    /// the victims' removed lists, so the result is **byte-identical at
+    /// any thread count**.
     ///
     /// Returns the number of victims removed, the number of edges added,
     /// and, per range, its surviving former neighbors of the victims in
@@ -274,13 +277,9 @@ impl Graph {
             }
         }
         let dropped_halves = victim_halves + buckets.iter().map(Vec::len).sum::<usize>();
-        // Hand each worker its statically assigned ranges (round-robin by
-        // range index, so the work distribution — and the output — never
-        // depends on timing).
-        let threads = threads.clamp(1, ranges);
-        let mut tasks: Vec<Vec<RangeTask<'_>>> = Vec::with_capacity(threads);
-        tasks.resize_with(threads, Vec::new);
+        // One task per range, in range order, each on its own slab view.
         let len = self.slots.len();
+        let mut tasks = Vec::with_capacity(ranges);
         let mut rest: &mut [Option<Vec<NodeId>>] = &mut self.slots;
         let mut start = 0usize;
         for (range, bucket) in buckets.into_iter().enumerate() {
@@ -290,8 +289,7 @@ impl Graph {
                 len
             };
             let (chunk, tail) = rest.split_at_mut(end - start);
-            tasks[range % threads].push(RangeTask {
-                range,
+            tasks.push(RangeTask {
                 start,
                 chunk,
                 bucket,
@@ -299,32 +297,15 @@ impl Graph {
             rest = tail;
             start = end;
         }
-        let rebuild = |assigned: Vec<RangeTask<'_>>| {
-            assigned
-                .into_iter()
-                .map(|task| task.rebuild(&taken, &is_victim))
-                .collect::<Vec<_>>()
-        };
-        let rebuilt: Vec<(usize, Vec<NodeId>, usize)> = if threads == 1 {
-            tasks.into_iter().flat_map(rebuild).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .map(|assigned| scope.spawn(move || rebuild(assigned)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("wave-repair worker panicked"))
-                    .collect()
-            })
-        };
-        let mut affected = vec![Vec::new(); ranges];
-        let mut added_halves = 0usize;
-        for (range, survivors, added) in rebuilt {
-            affected[range] = survivors;
-            added_halves += added;
-        }
+        let (affected, added): (Vec<Vec<NodeId>>, Vec<usize>) = map_in_order(
+            tasks,
+            threads,
+            || (),
+            |_, task| task.rebuild(&taken, &is_victim),
+        )
+        .into_iter()
+        .unzip();
+        let added_halves: usize = added.iter().sum();
         debug_assert!(
             added_halves.is_multiple_of(2) && dropped_halves.is_multiple_of(2),
             "wave repair must stay symmetric"
@@ -465,11 +446,10 @@ impl Graph {
     }
 }
 
-/// One range's share of a wave rebuild: its index, its first slot index,
-/// its slab chunk, and one `(survivor, victim index)` pair per edge
-/// between a survivor it owns and a victim.
+/// One range's share of a wave rebuild: its first slot index, its slab
+/// chunk, and one `(survivor, victim index)` pair per edge between a
+/// survivor it owns and a victim.
 struct RangeTask<'a> {
-    range: usize,
     start: usize,
     chunk: &'a mut [Option<Vec<NodeId>>],
     bucket: Vec<(NodeId, usize)>,
@@ -477,9 +457,8 @@ struct RangeTask<'a> {
 
 impl RangeTask<'_> {
     /// Rebuilds every survivor of the range once, in its own list. Returns
-    /// the range index, its ascending survivors and the number of
-    /// half-edges it added.
-    fn rebuild(mut self, taken: &[Vec<NodeId>], is_victim: &[bool]) -> (usize, Vec<NodeId>, usize) {
+    /// its ascending survivors and the number of half-edges it added.
+    fn rebuild(mut self, taken: &[Vec<NodeId>], is_victim: &[bool]) -> (Vec<NodeId>, usize) {
         self.bucket.sort_unstable();
         let mut survivors = Vec::new();
         let mut added = 0usize;
@@ -498,7 +477,7 @@ impl RangeTask<'_> {
             added += list.len() - kept;
             survivors.push(u);
         }
-        (self.range, survivors, added)
+        (survivors, added)
     }
 }
 

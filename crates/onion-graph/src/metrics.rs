@@ -38,7 +38,7 @@ use std::borrow::Cow;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::budget::thread_budget;
+use crate::budget::{map_in_order, thread_budget};
 use crate::csr::CsrSnapshot;
 use crate::graph::{Graph, NodeId};
 
@@ -287,62 +287,22 @@ impl BfsScratch {
 
 /// Deterministic multi-source BFS kernel: runs one BFS per source over a
 /// shared read-only adjacency, fanning sources across at most `threads`
-/// scoped worker threads (clamped to the source count; `<= 1` runs inline
-/// with no thread machinery).
+/// workers through [`map_in_order`].
 ///
-/// Each worker owns one reusable [`BfsScratch`] and claims sources from a
-/// shared atomic cursor; every result is written into the output slot of
-/// its *source index*, so the returned vector is **byte-identical to the
-/// sequential path regardless of thread count or scheduling**. Callers
-/// that sample sources with an RNG must draw them before calling (as
-/// [`sampled_diameter`] does), keeping RNG streams independent of the
-/// thread budget.
+/// Each worker owns one reusable [`BfsScratch`], and every result lands
+/// in the output slot of its *source index*, so the returned vector is
+/// **byte-identical to the sequential path regardless of thread count or
+/// scheduling**. Callers that sample sources with an RNG must draw them
+/// before calling (as [`sampled_diameter`] does), keeping RNG streams
+/// independent of the thread budget.
 pub fn parallel_bfs_from_sources<A: Adjacency + Sync + ?Sized>(
     adj: &A,
     sources: &[NodeId],
     threads: usize,
 ) -> Vec<BfsStats> {
-    /// Hard ceiling on kernel workers: budgets are caller-supplied (CLI
-    /// flag, environment variable), and an absurd value must degrade to
-    /// "merely pointless", not to a failed `std::thread` spawn aborting
-    /// the scope. 64 is far above any useful BFS fan-out while keeping
-    /// over-provisioned determinism tests (threads > cores) meaningful.
-    const MAX_KERNEL_THREADS: usize = 64;
-    let threads = threads.clamp(1, MAX_KERNEL_THREADS).min(sources.len());
-    if threads <= 1 {
-        let mut scratch = BfsScratch::new();
-        return sources.iter().map(|&s| scratch.run(adj, s)).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, BfsStats)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = BfsScratch::new();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&source) = sources.get(i) else {
-                            break;
-                        };
-                        local.push((i, scratch.run(adj, source)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("BFS worker panicked"))
-            .collect()
-    });
-    // Scatter by source index: the cursor hands each index to exactly one
-    // worker, so every slot is written exactly once.
-    let mut out = vec![BfsStats::default(); sources.len()];
-    for (i, stats) in per_worker.into_iter().flatten() {
-        out[i] = stats;
-    }
-    out
+    map_in_order(sources.to_vec(), threads, BfsScratch::new, |s, src| {
+        s.run(adj, src)
+    })
 }
 
 /// Closeness centrality of one BFS source from its aggregate stats,

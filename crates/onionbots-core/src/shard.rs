@@ -5,7 +5,8 @@
 //! parallelizes both across a **fixed logical shard grid**: a
 //! [`ShardGrid`] cuts the NodeId space into disjoint contiguous ranges,
 //! and every parallel phase assigns work to shards, never to threads.
-//! Worker threads (bounded by [`thread_budget`]) merely *steal shards*;
+//! Each phase hands its shard indices to [`map_in_order`] on at most
+//! [`thread_budget`] workers, which returns the results by shard index;
 //! each shard's work is a pure function of the grid, the frozen graph
 //! state and the shard's own RNG stream, and cross-shard effects are
 //! applied in one sequential ascending-shard reconciliation pass — so the
@@ -50,7 +51,7 @@
 //! cross-shard edge removals replayed sequentially in ascending shard/id
 //! order.
 
-use onion_graph::budget::thread_budget;
+use onion_graph::budget::{map_in_order, thread_budget};
 use onion_graph::generators::random_regular;
 use onion_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -84,11 +85,6 @@ pub fn default_shards_for(n: usize) -> usize {
         DEFAULT_SHARDS
     }
 }
-
-/// Hard ceiling on shard workers, mirroring the BFS kernel's bound: an
-/// absurd caller-supplied budget must degrade to "merely pointless", not
-/// to a failed thread spawn.
-const MAX_SHARD_THREADS: usize = 64;
 
 /// A fixed partition of the id space `0..n` into disjoint contiguous
 /// NodeId ranges — the unit of parallel construction, repair partitioning
@@ -212,60 +208,23 @@ pub fn build_sharded_regular<R: Rng + ?Sized>(
     );
     let base = rng.next_u64(); // the ONE draw on the caller's stream
     let shards = grid.shards();
-    let blocks = run_on_shards(shards, |s| {
-        let len = grid.range(s).len();
-        let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(base, s));
-        random_regular(len, k, &mut shard_rng).0
-    });
-    let mut graph = Graph::assemble(
-        blocks
-            .into_iter()
-            .map(|block| block.expect("every shard slot is filled")),
+    let blocks = map_in_order(
+        (0..shards).collect(),
+        thread_budget(),
+        || (),
+        |_, s| {
+            let len = grid.range(s).len();
+            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(base, s));
+            random_regular(len, k, &mut shard_rng).0
+        },
     );
+    let mut graph = Graph::assemble(blocks);
     if shards > 1 {
         let mut merge_rng = StdRng::seed_from_u64(shard_stream_seed(base, shards));
         stitch_shards(&mut graph, grid, k, &mut merge_rng);
     }
     let ids = (0..n).map(NodeId).collect();
     (graph, ids)
-}
-
-/// Runs `f(shard)` for every shard, stealing shard indices across up to
-/// [`thread_budget`] scoped workers, and returns the results in shard
-/// order. Output never depends on the worker count: each shard's result
-/// lands in its slot by shard index.
-fn run_on_shards<T: Send>(shards: usize, f: impl Fn(usize) -> T + Sync) -> Vec<Option<T>> {
-    let threads = thread_budget().clamp(1, MAX_SHARD_THREADS).min(shards);
-    if threads <= 1 {
-        return (0..shards).map(|s| Some(f(s))).collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let s = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        local.push((s, f(s)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-    let mut out: Vec<Option<T>> = std::iter::repeat_with(|| None).take(shards).collect();
-    for (s, value) in per_worker.into_iter().flatten() {
-        out[s] = Some(value);
-    }
-    out
 }
 
 /// Degree-preserving cross-shard stitching: ring swaps between each pair
@@ -398,9 +357,8 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> WaveOutcome {
     let wave_base = rng.next_u64(); // the ONE draw on the caller's stream
-    let threads = thread_budget().clamp(1, MAX_SHARD_THREADS);
     let (removed, edges_added, by_shard) =
-        graph.remove_nodes_with_clique_repair(victims, grid.bounds(), threads);
+        graph.remove_nodes_with_clique_repair(victims, grid.bounds(), thread_budget());
     let mut outcome = WaveOutcome {
         removed,
         edges_added: edges_added as u64,
@@ -409,22 +367,24 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     if config.pruning {
         // Phase 2: plan drops per shard against the frozen graph.
         let frozen: &Graph = graph;
-        let planned = run_on_shards(grid.shards(), |s| {
-            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
-            let mut peers: Vec<(NodeId, usize)> = Vec::new();
-            let mut drops: Vec<(NodeId, NodeId)> = Vec::new();
-            for &u in &by_shard[s] {
-                plan_prune(frozen, config, u, &mut shard_rng, &mut peers, &mut drops);
-            }
-            drops
-        });
+        let planned = map_in_order(
+            (0..grid.shards()).collect(),
+            thread_budget(),
+            Vec::new,
+            |peers, s| {
+                let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+                let mut drops = Vec::new();
+                for &u in &by_shard[s] {
+                    plan_prune(frozen, config, u, &mut shard_rng, peers, &mut drops);
+                }
+                drops
+            },
+        );
         // Phase 3: apply in ascending shard order (plans within a shard
         // are already in ascending node order).
-        for drops in planned.into_iter().flatten() {
-            for (u, victim) in drops {
-                if graph.remove_edge(u, victim) {
-                    outcome.edges_pruned += 1;
-                }
+        for (u, victim) in planned.into_iter().flatten() {
+            if graph.remove_edge(u, victim) {
+                outcome.edges_pruned += 1;
             }
         }
     }

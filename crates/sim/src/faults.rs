@@ -32,10 +32,10 @@
 //! `delay` sleeps its argument (default 100 ms) and continues; `hang` is
 //! `delay` with a ten-minute duration — long enough that only a deadline
 //! or watchdog ends the wait. `crash` exits the process with status 101
-//! without answering, subsuming the older `ONIONBOTS_WORKER_CRASH_AFTER_ITEMS`
-//! hook (which the bench worker now translates into a `crash@N+1` spec on
-//! its serve failpoint). `partial` asks a write site to truncate its
-//! payload mid-write; sites without a payload treat it as `err`.
+//! without answering: `worker.item=crash@N+1` kills every worker
+//! incarnation after it has answered `N` items. `partial` asks a write
+//! site to truncate its payload mid-write; sites without a payload treat
+//! it as `err`.
 //!
 //! This module is the **only sanctioned home for injected
 //! nondeterminism**: its env read and its sleeps are exempted by name in

@@ -2,8 +2,6 @@
 //!
 //! Experiment infrastructure for the OnionBots (DSN 2015) evaluation:
 //!
-//! * [`engine`] — a deterministic discrete-event queue for scenario
-//!   scheduling.
 //! * [`scenario`] — the takedown primitives behind Figures 4, 5 and 6:
 //!   gradual (self-repairing vs. normal) takedowns with metric sampling, and
 //!   the simultaneous-deletion partition threshold.
@@ -69,7 +67,6 @@
 
 pub mod cache;
 pub mod dispatch;
-pub mod engine;
 pub mod executor;
 pub mod experiment;
 pub mod faults;
@@ -93,8 +90,8 @@ pub use scenario_api::{
     UnknownScenario,
 };
 // The service's `Request`/`Event` frame types stay namespaced
-// (`sim::service::{Request, Event}`) so they cannot be confused with the
-// discrete-event `engine` types; the nouns below are unambiguous.
+// (`sim::service::{Request, Event}`): the bare nouns are too generic for
+// the crate root. The nouns below are unambiguous.
 pub use service::{
     BackendSpec, JobSpec, JobState, JobStatus, ScenarioInfo, Service, ServiceConfig,
 };

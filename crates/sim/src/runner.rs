@@ -286,11 +286,10 @@ impl Runner {
 
     /// Sets the intra-item thread budget policy (default:
     /// [`ThreadsPerItem::Sequential`], the pinned legacy behavior). The
-    /// resolved count is stamped onto every dispatched [`WorkItem`] and —
-    /// on the process backend — exported to workers via the
-    /// [`onion_graph::budget::THREADS_ENV`] environment variable, so
-    /// subprocesses inherit the same split. Output bytes are identical
-    /// for any setting.
+    /// resolved count is stamped onto every dispatched [`WorkItem`], and
+    /// every backend scopes it around the item's execution (in
+    /// [`run_work_item`](crate::executor::run_work_item)). Output bytes
+    /// are identical for any setting.
     pub fn threads_per_item(mut self, threads: ThreadsPerItem) -> Self {
         self.threads_per_item = threads;
         self
@@ -527,18 +526,9 @@ impl Runner {
             Backend::Local => LocalExecutor::new(scenarios.to_vec())
                 .jobs(self.jobs)
                 .execute(pending, observer),
-            Backend::Process(command) => {
-                // Belt and braces: the hint travels inside each work item
-                // (run_work_item scopes it), and the environment carries
-                // the same split as the worker-process default for any
-                // graph work outside an item's scope.
-                let command = command
-                    .clone()
-                    .env(onion_graph::budget::THREADS_ENV, threads.to_string());
-                Dispatcher::processes(command, self.jobs)
-                    .deadline_millis(self.item_deadline_ms)
-                    .execute(pending, observer)
-            }
+            Backend::Process(command) => Dispatcher::processes(command.clone(), self.jobs)
+                .deadline_millis(self.item_deadline_ms)
+                .execute(pending, observer),
             Backend::Remote(workers) => Dispatcher::hosts(workers.clone())
                 .deadline_millis(self.item_deadline_ms)
                 .execute(pending, observer),
