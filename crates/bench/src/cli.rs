@@ -356,35 +356,38 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     Ok(options)
 }
 
-fn print_listing(json: bool) {
-    let registry = scenarios::registry();
-    let params = ScenarioParams::default();
-    if json {
-        // Machine-readable listing: the same ScenarioInfo frames the
-        // service's List request returns, so scripts can parse one
-        // format for both the offline and daemon paths.
-        let infos = ScenarioInfo::collect(&registry, &params);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&infos).expect("scenario listing serializes")
-        );
-        return;
-    }
-    println!("{} registered scenarios:\n", registry.len());
-    for scenario in registry.iter() {
-        println!(
-            "  {:<24} {:>2} part(s)  {}",
-            scenario.id(),
-            scenario.parts(&params),
-            scenario.title()
+/// The text `--list` prints for `infos`.
+fn listing_text(infos: &[ScenarioInfo]) -> String {
+    let mut text = format!("{} registered scenarios:\n\n", infos.len());
+    for info in infos {
+        text += &format!(
+            "  {:<24} {:>2} part(s)  {}\n",
+            info.id, info.parts, info.title
         );
         // Declared override keys make --set discoverable; a scenario
         // without declared keys accepts (and is fingerprinted by) every
         // override.
-        match scenario.override_keys() {
-            Some(keys) => println!("  {:<24} --set keys: {}", "", keys.join(", ")),
-            None => println!("  {:<24} --set keys: (undeclared)", ""),
-        }
+        let keys = match &info.override_keys {
+            Some(keys) => keys.join(", "),
+            None => "(undeclared)".to_string(),
+        };
+        text += &format!("  {:<24} --set keys: {keys}\n", "");
+    }
+    text
+}
+
+/// Prints the registry listing. Both forms render the same
+/// [`ScenarioInfo`] rows the service's List request returns, so scripts
+/// parse one format for the offline and daemon paths.
+fn print_listing(json: bool) {
+    let infos = ScenarioInfo::collect(&scenarios::registry(), &ScenarioParams::default());
+    if json {
+        println!(
+            "{}",
+            serde_json::to_string_pretty(&infos).expect("scenario listing serializes")
+        );
+    } else {
+        print!("{}", listing_text(&infos));
     }
 }
 
@@ -635,5 +638,41 @@ mod tests {
             assert_eq!(error, format!("unknown option '{word}'"));
         }
         assert!(one_shot(&["full", "--jobs", "2"]).is_err());
+    }
+
+    #[test]
+    fn the_text_and_json_listings_agree_on_a_zero_part_scenario() {
+        use rand::rngs::StdRng;
+        use sim::scenario_api::{Scenario, ScenarioRegistry};
+        use sim::ExperimentReport;
+
+        struct Partless;
+        impl Scenario for Partless {
+            fn id(&self) -> &str {
+                "partless"
+            }
+            fn title(&self) -> &str {
+                "declares no parts"
+            }
+            fn parts(&self, _params: &ScenarioParams) -> usize {
+                0
+            }
+            fn run_part(
+                &self,
+                _part: usize,
+                _params: &ScenarioParams,
+                _rng: &mut StdRng,
+            ) -> Vec<ExperimentReport> {
+                Vec::new()
+            }
+        }
+        let mut registry = ScenarioRegistry::new();
+        registry.register(Partless);
+        let infos = ScenarioInfo::collect(&registry, &ScenarioParams::default());
+        assert_eq!(infos[0].parts, 1, "the runner runs one part");
+        let text = listing_text(&infos);
+        let line = text.lines().find(|line| line.contains("partless")).unwrap();
+        assert!(line.contains(" 1 part(s)  declares no parts"), "{line}");
+        assert!(text.contains("--set keys: (undeclared)"), "{text}");
     }
 }

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
 use sim::service::{Event, Request};
-use sim::wire::{write_frame, Frame, FrameReader};
+use sim::wire::{write_frame, FrameReader};
 use sim::{JobSpec, Service, ServiceConfig};
 
 use crate::cli::{number, Args, JobFlags, ServiceFlags};
@@ -71,6 +71,15 @@ fn connect(transport: &Transport) -> Result<Connection, String> {
     }
 }
 
+/// Reads the daemon's next event frame; EOF is the error `eof`.
+fn next_event(frames: &mut FrameReader<Box<dyn Read>>, eof: &str) -> Result<Event, String> {
+    let line = frames
+        .next_line()
+        .map_err(|e| format!("connection to the service failed: {e}"))?
+        .ok_or_else(|| eof.to_string())?;
+    serde_json::from_str(&line).map_err(|e| format!("unparseable event frame: {e}"))
+}
+
 /// Sends one request frame and returns the daemon's single response
 /// frame. Every non-submission request is answered with exactly one
 /// event, so the client never has to wait for the connection to close
@@ -78,25 +87,10 @@ fn connect(transport: &Transport) -> Result<Connection, String> {
 fn request_one(transport: &Transport, request: &Request) -> Result<Event, String> {
     let (reader, mut writer) = connect(transport)?;
     write_frame(&mut writer, request).map_err(|e| format!("cannot send request: {e}"))?;
-    let mut frames = FrameReader::new(reader);
-    loop {
-        match frames
-            .read_frame()
-            .map_err(|e| format!("connection failed: {e}"))?
-        {
-            Frame::Eof => {
-                return Err("the service closed the connection without answering".to_string())
-            }
-            Frame::Idle => {}
-            Frame::Line(line) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                return serde_json::from_str::<Event>(&line)
-                    .map_err(|e| format!("unparseable event frame: {e}"));
-            }
-        }
-    }
+    next_event(
+        &mut FrameReader::new(reader),
+        "the service closed the connection without answering",
+    )
 }
 
 // ------------------------------------------------------------------ serve
@@ -341,22 +335,8 @@ fn run_submit(options: &SubmitOptions) -> Result<(), String> {
         .map_err(|e| format!("cannot send job: {e}"))?;
     let mut frames = FrameReader::new(reader);
     loop {
-        let line = match frames
-            .read_frame()
-            .map_err(|e| format!("connection to the service failed: {e}"))?
-        {
-            Frame::Eof => {
-                return Err("the service closed the connection before the job finished".to_string())
-            }
-            Frame::Idle => continue,
-            Frame::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let event = serde_json::from_str::<Event>(&line)
-            .map_err(|e| format!("unparseable event frame: {e}"))?;
-        match event {
+        let eof = "the service closed the connection before the job finished";
+        match next_event(&mut frames, eof)? {
             Event::Accepted { job } => eprintln!("submitted as job {job}"),
             Event::Part { job, event } => {
                 if !options.quiet {

@@ -32,6 +32,7 @@ use std::process::ExitCode;
 use sim::faults::points::WORKER_ITEM;
 use sim::{serve_connection, serve_remote_host};
 
+use crate::cli::Args;
 use crate::scenarios;
 
 /// Arms this process's failpoint plan from the [`sim::FAULTS_ENV`]
@@ -80,38 +81,32 @@ Options:
   --help          show this help
 ";
 
+/// Parses the `serve-worker` flags into the address to listen on.
+fn parse_listen(args: &[String]) -> Result<String, String> {
+    let mut listen = None;
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--listen" => listen = Some(args.value(flag)?.to_string()),
+            "--help" | "-h" => {
+                print!("{SERVE_WORKER_USAGE}");
+                std::process::exit(0);
+            }
+            other => return Err(format!("unknown option '{other}'")),
+        }
+    }
+    listen.ok_or_else(|| "serve-worker requires --listen ADDR".to_string())
+}
+
 /// Entry point for `run_experiments serve-worker` (args exclude the
 /// subcommand word). Runs until killed.
 pub fn serve_worker_main(args: &[String]) -> ExitCode {
-    let mut listen: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        i += 1;
-        match arg.as_str() {
-            "--listen" => match args.get(i) {
-                Some(value) => {
-                    listen = Some(value.clone());
-                    i += 1;
-                }
-                None => {
-                    eprintln!("error: --listen requires a value\n\n{SERVE_WORKER_USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                print!("{SERVE_WORKER_USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown option '{other}'\n\n{SERVE_WORKER_USAGE}");
-                return ExitCode::from(2);
-            }
+    let addr = match parse_listen(args) {
+        Ok(addr) => addr,
+        Err(message) => {
+            eprintln!("error: {message}\n\n{SERVE_WORKER_USAGE}");
+            return ExitCode::from(2);
         }
-    }
-    let Some(addr) = listen else {
-        eprintln!("error: serve-worker requires --listen ADDR\n\n{SERVE_WORKER_USAGE}");
-        return ExitCode::from(2);
     };
     let listener = match TcpListener::bind(&addr) {
         Ok(listener) => listener,
@@ -150,6 +145,7 @@ pub fn serve_worker_main(args: &[String]) -> ExitCode {
 
 #[cfg(test)]
 mod tests {
+    use super::parse_listen;
     use sim::executor::{run_work_item, PartResult, WorkItem};
     use sim::scenario_api::ScenarioParams;
     use sim::wire::{write_frame, DispatchFrame, WorkerFrame, PROTOCOL_VERSION};
@@ -207,6 +203,27 @@ mod tests {
                 "worker output must equal in-process execution"
             );
         }
+    }
+
+    #[test]
+    fn serve_worker_flags_parse_through_the_shared_cursor() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_listen(&args(&["--listen", "127.0.0.1:0"])),
+            Ok("127.0.0.1:0".to_string())
+        );
+        assert_eq!(
+            parse_listen(&args(&["--listen"])),
+            Err("--listen requires a value".to_string())
+        );
+        assert_eq!(
+            parse_listen(&args(&["--port", "1"])),
+            Err("unknown option '--port'".to_string())
+        );
+        assert_eq!(
+            parse_listen(&args(&[])),
+            Err("serve-worker requires --listen ADDR".to_string())
+        );
     }
 
     #[test]

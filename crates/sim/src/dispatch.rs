@@ -476,6 +476,11 @@ fn dispatch<E: Endpoint>(
     // An item leaves a thread's hands one of exactly two ways; both wake
     // the parked stealers so the termination condition (empty queue,
     // nothing in flight) is re-evaluated.
+    let fail_item = |item: &WorkItem, message: String| {
+        let state = PartState::Error(message.clone());
+        observer.part_event(PartEvent::for_item(item, state));
+        fail(message);
+    };
     let requeue = |item: WorkItem, retries: usize| {
         let mut state = queue.lock().expect("queue lock");
         state.pending.push_back((item, retries));
@@ -498,7 +503,8 @@ fn dispatch<E: Endpoint>(
     std::thread::scope(|scope| {
         for endpoint in endpoints.iter().take(total) {
             let (queue, wake, results, merged) = (&queue, &wake, &results, &merged);
-            let (fail, requeue, settle, abandon) = (&fail, &requeue, &settle, &abandon);
+            let (fail, fail_item) = (&fail, &fail_item);
+            let (requeue, settle, abandon) = (&requeue, &settle, &abandon);
             let fatal = &fatal;
             scope.spawn(move || {
                 let label = endpoint.label();
@@ -569,10 +575,13 @@ fn dispatch<E: Endpoint>(
                     match active.round_trip(&item) {
                         Ok(result) => {
                             if let Some(error) = &result.error {
-                                fail(format!(
-                                    "{label} failed on {}#{}: {error}",
-                                    item.scenario_id, item.part
-                                ));
+                                fail_item(
+                                    &item,
+                                    format!(
+                                        "{label} failed on {}#{}: {error}",
+                                        item.scenario_id, item.part
+                                    ),
+                                );
                                 settle();
                                 break;
                             }
@@ -633,10 +642,13 @@ fn dispatch<E: Endpoint>(
                                 .unwrap_or(true);
                             let retries = if fresh_death { retries + 1 } else { retries };
                             if retries > DEFAULT_MAX_ITEM_RETRIES {
-                                fail(format!(
-                                    "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
-                                    item.scenario_id, item.part
-                                ));
+                                fail_item(
+                                    &item,
+                                    format!(
+                                        "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
+                                        item.scenario_id, item.part
+                                    ),
+                                );
                                 settle();
                                 break;
                             }
@@ -985,6 +997,46 @@ mod tests {
         assert!(
             message.contains(&format!("killed {}", DEFAULT_MAX_ITEM_RETRIES + 1)),
             "{message}"
+        );
+    }
+
+    #[test]
+    fn the_item_that_fails_the_batch_is_reported_as_an_error_event() {
+        /// Records every state in arrival order.
+        #[derive(Default)]
+        struct States(Mutex<Vec<PartState>>);
+        impl RunObserver for States {
+            fn part_event(&self, event: PartEvent) {
+                self.0.lock().unwrap().push(event.state);
+            }
+        }
+        // A worker that answers with an error result.
+        let refusing = Fake::new(|_, item| {
+            let mut line = Vec::new();
+            let result = PartResult::failed(item, "scenario 'toy' is not registered");
+            write_frame(&mut line, &WorkerFrame::Completed(result)).unwrap();
+            vec![Step::Bytes(line)]
+        });
+        let observer = States::default();
+        let error = dispatch(&[refusing], items(1), &observer, DEFAULT_ITEM_DEADLINE_MS)
+            .unwrap_err()
+            .to_string();
+        assert!(error.contains("is not registered"), "{error}");
+        let states = observer.0.into_inner().unwrap();
+        assert_eq!(states, vec![PartState::Started, PartState::Error(error)]);
+        // An item that exhausts its retry budget.
+        let killing = Fake::new(|_, _| vec![Step::Bytes(b"garbage\n".to_vec())]);
+        let observer = States::default();
+        let error = dispatch(&[killing], items(1), &observer, DEFAULT_ITEM_DEADLINE_MS)
+            .unwrap_err()
+            .to_string();
+        assert!(error.contains("giving up"), "{error}");
+        let states = observer.0.into_inner().unwrap();
+        assert_eq!(states.last(), Some(&PartState::Error(error)));
+        assert_eq!(
+            states.len(),
+            DEFAULT_MAX_ITEM_RETRIES + 2,
+            "one start per channel"
         );
     }
 

@@ -38,7 +38,7 @@ use crate::cache::PartFingerprint;
 use crate::experiment::ExperimentReport;
 use crate::faults;
 use crate::runner::{PartEvent, PartState, RunObserver};
-use crate::scenario_api::{part_seed, Scenario, ScenarioParams};
+use crate::scenario_api::{part_count, part_seed, Scenario, ScenarioParams};
 
 /// One self-contained unit of executable work: a single part of a single
 /// scenario under fully resolved parameters.
@@ -123,13 +123,6 @@ impl WorkItem {
         }
     }
 
-    /// Sets the intra-item thread budget hint (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// The item's identity as a [`PartFingerprint`] (for cache lookups
     /// and stores).
     pub fn part_fingerprint(&self) -> PartFingerprint {
@@ -195,10 +188,12 @@ pub fn run_work_item(scenario: &dyn Scenario, item: &WorkItem) -> Vec<Experiment
     })
 }
 
-/// Error produced when a backend cannot complete its batch of work items.
+/// Error produced when a backend cannot complete its batch of work items,
+/// or when the run was cancelled before it could.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecutorError {
     message: String,
+    cancelled: bool,
 }
 
 impl ExecutorError {
@@ -206,7 +201,23 @@ impl ExecutorError {
     pub fn new(message: impl Into<String>) -> Self {
         ExecutorError {
             message: message.into(),
+            cancelled: false,
         }
+    }
+
+    /// The error a run fails with when its observer cancelled it while
+    /// `remaining` of its `total` dispatched items had no result.
+    pub fn cancelled(remaining: usize, total: usize) -> Self {
+        ExecutorError {
+            message: format!("job cancelled with {remaining} of {total} item(s) still pending"),
+            cancelled: true,
+        }
+    }
+
+    /// Whether the run failed because it was cancelled rather than
+    /// because the backend could not complete it.
+    pub fn is_cancelled(&self) -> bool {
+        self.cancelled
     }
 }
 
@@ -227,8 +238,9 @@ impl std::error::Error for ExecutorError {}
 /// could not be completed and the run must fail.
 ///
 /// While it runs, a backend reports a `Started` [`PartEvent`] as each
-/// item begins (again, if it was re-queued) and a `Finished` or `Error`
-/// event as each result lands. Events come from worker threads in
+/// item begins (again, if it was re-queued), a `Finished` event as each
+/// result lands, and an `Error` event for the item that fails the batch,
+/// just before it returns the error. Events come from worker threads in
 /// completion order and are informational: the returned results stay the
 /// single source of truth. A backend polls
 /// [`RunObserver::cancelled`] each time it is about to take the next
@@ -252,7 +264,9 @@ pub trait Executor: Send + Sync {
 /// The in-process backend: `jobs` workers drain a shared queue, the
 /// calling thread being one of them, so with one job (or one item) items
 /// run in submission order on the calling thread and no thread is
-/// spawned. A part that panics fails the batch with an error naming it.
+/// spawned. A part that panics (or hits the `local.item` failpoint) fails
+/// the batch with an error naming it, reported first as the part's
+/// `Error` event.
 pub struct LocalExecutor {
     scenarios: Vec<Arc<dyn Scenario>>,
     jobs: usize,
@@ -339,6 +353,8 @@ impl Executor for LocalExecutor {
             let result = match outcome {
                 Ok(result) => result,
                 Err(error) => {
+                    let state = PartState::Error(error.to_string());
+                    observer.part_event(PartEvent::for_item(&item, state));
                     fatal.lock().expect("fatal lock").get_or_insert(error);
                     break;
                 }
@@ -369,7 +385,7 @@ pub fn plan_work_items(
 ) -> Vec<(usize, WorkItem)> {
     let mut items = Vec::new();
     for (scenario_idx, scenario) in scenarios.iter().enumerate() {
-        for part in 0..scenario.parts(params).max(1) {
+        for part in 0..part_count(&**scenario, params) {
             items.push((scenario_idx, WorkItem::new(&**scenario, part, params)));
         }
     }
@@ -465,9 +481,9 @@ mod tests {
             keys: Some(vec!["offset"]),
         };
         let item = WorkItem::new(&declared, 0, &params);
-        assert_eq!(item.params.override_str("offset"), Some("2.0"));
+        assert_eq!(item.params.overrides.get("offset").unwrap(), "2.0");
         assert_eq!(
-            item.params.override_str("unrelated"),
+            item.params.overrides.get("unrelated"),
             None,
             "undeclared keys are stripped"
         );
@@ -478,7 +494,7 @@ mod tests {
             keys: None,
         };
         let item = WorkItem::new(&unknown, 0, &params);
-        assert_eq!(item.params.override_str("unrelated"), Some("1"));
+        assert_eq!(item.params.overrides.get("unrelated").unwrap(), "1");
     }
 
     #[test]
@@ -530,8 +546,8 @@ mod tests {
         }
 
         let params = ScenarioParams::with_seed(1);
-        let item = WorkItem::new(&BudgetProbe, 0, &params).with_threads(5);
-        assert_eq!(item.threads, 5);
+        let mut item = WorkItem::new(&BudgetProbe, 0, &params);
+        item.threads = 5;
         // Capture the ambient budget (env-dependent) rather than assuming
         // 1, so the test is immune to an exported THREADS_ENV.
         let ambient = onion_graph::budget::thread_budget();
@@ -542,14 +558,8 @@ mod tests {
             ambient,
             "budget restored after the item"
         );
-        // The default hint keeps parts sequential; with_threads clamps.
+        // The default hint keeps parts sequential.
         assert_eq!(WorkItem::new(&BudgetProbe, 0, &params).threads, 1);
-        assert_eq!(
-            WorkItem::new(&BudgetProbe, 0, &params)
-                .with_threads(0)
-                .threads,
-            1
-        );
     }
 
     #[test]
@@ -628,6 +638,20 @@ mod tests {
                 .sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
             assert_eq!(parallel, sorted_reference, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn only_the_cancel_constructor_makes_a_cancelled_error() {
+        let cancelled = ExecutorError::cancelled(2, 5);
+        assert!(cancelled.is_cancelled());
+        assert_eq!(
+            cancelled.to_string(),
+            "job cancelled with 2 of 5 item(s) still pending"
+        );
+        // The same text from any other source is an ordinary failure.
+        let lookalike = ExecutorError::new(cancelled.to_string());
+        assert!(!lookalike.is_cancelled());
+        assert_ne!(lookalike, cancelled);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Series {
     pub fn is_empty(&self) -> bool {
         self.x.is_empty()
     }
-
-    /// The final y value, if any.
-    pub fn last_y(&self) -> Option<f64> {
-        self.y.last().copied()
-    }
 }
 
 /// A complete experiment report: the figure/table it reproduces plus its
@@ -247,7 +242,6 @@ mod tests {
         let s = Series::new("deg = 5", vec![0.0, 10.0], vec![0.9, 0.8]);
         assert_eq!(s.len(), 2);
         assert!(!s.is_empty());
-        assert_eq!(s.last_y(), Some(0.8));
     }
 
     #[test]

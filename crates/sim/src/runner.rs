@@ -31,7 +31,7 @@ use crate::executor::{
     index_by_id, plan_work_items, Executor, ExecutorError, LocalExecutor, PartResult, WorkItem,
 };
 use crate::experiment::ExperimentReport;
-use crate::scenario_api::{merge_reports, Scenario, ScenarioParams};
+use crate::scenario_api::{merge_reports, part_count, Scenario, ScenarioParams};
 
 /// All reports produced by one scenario in a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -322,8 +322,9 @@ impl Runner {
     /// mid-run degrades to a warning, never a failed run.
     ///
     /// Once [`RunObserver::cancelled`] reads `true`, no further item
-    /// starts, in-flight items finish, and the run fails with a "job
-    /// cancelled" [`ExecutorError`]. Because fresh results are only
+    /// starts, in-flight items finish, and the run fails with an
+    /// [`ExecutorError`] whose [`is_cancelled`](ExecutorError::is_cancelled)
+    /// reads `true`. Because fresh results are only
     /// written back after the *whole* dispatch succeeds, a cancelled run
     /// never leaves partial state in the cache. A cancel raised after the
     /// last item was taken loses the race and the run completes normally.
@@ -340,7 +341,7 @@ impl Runner {
         let by_id = index_by_id(scenarios);
         let part_counts: Vec<usize> = scenarios
             .iter()
-            .map(|s| s.parts(&self.params).max(1))
+            .map(|s| part_count(&**s, &self.params))
             .collect();
         let work = plan_work_items(scenarios, &self.params);
 
@@ -510,13 +511,8 @@ impl Runner {
             return Ok(Vec::new());
         }
         let total = pending.len();
-        let cancelled = |remaining: usize| {
-            ExecutorError::new(format!(
-                "job cancelled with {remaining} of {total} item(s) still pending"
-            ))
-        };
         if observer.cancelled() {
-            return Err(cancelled(total));
+            return Err(ExecutorError::cancelled(total, total));
         }
         let threads = self.threads_per_item.resolve(self.jobs, total);
         for item in &mut pending {
@@ -535,7 +531,7 @@ impl Runner {
             Backend::Custom(executor) => executor.execute(pending, observer),
         }?;
         if observer.cancelled() && executed.len() < total {
-            return Err(cancelled(total - executed.len()));
+            return Err(ExecutorError::cancelled(total - executed.len(), total));
         }
         Ok(executed)
     }

@@ -89,11 +89,6 @@ impl ScenarioParams {
         self
     }
 
-    /// Raw override lookup.
-    pub fn override_str(&self, key: &str) -> Option<&str> {
-        self.overrides.get(key).map(String::as_str)
-    }
-
     /// An override parsed as `usize`, or `default` when the key is absent.
     ///
     /// # Panics
@@ -114,44 +109,13 @@ impl ScenarioParams {
         self.override_opt(key)
     }
 
-    /// An override parsed as `u64`, or `default` when the key is absent.
-    ///
-    /// # Panics
-    /// Panics when the override is present but unparseable, like
-    /// [`override_usize`](Self::override_usize).
-    pub fn override_u64(&self, key: &str, default: u64) -> u64 {
-        self.override_u64_opt(key).unwrap_or(default)
-    }
-
-    /// An override parsed as `u64`, or `None` when the key is absent —
-    /// the presence-sensitive sibling of
-    /// [`override_u64`](Self::override_u64).
-    ///
-    /// # Panics
-    /// Panics when the override is present but unparseable, like
-    /// [`override_usize`](Self::override_usize).
-    pub fn override_u64_opt(&self, key: &str) -> Option<u64> {
-        self.override_opt(key)
-    }
-
     /// An override parsed as `f64`, or `default` when the key is absent.
     ///
     /// # Panics
     /// Panics when the override is present but unparseable, like
     /// [`override_usize`](Self::override_usize).
     pub fn override_f64(&self, key: &str, default: f64) -> f64 {
-        self.override_f64_opt(key).unwrap_or(default)
-    }
-
-    /// An override parsed as `f64`, or `None` when the key is absent —
-    /// the presence-sensitive sibling of
-    /// [`override_f64`](Self::override_f64).
-    ///
-    /// # Panics
-    /// Panics when the override is present but unparseable, like
-    /// [`override_usize`](Self::override_usize).
-    pub fn override_f64_opt(&self, key: &str) -> Option<f64> {
-        self.override_opt(key)
+        self.override_opt(key).unwrap_or(default)
     }
 
     /// The primitive every typed accessor routes through: present keys
@@ -221,11 +185,6 @@ pub trait Scenario: Send + Sync {
     /// Human-readable title.
     fn title(&self) -> &str;
 
-    /// The parameters this scenario is normally run with.
-    fn default_params(&self) -> ScenarioParams {
-        ScenarioParams::default()
-    }
-
     /// The override keys this scenario consumes, if it knows them.
     ///
     /// `Some(keys)` lets the result cache fingerprint only the overrides
@@ -239,6 +198,8 @@ pub trait Scenario: Send + Sync {
 
     /// Number of independently runnable parts under `params`. Parts must
     /// not share mutable state; their reports are merged in part order.
+    /// Every caller reads it through [`part_count`], which runs a
+    /// scenario that declares no parts as one part.
     fn parts(&self, params: &ScenarioParams) -> usize {
         let _ = params;
         1
@@ -259,12 +220,20 @@ pub trait Scenario: Send + Sync {
     /// single-threaded entry point for tests and examples.
     fn run(&self, params: &ScenarioParams) -> Vec<ExperimentReport> {
         let mut merged = Vec::new();
-        for part in 0..self.parts(params) {
+        for part in 0..part_count(self, params) {
             let mut rng = StdRng::seed_from_u64(part_seed(params.seed, self.id(), part));
             merge_reports(&mut merged, self.run_part(part, params, &mut rng));
         }
         merged
     }
+}
+
+/// How many parts `scenario` runs under `params`: its
+/// [`parts`](Scenario::parts), but at least one. The one rule the runner,
+/// the planner, [`Scenario::run`], the listings and the daemon's job
+/// table all share.
+pub fn part_count<S: Scenario + ?Sized>(scenario: &S, params: &ScenarioParams) -> usize {
+    scenario.parts(params).max(1)
 }
 
 /// Merges `incoming` reports into `acc`: reports with a known id merge
@@ -332,20 +301,12 @@ impl ScenarioRegistry {
     /// duplicate registration is a programming error, not a runtime
     /// condition.
     pub fn register(&mut self, scenario: impl Scenario + 'static) -> &mut Self {
-        self.register_arc(Arc::new(scenario))
-    }
-
-    /// Registers an already shared scenario.
-    ///
-    /// # Panics
-    /// Panics on duplicate ids, like [`register`](Self::register).
-    pub fn register_arc(&mut self, scenario: Arc<dyn Scenario>) -> &mut Self {
         assert!(
             self.get(scenario.id()).is_none(),
             "scenario '{}' registered twice",
             scenario.id()
         );
-        self.scenarios.push(scenario);
+        self.scenarios.push(Arc::new(scenario));
         self
     }
 
@@ -563,38 +524,7 @@ mod tests {
         assert_eq!(params.override_usize("missing", 9), 9);
         assert_eq!(params.override_usize_opt("n"), Some(500));
         assert_eq!(params.override_usize_opt("missing"), None);
-        assert_eq!(params.override_u64("n", 9), 500);
         assert!((params.override_f64("rate", 0.0) - 0.25).abs() < 1e-12);
-        assert_eq!(params.override_str("n"), Some("500"));
-        assert_eq!(params.override_str("missing"), None);
-    }
-
-    #[test]
-    fn presence_sensitive_accessors_cover_every_numeric_type() {
-        let params = ScenarioParams::default()
-            .with_override("n", "500")
-            .with_override("rate", "0.25");
-        assert_eq!(params.override_u64_opt("n"), Some(500));
-        assert_eq!(params.override_u64_opt("missing"), None);
-        assert!((params.override_f64_opt("rate").unwrap() - 0.25).abs() < 1e-12);
-        assert_eq!(params.override_f64_opt("missing"), None);
-        // An integer-typed value reads as f64 too (parse, not format).
-        assert!((params.override_f64_opt("n").unwrap() - 500.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a valid")]
-    fn malformed_u64_opt_override_panics_instead_of_none() {
-        // Presence-sensitive accessors must not turn a typo into "absent".
-        let params = ScenarioParams::default().with_override("n", "5x0");
-        params.override_u64_opt("n");
-    }
-
-    #[test]
-    #[should_panic(expected = "not a valid")]
-    fn malformed_f64_opt_override_panics_instead_of_none() {
-        let params = ScenarioParams::default().with_override("rate", "fast");
-        params.override_f64_opt("rate");
     }
 
     #[test]
@@ -602,6 +532,33 @@ mod tests {
     fn malformed_override_value_panics_instead_of_defaulting() {
         let params = ScenarioParams::default().with_override("n", "lots");
         params.override_usize("n", 1);
+    }
+
+    #[test]
+    fn a_zero_part_scenario_runs_one_part_on_every_path() {
+        use crate::runner::Runner;
+        use crate::service::ScenarioInfo;
+
+        let params = ScenarioParams::with_seed(8);
+        let zero = Toy {
+            id: "zero",
+            parts: 0,
+        };
+        assert_eq!(part_count(&zero, &params), 1);
+        let mut registry = ScenarioRegistry::new();
+        registry.register(Toy {
+            id: "zero",
+            parts: 0,
+        });
+        let summary = Runner::new(params.clone())
+            .try_run_observed(&registry.select(&[]).unwrap(), &())
+            .unwrap()
+            .0;
+        assert_eq!(summary.outcomes[0].parts, 1);
+        assert_eq!(summary.outcomes[0].reports, zero.run(&params));
+        assert_eq!(zero.run(&params)[0].notes, vec!["part 0"]);
+        let infos = ScenarioInfo::collect(&registry, &params);
+        assert_eq!(infos[0].parts, 1);
     }
 
     #[test]

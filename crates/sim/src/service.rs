@@ -26,19 +26,22 @@
 //! [`Event::Done`] frame carries the summary plus the job's own
 //! [`CacheStats`].
 //!
-//! Job lifecycle is tracked in a small job table ([`JobStatus`] rows)
-//! that serves [`Request::Status`] from any connection. The table is
-//! bounded: it keeps every `Running` row plus the
+//! Job lifecycle is tracked in one job table behind one lock: each
+//! job's [`JobStatus`] row together with its cancel token, plus the last
+//! job id handed out. Admission, id assignment, cancel, progress and
+//! finish each take that lock once, so a row and its token appear and
+//! disappear together. The table serves [`Request::Status`] from any
+//! connection and is bounded: it keeps every `Running` row plus the
 //! [`MAX_FINISHED_JOBS`] most recent finished ones, evicting the oldest
 //! finished row first, so a long-lived daemon's memory does not grow
 //! with the number of jobs it has served. An evicted job answers
 //! `Status` and `Cancel` exactly like an unknown one. Shutdown is
-//! graceful: once draining begins (SIGTERM/ctrl-c in the CLI, or a
-//! [`Request::Shutdown`] frame), new submissions are refused with an
-//! error frame, in-flight jobs run to completion (their fresh parts are
-//! flushed to the cache by the runner as usual), idle connections are
-//! told [`Event::ShuttingDown`], and the serve loop returns once every
-//! connection has wound down.
+//! graceful and has one flag: once draining begins (SIGTERM/ctrl-c in
+//! the CLI, or a [`Request::Shutdown`] frame — the two mean the same),
+//! new submissions are refused with an error frame, in-flight jobs run
+//! to completion (their fresh parts are flushed to the cache by the
+//! runner as usual), idle connections are told [`Event::ShuttingDown`],
+//! and the serve loop returns once every connection has wound down.
 //!
 //! A misbehaving client cannot hurt the daemon: a malformed frame gets
 //! an [`Event::Error`] answer and the connection keeps serving; a line
@@ -55,7 +58,9 @@
 //! running job's remaining work items at the next *item* boundary: a job
 //! runs on one executor, which polls the job's cancel token (through the
 //! job's [`RunObserver`]) each time it is about to take the next item,
-//! lets in-flight items finish and stops.
+//! lets in-flight items finish and stops. Whether a failed run was
+//! cancelled is the runner's call alone
+//! ([`ExecutorError::is_cancelled`]); the daemon never reads error text.
 //! Because the runner stores results only after a dispatch fully
 //! succeeds, a cancelled job writes *nothing* to the shared cache — no
 //! partial state can ever be replayed. The `service.job` and
@@ -74,8 +79,8 @@ use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -84,10 +89,8 @@ use crate::cache::{CacheStats, ResultCache};
 use crate::dispatch::WorkerCommand;
 use crate::executor::{Executor, ExecutorError, PartResult, WorkItem};
 use crate::faults;
-use crate::runner::{
-    Backend, PartEvent, RunObserver, RunSummary, Runner, ScenarioOutcome, ThreadsPerItem,
-};
-use crate::scenario_api::{ScenarioParams, ScenarioRegistry};
+use crate::runner::{Backend, PartEvent, RunObserver, RunSummary, Runner, ThreadsPerItem};
+use crate::scenario_api::{part_count, ScenarioParams, ScenarioRegistry};
 use crate::wire::{write_frame, Duplex, Frame, FrameReader};
 
 // The unused-import lint would otherwise flag these doc-link-only names.
@@ -120,7 +123,7 @@ impl ScenarioInfo {
             .map(|scenario| ScenarioInfo {
                 id: scenario.id().to_string(),
                 title: scenario.title().to_string(),
-                parts: scenario.parts(params).max(1),
+                parts: part_count(&**scenario, params),
                 override_keys: scenario
                     .override_keys()
                     .map(|keys| keys.iter().map(|k| (*k).to_string()).collect()),
@@ -394,7 +397,7 @@ impl ServiceConfig {
     /// parts are all cache hits never notices it.
     fn resolve_backend(&self, spec: &JobSpec) -> Backend {
         let unavailable =
-            |message: &str| Backend::Custom(std::sync::Arc::new(Unavailable(message.to_string())));
+            |message: &str| Backend::Custom(Arc::new(Unavailable(message.to_string())));
         match spec.backend.unwrap_or(self.backend) {
             BackendSpec::Local => Backend::Local,
             BackendSpec::Process => match &self.worker_command {
@@ -444,13 +447,35 @@ pub const DEFAULT_MAX_ACTIVE_JOBS: usize = 8;
 /// ones; the oldest finished row is evicted first.
 pub const MAX_FINISHED_JOBS: usize = 64;
 
+/// One job in the table: its row and the token its run polls for
+/// cancellation, created and dropped together.
+struct Job {
+    status: JobStatus,
+    cancel: Arc<AtomicBool>,
+}
+
+/// The daemon's job table: every kept job, in id order, and the last id
+/// handed out.
+#[derive(Default)]
+struct JobTable {
+    jobs: Vec<Job>,
+    last_id: u64,
+}
+
+impl JobTable {
+    fn get_mut(&mut self, job: u64) -> Option<&mut Job> {
+        self.jobs.iter_mut().find(|entry| entry.status.job == job)
+    }
+}
+
 /// The persistent simulation service: registry + cache + backend loaded
 /// once, serving concurrent NDJSON clients.
 ///
 /// `Service` itself is transport-agnostic — [`handle_connection`]
 /// drives any `Read`/`Write` pair — and the serve loops
 /// ([`serve_unix`], [`serve_tcp`]) layer socket accept/drain mechanics
-/// on top.
+/// on top. Its state is one job table behind one lock and one drain
+/// flag, which the serve loops exit on.
 ///
 /// [`handle_connection`]: Service::handle_connection
 /// [`serve_unix`]: Service::serve_unix
@@ -458,11 +483,8 @@ pub const MAX_FINISHED_JOBS: usize = 64;
 pub struct Service {
     registry: ScenarioRegistry,
     config: ServiceConfig,
-    table: Mutex<Vec<JobStatus>>,
-    cancels: Mutex<BTreeMap<u64, std::sync::Arc<AtomicBool>>>,
-    next_job: AtomicU64,
+    table: Mutex<JobTable>,
     draining: AtomicBool,
-    stop_requested: AtomicBool,
 }
 
 impl Service {
@@ -472,17 +494,9 @@ impl Service {
         Service {
             registry,
             config,
-            table: Mutex::new(Vec::new()),
-            cancels: Mutex::new(BTreeMap::new()),
-            next_job: AtomicU64::new(0),
+            table: Mutex::default(),
             draining: AtomicBool::new(false),
-            stop_requested: AtomicBool::new(false),
         }
-    }
-
-    /// The registry this service executes against.
-    pub fn registry(&self) -> &ScenarioRegistry {
-        &self.registry
     }
 
     /// The machine-readable scenario listing (quick-scale part counts).
@@ -490,9 +504,10 @@ impl Service {
         ScenarioInfo::collect(&self.registry, &ScenarioParams::default())
     }
 
-    /// Starts draining: submissions are refused from this point on.
-    /// In-flight jobs are unaffected — they run to completion and their
-    /// fresh results still reach the cache.
+    /// Starts draining (what SIGTERM and a [`Request::Shutdown`] frame
+    /// both do): submissions are refused from this point on and the serve
+    /// loops stop accepting. In-flight jobs are unaffected — they run to
+    /// completion and their fresh results still reach the cache.
     pub fn begin_drain(&self) {
         self.draining.store(true, Ordering::SeqCst);
     }
@@ -502,50 +517,38 @@ impl Service {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// Requests a full stop (what a [`Request::Shutdown`] frame does):
-    /// begins draining and tells the serve loop to exit.
-    pub fn request_stop(&self) {
-        self.begin_drain();
-        self.stop_requested.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a stop was requested via [`request_stop`](Self::request_stop).
-    pub fn stop_requested(&self) -> bool {
-        self.stop_requested.load(Ordering::SeqCst)
+    fn table(&self) -> MutexGuard<'_, JobTable> {
+        self.table.lock().expect("job table lock")
     }
 
     /// A snapshot of the job table; `job` filters to one id.
     pub fn jobs_snapshot(&self, job: Option<u64>) -> Vec<JobStatus> {
-        let table = self.table.lock().expect("job table lock");
-        table
+        self.table()
+            .jobs
             .iter()
-            .filter(|row| job.is_none_or(|id| row.job == id))
-            .cloned()
+            .filter(|entry| job.is_none_or(|id| entry.status.job == id))
+            .map(|entry| entry.status.clone())
             .collect()
     }
 
     fn bump_parts_done(&self, job: u64) {
-        let mut table = self.table.lock().expect("job table lock");
-        if let Some(row) = table.iter_mut().find(|row| row.job == job) {
-            row.parts_done += 1;
+        if let Some(entry) = self.table().get_mut(job) {
+            entry.status.parts_done += 1;
         }
     }
 
     /// Closes a job's row and, past [`MAX_FINISHED_JOBS`] finished rows,
     /// evicts the oldest finished one (rows are in job-id order).
     fn finish_job(&self, job: u64, state: JobState, cache: Option<CacheStats>) {
-        let mut table = self.table.lock().expect("job table lock");
-        if let Some(row) = table.iter_mut().find(|row| row.job == job) {
-            row.state = state;
-            row.cache = cache;
+        let mut table = self.table();
+        if let Some(entry) = table.get_mut(job) {
+            entry.status.state = state;
+            entry.status.cache = cache;
         }
-        let finished = table
-            .iter()
-            .filter(|row| row.state != JobState::Running)
-            .count();
-        if finished > MAX_FINISHED_JOBS {
-            if let Some(oldest) = table.iter().position(|row| row.state != JobState::Running) {
-                table.remove(oldest);
+        let finished = |entry: &Job| entry.status.state != JobState::Running;
+        if table.jobs.iter().filter(|entry| finished(entry)).count() > MAX_FINISHED_JOBS {
+            if let Some(oldest) = table.jobs.iter().position(finished) {
+                table.jobs.remove(oldest);
             }
         }
     }
@@ -577,15 +580,16 @@ impl Service {
             }
         };
         let params = spec.params();
-        let parts_total: usize = selected.iter().map(|s| s.parts(&params).max(1)).sum();
+        let parts_total: usize = selected.iter().map(|s| part_count(&**s, &params)).sum();
         // Admission control: the Running count is checked and the new row
         // inserted under one table lock, so concurrent submissions cannot
         // both squeeze past the bound.
-        let job = {
-            let mut table = self.table.lock().expect("job table lock");
+        let (job, cancel) = {
+            let mut table = self.table();
             let active = table
+                .jobs
                 .iter()
-                .filter(|row| row.state == JobState::Running)
+                .filter(|entry| entry.status.state == JobState::Running)
                 .count();
             if active >= self.config.max_active_jobs.max(1) {
                 sink.send(&Event::Rejected {
@@ -597,22 +601,22 @@ impl Service {
                 });
                 return;
             }
-            let job = self.next_job.fetch_add(1, Ordering::SeqCst) + 1;
-            table.push(JobStatus {
-                job,
-                state: JobState::Running,
-                scenarios: selected.iter().map(|s| s.id().to_string()).collect(),
-                parts_total,
-                parts_done: 0,
-                cache: None,
+            table.last_id += 1;
+            let job = table.last_id;
+            let cancel = Arc::new(AtomicBool::new(false));
+            table.jobs.push(Job {
+                status: JobStatus {
+                    job,
+                    state: JobState::Running,
+                    scenarios: selected.iter().map(|s| s.id().to_string()).collect(),
+                    parts_total,
+                    parts_done: 0,
+                    cache: None,
+                },
+                cancel: cancel.clone(),
             });
-            job
+            (job, cancel)
         };
-        let cancel = std::sync::Arc::new(AtomicBool::new(false));
-        self.cancels
-            .lock()
-            .expect("cancel map lock")
-            .insert(job, cancel.clone());
         sink.send(&Event::Accepted { job });
 
         // The `service.job` failpoint models an accepted job dying inside
@@ -621,7 +625,6 @@ impl Service {
         if let Err(error) = faults::hit_io(faults::points::SERVICE_JOB) {
             let message = error.to_string();
             self.finish_job(job, JobState::Failed(message.clone()), None);
-            self.cancels.lock().expect("cancel map lock").remove(&job);
             sink.send(&Event::Error {
                 job: Some(job),
                 message,
@@ -636,9 +639,7 @@ impl Service {
             sink,
             cancel: &cancel,
         };
-        let outcome = runner.try_run_observed(&selected, &observer);
-        self.cancels.lock().expect("cancel map lock").remove(&job);
-        match outcome {
+        match runner.try_run_observed(&selected, &observer) {
             Ok((summary, cache)) => {
                 self.finish_job(job, JobState::Done, cache);
                 sink.send(&Event::Done {
@@ -647,23 +648,17 @@ impl Service {
                     cache,
                 });
             }
+            Err(error) if error.is_cancelled() => {
+                self.finish_job(job, JobState::Cancelled, None);
+                sink.send(&Event::Cancelled { job });
+            }
             Err(error) => {
                 let message = error.to_string();
-                // A cancel that actually drained the run (the token was
-                // tripped *and* the runner aborted on it) closes the job
-                // as Cancelled; any other failure — including one that
-                // raced a late cancel — stays a Failed job with its real
-                // error message.
-                if cancel.load(Ordering::SeqCst) && message.starts_with("job cancelled") {
-                    self.finish_job(job, JobState::Cancelled, None);
-                    sink.send(&Event::Cancelled { job });
-                } else {
-                    self.finish_job(job, JobState::Failed(message.clone()), None);
-                    sink.send(&Event::Error {
-                        job: Some(job),
-                        message,
-                    });
-                }
+                self.finish_job(job, JobState::Failed(message.clone()), None);
+                sink.send(&Event::Error {
+                    job: Some(job),
+                    message,
+                });
             }
         }
     }
@@ -677,27 +672,16 @@ impl Service {
     /// Returns a human-readable reason when `job` is unknown or no longer
     /// running.
     pub fn cancel_job(&self, job: u64) -> Result<(), String> {
-        let token = self
-            .cancels
-            .lock()
-            .expect("cancel map lock")
-            .get(&job)
-            .cloned();
-        match token {
-            Some(token) => {
-                token.store(true, Ordering::SeqCst);
+        match self.table().get_mut(job) {
+            Some(entry) if entry.status.state == JobState::Running => {
+                entry.cancel.store(true, Ordering::SeqCst);
                 Ok(())
             }
-            None => {
-                let known = self
-                    .jobs_snapshot(Some(job))
-                    .first()
-                    .map(|row| row.state.clone());
-                Err(match known {
-                    Some(state) => format!("job {job} is not running (state: {state:?})"),
-                    None => format!("unknown job {job}"),
-                })
-            }
+            Some(entry) => Err(format!(
+                "job {job} is not running (state: {:?})",
+                entry.status.state
+            )),
+            None => Err(format!("unknown job {job}")),
         }
     }
 
@@ -714,7 +698,7 @@ impl Service {
                 }),
             },
             Request::Shutdown => {
-                self.request_stop();
+                self.begin_drain();
                 sink.send(&Event::ShuttingDown);
             }
         }
@@ -783,8 +767,8 @@ impl Service {
     }
 
     /// The accept/drain loop shared by both transports: poll `accept`,
-    /// spawn one scoped thread per connection, and — once `stop` (or a
-    /// client's [`Request::Shutdown`]) fires — begin draining, stop
+    /// spawn one scoped thread per connection, and — once `stop` fires
+    /// or the service drains (a client's [`Request::Shutdown`]) — stop
     /// accepting and join every connection thread before returning.
     fn serve_with<S, A>(&self, mut accept: A, stop: &AtomicBool) -> io::Result<()>
     where
@@ -793,7 +777,7 @@ impl Service {
     {
         std::thread::scope(|scope| -> io::Result<()> {
             loop {
-                if stop.load(Ordering::SeqCst) || self.stop_requested() {
+                if stop.load(Ordering::SeqCst) || self.is_draining() {
                     self.begin_drain();
                     return Ok(());
                 }
@@ -823,7 +807,7 @@ impl Service {
     }
 
     /// Serves clients on a Unix domain socket at `path` until `stop` is
-    /// set (or a client requests shutdown), then drains and removes the
+    /// set or the service drains, then drains and removes the
     /// socket file. A stale socket file from a previous run is replaced.
     ///
     /// # Errors
@@ -851,7 +835,7 @@ impl Service {
 
     /// Serves clients on an already bound TCP listener (loopback
     /// recommended — the protocol is unauthenticated) until `stop` is
-    /// set or a client requests shutdown, then drains.
+    /// set or the service drains, then drains.
     ///
     /// # Errors
     /// Returns the I/O error when the accept loop fails.
@@ -949,12 +933,6 @@ impl<W: Write> EventSink<W> {
     }
 }
 
-/// Sums per-outcome report counts — a helper for clients rendering
-/// progress from a final summary.
-pub fn summary_parts(outcomes: &[ScenarioOutcome]) -> usize {
-    outcomes.iter().map(|o| o.parts).sum()
-}
-
 #[cfg(all(test, unix))]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -1013,6 +991,24 @@ mod tests {
 
     fn scenarios() -> Vec<Arc<dyn Scenario>> {
         registry().select(&[]).unwrap()
+    }
+
+    /// Pins a fake `Running` row, with its cancel token, that no run will
+    /// ever finish; returns the token.
+    fn pin_running(service: &Service, job: u64) -> Arc<AtomicBool> {
+        let cancel = Arc::new(AtomicBool::new(false));
+        service.table().jobs.push(Job {
+            status: JobStatus {
+                job,
+                state: JobState::Running,
+                scenarios: vec!["s1".to_string()],
+                parts_total: 3,
+                parts_done: 0,
+                cache: None,
+            },
+            cancel: cancel.clone(),
+        });
+        cancel
     }
 
     fn service(cache: Option<ResultCache>) -> Service {
@@ -1311,7 +1307,6 @@ mod tests {
             &[serde_json::to_string(&Request::Shutdown).unwrap()],
         );
         assert_eq!(events, vec![Event::ShuttingDown]);
-        assert!(service.stop_requested());
         assert!(service.is_draining());
     }
 
@@ -1349,14 +1344,7 @@ mod tests {
                 ..ServiceConfig::default()
             },
         );
-        service.table.lock().unwrap().push(JobStatus {
-            job: 99,
-            state: JobState::Running,
-            scenarios: vec!["s1".to_string()],
-            parts_total: 3,
-            parts_done: 0,
-            cache: None,
-        });
+        pin_running(&service, 99);
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
         assert_eq!(events.len(), 1);
         let Event::Rejected { reason } = &events[0] else {
@@ -1365,7 +1353,7 @@ mod tests {
         assert!(reason.contains("job queue is full"), "{reason}");
         assert_eq!(service.jobs_snapshot(None).len(), 1, "nothing was queued");
         // Freeing the slot lets the next submission through.
-        service.table.lock().unwrap()[0].state = JobState::Done;
+        service.table().jobs[0].status.state = JobState::Done;
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(5))]);
         let (_, _, _) = done_frame(&events);
     }
@@ -1423,14 +1411,7 @@ mod tests {
         let service = service(None);
         // A pinned Running row older than every real job: the oldest row
         // in the table, and never evictable.
-        service.table.lock().unwrap().push(JobStatus {
-            job: 0,
-            state: JobState::Running,
-            scenarios: vec!["s1".to_string()],
-            parts_total: 3,
-            parts_done: 0,
-            cache: None,
-        });
+        pin_running(&service, 0);
         let extra = 3;
         for seed in 0..(MAX_FINISHED_JOBS + extra) as u64 {
             service.run_job(&spec_with_seed(seed), &EventSink::new(Vec::new()));
@@ -1582,6 +1563,47 @@ mod tests {
     }
 
     #[test]
+    fn a_running_row_can_be_cancelled_through_its_token() {
+        let service = service(None);
+        let token = pin_running(&service, 5);
+        assert_eq!(service.cancel_job(5), Ok(()));
+        assert!(
+            token.load(Ordering::SeqCst),
+            "the row's own token is tripped"
+        );
+        // Closing the row ends cancellability; evicting it makes it unknown.
+        service.finish_job(5, JobState::Cancelled, None);
+        let error = service.cancel_job(5).unwrap_err();
+        assert!(error.contains("not running (state: Cancelled)"), "{error}");
+        service.table().jobs.clear();
+        assert_eq!(service.cancel_job(5), Err("unknown job 5".to_string()));
+    }
+
+    #[test]
+    fn a_panicking_part_streams_its_error_before_the_job_error() {
+        let service = service(None);
+        let infeasible = JobSpec {
+            only: Some(vec!["s2".to_string()]),
+            jobs: Some(1),
+            overrides: Some([("offset".to_string(), "-1".to_string())].into()),
+            ..spec_with_seed(5)
+        };
+        let events = roundtrip(&service, &[submit_frame(&infeasible)]);
+        let message = accepted_then_failed(&service, &events);
+        let part_error = events.iter().position(|event| {
+            matches!(event, Event::Part { job: 1, event }
+                if event.scenario_id == "s2"
+                    && event.part == 0
+                    && event.state == PartState::Error(message.clone()))
+        });
+        assert_eq!(
+            part_error,
+            Some(events.len() - 2),
+            "the part's Error frame comes right before the job's: {events:?}"
+        );
+    }
+
+    #[test]
     fn scenario_infos_expose_ids_parts_and_override_keys() {
         let service = service(None);
         let infos = service.scenario_infos();
@@ -1602,7 +1624,6 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(summary_parts(&[]), 0);
     }
 
     #[test]
@@ -1622,7 +1643,7 @@ mod tests {
         let params = spec.params();
         assert_eq!(params.seed, 9);
         assert!(params.full_scale);
-        assert_eq!(params.override_str("offset"), Some("1.5"));
+        assert_eq!(params.overrides.get("offset").unwrap(), "1.5");
         assert_eq!(spec.selector(), Vec::<String>::new());
     }
 

@@ -184,8 +184,12 @@ impl<R: Read> FrameReader<R> {
     }
 
     /// Reads the next non-blank line, waiting out timeouts; `None` on
-    /// EOF. For serving loops that block until their peer speaks.
-    fn next_line(&mut self) -> io::Result<Option<String>> {
+    /// EOF. For serving loops and clients that block until their peer
+    /// speaks.
+    ///
+    /// # Errors
+    /// Returns the errors of [`read_frame`](Self::read_frame).
+    pub fn next_line(&mut self) -> io::Result<Option<String>> {
         loop {
             match self.read_frame()? {
                 Frame::Line(line) if line.trim().is_empty() => {}
