@@ -73,11 +73,9 @@ pub struct SuperOnion {
     owner: BTreeMap<NodeId, HostId>,
     virtuals: BTreeMap<HostId, Vec<NodeId>>,
     /// Reusable BFS state shared by every [`probe`](SuperOnion::probe):
-    /// one probe per host per round used to allocate a fresh
-    /// `DistanceMap` (an `O(id_bound)` distance array plus queue) each
-    /// call; the scratch amortizes that to one allocation for the
-    /// overlay's lifetime. `RefCell` because probing is logically `&self`
-    /// (it only reads the graph).
+    /// one probe per host per round reuses one `O(id_bound)` distance
+    /// array and queue for the overlay's lifetime. `RefCell` because
+    /// probing is logically `&self` (it only reads the graph).
     scratch: RefCell<BfsScratch>,
 }
 
@@ -196,13 +194,11 @@ impl SuperOnion {
                 messages: 0,
             };
         };
-        // One reusable-scratch BFS yields both answers a probe needs:
-        // membership (which siblings the gossip reached) and the message
-        // count. In a flood every informed node forwards to all of its
-        // peers exactly once, so total messages equal the degree sum over
-        // the reached set — the same value `flood_broadcast` counts, for
-        // one traversal and zero steady-state allocation instead of two
-        // traversals and a fresh `DistanceMap` per probe.
+        // One scratch BFS yields both answers a probe needs: membership
+        // (which siblings the gossip reached) and the message count. In a
+        // flood every informed node forwards to all of its peers exactly
+        // once, so messages are the degree sum over the reached set, as in
+        // `flood_broadcast`.
         let mut scratch = self.scratch.borrow_mut();
         scratch.run(&self.graph, source);
         let messages: usize = scratch

@@ -6,33 +6,107 @@
 //! counts components for every deletion count in one offline union-find
 //! pass, see `sim::scenario::partition_threshold`.)
 //!
-//! Every sweep is generic over [`Adjacency`], so it runs identically on the
-//! mutable slab [`Graph`] and on a frozen
+//! Every measurement here reads one crate-private kernel,
+//! `scan_components`, generic over [`Adjacency`], so it runs identically
+//! on the mutable slab [`Graph`] and on a frozen
 //! [`CsrSnapshot`](crate::csr::CsrSnapshot). A measurement phase that
 //! already holds a snapshot (a takedown sample measuring components,
-//! closeness and diameter together) reuses it; one that does not scans
-//! the slab directly, because a single scan runs about as fast over the
-//! slab as over a snapshot and a freeze would not pay for itself. The
-//! counting helpers ([`component_count`], [`largest_component_size`],
-//! [`largest_component_fraction`]) deliberately do **not** materialize the
-//! component vectors: a per-wave robustness sample over a million-node
-//! overlay needs one number, not a million sorted node ids.
+//! closeness and diameter together) reuses it; one that does not scans the
+//! slab directly, because a single scan runs about as fast over the slab
+//! as over a snapshot and a freeze would not pay for itself.
+//! The scan does **not** materialize per-component vectors: a per-wave
+//! robustness sample over a million-node overlay needs one number, not a
+//! million sorted node ids. Its visited flags are one byte per id, not the
+//! four of a [`BfsScratch`](crate::metrics::BfsScratch) distance, because
+//! the scan only needs to know whether a node was seen.
+
+use std::ops::Range;
 
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Adjacency;
 
-/// Returns the connected components as sorted lists of node ids (largest
-/// component first, ties broken by smallest node id).
+/// One sweep over every component: `(component count, queue, largest)`.
 ///
-/// One flat-array BFS sweep: a `Vec<bool>` indexed by node id tracks
-/// visitation and each component vector doubles as its own BFS queue, so
-/// the whole pass is `O(n + m)` with no hashing. A
-/// [`CsrSnapshot`](crate::csr::CsrSnapshot) yields the same output as the
-/// graph it froze (the snapshot preserves slot and neighbor order).
-pub fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> {
+/// Seeds are taken in ascending id order and every component is walked
+/// breadth-first into one shared queue, so each component is a contiguous
+/// span of `queue` starting at its smallest id, and `queue` ends up holding
+/// every live node once. `largest` is the span of the largest component;
+/// the maximum is updated strictly, so ties go to the component with the
+/// smallest id; [`diameter`](crate::metrics::diameter) sweeps
+/// `&queue[largest]`. An empty graph yields `(0, [], 0..0)`.
+pub(crate) fn scan_components<A: Adjacency + ?Sized>(
+    adj: &A,
+) -> (usize, Vec<NodeId>, Range<usize>) {
+    let mut visited = vec![false; adj.id_bound()];
+    let mut queue = Vec::new();
+    let mut count = 0usize;
+    let mut largest = 0..0;
+    for seed in (0..adj.id_bound()).map(NodeId) {
+        if visited[seed.0] || !adj.contains(seed) {
+            continue;
+        }
+        count += 1;
+        let start = queue.len();
+        visited[seed.0] = true;
+        queue.push(seed);
+        let mut head = start;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            for &v in adj.neighbors_of(u) {
+                if !visited[v.0] {
+                    visited[v.0] = true;
+                    queue.push(v);
+                }
+            }
+        }
+        if queue.len() - start > largest.len() {
+            largest = start..queue.len();
+        }
+    }
+    (count, queue, largest)
+}
+
+/// Number of connected components (`0` for an empty graph). Generic over
+/// [`Adjacency`]: pass a [`CsrSnapshot`](crate::csr::CsrSnapshot) to count
+/// over an existing freeze instead of re-walking the slab.
+pub fn component_count<A: Adjacency + ?Sized>(adj: &A) -> usize {
+    scan_components(adj).0
+}
+
+/// Size of the largest connected component (`0` for an empty graph).
+/// Generic over [`Adjacency`], like [`component_count`].
+pub fn largest_component_size<A: Adjacency + ?Sized>(adj: &A) -> usize {
+    scan_components(adj).2.len()
+}
+
+/// Returns `true` if the graph has at most one connected component.
+///
+/// The empty graph is considered connected (there is nothing to partition),
+/// matching how the partition-threshold experiment treats a fully deleted
+/// botnet.
+pub fn is_connected(graph: &Graph) -> bool {
+    component_count(graph) <= 1
+}
+
+/// Fraction of live nodes contained in the largest component (`1.0` for the
+/// empty graph by the same convention as [`is_connected`]).
+pub fn largest_component_fraction(graph: &Graph) -> f64 {
+    let n = graph.node_count();
+    if n == 0 {
+        return 1.0;
+    }
+    largest_component_size(graph) as f64 / n as f64
+}
+
+/// The connected components as sorted lists of node ids (largest first,
+/// ties broken by smallest node id), one vector per component: the
+/// reference the tests hold [`scan_components`] to.
+#[cfg(test)]
+pub(crate) fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> {
     let mut visited = vec![false; adj.id_bound()];
     let mut components = Vec::new();
-    for node in adj.live_nodes() {
+    for node in (0..adj.id_bound()).map(NodeId).filter(|&n| adj.contains(n)) {
         if visited[node.0] {
             continue;
         }
@@ -60,90 +134,14 @@ pub fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> 
     components
 }
 
-/// One counting sweep: `(component count, largest component size, a seed
-/// node of the largest component)` without materializing any component
-/// vector — the queue is reused across components and nothing is sorted.
-/// Returns `None` for an empty graph.
-///
-/// Seeds are visited in ascending id order and the maximum is updated
-/// strictly, so the reported largest component ties exactly like
-/// [`connected_components`] orders them: by size, then by smallest
-/// member id. A BFS from the seed re-derives the largest component's
-/// membership in `O(largest)` when a caller needs it (see
-/// [`diameter`](crate::metrics::diameter)).
-pub(crate) fn component_seed_scan<A: Adjacency + ?Sized>(
-    adj: &A,
-) -> Option<(usize, usize, NodeId)> {
-    let mut visited = vec![false; adj.id_bound()];
-    let mut queue: Vec<NodeId> = Vec::new();
-    let mut count = 0usize;
-    let mut largest = 0usize;
-    let mut largest_seed = None;
-    for node in adj.live_nodes() {
-        if visited[node.0] {
-            continue;
-        }
-        count += 1;
-        visited[node.0] = true;
-        queue.clear();
-        queue.push(node);
-        let mut head = 0usize;
-        while head < queue.len() {
-            let u = queue[head];
-            head += 1;
-            for &v in adj.neighbors_of(u) {
-                if !visited[v.0] {
-                    visited[v.0] = true;
-                    queue.push(v);
-                }
-            }
-        }
-        if queue.len() > largest {
-            largest = queue.len();
-            largest_seed = Some(node);
-        }
-    }
-    largest_seed.map(|seed| (count, largest, seed))
-}
-
-/// Number of connected components (`0` for an empty graph). Generic over
-/// [`Adjacency`]: pass a [`CsrSnapshot`](crate::csr::CsrSnapshot) to count
-/// over an existing freeze instead of re-walking the slab.
-pub fn component_count<A: Adjacency + ?Sized>(adj: &A) -> usize {
-    component_seed_scan(adj).map_or(0, |(count, _, _)| count)
-}
-
-/// Size of the largest connected component (`0` for an empty graph).
-/// Generic over [`Adjacency`], like [`component_count`].
-pub fn largest_component_size<A: Adjacency + ?Sized>(adj: &A) -> usize {
-    component_seed_scan(adj).map_or(0, |(_, largest, _)| largest)
-}
-
-/// Returns `true` if the graph has at most one connected component.
-///
-/// The empty graph is considered connected (there is nothing to partition),
-/// matching how the partition-threshold experiment treats a fully deleted
-/// botnet.
-pub fn is_connected(graph: &Graph) -> bool {
-    component_count(graph) <= 1
-}
-
-/// Fraction of live nodes contained in the largest component (`1.0` for the
-/// empty graph by the same convention as [`is_connected`]).
-pub fn largest_component_fraction(graph: &Graph) -> f64 {
-    let n = graph.node_count();
-    if n == 0 {
-        return 1.0;
-    }
-    largest_component_size(graph) as f64 / n as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::CsrSnapshot;
     use crate::generators::random_regular;
     use crate::graph::Graph;
+    use crate::property_tests::churned_graph;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -235,21 +233,42 @@ mod tests {
         assert_eq!(largest, via_vectors.first().map_or(0, Vec::len));
     }
 
-    #[test]
-    fn seed_scan_tie_breaks_like_materialized_components() {
-        // Two equal-size components: the seed scan must report the seed
-        // of the one connected_components orders first (smallest member
-        // id), because diameter() derives its component from that seed.
-        let (mut g, ids) = Graph::with_nodes(6);
-        for (a, b) in [(0, 2), (2, 4), (1, 3), (3, 5)] {
-            g.add_edge(ids[a], ids[b]);
+    /// The scan's count, largest size and largest span against the
+    /// materialized oracle, on the slab and on its snapshot.
+    fn assert_scan_matches_oracle(g: &Graph) {
+        let comps = connected_components(g);
+        for (count, queue, largest) in [scan_components(g), scan_components(&CsrSnapshot::build(g))]
+        {
+            assert_eq!(count, comps.len());
+            assert_eq!(queue.len(), g.node_count());
+            let mut span = queue[largest].to_vec();
+            span.sort_unstable();
+            assert_eq!(&span, comps.first().map_or(&[][..], Vec::as_slice));
         }
-        let (count, largest, seed) = component_seed_scan(&g).unwrap();
-        assert_eq!(count, 2);
-        assert_eq!(largest, 3);
-        assert_eq!(seed, ids[0]);
-        assert_eq!(connected_components(&g)[0][0], seed);
-        assert_eq!(component_seed_scan(&Graph::new()), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The largest span ties like the oracle orders components (by
+        /// size, then smallest member id), because `diameter` sweeps that
+        /// span: first on two equal-size components, then on churned
+        /// graphs with tombstones and isolated nodes.
+        #[test]
+        fn seed_scan_tie_breaks_like_materialized_components(
+            ops in prop::collection::vec((0usize..32, 0usize..32, 0u8..5), 0..160),
+        ) {
+            let (mut g, ids) = Graph::with_nodes(6);
+            for (a, b) in [(0, 2), (2, 4), (1, 3), (3, 5)] {
+                g.add_edge(ids[a], ids[b]);
+            }
+            let (count, queue, largest) = scan_components(&g);
+            prop_assert_eq!((count, largest.clone()), (2, 0..3));
+            prop_assert_eq!(&queue[largest], &[ids[0], ids[2], ids[4]]);
+            prop_assert_eq!(scan_components(&Graph::new()), (0, Vec::new(), 0..0));
+            assert_scan_matches_oracle(&g);
+            assert_scan_matches_oracle(&churned_graph(&ops));
+        }
     }
 
     #[test]

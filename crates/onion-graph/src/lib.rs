@@ -4,9 +4,12 @@
 //! [`graph::Graph`] structure the overlay simulations mutate, the k-regular
 //! [`generators`] the paper's evaluation starts from, the centrality and
 //! diameter [`metrics`] it reports, and the connected-component analysis
-//! ([`components`]) behind the partitioning experiments. Measurement-phase
-//! traversals freeze the slab into a read-only [`csr::CsrSnapshot`] and fan
-//! BFS sources across the deterministic multi-source kernel
+//! ([`components`]) behind the partitioning experiments. Every traversal is
+//! one of two kernels: [`metrics::BfsScratch::run`] for single-source
+//! distances and one component scan behind [`components`] for the
+//! whole-graph component sweep. Measurement-phase sweeps freeze the slab
+//! into a read-only [`csr::CsrSnapshot`] and fan BFS sources across the
+//! deterministic multi-source kernel
 //! ([`metrics::parallel_bfs_from_sources`]) under the [`budget`]-governed
 //! thread budget.
 //!
@@ -42,8 +45,9 @@ mod property_tests {
     use crate::csr::CsrSnapshot;
     use crate::generators::random_regular;
     use crate::graph::Graph;
+    use crate::metrics::oracle::bfs_distances;
     use crate::metrics::{
-        average_degree_centrality, bfs_distances, diameter, parallel_bfs_from_sources, BfsStats,
+        average_degree_centrality, diameter, parallel_bfs_from_sources, BfsStats,
     };
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -51,7 +55,7 @@ mod property_tests {
 
     /// Applies a random churn trace (node adds, edge adds/removes, node
     /// removals — i.e. tombstones) to a small seed graph.
-    fn churned_graph(ops: &[(usize, usize, u8)]) -> Graph {
+    pub(crate) fn churned_graph(ops: &[(usize, usize, u8)]) -> Graph {
         let (mut g, mut ids) = Graph::with_nodes(8);
         for &(a, b, op) in ops {
             match op {

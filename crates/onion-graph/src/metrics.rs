@@ -14,11 +14,13 @@
 //! the figure harness uses them with a few hundred sources, which keeps the
 //! curve shapes intact.
 //!
-//! All traversals run on **flat arrays indexed by node id** (the graph is an
-//! index-addressed slab, see [`Graph::id_bound`]): distances live in a
-//! `Vec<u32>` with a sentinel for "unreached" and the BFS queue doubles as
-//! the visit-order record. No hash maps or hash sets are involved, so the
-//! traversal order is deterministic by construction.
+//! Every single-source walk in the graph core is one [`BfsScratch::run`]:
+//! distances live in a flat `Vec<u32>` indexed by node id (the graph is an
+//! index-addressed slab, see [`Graph::id_bound`]) with a sentinel for
+//! "unreached", and the BFS queue doubles as the visit-order record. No
+//! hash maps or hash sets are involved, so the traversal order is
+//! deterministic by construction. The other kernel, the whole-graph
+//! component sweep, lives in [`crate::components`].
 //!
 //! The BFS-sweep metrics ([`diameter`], [`sampled_diameter`],
 //! [`average_closeness_centrality`] and
@@ -46,9 +48,10 @@ use crate::graph::{Graph, NodeId};
 const UNREACHED: u32 = u32::MAX;
 
 /// Read-only adjacency shared by the slab [`Graph`] and its frozen
-/// [`CsrSnapshot`], so every traversal (BFS scratch, parallel kernel,
-/// component sweeps) is written once and produces the identical visit
-/// order over either representation.
+/// [`CsrSnapshot`]. The graph core walks it with two kernels, each written
+/// once: [`BfsScratch::run`] for single-source distances and the component
+/// scan behind [`crate::components`] for the whole-graph sweep. Both
+/// produce the identical visit order over either representation.
 pub trait Adjacency {
     /// One past the largest node id, for sizing flat per-node arrays.
     fn id_bound(&self) -> usize;
@@ -56,8 +59,6 @@ pub trait Adjacency {
     fn contains(&self, node: NodeId) -> bool;
     /// The neighbors of `node`, sorted ascending; empty for dead nodes.
     fn neighbors_of(&self, node: NodeId) -> &[NodeId];
-    /// The live node ids in ascending order.
-    fn live_nodes(&self) -> Vec<NodeId>;
     /// A [`CsrSnapshot`] for the BFS-sweep metrics: a [`Graph`] freezes
     /// itself (one `O(n + m)` pass per call), a snapshot borrows itself.
     fn snapshot(&self) -> Cow<'_, CsrSnapshot>;
@@ -72,9 +73,6 @@ impl Adjacency for Graph {
     }
     fn neighbors_of(&self, node: NodeId) -> &[NodeId] {
         self.neighbors(node).unwrap_or(&[])
-    }
-    fn live_nodes(&self) -> Vec<NodeId> {
-        self.nodes()
     }
     fn snapshot(&self) -> Cow<'_, CsrSnapshot> {
         Cow::Owned(CsrSnapshot::build(self))
@@ -91,106 +89,9 @@ impl Adjacency for CsrSnapshot {
     fn neighbors_of(&self, node: NodeId) -> &[NodeId] {
         self.neighbors(node)
     }
-    fn live_nodes(&self) -> Vec<NodeId> {
-        CsrSnapshot::live_nodes(self)
-    }
     fn snapshot(&self) -> Cow<'_, CsrSnapshot> {
         Cow::Borrowed(self)
     }
-}
-
-/// Distances from one BFS source, stored as a flat array indexed by node id.
-///
-/// Produced by [`bfs_distances`]. Membership checks and lookups are array
-/// indexing; [`reached`](DistanceMap::reached) lists the visited nodes in
-/// BFS discovery order (source first, then distance-1 nodes in neighbor
-/// order, ...).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DistanceMap {
-    /// `dist[id] == UNREACHED` marks unreached (or deleted) nodes.
-    dist: Vec<u32>,
-    /// Visited nodes in discovery order; doubles as the BFS queue.
-    reached: Vec<NodeId>,
-}
-
-impl DistanceMap {
-    /// The distance from the source to `node`, if it was reached.
-    pub fn get(&self, node: NodeId) -> Option<usize> {
-        match self.dist.get(node.0).copied() {
-            None | Some(UNREACHED) => None,
-            Some(d) => Some(d as usize),
-        }
-    }
-
-    /// Whether the BFS reached `node` (the source counts as reached).
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.get(node).is_some()
-    }
-
-    /// Number of reached nodes, including the source. `0` when the BFS
-    /// started from a missing node.
-    pub fn reached_count(&self) -> usize {
-        self.reached.len()
-    }
-
-    /// `true` when nothing was reached (missing source).
-    pub fn is_empty(&self) -> bool {
-        self.reached.is_empty()
-    }
-
-    /// The reached nodes in BFS discovery order (source first).
-    pub fn reached(&self) -> &[NodeId] {
-        &self.reached
-    }
-
-    /// Iterates `(node, distance)` pairs in BFS discovery order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        self.reached
-            .iter()
-            .map(move |&n| (n, self.dist[n.0] as usize))
-    }
-
-    /// Sum of distances over all reached nodes (the source contributes 0).
-    pub fn total(&self) -> usize {
-        self.reached.iter().map(|&n| self.dist[n.0] as usize).sum()
-    }
-
-    /// Greatest distance to any reached node — the source's eccentricity
-    /// within its component. `None` when the source was missing.
-    pub fn max(&self) -> Option<usize> {
-        // The queue is filled in non-decreasing distance order, so the last
-        // reached node carries the maximum distance.
-        self.reached.last().map(|&n| self.dist[n.0] as usize)
-    }
-}
-
-/// Breadth-first search distances from `source` to every reachable node
-/// (including `source` itself at distance 0).
-pub fn bfs_distances(graph: &Graph, source: NodeId) -> DistanceMap {
-    let mut map = DistanceMap {
-        dist: vec![UNREACHED; graph.id_bound()],
-        reached: Vec::new(),
-    };
-    if !graph.contains(source) {
-        return map;
-    }
-    map.dist[source.0] = 0;
-    map.reached.push(source);
-    let mut head = 0usize;
-    while head < map.reached.len() {
-        let u = map.reached[head];
-        head += 1;
-        let d = map.dist[u.0] + 1;
-        if let Some(neighbors) = graph.neighbors(u) {
-            for &v in neighbors {
-                if map.dist[v.0] == UNREACHED {
-                    map.dist[v.0] = d;
-                    map.reached.push(v);
-                }
-            }
-        }
-    }
-    map
 }
 
 /// The aggregate result of one BFS: the source's eccentricity within its
@@ -410,13 +311,14 @@ pub fn average_degree_centrality(graph: &Graph) -> f64 {
 /// reported value.
 pub fn diameter<A: Adjacency + ?Sized>(adj: &A) -> Option<usize> {
     let csr = adj.snapshot();
-    let (_, _, seed) = crate::components::component_seed_scan(&*csr)?;
-    // Re-derive the largest component's members with one O(largest) BFS,
-    // then sweep only them — a partitioned graph never pays for sources
-    // outside the component whose diameter is being reported.
-    let mut scratch = BfsScratch::new();
-    scratch.run(&*csr, seed);
-    Some(max_eccentricity(&csr, scratch.reached()))
+    // Sweep only the largest component's span of the scan queue: a
+    // partitioned graph never pays for sources outside the component whose
+    // diameter is being reported.
+    let (_, queue, largest) = crate::components::scan_components(&*csr);
+    if largest.is_empty() {
+        return None;
+    }
+    Some(max_eccentricity(&csr, &queue[largest]))
 }
 
 /// Diameter lower bound estimated from `samples` random BFS sources.
@@ -441,8 +343,112 @@ pub fn sampled_diameter<A: Adjacency + ?Sized, R: Rng + ?Sized>(
     Some(max_eccentricity(&csr, &sources))
 }
 
+/// An independent single-source BFS that allocates its own distance map
+/// per call: the reference the tests hold [`BfsScratch`] and the
+/// multi-source kernel to.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::UNREACHED;
+    use crate::graph::{Graph, NodeId};
+
+    /// Distances from one BFS source, stored as a flat array indexed by node id.
+    ///
+    /// Produced by [`bfs_distances`]. Membership checks and lookups are array
+    /// indexing; [`reached`](DistanceMap::reached) lists the visited nodes in
+    /// BFS discovery order (source first, then distance-1 nodes in neighbor
+    /// order, ...).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct DistanceMap {
+        /// `dist[id] == UNREACHED` marks unreached (or deleted) nodes.
+        dist: Vec<u32>,
+        /// Visited nodes in discovery order; doubles as the BFS queue.
+        reached: Vec<NodeId>,
+    }
+
+    impl DistanceMap {
+        /// The distance from the source to `node`, if it was reached.
+        pub fn get(&self, node: NodeId) -> Option<usize> {
+            match self.dist.get(node.0).copied() {
+                None | Some(UNREACHED) => None,
+                Some(d) => Some(d as usize),
+            }
+        }
+
+        /// Whether the BFS reached `node` (the source counts as reached).
+        pub fn contains(&self, node: NodeId) -> bool {
+            self.get(node).is_some()
+        }
+
+        /// Number of reached nodes, including the source. `0` when the BFS
+        /// started from a missing node.
+        pub fn reached_count(&self) -> usize {
+            self.reached.len()
+        }
+
+        /// `true` when nothing was reached (missing source).
+        pub fn is_empty(&self) -> bool {
+            self.reached.is_empty()
+        }
+
+        /// The reached nodes in BFS discovery order (source first).
+        pub fn reached(&self) -> &[NodeId] {
+            &self.reached
+        }
+
+        /// Iterates `(node, distance)` pairs in BFS discovery order.
+        pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
+            self.reached
+                .iter()
+                .map(move |&n| (n, self.dist[n.0] as usize))
+        }
+
+        /// Sum of distances over all reached nodes (the source contributes 0).
+        pub fn total(&self) -> usize {
+            self.reached.iter().map(|&n| self.dist[n.0] as usize).sum()
+        }
+
+        /// Greatest distance to any reached node — the source's eccentricity
+        /// within its component. `None` when the source was missing.
+        pub fn max(&self) -> Option<usize> {
+            // The queue is filled in non-decreasing distance order, so the last
+            // reached node carries the maximum distance.
+            self.reached.last().map(|&n| self.dist[n.0] as usize)
+        }
+    }
+
+    /// Breadth-first search distances from `source` to every reachable node
+    /// (including `source` itself at distance 0).
+    pub(crate) fn bfs_distances(graph: &Graph, source: NodeId) -> DistanceMap {
+        let mut map = DistanceMap {
+            dist: vec![UNREACHED; graph.id_bound()],
+            reached: Vec::new(),
+        };
+        if !graph.contains(source) {
+            return map;
+        }
+        map.dist[source.0] = 0;
+        map.reached.push(source);
+        let mut head = 0usize;
+        while head < map.reached.len() {
+            let u = map.reached[head];
+            head += 1;
+            let d = map.dist[u.0] + 1;
+            if let Some(neighbors) = graph.neighbors(u) {
+                for &v in neighbors {
+                    if map.dist[v.0] == UNREACHED {
+                        map.dist[v.0] = d;
+                        map.reached.push(v);
+                    }
+                }
+            }
+        }
+        map
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::bfs_distances;
     use super::*;
     use crate::generators::{random_regular, ring_lattice};
     use crate::graph::Graph;

@@ -14,6 +14,7 @@
 //!   ablation bench to show the lookahead benefit.
 
 use onion_graph::graph::{Graph, NodeId};
+use onion_graph::metrics::BfsScratch;
 use serde::{Deserialize, Serialize};
 
 /// Result of a flooding broadcast.
@@ -44,51 +45,29 @@ impl BroadcastReport {
 }
 
 /// Simulates a flooding (gossip-to-all-peers) broadcast from `source`.
+///
+/// Round `d` informs the nodes at BFS distance `d`, so one [`BfsScratch`]
+/// run answers it: every informed node forwards once to each of its peers
+/// (messages are the degree sum over the reached set), and the discovery
+/// order is non-decreasing in distance, so the coverage after round `d` is
+/// the position of the last node reached at distance `d`, plus one.
 pub fn flood_broadcast(graph: &Graph, source: NodeId) -> BroadcastReport {
-    let population = graph.node_count();
-    if !graph.contains(source) {
-        return BroadcastReport {
-            reached: 0,
-            population,
-            rounds: 0,
-            messages: 0,
-            coverage_per_round: Vec::new(),
-        };
-    }
-    // Flat informed-flags indexed by node id: deterministic, allocation-light
-    // and cache-friendly at million-node populations.
-    let mut informed = vec![false; graph.id_bound()];
-    informed[source.0] = true;
-    let mut reached = 1usize;
-    let mut frontier = vec![source];
-    let mut messages = 0usize;
-    let mut coverage_per_round = vec![1usize];
-    let mut rounds = 0usize;
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &u in &frontier {
-            if let Some(neighbors) = graph.neighbors(u) {
-                for &v in neighbors {
-                    messages += 1;
-                    if !informed[v.0] {
-                        informed[v.0] = true;
-                        reached += 1;
-                        next.push(v);
-                    }
-                }
-            }
+    let mut scratch = BfsScratch::new();
+    let stats = scratch.run(graph, source);
+    let mut coverage_per_round = Vec::new();
+    let mut messages = 0;
+    for (informed, &v) in scratch.reached().iter().enumerate() {
+        let round = scratch.get(v).expect("a reached node has a distance");
+        if round == coverage_per_round.len() {
+            coverage_per_round.push(0);
         }
-        if next.is_empty() {
-            break;
-        }
-        rounds += 1;
-        coverage_per_round.push(reached);
-        frontier = next;
+        coverage_per_round[round] = informed + 1;
+        messages += graph.degree(v).unwrap_or(0);
     }
     BroadcastReport {
-        reached,
-        population,
-        rounds,
+        reached: stats.reached,
+        population: graph.node_count(),
+        rounds: stats.eccentricity,
         messages,
         coverage_per_round,
     }
@@ -204,42 +183,150 @@ fn route_with_lookahead(
 }
 
 /// Shortest-path hop count between two nodes (BFS ground truth used to
-/// validate the greedy routes).
+/// validate the greedy routes); `None` when either is dead or they are
+/// disconnected.
 pub fn shortest_path_hops(graph: &Graph, source: NodeId, destination: NodeId) -> Option<usize> {
-    if !graph.contains(source) || !graph.contains(destination) {
-        return None;
-    }
-    // Flat BFS with early exit at the destination.
-    const UNREACHED: u32 = u32::MAX;
-    let mut dist = vec![UNREACHED; graph.id_bound()];
-    dist[source.0] = 0;
-    let mut queue = vec![source];
-    let mut head = 0usize;
-    while head < queue.len() {
-        let u = queue[head];
-        head += 1;
-        if u == destination {
-            return Some(dist[u.0] as usize);
-        }
-        let d = dist[u.0] + 1;
-        if let Some(neighbors) = graph.neighbors(u) {
-            for &v in neighbors {
-                if dist[v.0] == UNREACHED {
-                    dist[v.0] = d;
-                    queue.push(v);
-                }
-            }
-        }
-    }
-    None
+    let mut scratch = BfsScratch::new();
+    scratch.run(graph, source);
+    scratch.get(destination)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use onion_graph::generators::{random_regular, ring_lattice};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// A small graph after a random churn trace: node adds, edge adds and
+    /// removes, and node removals (tombstones, isolated nodes).
+    fn churned_graph(ops: &[(usize, usize, u8)]) -> Graph {
+        let (mut g, mut ids) = Graph::with_nodes(8);
+        for &(a, b, op) in ops {
+            let (a, b) = (ids[a % ids.len()], ids[b % ids.len()]);
+            match op {
+                0 => ids.push(g.add_node()),
+                1 | 2 => {
+                    g.add_edge(a, b);
+                }
+                3 => {
+                    g.remove_edge(a, b);
+                }
+                _ => {
+                    g.remove_node(a);
+                }
+            }
+        }
+        g
+    }
+
+    /// The frontier-by-frontier flood [`flood_broadcast`] must equal.
+    fn flood_oracle(graph: &Graph, source: NodeId) -> BroadcastReport {
+        let population = graph.node_count();
+        if !graph.contains(source) {
+            return BroadcastReport {
+                reached: 0,
+                population,
+                rounds: 0,
+                messages: 0,
+                coverage_per_round: Vec::new(),
+            };
+        }
+        // Flat informed-flags indexed by node id: deterministic, allocation-light
+        // and cache-friendly at million-node populations.
+        let mut informed = vec![false; graph.id_bound()];
+        informed[source.0] = true;
+        let mut reached = 1usize;
+        let mut frontier = vec![source];
+        let mut messages = 0usize;
+        let mut coverage_per_round = vec![1usize];
+        let mut rounds = 0usize;
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for &u in &frontier {
+                if let Some(neighbors) = graph.neighbors(u) {
+                    for &v in neighbors {
+                        messages += 1;
+                        if !informed[v.0] {
+                            informed[v.0] = true;
+                            reached += 1;
+                            next.push(v);
+                        }
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            rounds += 1;
+            coverage_per_round.push(reached);
+            frontier = next;
+        }
+        BroadcastReport {
+            reached,
+            population,
+            rounds,
+            messages,
+            coverage_per_round,
+        }
+    }
+
+    /// Shortest-path hops by a fresh BFS that stops at the destination,
+    /// which [`shortest_path_hops`] must equal.
+    fn hops_oracle(graph: &Graph, source: NodeId, destination: NodeId) -> Option<usize> {
+        if !graph.contains(source) || !graph.contains(destination) {
+            return None;
+        }
+        // Flat BFS with early exit at the destination.
+        const UNREACHED: u32 = u32::MAX;
+        let mut dist = vec![UNREACHED; graph.id_bound()];
+        dist[source.0] = 0;
+        let mut queue = vec![source];
+        let mut head = 0usize;
+        while head < queue.len() {
+            let u = queue[head];
+            head += 1;
+            if u == destination {
+                return Some(dist[u.0] as usize);
+            }
+            let d = dist[u.0] + 1;
+            if let Some(neighbors) = graph.neighbors(u) {
+                for &v in neighbors {
+                    if dist[v.0] == UNREACHED {
+                        dist[v.0] = d;
+                        queue.push(v);
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// On churned graphs, from every id below `id_bound` and one past
+        /// it (dead ones included) to every such id, the scratch-based
+        /// flood and hop count equal the frontier loop and the early-exit
+        /// BFS.
+        #[test]
+        fn flood_and_hops_equal_their_oracles_on_churned_graphs(
+            ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
+        ) {
+            let g = churned_graph(&ops);
+            let ids: Vec<NodeId> = (0..=g.id_bound()).map(NodeId).collect();
+            for &source in &ids {
+                prop_assert_eq!(flood_broadcast(&g, source), flood_oracle(&g, source));
+                for &destination in &ids {
+                    prop_assert_eq!(
+                        shortest_path_hops(&g, source, destination),
+                        hops_oracle(&g, source, destination)
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn broadcast_reaches_every_node_in_a_connected_graph() {
