@@ -25,8 +25,8 @@
 //! into a runner by the same [`sim::ServiceConfig::runner`]; the
 //! [`output`] module renders a `RunSummary` identically for the one-shot
 //! and daemon paths. The Criterion benchmarks in `benches/` cover the
-//! micro-level costs (repair, routing, metrics, descriptors, crypto, SOAP
-//! iterations, event-queue throughput).
+//! micro-level costs (repair, sharded builds, routing, metrics,
+//! descriptors, crypto, SOAP iterations).
 //!
 //! Scenarios default to a scaled-down population so that a full
 //! regeneration run finishes in minutes on a laptop; pass `--scale full`

@@ -15,10 +15,14 @@
 //! exits the *process* that hits it, which for the local backend is the
 //! dispatcher itself — the worker/host points rehearse crashes instead.
 
-use std::io::{BufRead, BufReader, Read};
+mod common;
+
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+
+use common::WorkerHost;
 
 /// Per-run watchdog: generous against a loaded CI core, tiny against
 /// the 600 s a `hang` action would otherwise cost.
@@ -103,41 +107,6 @@ fn run_cli(args: &[String], envs: &[(&str, &str)], what: &str) -> CliOutcome {
     CliOutcome {
         success: status.success(),
         stderr: drain.join().unwrap(),
-    }
-}
-
-/// A `serve-worker` host subprocess (optionally rigged with a fault
-/// schedule through its environment), killed and reaped on drop.
-struct WorkerHost {
-    child: Child,
-    addr: String,
-}
-
-impl WorkerHost {
-    fn spawn(fault_schedule: Option<&str>) -> WorkerHost {
-        let mut command = Command::new(bin());
-        command
-            .args(["serve-worker", "--listen", "127.0.0.1:0"])
-            .env_remove("ONIONBOTS_FAULTS")
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(schedule) = fault_schedule {
-            command.env("ONIONBOTS_FAULTS", schedule);
-        }
-        let mut child = command.spawn().unwrap();
-        let stdout = child.stdout.take().unwrap();
-        let mut addr = String::new();
-        BufReader::new(stdout).read_line(&mut addr).unwrap();
-        let addr = addr.trim().to_string();
-        assert!(!addr.is_empty(), "serve-worker printed no bound address");
-        WorkerHost { child, addr }
-    }
-}
-
-impl Drop for WorkerHost {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
     }
 }
 

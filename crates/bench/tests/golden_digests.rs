@@ -24,8 +24,9 @@
 //!     && sha256sum f/summary.json
 //! ```
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::process::{Command, Stdio};
 
 use onion_crypto::sha256::Sha256;
 use onionbots_bench::scenarios;
@@ -33,6 +34,8 @@ use sim::runner::ThreadsPerItem;
 use sim::scenario_api::ScenarioParams;
 use sim::service::{Event, Request};
 use sim::{JobSpec, Runner, Service, ServiceConfig};
+
+use common::WorkerHost;
 
 /// The whole quick registry at seed 2015.
 const QUICK_REGISTRY: &str = "fc99b29c86680e38f6d0604977910327d862f90377f2d48565911e8047796224";
@@ -78,42 +81,10 @@ fn quick_registry_summary_matches_its_golden_digest() {
     assert_eq!(sha256_hex(&summary.to_json()), QUICK_REGISTRY);
 }
 
-/// A `serve-worker` host subprocess on an ephemeral loopback port;
-/// killed (and reaped) on drop so a failing test never leaks it.
-struct WorkerHost {
-    child: Child,
-    addr: String,
-}
-
-impl WorkerHost {
-    fn spawn() -> WorkerHost {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-            .args(["serve-worker", "--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn serve-worker");
-        let mut addr = String::new();
-        BufReader::new(child.stdout.take().expect("piped stdout"))
-            .read_line(&mut addr)
-            .expect("read bound address");
-        let addr = addr.trim().to_string();
-        assert!(!addr.is_empty(), "serve-worker printed no bound address");
-        WorkerHost { child, addr }
-    }
-}
-
-impl Drop for WorkerHost {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
 #[test]
 fn quick_registry_digest_holds_through_the_one_shot_binary() {
     // One host listed twice: two channels to the same host.
-    let host = WorkerHost::spawn();
+    let host = WorkerHost::spawn(None);
     let runs: [(&str, Vec<&str>); 4] = [
         ("local-jobs-2", vec!["--jobs", "2", "--backend", "local"]),
         ("local-jobs-1", vec!["--jobs", "1", "--backend", "local"]),

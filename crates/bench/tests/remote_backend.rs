@@ -13,10 +13,11 @@
 //! bound address as its first stdout line, which is how the tests learn
 //! the ephemeral ports.
 
+mod common;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,44 +27,7 @@ use sim::scenario_api::ScenarioParams;
 use sim::wire::{DispatchFrame, WorkerFrame, MAX_FRAME_BYTES, PROTOCOL_VERSION};
 use sim::{Backend, ResultCache, Runner, Scenario, ThreadsPerItem};
 
-/// A `serve-worker` host subprocess; killed (and reaped) on drop so a
-/// failing test never leaks listeners.
-struct WorkerHost {
-    child: Child,
-    addr: String,
-}
-
-impl WorkerHost {
-    /// Spawns a host on an ephemeral loopback port, armed with the fault
-    /// schedule `faults` if given, and reads the bound address off its
-    /// first stdout line.
-    fn spawn(faults: Option<&str>) -> WorkerHost {
-        let mut command = Command::new(env!("CARGO_BIN_EXE_run_experiments"));
-        command
-            .args(["serve-worker", "--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null());
-        if let Some(schedule) = faults {
-            command.env(sim::FAULTS_ENV, schedule);
-        }
-        let mut child = command.spawn().expect("spawn serve-worker");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut addr = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut addr)
-            .expect("read bound address");
-        let addr = addr.trim().to_string();
-        assert!(!addr.is_empty(), "serve-worker printed no bound address");
-        WorkerHost { child, addr }
-    }
-}
-
-impl Drop for WorkerHost {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+use common::WorkerHost;
 
 fn fleet(hosts: &[WorkerHost]) -> Vec<String> {
     hosts.iter().map(|host| host.addr.clone()).collect()

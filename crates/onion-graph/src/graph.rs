@@ -6,8 +6,7 @@
 //! list as a **sorted `Vec<NodeId>`**. Deletions (the whole evaluation of
 //! the paper is about node takedowns) tombstone the slot; identifiers are
 //! never reused, so a `NodeId` remains a valid "name" for a deleted node
-//! (useful when replaying takedown traces), while the emptied neighbor-list
-//! allocations go on a free-list that [`Graph::add_node`] recycles.
+//! (useful when replaying takedown traces).
 //!
 //! Compared to the previous `HashMap<NodeId, BTreeSet<NodeId>>` adjacency,
 //! every lookup is an array index, neighbor iteration is a cache-friendly
@@ -46,35 +45,16 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Upper bound on pooled neighbor-list allocations kept for reuse; churny
-/// workloads (SOAP clone spawning, the `scale` scenario's waves) recycle
-/// them instead of hitting the allocator, but an unbounded pool would pin
-/// memory proportional to the deletion count.
-const FREE_POOL_LIMIT: usize = 1024;
-
 /// An undirected simple graph (no self loops, no parallel edges) backed by
 /// an index-addressed slab.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
     /// Node slots indexed by `NodeId.0`; `None` marks a deleted node.
     /// Live slots hold the neighbor list sorted ascending.
     slots: Vec<Option<Vec<NodeId>>>,
-    /// Recycled neighbor-list allocations from deleted nodes (always
-    /// empty vectors; only their capacity is reused).
-    free_pool: Vec<Vec<NodeId>>,
     live_count: usize,
     edge_count: usize,
 }
-
-impl PartialEq for Graph {
-    /// Equality over graph *content* (slots and edge count); the allocation
-    /// free-list is an implementation detail and does not participate.
-    fn eq(&self, other: &Self) -> bool {
-        self.slots == other.slots && self.edge_count == other.edge_count
-    }
-}
-
-impl Eq for Graph {}
 
 impl Graph {
     /// Creates an empty graph.
@@ -93,13 +73,7 @@ impl Graph {
     /// Adds a new isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
         let id = NodeId(self.slots.len());
-        let mut list = self.free_pool.pop().unwrap_or_default();
-        // Pooled lists are pushed empty, but clear defensively: a
-        // deserialized graph could carry a non-empty pool (the offline
-        // serde derive cannot skip the field), and a fresh node must never
-        // start with phantom neighbors.
-        list.clear();
-        self.slots.push(Some(list));
+        self.slots.push(Some(Vec::new()));
         self.live_count += 1;
         id
     }
@@ -197,23 +171,15 @@ impl Graph {
     ///
     /// Returns `None` if the node was not present.
     pub fn remove_node(&mut self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut list = self.slots.get_mut(node.0)?.take()?;
+        let neighbors = self.slots.get_mut(node.0)?.take()?;
         self.live_count -= 1;
-        self.edge_count -= list.len();
-        // Degree is bounded (the overlay prunes to d_max), so copying the
-        // tiny neighbor list out lets the allocation itself go back on the
-        // free-list for the next add_node.
-        let neighbors = list.clone();
+        self.edge_count -= neighbors.len();
         for &n in &neighbors {
             if let Some(Some(other)) = self.slots.get_mut(n.0) {
                 if let Ok(pos) = other.binary_search(&node) {
                     other.remove(pos);
                 }
             }
-        }
-        if self.free_pool.len() < FREE_POOL_LIMIT {
-            list.clear();
-            self.free_pool.push(list);
         }
         Some(neighbors)
     }
@@ -311,15 +277,7 @@ impl Graph {
             "wave repair must stay symmetric"
         );
         self.edge_count = self.edge_count + added_halves / 2 - dropped_halves / 2;
-        let removed = taken.len();
-        for mut list in taken {
-            if self.free_pool.len() >= FREE_POOL_LIMIT {
-                break;
-            }
-            list.clear();
-            self.free_pool.push(list);
-        }
-        (removed, added_halves / 2, affected)
+        (taken.len(), added_halves / 2, affected)
     }
 
     /// Builds a graph whose node `i` has the neighbor list `lists[i]`.
@@ -332,7 +290,6 @@ impl Graph {
             live_count: lists.len(),
             edge_count: half_edges / 2,
             slots: lists.into_iter().map(Some).collect(),
-            free_pool: Vec::new(),
         };
         debug_assert_eq!(graph.check_invariants(), Ok(()));
         graph
@@ -341,9 +298,8 @@ impl Graph {
     /// Concatenates per-range graphs into one slab: part `p`'s node `i`
     /// becomes `NodeId(offset_p + i)` where `offset_p` is the sum of the
     /// preceding parts' [`id_bound`](Self::id_bound)s, and every neighbor
-    /// id is shifted accordingly. Tombstones and edge counts carry over;
-    /// allocation free-pools do not (they are a reuse detail, invisible to
-    /// equality). This is the deterministic ascending merge of a sharded
+    /// id is shifted accordingly. Tombstones and edge counts carry over.
+    /// This is the deterministic ascending merge of a sharded
     /// construction: each part is built independently, then spliced in
     /// part order.
     pub fn assemble(parts: impl IntoIterator<Item = Graph>) -> Graph {
@@ -673,14 +629,14 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_the_allocation_pool() {
+    fn equality_ignores_deletion_history() {
         let (mut a, ids_a) = Graph::with_nodes(3);
         let (mut b, ids_b) = Graph::with_nodes(3);
         a.add_edge(ids_a[0], ids_a[1]);
         b.add_edge(ids_b[0], ids_b[1]);
         // Give `a` a connected extra node and `b` an isolated one before
-        // deleting both: the surviving content is identical but the pooled
-        // allocations differ (a's recycled list had capacity, b's did not).
+        // deleting both: the surviving content is identical, but a's first
+        // list grew and shrank back (list capacity does not count).
         let extra_a = a.add_node();
         a.add_edge(extra_a, ids_a[0]);
         a.remove_node(extra_a);

@@ -4,14 +4,15 @@ use serde::{Deserialize, Serialize};
 
 /// Parameters of the Dynamic Distributed Self-Repairing overlay (§IV-C).
 ///
-/// The paper keeps every node's degree inside `[d_min, d_max]`: repair adds
-/// edges between a deleted node's neighbors, pruning removes the
-/// highest-degree peers when a node exceeds `d_max`, and `d_min` "is only
-/// applicable as long as there are enough surviving nodes".
+/// Repair adds edges between a deleted node's neighbors, and pruning
+/// removes the highest-degree peers when a node exceeds `d_max`. The
+/// paper also names a lower bound `d_min`, which "is only applicable as
+/// long as there are enough surviving nodes". It is not a parameter here:
+/// highest-degree pruning never drops a peer while one of higher degree
+/// remains, so while any peer sits above a lower bound, no peer at or
+/// below it is dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DdsrConfig {
-    /// Lower bound on the desired node degree.
-    pub d_min: usize,
     /// Upper bound on the node degree enforced by pruning.
     pub d_max: usize,
     /// Whether the pruning mechanism is enabled (Figure 4 compares both).
@@ -20,11 +21,10 @@ pub struct DdsrConfig {
 
 impl DdsrConfig {
     /// Configuration matching the paper's evaluation for an initial
-    /// `k`-regular overlay: pruning keeps the degree at or below `k`, and
-    /// the lower bound is half of `k` (at least 2).
+    /// `k`-regular overlay: pruning keeps the degree at or below `k` (at
+    /// least 2).
     pub fn for_degree(k: usize) -> Self {
         DdsrConfig {
-            d_min: (k / 2).max(2),
             d_max: k.max(2),
             pruning: true,
         }
@@ -54,14 +54,12 @@ mod tests {
     fn for_degree_tracks_k() {
         let c = DdsrConfig::for_degree(10);
         assert_eq!(c.d_max, 10);
-        assert_eq!(c.d_min, 5);
         assert!(c.pruning);
     }
 
     #[test]
     fn small_degrees_are_clamped() {
         let c = DdsrConfig::for_degree(1);
-        assert!(c.d_min >= 2);
         assert!(c.d_max >= 2);
     }
 
@@ -70,7 +68,6 @@ mod tests {
         let with = DdsrConfig::for_degree(5);
         let without = DdsrConfig::without_pruning(5);
         assert!(!without.pruning);
-        assert_eq!(with.d_min, without.d_min);
         assert_eq!(with.d_max, without.d_max);
     }
 

@@ -6,9 +6,10 @@
 //! DSN 2015), implemented as a defensive research simulator.
 //!
 //! * [`overlay`] — the self-healing graph: repair on deletion, degree
-//!   pruning to `[d_min, d_max]`, peering policy.
-//! * [`maintenance`] — peering / address-announcement messages and the
-//!   acceptance policy the SOAP mitigation later exploits.
+//!   pruning to `d_max`, peering requests.
+//! * [`maintenance`] — the one rule for which peers a node drops: the
+//!   prune planner both prune passes share, and the peering acceptance
+//!   policy the SOAP mitigation later exploits.
 //! * [`rotation`] — periodic `.onion` address rotation derived from the
 //!   shared key `K_B` and the botmaster public key.
 //! * [`routing`] — flooding broadcast and greedy routing with NoN lookahead.

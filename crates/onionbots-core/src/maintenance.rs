@@ -1,61 +1,20 @@
-//! Peering / maintenance protocol primitives.
+//! The DDSR maintenance rule (§IV-C): which peers a node drops.
 //!
-//! The overlay's self-healing behaviour is driven by small maintenance
-//! messages exchanged between peers: peering requests (with a declared
-//! degree), address announcements after rotation, and keep-alives. The
-//! acceptance policy implemented here is the one the paper describes and the
-//! one SOAP (§VI-B) exploits: a node prefers low-degree peers, and when it is
-//! already full it replaces its highest-degree peer with a lower-degree
-//! requester.
+//! A node over `d_max` drops its highest-degree peers, ties broken at
+//! random. Such a peer has the most alternative paths, so dropping it
+//! "maintains the reachability of all nodes". One function states that
+//! rule, `prune_victims`. One planner, `plan_prune`, feeds it a node's
+//! peers for both prune passes: the per-victim pass of
+//! [`DdsrOverlay::remove_node_with_repair`](crate::overlay::DdsrOverlay::remove_node_with_repair)
+//! and the wave pass of [`sharded_wave_repair`](crate::shard::sharded_wave_repair).
+//! The peering acceptance policy, [`decide_peering`], picks the one peer it
+//! displaces through the same rule. It is the policy SOAP (§VI-B)
+//! exploits: a node prefers low-degree peers, and when it is already full
+//! it replaces its highest-degree peer with a lower-degree requester.
 
-use onion_graph::graph::NodeId;
+use onion_graph::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-use tor_sim::onion::OnionAddress;
-
-/// Maintenance messages exchanged between overlay peers.
-///
-/// On the wire every variant is serialized and wrapped in a fixed-size
-/// uniform cell, so observers cannot distinguish a peering request from a
-/// keep-alive or an attack command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MaintenanceMessage {
-    /// Ask to become a peer, declaring the sender's (claimed) degree.
-    PeeringRequest {
-        /// The requester's current onion address.
-        from: OnionAddress,
-        /// The degree the requester claims to have (unverifiable).
-        declared_degree: usize,
-    },
-    /// Positive answer to a peering request.
-    PeeringAccept {
-        /// The acceptor's onion address.
-        from: OnionAddress,
-    },
-    /// Negative answer to a peering request.
-    PeeringReject {
-        /// The rejecting node's onion address.
-        from: OnionAddress,
-    },
-    /// Announce a rotated onion address to current peers (the "forgetting"
-    /// mechanism's counterpart: peers must learn the new address before the
-    /// old one disappears).
-    AddressAnnounce {
-        /// The address being replaced.
-        old: OnionAddress,
-        /// The address valid for the next period.
-        new: OnionAddress,
-        /// Period index the new address belongs to.
-        period: u64,
-    },
-    /// Liveness probe.
-    KeepAlive {
-        /// Sender address.
-        from: OnionAddress,
-    },
-}
 
 /// Outcome of evaluating a peering request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,42 +27,16 @@ pub enum PeeringDecision {
     Reject,
 }
 
-/// Picks the peer to displace under the paper's "replace the
-/// highest-degree peer" rule: the highest-degree entry of `peers`, ties
-/// broken by one `choose` draw over the tied entries in list order. That
-/// peer has the most alternative paths, so dropping it "maintains the
-/// reachability of all nodes" (§IV-C).
-///
-/// The peering acceptance policy below selects through it. The prune
-/// loops, which drop several peers at once, use `prune_victims`.
-pub fn highest_degree_victim<R: Rng + ?Sized>(
-    peers: &[(NodeId, usize)],
-    rng: &mut R,
-) -> Option<NodeId> {
-    let max_degree = peers.iter().map(|&(_, d)| d).max()?;
-    let candidates: Vec<NodeId> = peers
-        .iter()
-        .filter(|&&(_, d)| d == max_degree)
-        .map(|&(id, _)| id)
-        .collect();
-    candidates.choose(rng).copied()
-}
-
-/// Sheds `drops` peers (at most `peers.len()`) under the highest-degree
-/// rule, emitting each victim in selection order. `peers` holds
-/// `(neighbor, degree)` pairs and is reordered in place.
+/// The one victim rule: sheds `drops` peers (at most `peers.len()`),
+/// highest degree first, emitting each victim in selection order.
+/// `peers` holds `(neighbor, degree)` pairs and is reordered in place.
 ///
 /// The list is sorted once by (degree desc, id asc); each victim is then
 /// one `choose` draw over the remaining members of the current top degree
 /// class, in ascending id order. For a list in ascending id order (every
 /// neighbor list is) this emits the same victims, in the same order and
-/// from the same draws, as repeated [`highest_degree_victim`] calls on the
-/// shrinking list.
-///
-/// There is no separate `d_min` filter: sparing peers at or below `d_min`
-/// while one above it remains is implied by highest-degree selection. If
-/// any peer is above `d_min`, the whole top class is, so the top class of
-/// the filtered list is the top class of the whole list.
+/// from the same draws, as picking one highest-degree victim at a time
+/// from the shrinking list.
 pub(crate) fn prune_victims<R: Rng + ?Sized>(
     peers: &mut [(NodeId, usize)],
     drops: usize,
@@ -136,14 +69,48 @@ pub(crate) fn prune_victims<R: Rng + ?Sized>(
     }
 }
 
+/// The one prune planner: emits the peers `node` drops to get back to
+/// `d_max`, chosen by [`prune_victims`] from the degrees `graph` holds
+/// now. A node at or under `d_max`, or absent, drops nothing and draws
+/// nothing. `peers` is scratch space reused across calls.
+///
+/// The per-victim pass applies each plan before it makes the next; the
+/// wave pass makes every plan against one frozen graph and reconciles
+/// them afterwards.
+pub(crate) fn plan_prune<R: Rng + ?Sized>(
+    graph: &Graph,
+    node: NodeId,
+    d_max: usize,
+    peers: &mut Vec<(NodeId, usize)>,
+    rng: &mut R,
+    emit: impl FnMut(NodeId),
+) {
+    let drops = graph.degree(node).unwrap_or(0).saturating_sub(d_max);
+    if drops > 0 {
+        peer_degrees(graph, node, peers);
+        prune_victims(peers, drops, rng, emit);
+    }
+}
+
+/// Loads `node`'s `(neighbor, degree)` pairs into `peers`, in ascending id
+/// order (none if `node` is absent).
+pub(crate) fn peer_degrees(graph: &Graph, node: NodeId, peers: &mut Vec<(NodeId, usize)>) {
+    peers.clear();
+    let neighbors = graph.neighbors(node).unwrap_or_default();
+    peers.extend(neighbors.iter().map(|&p| (p, graph.degree(p).unwrap_or(0))));
+}
+
 /// Decides how a node with the given peers responds to a peering request.
+/// `current_peers` holds `(peer, degree)` pairs and is reordered in place.
 ///
 /// * Below `d_max`: accept.
 /// * At or above `d_max`: if the requester's declared degree is strictly
-///   lower than the highest degree among current peers, replace that peer
-///   (ties broken at random); otherwise reject.
+///   lower than the highest degree among current peers, replace one peer
+///   of that degree, picked by one `choose` draw over them in ascending id
+///   order (the draw the prune passes make for one drop); otherwise
+///   reject.
 pub fn decide_peering<R: Rng + ?Sized>(
-    current_peers: &[(NodeId, usize)],
+    current_peers: &mut [(NodeId, usize)],
     declared_degree: usize,
     d_max: usize,
     rng: &mut R,
@@ -151,17 +118,17 @@ pub fn decide_peering<R: Rng + ?Sized>(
     if current_peers.len() < d_max {
         return PeeringDecision::Accept;
     }
-    let Some(&max_degree) = current_peers.iter().map(|(_, d)| d).max() else {
+    let Some(max_degree) = current_peers.iter().map(|&(_, d)| d).max() else {
         return PeeringDecision::Accept;
     };
-    if declared_degree < max_degree {
-        match highest_degree_victim(current_peers, rng) {
-            Some(victim) => PeeringDecision::Replace(victim),
-            None => PeeringDecision::Reject,
-        }
-    } else {
-        PeeringDecision::Reject
+    if declared_degree >= max_degree {
+        return PeeringDecision::Reject;
     }
+    let mut decision = PeeringDecision::Reject;
+    prune_victims(current_peers, 1, rng, |victim| {
+        decision = PeeringDecision::Replace(victim);
+    });
+    decision
 }
 
 #[cfg(test)]
@@ -178,26 +145,42 @@ mod tests {
             .collect()
     }
 
+    /// The one-victim rule `prune_victims` replaced: the highest-degree
+    /// entry of `peers`, ties broken by one `choose` draw over the tied
+    /// entries in list order.
+    fn highest_degree_victim<R: Rng + ?Sized>(
+        peers: &[(NodeId, usize)],
+        rng: &mut R,
+    ) -> Option<NodeId> {
+        let max_degree = peers.iter().map(|&(_, d)| d).max()?;
+        let candidates: Vec<NodeId> = peers
+            .iter()
+            .filter(|&&(_, d)| d == max_degree)
+            .map(|&(id, _)| id)
+            .collect();
+        candidates.choose(rng).copied()
+    }
+
     #[test]
     fn below_capacity_always_accepts() {
         let mut rng = StdRng::seed_from_u64(1);
-        let decision = decide_peering(&peers(&[5, 5]), 100, 5, &mut rng);
+        let decision = decide_peering(&mut peers(&[5, 5]), 100, 5, &mut rng);
         assert_eq!(decision, PeeringDecision::Accept);
     }
 
     #[test]
     fn at_capacity_low_degree_requester_displaces_highest_peer() {
         let mut rng = StdRng::seed_from_u64(2);
-        let decision = decide_peering(&peers(&[4, 9, 6]), 2, 3, &mut rng);
+        let decision = decide_peering(&mut peers(&[4, 9, 6]), 2, 3, &mut rng);
         assert_eq!(decision, PeeringDecision::Replace(NodeId(1)));
     }
 
     #[test]
     fn at_capacity_high_degree_requester_is_rejected() {
         let mut rng = StdRng::seed_from_u64(3);
-        let decision = decide_peering(&peers(&[4, 9, 6]), 9, 3, &mut rng);
+        let decision = decide_peering(&mut peers(&[4, 9, 6]), 9, 3, &mut rng);
         assert_eq!(decision, PeeringDecision::Reject);
-        let decision2 = decide_peering(&peers(&[4, 9, 6]), 20, 3, &mut rng);
+        let decision2 = decide_peering(&mut peers(&[4, 9, 6]), 20, 3, &mut rng);
         assert_eq!(decision2, PeeringDecision::Reject);
     }
 
@@ -205,7 +188,7 @@ mod tests {
     fn ties_are_broken_among_highest_degree_peers_only() {
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..20 {
-            match decide_peering(&peers(&[7, 3, 7]), 1, 3, &mut rng) {
+            match decide_peering(&mut peers(&[7, 3, 7]), 1, 3, &mut rng) {
                 PeeringDecision::Replace(victim) => {
                     assert!(victim == NodeId(0) || victim == NodeId(2));
                 }
@@ -217,14 +200,16 @@ mod tests {
     #[test]
     fn victim_selection_is_shared_and_uniform_over_ties() {
         let mut rng = StdRng::seed_from_u64(6);
-        assert_eq!(highest_degree_victim(&[], &mut rng), None);
-        assert_eq!(
-            highest_degree_victim(&peers(&[3, 9, 5]), &mut rng),
-            Some(NodeId(1))
-        );
+        let mut first_victim = |degrees: &[usize]| {
+            let mut victim = None;
+            prune_victims(&mut peers(degrees), 1, &mut rng, |v| victim = Some(v));
+            victim
+        };
+        assert_eq!(first_victim(&[]), None);
+        assert_eq!(first_victim(&[3, 9, 5]), Some(NodeId(1)));
         let mut seen = [false; 3];
         for _ in 0..40 {
-            match highest_degree_victim(&peers(&[7, 7, 7]), &mut rng) {
+            match first_victim(&[7, 7, 7]) {
                 Some(NodeId(i)) => seen[i] = true,
                 None => panic!("non-empty list must yield a victim"),
             }
@@ -263,6 +248,29 @@ mod tests {
         victims
     }
 
+    /// The peering policy before it selected through `prune_victims`.
+    fn oracle_decision<R: Rng + ?Sized>(
+        current_peers: &[(NodeId, usize)],
+        declared_degree: usize,
+        d_max: usize,
+        rng: &mut R,
+    ) -> PeeringDecision {
+        if current_peers.len() < d_max {
+            return PeeringDecision::Accept;
+        }
+        let Some(&max_degree) = current_peers.iter().map(|(_, d)| d).max() else {
+            return PeeringDecision::Accept;
+        };
+        if declared_degree < max_degree {
+            match highest_degree_victim(current_peers, rng) {
+                Some(victim) => PeeringDecision::Replace(victim),
+                None => PeeringDecision::Reject,
+            }
+        } else {
+            PeeringDecision::Reject
+        }
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -297,32 +305,75 @@ mod tests {
                 prop_assert_eq!(got, expected);
                 prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
             }
+
+            /// On ascending-id peer lists the peering policy decides as it
+            /// did through `highest_degree_victim`, and leaves the RNG at
+            /// the same stream position. `d_max` lands from three below
+            /// the list length (at or over capacity) to two above it
+            /// (below capacity); the declared degree lands from two below
+            /// the highest peer degree to two above it; degrees come from
+            /// a narrow range so the top class is often tied.
+            #[test]
+            fn decide_peering_matches_the_highest_degree_oracle(
+                ids in prop::collection::btree_set(0usize..1_000, 0..12),
+                degrees in prop::collection::vec(0usize..4, 12..13),
+                capacity_offset in -3isize..=2,
+                declared_offset in -2isize..=2,
+                seed in any::<u64>(),
+            ) {
+                let peers: Vec<(NodeId, usize)> = ids
+                    .iter()
+                    .zip(&degrees)
+                    .map(|(&id, &d)| (NodeId(id), d))
+                    .collect();
+                let d_max = peers.len().saturating_add_signed(capacity_offset);
+                let max_degree = peers.iter().map(|&(_, d)| d).max().unwrap_or(0);
+                let declared = max_degree.saturating_add_signed(declared_offset);
+                let mut oracle_rng = StdRng::seed_from_u64(seed);
+                let expected = oracle_decision(&peers, declared, d_max, &mut oracle_rng);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let got = decide_peering(&mut peers.clone(), declared, d_max, &mut rng);
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+            }
         }
+    }
+
+    #[test]
+    fn plan_prune_sheds_down_to_d_max_and_draws_nothing_at_or_under_it() {
+        use rand::RngCore;
+        // A star: hub 0 with five leaves; leaf 5 also has two more peers.
+        let (mut graph, ids) = Graph::with_nodes(8);
+        for leaf in 1..=5 {
+            graph.add_edge(ids[0], ids[leaf]);
+        }
+        graph.add_edge(ids[5], ids[6]);
+        graph.add_edge(ids[5], ids[7]);
+        let mut peers = Vec::new();
+        let plan = |node: NodeId, d_max: usize, seed: u64, peers: &mut Vec<_>| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut victims = Vec::new();
+            plan_prune(&graph, node, d_max, peers, &mut rng, |v| victims.push(v));
+            (victims, rng.next_u64())
+        };
+        let untouched = StdRng::seed_from_u64(9).next_u64();
+        for (node, d_max) in [(ids[0], 5), (ids[0], 9), (ids[1], 1), (NodeId(99), 0)] {
+            assert_eq!(plan(node, d_max, 9, &mut peers), (vec![], untouched));
+        }
+        // Over d_max by two: the degree-3 leaf goes first, then one of the
+        // degree-1 leaves.
+        let (victims, _) = plan(ids[0], 3, 9, &mut peers);
+        assert_eq!(victims.len(), 2);
+        assert_eq!(victims[0], ids[5]);
+        assert!((1..=4).any(|leaf| victims[1] == ids[leaf]));
     }
 
     #[test]
     fn empty_peer_list_accepts() {
         let mut rng = StdRng::seed_from_u64(5);
         assert_eq!(
-            decide_peering(&[], 50, 0, &mut rng),
+            decide_peering(&mut [], 50, 0, &mut rng),
             PeeringDecision::Accept
         );
-    }
-
-    #[test]
-    fn maintenance_messages_serialize() {
-        let msg = MaintenanceMessage::PeeringRequest {
-            from: OnionAddress::from_identifier([1u8; 10]),
-            declared_degree: 2,
-        };
-        let json = serde_json::to_string(&msg).unwrap();
-        let back: MaintenanceMessage = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, msg);
-        let rotate = MaintenanceMessage::AddressAnnounce {
-            old: OnionAddress::from_identifier([1u8; 10]),
-            new: OnionAddress::from_identifier([2u8; 10]),
-            period: 9,
-        };
-        assert_ne!(serde_json::to_string(&rotate).unwrap(), json);
     }
 }

@@ -11,7 +11,7 @@
 //!   no lookup or coordinator.
 //! * **Pruning** — repairs increase degrees, so each former neighbor of the
 //!   deleted node drops its highest-degree peers (random tie-break) until its
-//!   degree is back inside `[d_min, d_max]`.
+//!   degree is back at `d_max`, by the one rule in [`crate::maintenance`].
 //! * **Forgetting** — pruned peers' addresses are forgotten, and nodes
 //!   periodically rotate their `.onion` addresses (see [`crate::rotation`]).
 
@@ -21,6 +21,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::config::DdsrConfig;
+use crate::maintenance::{decide_peering, peer_degrees, plan_prune, PeeringDecision};
 
 /// Counters describing the maintenance work the overlay has performed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,11 +130,19 @@ impl DdsrOverlay {
             }
         }
 
-        // Pruning: each former neighbor sheds highest-degree peers until it
-        // is back within [d_min, d_max].
+        // Pruning: each former neighbor sheds its highest-degree peers
+        // until it is back at d_max; each plan is applied before the next
+        // neighbor's is made.
         if self.config.pruning {
+            let (mut peers, mut victims) = (Vec::new(), Vec::new());
             for &u in &former_neighbors {
-                self.prune_node(u, rng);
+                plan_prune(&self.graph, u, self.config.d_max, &mut peers, rng, |v| {
+                    victims.push(v);
+                });
+                for victim in victims.drain(..) {
+                    self.graph.remove_edge(u, victim);
+                    self.stats.edges_pruned += 1;
+                }
             }
         }
         true
@@ -189,39 +198,6 @@ impl DdsrOverlay {
         removed
     }
 
-    /// Applies the pruning rule to one node: while its degree exceeds
-    /// `d_max`, drop the neighbor with the highest degree (ties broken at
-    /// random). That neighbor has the most alternative paths, so removing
-    /// it "maintains the reachability of all nodes". The rule also spares
-    /// neighbors at or below `d_min` while one above `d_min` remains: the
-    /// highest degree is above `d_min` then, so no separate filter is
-    /// needed. When every neighbor is at or below `d_min`, the rule still
-    /// drops down to `d_max` (the paper's fallback).
-    ///
-    /// A drop lowers only the dropped neighbor's degree, and that neighbor
-    /// leaves the list, so all drops are planned up front by
-    /// [`prune_victims`](crate::maintenance::prune_victims) and then
-    /// applied.
-    fn prune_node<R: Rng + ?Sized>(&mut self, node: NodeId, rng: &mut R) {
-        let Some(neighbors) = self.graph.neighbors(node) else {
-            return;
-        };
-        if neighbors.len() <= self.config.d_max {
-            return;
-        }
-        let drops = neighbors.len() - self.config.d_max;
-        let mut peers: Vec<(NodeId, usize)> = neighbors
-            .iter()
-            .filter_map(|&n| self.graph.degree(n).map(|d| (n, d)))
-            .collect();
-        let mut victims = Vec::with_capacity(drops);
-        crate::maintenance::prune_victims(&mut peers, drops, rng, |victim| victims.push(victim));
-        for victim in victims {
-            self.graph.remove_edge(node, victim);
-            self.stats.edges_pruned += 1;
-        }
-    }
-
     /// Adds a brand-new node with no peers. Callers peer it explicitly via
     /// [`Self::request_peering`]; the SOAP mitigation uses this to spawn
     /// clone hidden services.
@@ -252,23 +228,15 @@ impl DdsrOverlay {
         declared_degree: usize,
         rng: &mut R,
     ) -> bool {
-        use crate::maintenance::{decide_peering, PeeringDecision};
         if !self.graph.contains(requester) || !self.graph.contains(target) || requester == target {
             return false;
         }
         if self.graph.has_edge(requester, target) {
             return true;
         }
-        let peer_degrees: Vec<(NodeId, usize)> = self
-            .graph
-            .neighbors(target)
-            .map(|set| {
-                set.iter()
-                    .map(|&p| (p, self.graph.degree(p).unwrap_or(0)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        match decide_peering(&peer_degrees, declared_degree, self.config.d_max, rng) {
+        let mut peers = Vec::new();
+        peer_degrees(&self.graph, target, &mut peers);
+        match decide_peering(&mut peers, declared_degree, self.config.d_max, rng) {
             PeeringDecision::Accept => self.graph.add_edge(requester, target),
             PeeringDecision::Replace(victim) => {
                 self.graph.remove_edge(target, victim);
@@ -478,10 +446,10 @@ mod tests {
     #[test]
     fn add_node_peers_with_up_to_d_max_candidates() {
         // Regression: the old expression `d_max.min(d_min.max(1))` collapsed
-        // to `d_min`, so a bootstrapping bot joined with only d_min peers
-        // despite the documented "up to d_max".
+        // to the paper's lower bound `d_min` (then k / 2), so a
+        // bootstrapping bot joined with only d_min peers despite the
+        // documented "up to d_max".
         let (mut ov, _, mut rng) = overlay(50, 6, true, 7);
-        assert!(ov.config().d_min < ov.config().d_max);
         let new = ov.add_node(&mut rng);
         assert_eq!(
             ov.graph().degree(new),
@@ -493,11 +461,12 @@ mod tests {
     #[test]
     fn pruning_spares_d_min_degree_neighbors_when_alternatives_exist() {
         // Build the neighborhood by hand: removing v repairs u up to
-        // d_max + 1, and u's peers then include `a` at exactly d_min plus a
-        // higher-degree alternative `b`. The prune step must shed `b` (the
-        // alternative) and leave `a` at d_min.
+        // d_max + 1, and u's peers then include `a` at exactly the paper's
+        // lower bound d_min (2 here) plus a higher-degree alternative `b`.
+        // The prune step must shed `b` (the alternative) and leave `a` at
+        // d_min.
+        const D_MIN: usize = 2;
         let config = DdsrConfig {
-            d_min: 2,
             d_max: 3,
             pruning: true,
         };
@@ -518,11 +487,11 @@ mod tests {
             g.add_edge(s, t);
         }
         let mut overlay = DdsrOverlay::from_graph(g, config);
-        assert_eq!(overlay.graph().degree(a), Some(config.d_min));
+        assert_eq!(overlay.graph().degree(a), Some(D_MIN));
         let mut rng = StdRng::seed_from_u64(11);
         overlay.remove_node_with_repair(v, &mut rng);
         // Repair linked u with p and q, pushing u to d_max + 1; pruning must
-        // pick the alternative victim b (degree 3 > d_min), never a.
+        // pick the alternative victim b (degree 3 > D_MIN), never a.
         assert!(
             overlay.graph().has_edge(u, a),
             "a d_min-degree neighbor must survive pruning while an alternative victim exists"
@@ -531,7 +500,7 @@ mod tests {
             !overlay.graph().has_edge(u, b),
             "the higher-degree alternative is the pruning victim"
         );
-        assert!(overlay.graph().degree(a).unwrap() >= config.d_min);
+        assert!(overlay.graph().degree(a).unwrap() >= D_MIN);
         assert!(overlay.graph().degree(u).unwrap() <= config.d_max);
     }
 
@@ -541,7 +510,6 @@ mod tests {
         // is "only applicable as long as there are enough surviving nodes":
         // pruning still has to bring the node back under d_max.
         let config = DdsrConfig {
-            d_min: 2,
             d_max: 2,
             pruning: true,
         };
@@ -555,7 +523,7 @@ mod tests {
         overlay.remove_node_with_repair(v, &mut rng);
         assert!(
             overlay.graph().degree(u).unwrap() <= config.d_max,
-            "pruning must still enforce d_max when no peer exceeds d_min"
+            "pruning must still enforce d_max when no peer exceeds the lower bound"
         );
     }
 
@@ -567,7 +535,7 @@ mod tests {
         let requester = ids[29];
         // Saturate the target at d_max first.
         let before: Vec<NodeId> = ov.peers(target).unwrap();
-        assert!(before.len() >= ov.config().d_min);
+        assert_eq!(before.len(), ov.config().d_max);
         let accepted = ov.request_peering(requester, target, 2, &mut rng);
         assert!(accepted);
         assert!(ov.graph().has_edge(requester, target));

@@ -59,6 +59,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::config::DdsrConfig;
+use crate::maintenance::plan_prune;
 
 /// Default number of logical shards. The grid — not the machine — defines
 /// the RNG streams, so this stays fixed across hosts; 64 shards keep
@@ -333,11 +334,10 @@ pub struct WaveOutcome {
 ///    each shard's affected survivors in ascending order.
 /// 2. **Prune planning** (parallel by shard): each shard walks its
 ///    affected survivors in ascending id order with its own stream split
-///    from the wave base via [`shard_stream_seed`], choosing victims with
-///    `maintenance::prune_victims` against **frozen** post-repair degrees
-///    (the graph is read-only during this phase). Highest-degree
-///    selection already spares neighbors at or below `d_min` while
-///    others remain; there is no separate filter.
+///    from the wave base via [`shard_stream_seed`], planning each one's
+///    drops with the sequential pass's planner (`maintenance::plan_prune`)
+///    against **frozen** post-repair degrees (the graph is read-only
+///    during this phase).
 ///    Unlike the sequential pass, one survivor's drops do not lower the
 ///    degree another survivor sees — a documented divergence that keeps
 ///    shards independent; each node still sheds enough edges on its own
@@ -375,7 +375,9 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
                 let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
                 let mut drops = Vec::new();
                 for &u in &by_shard[s] {
-                    plan_prune(frozen, config, u, &mut shard_rng, peers, &mut drops);
+                    plan_prune(frozen, u, config.d_max, peers, &mut shard_rng, |victim| {
+                        drops.push((u, victim));
+                    });
                 }
                 drops
             },
@@ -389,34 +391,6 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
         }
     }
     outcome
-}
-
-/// Plans the prune drops for one survivor against frozen degrees: it
-/// sheds its highest-degree neighbors until it is back at `d_max`, with
-/// random tie-breaks from the shard stream, through the same
-/// [`prune_victims`](crate::maintenance::prune_victims) rule as the
-/// sequential pass, except that neighbor degrees are the frozen
-/// post-repair ones. Sparing neighbors at or below `d_min` while
-/// higher-degree alternatives remain is implied by that rule, not a
-/// separate filter. `peers` is scratch space reused across survivors.
-fn plan_prune(
-    graph: &Graph,
-    config: &DdsrConfig,
-    u: NodeId,
-    rng: &mut StdRng,
-    peers: &mut Vec<(NodeId, usize)>,
-    out: &mut Vec<(NodeId, NodeId)>,
-) {
-    let Some(neighbors) = graph.neighbors(u) else {
-        return;
-    };
-    if neighbors.len() <= config.d_max {
-        return;
-    }
-    let drops = neighbors.len() - config.d_max;
-    peers.clear();
-    peers.extend(neighbors.iter().map(|&v| (v, graph.degree(v).unwrap_or(0))));
-    crate::maintenance::prune_victims(peers, drops, rng, |victim| out.push((u, victim)));
 }
 
 #[cfg(test)]
