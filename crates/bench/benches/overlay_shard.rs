@@ -6,9 +6,9 @@
 //! pairing model over a 64-shard grid with the deterministic
 //! ascending-shard merge (`new_regular_sharded`). `sharded_wave_n*`
 //! removes a 5% wave through `remove_nodes_sharded`, the overlay's one
-//! wave API (in-place repair rebuilding each affected survivor's list
-//! once per owning shard, frozen-degree prune planning, sequential
-//! reconciliation). Both sharded paths honor the ambient thread budget,
+//! wave API (each shard rebuilds its affected survivors' lists into a
+//! frozen arena, plans their prunes against it and writes each list back
+//! once). Both sharded paths honor the ambient thread budget,
 //! which defaults to 1 — on a single-core host the comparison shows the
 //! batched-repair and shard-locality win alone. Medians
 //! for n ∈ {10^4, 10^5} are recorded in `BENCH_overlay_shard.json` at the

@@ -7,14 +7,17 @@
 //! split from the part seed, deterministic ascending-shard merge) and then
 //! drives it through takedown *waves*: every wave removes a fixed fraction
 //! of the surviving population in one
-//! [`DdsrOverlay::remove_nodes_sharded`] batch (shard-partitioned
-//! coalesced repair and prune planning, sequential reconciliation), the
+//! [`DdsrOverlay::remove_nodes_sharded`] batch (each shard rebuilds its
+//! affected survivors' repaired lists into a frozen arena, plans their
+//! prunes against that frozen view, marks both halves of each drop with
+//! set-only flags and writes every affected list back once), the
 //! fig4/fig5-style churn pattern at populations the per-victim path could
 //! not sustain. Worker threads steal shards under the ambient thread
-//! budget — `--threads-per-item` now governs construction and repair
-//! fan-out, and output stays byte-identical at any thread count because
-//! the grid, not the machine, defines the RNG streams. Robustness
-//! (largest-component fraction), degree discipline and cumulative repair
+//! budget — `--threads-per-item` governs construction, repair and the
+//! robustness count's fan-out, and output stays byte-identical at any
+//! thread count because the grid, not the machine, defines the RNG
+//! streams and the count does not depend on the order of its unions.
+//! Robustness (largest-component fraction), degree discipline and cumulative repair
 //! work are sampled after every wave; a sampled diameter estimate closes
 //! each part.
 //!

@@ -2,9 +2,10 @@
 //! parallelism.
 //!
 //! Every parallel phase of the graph core — the BFS kernel
-//! ([`crate::metrics::parallel_bfs_from_sources`]), in-place wave repair
-//! ([`crate::graph::Graph::remove_nodes_with_clique_repair`]) and the
-//! sharded overlay build and prune planning in `onionbots-core` — fans
+//! ([`crate::metrics::parallel_bfs_from_sources`]), the wave kernel
+//! ([`crate::graph::Graph::repair_wave`]), the union-find component
+//! count ([`crate::components`]) and the sharded overlay build in
+//! `onionbots-core` — fans
 //! its work out through [`map_in_order`], which returns results by item
 //! index and caps workers at [`MAX_THREADS`].
 //!

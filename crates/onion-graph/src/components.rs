@@ -6,22 +6,31 @@
 //! counts components for every deletion count in one offline union-find
 //! pass, see `sim::scenario::partition_threshold`.)
 //!
-//! Every measurement here reads one crate-private kernel,
-//! `scan_components`, generic over [`Adjacency`], so it runs identically
-//! on the mutable slab [`Graph`] and on a frozen
-//! [`CsrSnapshot`](crate::csr::CsrSnapshot). A measurement phase that
-//! already holds a snapshot (a takedown sample measuring components,
-//! closeness and diameter together) reuses it; one that does not scans the
-//! slab directly, because a single scan runs about as fast over the slab
-//! as over a snapshot and a freeze would not pay for itself.
-//! The scan does **not** materialize per-component vectors: a per-wave
-//! robustness sample over a million-node overlay needs one number, not a
-//! million sorted node ids. Its visited flags are one byte per id, not the
+//! Two crate-private kernels answer every question here, both generic
+//! over [`Adjacency`], so they run identically on the mutable slab
+//! [`Graph`] and on a frozen [`CsrSnapshot`](crate::csr::CsrSnapshot):
+//!
+//! * `count_components`, a union-find, answers the questions that need
+//!   numbers only: [`component_count`], [`largest_component_size`] and
+//!   [`largest_component_fraction`] (the `scale` scenario's per-wave
+//!   robustness sample). It unions inside contiguous id chunks in
+//!   parallel under the [`thread_budget`] and then merges the edges
+//!   between chunks sequentially. A component's size does not depend on
+//!   the order of the unions, so the answers do not depend on the thread
+//!   count.
+//! * `scan_components`, a sequential sweep, answers the question that
+//!   needs members: which nodes form the largest component.
+//!   [`diameter`](crate::metrics::diameter) sweeps that span.
+//!
+//! Neither materializes per-component vectors: a per-wave robustness
+//! sample over a million-node overlay needs one number, not a million
+//! sorted node ids. The scan's visited flags are one byte per id, not the
 //! four of a [`BfsScratch`](crate::metrics::BfsScratch) distance, because
 //! the scan only needs to know whether a node was seen.
 
 use std::ops::Range;
 
+use crate::budget::{map_in_order, thread_budget};
 use crate::graph::{Graph, NodeId};
 use crate::metrics::Adjacency;
 
@@ -67,17 +76,127 @@ pub(crate) fn scan_components<A: Adjacency + ?Sized>(
     (count, queue, largest)
 }
 
+/// `(component count, largest component size)` from a union-find over
+/// `adj`.
+///
+/// The id space is cut into one contiguous chunk per worker of the
+/// [`thread_budget`]. Each chunk unions the edges inside it on its own
+/// view of the forest through [`map_in_order`] and keeps the edges that
+/// leave it; those are then unioned sequentially on the whole forest.
+/// Every edge is seen once, from its smaller end. Component sizes do not
+/// depend on the order of the unions, so neither answer depends on the
+/// thread count.
+fn count_components<A: Adjacency + Sync + ?Sized>(adj: &A) -> (usize, usize) {
+    let bound = adj.id_bound();
+    assert!(
+        i32::try_from(bound).is_ok(),
+        "the union-find addresses ids as i32"
+    );
+    let threads = thread_budget();
+    let chunk = bound.div_ceil(threads.max(1)).max(1);
+    let mut parent = vec![-1i32; bound];
+    let views: Vec<Forest<'_>> = parent
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(c, parent)| Forest {
+            base: c * chunk,
+            parent,
+        })
+        .collect();
+    let leaving = map_in_order(
+        views,
+        threads,
+        || (),
+        |_, mut forest| {
+            let end = forest.base + forest.parent.len();
+            let mut leaving = Vec::new();
+            for u in forest.base..end {
+                for &v in adj.neighbors_of(NodeId(u)) {
+                    if v.0 <= u {
+                        continue;
+                    }
+                    if v.0 < end {
+                        forest.union(u, v.0);
+                    } else {
+                        leaving.push((u, v.0));
+                    }
+                }
+            }
+            leaving
+        },
+    );
+    let mut forest = Forest {
+        base: 0,
+        parent: &mut parent,
+    };
+    for (u, v) in leaving.into_iter().flatten() {
+        forest.union(u, v);
+    }
+    let (mut count, mut largest) = (0usize, 0usize);
+    for (i, &p) in parent.iter().enumerate() {
+        if p < 0 && adj.contains(NodeId(i)) {
+            count += 1;
+            largest = largest.max(p.unsigned_abs() as usize);
+        }
+    }
+    (count, largest)
+}
+
+/// A union-find (by size, with path halving) over the ids
+/// `base..base + parent.len()`: a root's entry is its component's size,
+/// negated; any other entry is its parent's absolute id.
+struct Forest<'a> {
+    base: usize,
+    parent: &'a mut [i32],
+}
+
+impl Forest<'_> {
+    fn find(&mut self, mut x: usize) -> usize {
+        loop {
+            let p = self.parent[x - self.base];
+            if p < 0 {
+                return x;
+            }
+            let grand = self.parent[p as usize - self.base];
+            if grand < 0 {
+                return p as usize;
+            }
+            self.parent[x - self.base] = grand;
+            x = grand as usize;
+        }
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a == b {
+            return;
+        }
+        // Sizes are negated: the larger component has the smaller entry.
+        let (small, big) = if self.parent[a - self.base] > self.parent[b - self.base] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.parent[big - self.base] += self.parent[small - self.base];
+        self.parent[small - self.base] = big as i32;
+    }
+}
+
 /// Number of connected components (`0` for an empty graph). Generic over
-/// [`Adjacency`]: pass a [`CsrSnapshot`](crate::csr::CsrSnapshot) to count
-/// over an existing freeze instead of re-walking the slab.
-pub fn component_count<A: Adjacency + ?Sized>(adj: &A) -> usize {
-    scan_components(adj).0
+/// [`Adjacency`], so it counts a [`CsrSnapshot`](crate::csr::CsrSnapshot)
+/// as well as the slab.
+///
+/// # Panics
+/// Panics if the id space is larger than `i32::MAX`, the union-find's
+/// id width.
+pub fn component_count<A: Adjacency + Sync + ?Sized>(adj: &A) -> usize {
+    count_components(adj).0
 }
 
 /// Size of the largest connected component (`0` for an empty graph).
-/// Generic over [`Adjacency`], like [`component_count`].
-pub fn largest_component_size<A: Adjacency + ?Sized>(adj: &A) -> usize {
-    scan_components(adj).2.len()
+/// Generic over [`Adjacency`]; panics like [`component_count`].
+pub fn largest_component_size<A: Adjacency + Sync + ?Sized>(adj: &A) -> usize {
+    count_components(adj).1
 }
 
 /// Returns `true` if the graph has at most one connected component.
@@ -137,6 +256,7 @@ pub(crate) fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<No
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::with_thread_budget;
     use crate::csr::CsrSnapshot;
     use crate::generators::random_regular;
     use crate::graph::Graph;
@@ -268,6 +388,28 @@ mod tests {
             prop_assert_eq!(scan_components(&Graph::new()), (0, Vec::new(), 0..0));
             assert_scan_matches_oracle(&g);
             assert_scan_matches_oracle(&churned_graph(&ops));
+        }
+
+        /// The union-find answers what the scan answers — the component
+        /// count and the largest size — at every thread budget, on churned
+        /// slabs (dead ids included) and their snapshots, and on the empty
+        /// graph. Larger graphs give every worker a chunk with edges
+        /// leaving it.
+        #[test]
+        fn union_find_counts_like_the_scan(
+            ops in prop::collection::vec((0usize..48, 0usize..48, 0u8..5), 0..240),
+        ) {
+            let churned = churned_graph(&ops);
+            for g in [Graph::new(), churned] {
+                let csr = CsrSnapshot::build(&g);
+                let (count, queue, largest) = scan_components(&g);
+                for budget in [1usize, 2, 3, 8] {
+                    with_thread_budget(budget, || {
+                        assert_eq!(count_components(&g), (count, queue[largest.clone()].len()));
+                        assert_eq!(count_components(&csr), (count, largest.len()));
+                    });
+                }
+            }
         }
     }
 

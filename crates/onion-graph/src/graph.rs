@@ -28,6 +28,9 @@
 //! assert_eq!(g.degree(b), Some(0));
 //! ```
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use crate::budget::map_in_order;
@@ -184,45 +187,149 @@ impl Graph {
         Some(neighbors)
     }
 
-    /// Removes one takedown wave and repairs it in place: every live node
-    /// in `victims` is removed (duplicates and absent ids are skipped) and
-    /// every pair of a victim's surviving former neighbors becomes
-    /// adjacent. The result is exactly the graph that
+    /// Removes one takedown wave, repairs it, prunes it and writes every
+    /// affected list once.
+    ///
+    /// Every live node in `victims` is removed (duplicates and absent ids
+    /// are skipped), every pair of a victim's surviving former neighbors
+    /// becomes adjacent, and then the drops `plan` asks for are removed.
+    /// Without drops the result is exactly the graph that
     /// [`remove_node`](Self::remove_node) on each victim followed by
-    /// [`add_edge`](Self::add_edge) on every such pair builds, but each
-    /// affected survivor's list is rebuilt once — (its old list − victims)
-    /// ∪ (each adjacent victim's list − victims − itself), sorted and
-    /// deduplicated — instead of paying a shift per inserted edge.
+    /// [`add_edge`](Self::add_edge) on every such pair builds; with drops
+    /// it is that graph minus every dropped pair.
     ///
-    /// The rebuild is partitioned across the id ranges delimited by
-    /// `bounds` (e.g. a shard grid's boundaries: range `r` owns
+    /// The work is partitioned across the id ranges delimited by `bounds`
+    /// (e.g. a shard grid's boundaries: range `r` owns
     /// `bounds[r]..bounds[r + 1]`, and the last range also owns every id
-    /// past its end) and fanned over up to `threads` workers through
-    /// [`map_in_order`]. Each range is rebuilt by exactly one worker on a
-    /// `split_at_mut` view of the slab and reads only its own lists plus
-    /// the victims' removed lists, so the result is **byte-identical at
-    /// any thread count**.
+    /// past its end), and each parallel phase fans the ranges over up to
+    /// `threads` workers through [`map_in_order`]:
     ///
-    /// Returns the number of victims removed, the number of edges added,
-    /// and, per range, its surviving former neighbors of the victims in
-    /// ascending order.
+    /// 1. **Takedown** (sequential): the victims' lists come out of the
+    ///    slab, and each survivor-victim edge is bucketed by the range
+    ///    owning the survivor.
+    /// 2. **Frozen rebuild** (parallel, slab read-only): each range writes
+    ///    the repaired list of every affected survivor it owns — its old
+    ///    list minus the victims, joined with each adjacent victim's list
+    ///    minus the victims and itself — into its own arena, and records
+    ///    where it lies there in a dense per-wave index that also holds
+    ///    every node's frozen degree.
+    /// 3. **Plan and mark** (parallel): `plan(scratch, range, frozen,
+    ///    drop)` runs once per range against the [`FrozenWave`] view and
+    ///    calls `drop(u, v)` for each edge it drops; what it drops must
+    ///    depend only on its range and that view (`scratch` is reusable
+    ///    space, built once per worker). Both halves of a drop
+    ///    are marked in the arenas by flags that are only ever set, so the
+    ///    marks do not depend on which range marks first; a half whose
+    ///    node was not affected is kept for phase 5.
+    /// 4. **Write once** (parallel, on `split_at_mut` range views of the
+    ///    slab): each affected list becomes its frozen list minus its
+    ///    marked entries, in the list's own allocation.
+    /// 5. **Fix-up** (sequential): the kept halves are removed from the
+    ///    unaffected lists, and the counters are settled.
+    ///
+    /// The rebuild and the write touch only their own range's arena and
+    /// slab view, and the plans read only the frozen view and set marks,
+    /// which no order of setting can change, so the result is
+    /// **byte-identical at any thread count**. A drop of a pair that is
+    /// not an edge of the frozen view is ignored. `edges_pruned` counts
+    /// each dropped pair once, also when both ends dropped it.
     ///
     /// # Panics
     /// Panics if `bounds` has fewer than two entries or is not ascending.
-    pub fn remove_nodes_with_clique_repair(
+    pub fn repair_wave<S>(
         &mut self,
         victims: &[NodeId],
         bounds: &[usize],
         threads: usize,
-    ) -> (usize, usize, Vec<Vec<NodeId>>) {
+        scratch: impl Fn() -> S + Sync,
+        plan: impl Fn(&mut S, usize, &FrozenWave<'_>, &mut dyn FnMut(NodeId, NodeId)) + Sync,
+    ) -> WaveOutcome {
+        let (wave, buckets) = self.take_wave(victims, bounds);
+        let ranges = bounds.len() - 1;
+        let mut index: Vec<FrozenSlot> = self
+            .slots
+            .iter()
+            .map(|slot| FrozenSlot {
+                range: IN_SLAB,
+                offset: 0,
+                degree: slot.as_ref().map_or(0, |list| list.len() as u32),
+            })
+            .collect();
+        let slots = &self.slots;
+        let arenas: Vec<WaveArena> = map_in_order(
+            split_ranges(&mut index, bounds)
+                .into_iter()
+                .zip(buckets)
+                .enumerate()
+                .collect(),
+            threads,
+            Vec::new,
+            |buf, (range, ((start, index), bucket))| {
+                WaveArena::rebuild(slots, &wave, range, start, index, bucket, buf)
+            },
+        );
+        let added: usize = arenas.iter().map(|arena| arena.added).sum();
+        let frozen = FrozenWave {
+            slots,
+            index: &index,
+            arenas: &arenas,
+        };
+        let far_halves = map_in_order((0..ranges).collect(), threads, scratch, |s, range| {
+            let mut far = Vec::new();
+            plan(s, range, &frozen, &mut |u, v| {
+                frozen.mark(u, v, &mut far);
+                frozen.mark(v, u, &mut far);
+            });
+            far
+        });
+        let marked = map_in_order(
+            split_ranges(&mut self.slots, bounds)
+                .into_iter()
+                .zip(arenas)
+                .collect(),
+            threads,
+            || (),
+            |_, ((start, view), arena)| arena.write(start, view, &index),
+        );
+        let mut pruned: usize = marked.iter().sum();
+        for (a, b) in far_halves.into_iter().flatten() {
+            if let Some(Some(list)) = self.slots.get_mut(a.0) {
+                if let Ok(pos) = list.binary_search(&b) {
+                    list.remove(pos);
+                    pruned += 1;
+                }
+            }
+        }
+        debug_assert!(
+            added.is_multiple_of(2) && wave.dropped.is_multiple_of(2) && pruned.is_multiple_of(2),
+            "wave repair must stay symmetric"
+        );
+        self.edge_count = self.edge_count + added / 2 - wave.dropped / 2 - pruned / 2;
+        WaveOutcome {
+            removed: wave.taken.len(),
+            edges_added: (added / 2) as u64,
+            edges_pruned: (pruned / 2) as u64,
+        }
+    }
+
+    /// Phase 1 of a wave: takes every live victim's list out of the slab,
+    /// as `remove_node` does, but leaves the victims' ids in the
+    /// survivors' lists for the rebuild to drop. Returns the takedown and
+    /// one `(survivor, victim index)` pair per survivor-victim edge,
+    /// bucketed by the range owning the survivor.
+    ///
+    /// # Panics
+    /// Panics if `bounds` has fewer than two entries or is not ascending.
+    fn take_wave(
+        &mut self,
+        victims: &[NodeId],
+        bounds: &[usize],
+    ) -> (Takedown, Vec<Vec<(NodeId, usize)>>) {
         assert!(
             bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] <= w[1]),
             "range bounds must be ascending with at least two entries"
         );
-        let ranges = bounds.len() - 1;
-        let cuts = &bounds[1..ranges];
-        // Take the victims out, as `remove_node` does, but leave their ids
-        // in the survivors' lists until the rebuild drops them.
+        let cuts = &bounds[1..bounds.len() - 1];
         let mut is_victim = vec![false; self.slots.len()];
         let mut taken: Vec<Vec<NodeId>> = Vec::new();
         for &v in victims {
@@ -232,52 +339,21 @@ impl Graph {
             }
         }
         self.live_count -= taken.len();
-        // One `(survivor, victim index)` pair per survivor-victim edge,
-        // bucketed by the range owning the survivor's list.
-        let mut buckets: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); ranges];
-        let mut victim_halves = 0usize;
+        let mut buckets: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); bounds.len() - 1];
+        let mut dropped = 0usize;
         for (i, list) in taken.iter().enumerate() {
-            victim_halves += list.len();
+            dropped += list.len();
             for &w in list.iter().filter(|w| !is_victim[w.0]) {
                 buckets[cuts.partition_point(|&c| c <= w.0)].push((w, i));
+                dropped += 1;
             }
         }
-        let dropped_halves = victim_halves + buckets.iter().map(Vec::len).sum::<usize>();
-        // One task per range, in range order, each on its own slab view.
-        let len = self.slots.len();
-        let mut tasks = Vec::with_capacity(ranges);
-        let mut rest: &mut [Option<Vec<NodeId>>] = &mut self.slots;
-        let mut start = 0usize;
-        for (range, bucket) in buckets.into_iter().enumerate() {
-            let end = if range + 1 < ranges {
-                bounds[range + 1].min(len)
-            } else {
-                len
-            };
-            let (chunk, tail) = rest.split_at_mut(end - start);
-            tasks.push(RangeTask {
-                start,
-                chunk,
-                bucket,
-            });
-            rest = tail;
-            start = end;
-        }
-        let (affected, added): (Vec<Vec<NodeId>>, Vec<usize>) = map_in_order(
-            tasks,
-            threads,
-            || (),
-            |_, task| task.rebuild(&taken, &is_victim),
-        )
-        .into_iter()
-        .unzip();
-        let added_halves: usize = added.iter().sum();
-        debug_assert!(
-            added_halves.is_multiple_of(2) && dropped_halves.is_multiple_of(2),
-            "wave repair must stay symmetric"
-        );
-        self.edge_count = self.edge_count + added_halves / 2 - dropped_halves / 2;
-        (taken.len(), added_halves / 2, affected)
+        let wave = Takedown {
+            is_victim,
+            taken,
+            dropped,
+        };
+        (wave, buckets)
     }
 
     /// Builds a graph whose node `i` has the neighbor list `lists[i]`.
@@ -402,38 +478,231 @@ impl Graph {
     }
 }
 
-/// One range's share of a wave rebuild: its first slot index, its slab
-/// chunk, and one `(survivor, victim index)` pair per edge between a
-/// survivor it owns and a victim.
-struct RangeTask<'a> {
-    start: usize,
-    chunk: &'a mut [Option<Vec<NodeId>>],
-    bucket: Vec<(NodeId, usize)>,
+/// Everything one takedown wave changed, for the overlay's stats counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WaveOutcome {
+    /// Victims actually removed (present before the wave).
+    pub removed: usize,
+    /// Repair edges added between the victims' surviving former neighbors.
+    pub edges_added: u64,
+    /// Edges the prune plans dropped, each pair counted once.
+    pub edges_pruned: u64,
 }
 
-impl RangeTask<'_> {
-    /// Rebuilds every survivor of the range once, in its own list. Returns
-    /// its ascending survivors and the number of half-edges it added.
-    fn rebuild(mut self, taken: &[Vec<NodeId>], is_victim: &[bool]) -> (Vec<NodeId>, usize) {
-        self.bucket.sort_unstable();
-        let mut survivors = Vec::new();
-        let mut added = 0usize;
-        for group in self.bucket.chunk_by(|a, b| a.0 == b.0) {
-            let u = group[0].0;
-            let list = self.chunk[u.0 - self.start]
-                .as_mut()
-                .expect("a victim's neighbor outside the wave is live");
-            list.retain(|w| !is_victim[w.0]);
-            let kept = list.len();
-            for &(_, v) in group {
-                list.extend(taken[v].iter().filter(|&&w| w != u && !is_victim[w.0]));
-            }
-            list.sort_unstable();
-            list.dedup();
-            added += list.len() - kept;
-            survivors.push(u);
+/// One entry of a wave's dense index: a node's frozen degree and, for an
+/// affected survivor, the range whose arena holds its frozen list and
+/// where the list starts there. Every node has its degree here, so a
+/// degree lookup is one read.
+#[derive(Clone, Copy)]
+struct FrozenSlot {
+    range: u32,
+    offset: u32,
+    degree: u32,
+}
+
+/// The `range` of a node the wave did not affect: its frozen list is the
+/// slab's.
+const IN_SLAB: u32 = u32::MAX;
+
+/// The read-only graph a wave's prune plans see: the repaired lists of
+/// the affected survivors, the slab's lists for every other live node.
+/// Built by [`Graph::repair_wave`] between its rebuild and its writes.
+pub struct FrozenWave<'a> {
+    slots: &'a [Option<Vec<NodeId>>],
+    index: &'a [FrozenSlot],
+    arenas: &'a [WaveArena],
+}
+
+impl FrozenWave<'_> {
+    /// The affected survivors range `range` owns, ascending.
+    pub fn survivors(&self, range: usize) -> &[NodeId] {
+        &self.arenas[range].survivors
+    }
+
+    /// The frozen neighbors of `node`, sorted ascending; empty for a dead
+    /// or absent node.
+    pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        match self.locate(node) {
+            Some((arena, entries)) => &arena.lists[entries],
+            None => self
+                .slots
+                .get(node.0)
+                .and_then(Option::as_deref)
+                .unwrap_or(&[]),
         }
-        (survivors, added)
+    }
+
+    /// The frozen degree of `node` (`0` for a dead or absent node).
+    pub fn degree(&self, node: NodeId) -> usize {
+        self.index
+            .get(node.0)
+            .map_or(0, |slot| slot.degree as usize)
+    }
+
+    /// The arena holding `node`'s frozen list and the list's entries
+    /// there, or `None` if the wave did not affect `node`.
+    fn locate(&self, node: NodeId) -> Option<(&WaveArena, Range<usize>)> {
+        let slot = *self.index.get(node.0)?;
+        if slot.range == IN_SLAB {
+            return None;
+        }
+        Some((&self.arenas[slot.range as usize], slot.entries()))
+    }
+
+    /// Marks `b` in `a`'s frozen list for removal, or keeps the half
+    /// `(a, b)` in `far` when `a`'s list is still the slab's.
+    fn mark(&self, a: NodeId, b: NodeId, far: &mut Vec<(NodeId, NodeId)>) {
+        match self.locate(a) {
+            Some((arena, entries)) => {
+                let start = entries.start;
+                if let Ok(pos) = arena.lists[entries].binary_search(&b) {
+                    // A mark publishes no other data, and the write phase
+                    // reads it only after the plan phase's workers joined.
+                    arena.marks[start + pos].store(true, Ordering::Relaxed);
+                }
+            }
+            None => far.push((a, b)),
+        }
+    }
+}
+
+impl FrozenSlot {
+    /// The slot's entries in its arena.
+    fn entries(self) -> Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.degree as usize
+    }
+}
+
+/// One range's frozen lists, concatenated in ascending survivor order,
+/// with one drop mark per entry.
+#[derive(Default)]
+struct WaveArena {
+    survivors: Vec<NodeId>,
+    lists: Vec<NodeId>,
+    marks: Vec<AtomicBool>,
+    /// Half-edges the rebuild added.
+    added: usize,
+}
+
+impl WaveArena {
+    /// Rebuilds every affected survivor of range `range`, whose ids start
+    /// at `start`, into a fresh arena, reading the slab and the taken
+    /// victim lists only, and records each survivor's list in `index`,
+    /// the range's view of the dense wave index.
+    fn rebuild(
+        slots: &[Option<Vec<NodeId>>],
+        wave: &Takedown,
+        range: usize,
+        start: usize,
+        index: &mut [FrozenSlot],
+        mut bucket: Vec<(NodeId, usize)>,
+        buf: &mut Vec<NodeId>,
+    ) -> WaveArena {
+        let Takedown {
+            is_victim, taken, ..
+        } = wave;
+        bucket.sort_unstable();
+        let mut arena = WaveArena::default();
+        for group in bucket.chunk_by(|a, b| a.0 == b.0) {
+            let u = group[0].0;
+            let old = slots[u.0]
+                .as_deref()
+                .expect("a victim's neighbor outside the wave is live");
+            buf.clear();
+            buf.extend(old.iter().filter(|w| !is_victim[w.0]));
+            let kept = buf.len();
+            for &(_, v) in group {
+                buf.extend(taken[v].iter().filter(|&&w| w != u && !is_victim[w.0]));
+            }
+            buf.sort_unstable();
+            buf.dedup();
+            arena.added += buf.len() - kept;
+            index[u.0 - start] = FrozenSlot {
+                range: range as u32,
+                offset: u32::try_from(arena.lists.len()).expect("arena offsets fit u32"),
+                degree: buf.len() as u32,
+            };
+            arena.survivors.push(u);
+            arena.lists.extend_from_slice(buf);
+        }
+        arena.marks = arena.lists.iter().map(|_| AtomicBool::new(false)).collect();
+        arena
+    }
+
+    /// Writes each survivor's frozen list minus its marked entries into
+    /// its slot of `view` (the slab from id `start` on), in the slot's own
+    /// allocation. Returns the number of marked entries.
+    fn write(self, start: usize, view: &mut [Option<Vec<NodeId>>], index: &[FrozenSlot]) -> usize {
+        let mut marked = 0usize;
+        for &u in &self.survivors {
+            let list = view[u.0 - start]
+                .as_mut()
+                .expect("an affected survivor is live");
+            list.clear();
+            let entries = index[u.0].entries();
+            for (&w, mark) in self.lists[entries.clone()].iter().zip(&self.marks[entries]) {
+                if mark.load(Ordering::Relaxed) {
+                    marked += 1;
+                } else {
+                    list.push(w);
+                }
+            }
+        }
+        marked
+    }
+}
+
+/// A wave's takedown: the victim flags, the victims' taken lists and the
+/// half-edges the takedown dropped.
+struct Takedown {
+    is_victim: Vec<bool>,
+    taken: Vec<Vec<NodeId>>,
+    dropped: usize,
+}
+
+/// Splits the per-id `items` into one `(first id, view)` per range of
+/// `bounds`; the last range also takes every id past its end.
+fn split_ranges<'a, T>(mut rest: &'a mut [T], bounds: &[usize]) -> Vec<(usize, &'a mut [T])> {
+    let ranges = bounds.len() - 1;
+    let len = rest.len();
+    let mut views = Vec::with_capacity(ranges);
+    let mut start = 0usize;
+    for range in 0..ranges {
+        let end = if range + 1 < ranges {
+            bounds[range + 1].min(len)
+        } else {
+            len
+        };
+        let (view, tail) = rest.split_at_mut(end - start);
+        views.push((start, view));
+        rest = tail;
+        start = end;
+    }
+    views
+}
+
+#[cfg(test)]
+impl Graph {
+    /// [`Graph::repair_wave`] without drops. Returns its outcome and each
+    /// range's affected survivors, ascending.
+    pub(crate) fn repair_wave_unpruned(
+        &mut self,
+        victims: &[NodeId],
+        bounds: &[usize],
+        threads: usize,
+    ) -> (WaveOutcome, Vec<Vec<NodeId>>) {
+        let seen = std::sync::Mutex::new(vec![Vec::new(); bounds.len() - 1]);
+        let outcome = self.repair_wave(
+            victims,
+            bounds,
+            threads,
+            || (),
+            |_, range, frozen, _| {
+                seen.lock().expect("survivor lock")[range] = frozen.survivors(range).to_vec();
+            },
+        );
+        (outcome, seen.into_inner().expect("survivor lock"))
     }
 }
 
@@ -590,8 +859,8 @@ mod tests {
         // Victim 1 twice, the tombstone 6 and a ghost past the slab: only 1
         // goes, and 0, 2 and 4 become a triangle.
         let victims = [ids[1], ids[1], ids[6], NodeId(99)];
-        let (removed, added, by_range) = g.remove_nodes_with_clique_repair(&victims, &[0, 3, 7], 2);
-        assert_eq!((removed, added), (1, 3));
+        let (outcome, by_range) = g.repair_wave_unpruned(&victims, &[0, 3, 7], 2);
+        assert_eq!((outcome.removed, outcome.edges_added), (1, 3));
         assert_eq!(by_range, vec![vec![ids[0], ids[2]], vec![ids[4]]]);
         assert_eq!(g.neighbors(ids[0]).unwrap(), &[ids[2], ids[4]]);
         assert_eq!(g.neighbors(ids[4]).unwrap(), &[ids[0], ids[2], ids[5]]);
@@ -599,8 +868,8 @@ mod tests {
         g.check_invariants().unwrap();
         // Adjacent victims 2 and 4: 3 and 5 knew each other only through
         // the two of them, so that knowledge dies with both.
-        let (removed, added, _) = g.remove_nodes_with_clique_repair(&[ids[2], ids[4]], &[0, 7], 1);
-        assert_eq!((removed, added), (2, 2));
+        let (outcome, _) = g.repair_wave_unpruned(&[ids[2], ids[4]], &[0, 7], 1);
+        assert_eq!((outcome.removed, outcome.edges_added), (2, 2));
         assert_eq!(g.edges(), vec![(ids[0], ids[3]), (ids[0], ids[5])]);
         g.check_invariants().unwrap();
     }

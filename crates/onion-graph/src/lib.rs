@@ -7,7 +7,8 @@
 //! ([`components`]) behind the partitioning experiments. Every traversal is
 //! one of two kernels: [`metrics::BfsScratch::run`] for single-source
 //! distances and one component scan behind [`components`] for the
-//! whole-graph component sweep. Measurement-phase sweeps freeze the slab
+//! whole-graph component sweep; component counts and sizes come from a
+//! union-find there. Measurement-phase sweeps freeze the slab
 //! into a read-only [`csr::CsrSnapshot`] and fan BFS sources across the
 //! deterministic multi-source kernel
 //! ([`metrics::parallel_bfs_from_sources`]) under the [`budget`]-governed
@@ -44,7 +45,7 @@ mod property_tests {
     use crate::components::{component_count, largest_component_size};
     use crate::csr::CsrSnapshot;
     use crate::generators::random_regular;
-    use crate::graph::Graph;
+    use crate::graph::{Graph, NodeId};
     use crate::metrics::oracle::bfs_distances;
     use crate::metrics::{
         average_degree_centrality, diameter, parallel_bfs_from_sources, BfsStats,
@@ -72,6 +73,71 @@ mod property_tests {
             }
         }
         g
+    }
+
+    /// A churned base graph, a victim list and range bounds for a wave.
+    /// A pick either names an id (possibly dead or past the slab) or, when
+    /// flagged, a neighbor of the previous victim; the cuts, plus `0`,
+    /// sorted, are the bounds.
+    fn wave_case(
+        ops: &[(usize, usize, u8)],
+        picks: &[(usize, bool)],
+        cuts: &[usize],
+    ) -> (Graph, Vec<NodeId>, Vec<usize>) {
+        let base = churned_graph(ops);
+        let mut victims: Vec<NodeId> = Vec::new();
+        for &(pick, adjacent) in picks {
+            let near = victims
+                .last()
+                .and_then(|&v| base.neighbors(v))
+                .filter(|list| adjacent && !list.is_empty());
+            victims.push(match near {
+                Some(list) => list[pick % list.len()],
+                None => NodeId(pick % (base.id_bound() + 8)),
+            });
+        }
+        let mut bounds = cuts.to_vec();
+        bounds.push(0);
+        bounds.sort_unstable();
+        (base, victims, bounds)
+    }
+
+    /// The repair a wave must build, edge by edge: `remove_node` on each
+    /// victim, then `add_edge` on every pair of each removed victim's
+    /// former neighbors. Returns that graph, the victims removed, the
+    /// edges added and each range's surviving former neighbors,
+    /// ascending.
+    fn clique_oracle(
+        base: &Graph,
+        victims: &[NodeId],
+        bounds: &[usize],
+    ) -> (Graph, usize, u64, Vec<Vec<NodeId>>) {
+        let mut oracle = base.clone();
+        let neighborhoods: Vec<Vec<NodeId>> = victims
+            .iter()
+            .filter_map(|&v| oracle.remove_node(v))
+            .collect();
+        let mut added = 0u64;
+        for former in &neighborhoods {
+            for (i, &a) in former.iter().enumerate() {
+                for &b in &former[i + 1..] {
+                    added += u64::from(oracle.add_edge(a, b));
+                }
+            }
+        }
+        let mut survivors: Vec<NodeId> = neighborhoods
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&u| oracle.contains(u))
+            .collect();
+        survivors.sort_unstable();
+        survivors.dedup();
+        let mut by_range = vec![Vec::new(); bounds.len() - 1];
+        for u in survivors {
+            by_range[bounds[1..bounds.len() - 1].partition_point(|&c| c <= u.0)].push(u);
+        }
+        (oracle, neighborhoods.len(), added, by_range)
     }
 
     proptest! {
@@ -207,75 +273,90 @@ mod property_tests {
             }
         }
 
-        /// In-place wave repair builds the graph that removing each victim
-        /// with `remove_node` and then `add_edge`-ing every pair of each
-        /// victim's surviving former neighbors builds — same graph, same
-        /// removed and added counts — against arbitrary churned base
-        /// graphs, victim lists full of duplicates, tombstones, ids past
-        /// the slab and adjacent victims, arbitrary (also empty or
-        /// past-the-slab) ranges and every thread count. Each range's
-        /// survivors are the oracle's surviving former neighbors it owns,
-        /// ascending.
+        /// The wave kernel without drops builds the graph that removing
+        /// each victim with `remove_node` and then `add_edge`-ing every
+        /// pair of each victim's surviving former neighbors builds — same
+        /// graph, same removed and added counts — against arbitrary
+        /// churned base graphs, victim lists full of duplicates,
+        /// tombstones, ids past the slab and adjacent victims, arbitrary
+        /// (also empty or past-the-slab) ranges and every thread count.
+        /// Each range's survivors are the oracle's surviving former
+        /// neighbors it owns, ascending.
         #[test]
         fn wave_repair_equals_sequential_removal_then_insertion(
             ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
             picks in prop::collection::vec((0usize..48, prop::bool::ANY), 0..16),
             cuts in prop::collection::vec(0usize..40, 1..6),
         ) {
-            use crate::graph::NodeId;
-            let base = churned_graph(&ops);
-            // A pick either names an id (possibly dead or past the slab)
-            // or, when flagged, a neighbor of the previous victim.
-            let mut victims: Vec<NodeId> = Vec::new();
-            for &(pick, adjacent) in &picks {
-                let near = victims
-                    .last()
-                    .and_then(|&v| base.neighbors(v))
-                    .filter(|list| adjacent && !list.is_empty());
-                victims.push(match near {
-                    Some(list) => list[pick % list.len()],
-                    None => NodeId(pick % (base.id_bound() + 8)),
-                });
-            }
-            let mut bounds = cuts.clone();
-            bounds.push(0);
-            bounds.sort_unstable();
-
-            let mut oracle = base.clone();
-            let mut neighborhoods = Vec::new();
-            for &v in &victims {
-                neighborhoods.extend(oracle.remove_node(v));
-            }
-            let mut oracle_added = 0usize;
-            for former in &neighborhoods {
-                for (i, &a) in former.iter().enumerate() {
-                    for &b in &former[i + 1..] {
-                        oracle_added += usize::from(oracle.add_edge(a, b));
-                    }
-                }
-            }
-            let mut survivors: Vec<NodeId> = neighborhoods
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|&u| oracle.contains(u))
-                .collect();
-            survivors.sort_unstable();
-            survivors.dedup();
-            let mut oracle_by_range = vec![Vec::new(); bounds.len() - 1];
-            for u in survivors {
-                oracle_by_range[bounds[1..bounds.len() - 1].partition_point(|&c| c <= u.0)].push(u);
-            }
-
+            let (base, victims, bounds) = wave_case(&ops, &picks, &cuts);
+            let (oracle, removed, oracle_added, oracle_by_range) =
+                clique_oracle(&base, &victims, &bounds);
             for threads in [1usize, 3, 8] {
                 let mut repaired = base.clone();
-                let (removed, added, by_range) =
-                    repaired.remove_nodes_with_clique_repair(&victims, &bounds, threads);
-                prop_assert_eq!(removed, neighborhoods.len(), "threads={}", threads);
-                prop_assert_eq!(added, oracle_added, "threads={}", threads);
+                let (outcome, by_range) =
+                    repaired.repair_wave_unpruned(&victims, &bounds, threads);
+                prop_assert_eq!(outcome.removed, removed, "threads={}", threads);
+                prop_assert_eq!(outcome.edges_added, oracle_added, "threads={}", threads);
+                prop_assert_eq!(outcome.edges_pruned, 0);
                 prop_assert_eq!(&repaired, &oracle, "threads={}", threads);
                 prop_assert!(repaired.check_invariants().is_ok());
                 prop_assert_eq!(&by_range, &oracle_by_range, "threads={}", threads);
+            }
+        }
+
+        /// With drops, the wave kernel equals the pipeline it replaced:
+        /// the repaired graph, then every range's plans made in ascending
+        /// range and survivor order against that graph frozen, then each
+        /// drop applied by one `remove_edge` in plan order. The planner
+        /// drops by a salted rule over ids and frozen degrees, so drops
+        /// hit unaffected far ends and both ends of one edge alike.
+        #[test]
+        fn wave_kernel_equals_repair_then_frozen_plan_then_ascending_apply(
+            ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
+            picks in prop::collection::vec((0usize..48, prop::bool::ANY), 0..16),
+            cuts in prop::collection::vec(0usize..40, 1..6),
+            salt in 0usize..64,
+            every in 1usize..4,
+        ) {
+            let (base, victims, bounds) = wave_case(&ops, &picks, &cuts);
+            let plan_of = |u: NodeId, neighbors: &[NodeId], degree: &dyn Fn(NodeId) -> usize| {
+                neighbors
+                    .iter()
+                    .copied()
+                    .filter(|&v| (u.0 * 7 + v.0 * 3 + degree(v) + salt).is_multiple_of(every))
+                    .collect::<Vec<_>>()
+            };
+            let (mut oracle, removed, added, by_range) = clique_oracle(&base, &victims, &bounds);
+            let frozen = oracle.clone();
+            let mut drops = Vec::new();
+            for &u in by_range.iter().flatten() {
+                let degree = |p: NodeId| frozen.degree(p).unwrap_or(0);
+                for v in plan_of(u, frozen.neighbors(u).unwrap(), &degree) {
+                    drops.push((u, v));
+                }
+            }
+            let pruned = drops.iter().filter(|&&(u, v)| oracle.remove_edge(u, v)).count();
+            for threads in [1usize, 3, 8] {
+                let mut kernel = base.clone();
+                let outcome = kernel.repair_wave(
+                    &victims,
+                    &bounds,
+                    threads,
+                    || (),
+                    |_, range, frozen, drop| {
+                        for &u in frozen.survivors(range) {
+                            let degree = |p: NodeId| frozen.degree(p);
+                            for v in plan_of(u, frozen.neighbors(u), &degree) {
+                                drop(u, v);
+                            }
+                        }
+                    },
+                );
+                prop_assert_eq!(outcome.removed, removed, "threads={}", threads);
+                prop_assert_eq!(outcome.edges_added, added, "threads={}", threads);
+                prop_assert_eq!(outcome.edges_pruned, pruned as u64, "threads={}", threads);
+                prop_assert_eq!(&kernel, &oracle, "threads={}", threads);
+                prop_assert!(kernel.check_invariants().is_ok());
             }
         }
 

@@ -1,7 +1,5 @@
 //! Configuration of the DDSR overlay.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the Dynamic Distributed Self-Repairing overlay (§IV-C).
 ///
 /// Repair adds edges between a deleted node's neighbors, and pruning
@@ -11,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// highest-degree pruning never drops a peer while one of higher degree
 /// remains, so while any peer sits above a lower bound, no peer at or
 /// below it is dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DdsrConfig {
     /// Upper bound on the node degree enforced by pruning.
     pub d_max: usize,

@@ -12,7 +12,7 @@
 //! exploits: a node prefers low-degree peers, and when it is already full
 //! it replaces its highest-degree peer with a lower-degree requester.
 
-use onion_graph::graph::{Graph, NodeId};
+use onion_graph::graph::NodeId;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -69,35 +69,39 @@ pub(crate) fn prune_victims<R: Rng + ?Sized>(
     }
 }
 
-/// The one prune planner: emits the peers `node` drops to get back to
-/// `d_max`, chosen by [`prune_victims`] from the degrees `graph` holds
-/// now. A node at or under `d_max`, or absent, drops nothing and draws
-/// nothing. `peers` is scratch space reused across calls.
+/// The one prune planner: emits the peers a node with the given
+/// `neighbors` drops to get back to `d_max`, chosen by [`prune_victims`]
+/// from the degrees `degree` reports. A node at or under `d_max` drops
+/// nothing and draws nothing. `peers` is scratch space reused across
+/// calls.
 ///
-/// The per-victim pass applies each plan before it makes the next; the
-/// wave pass makes every plan against one frozen graph and reconciles
-/// them afterwards.
+/// The per-victim pass reads the live graph and applies each plan before
+/// it makes the next; the wave pass reads one frozen view for every plan
+/// (see [`sharded_wave_repair`](crate::shard::sharded_wave_repair)).
 pub(crate) fn plan_prune<R: Rng + ?Sized>(
-    graph: &Graph,
-    node: NodeId,
+    neighbors: &[NodeId],
+    degree: impl Fn(NodeId) -> usize,
     d_max: usize,
     peers: &mut Vec<(NodeId, usize)>,
     rng: &mut R,
     emit: impl FnMut(NodeId),
 ) {
-    let drops = graph.degree(node).unwrap_or(0).saturating_sub(d_max);
+    let drops = neighbors.len().saturating_sub(d_max);
     if drops > 0 {
-        peer_degrees(graph, node, peers);
+        peer_degrees(neighbors, degree, peers);
         prune_victims(peers, drops, rng, emit);
     }
 }
 
-/// Loads `node`'s `(neighbor, degree)` pairs into `peers`, in ascending id
-/// order (none if `node` is absent).
-pub(crate) fn peer_degrees(graph: &Graph, node: NodeId, peers: &mut Vec<(NodeId, usize)>) {
+/// Loads the `(neighbor, degree)` pairs of `neighbors` into `peers`, in
+/// the list's order.
+pub(crate) fn peer_degrees(
+    neighbors: &[NodeId],
+    degree: impl Fn(NodeId) -> usize,
+    peers: &mut Vec<(NodeId, usize)>,
+) {
     peers.clear();
-    let neighbors = graph.neighbors(node).unwrap_or_default();
-    peers.extend(neighbors.iter().map(|&p| (p, graph.degree(p).unwrap_or(0))));
+    peers.extend(neighbors.iter().map(|&p| (p, degree(p))));
 }
 
 /// Decides how a node with the given peers responds to a peering request.
@@ -134,6 +138,7 @@ pub fn decide_peering<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use onion_graph::graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -353,7 +358,11 @@ mod tests {
         let plan = |node: NodeId, d_max: usize, seed: u64, peers: &mut Vec<_>| {
             let mut rng = StdRng::seed_from_u64(seed);
             let mut victims = Vec::new();
-            plan_prune(&graph, node, d_max, peers, &mut rng, |v| victims.push(v));
+            let neighbors = graph.neighbors(node).unwrap_or_default();
+            let degree = |p| graph.degree(p).unwrap_or(0);
+            plan_prune(neighbors, degree, d_max, peers, &mut rng, |v| {
+                victims.push(v)
+            });
             (victims, rng.next_u64())
         };
         let untouched = StdRng::seed_from_u64(9).next_u64();

@@ -18,13 +18,12 @@
 use onion_graph::graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::DdsrConfig;
 use crate::maintenance::{decide_peering, peer_degrees, plan_prune, PeeringDecision};
 
 /// Counters describing the maintenance work the overlay has performed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Nodes removed with the self-repair protocol active.
     pub nodes_repaired: u64,
@@ -135,9 +134,13 @@ impl DdsrOverlay {
         // neighbor's is made.
         if self.config.pruning {
             let (mut peers, mut victims) = (Vec::new(), Vec::new());
+            let d_max = self.config.d_max;
             for &u in &former_neighbors {
-                plan_prune(&self.graph, u, self.config.d_max, &mut peers, rng, |v| {
-                    victims.push(v);
+                let graph = &self.graph;
+                let neighbors = graph.neighbors(u).unwrap_or_default();
+                let degree = |p| graph.degree(p).unwrap_or(0);
+                plan_prune(neighbors, degree, d_max, &mut peers, rng, |v| {
+                    victims.push(v)
                 });
                 for victim in victims.drain(..) {
                     self.graph.remove_edge(u, victim);
@@ -149,11 +152,11 @@ impl DdsrOverlay {
     }
 
     /// Removes a whole takedown wave — the overlay's one wave API. All
-    /// victims go down first; then each affected survivor's neighbor list is
-    /// rebuilt once, in place and [shard-partitioned](crate::shard), so that
-    /// every pair of a victim's surviving former neighbors is adjacent;
-    /// then a single prune pass plans per owning shard against frozen
-    /// degrees, reconciled sequentially in ascending shard order. Returns
+    /// victims go down first; each affected survivor's repaired list —
+    /// every pair of a victim's surviving former neighbors adjacent — is
+    /// built once per owning [shard](crate::shard) into a frozen view; a
+    /// single prune pass plans per owning shard against that view; and
+    /// each affected list is written back once, minus its drops. Returns
     /// the number of nodes actually removed. The caller's RNG advances by
     /// exactly one draw, and the output is byte-identical at any
     /// worker-thread count.
@@ -235,7 +238,8 @@ impl DdsrOverlay {
             return true;
         }
         let mut peers = Vec::new();
-        peer_degrees(&self.graph, target, &mut peers);
+        let neighbors = self.graph.neighbors(target).unwrap_or_default();
+        peer_degrees(neighbors, |p| self.graph.degree(p).unwrap_or(0), &mut peers);
         match decide_peering(&mut peers, declared_degree, self.config.d_max, rng) {
             PeeringDecision::Accept => self.graph.add_edge(requester, target),
             PeeringDecision::Replace(victim) => {

@@ -9,8 +9,9 @@
 //! [`thread_budget`] workers, which returns the results by shard index;
 //! each shard's work is a pure function of the grid, the frozen graph
 //! state and the shard's own RNG stream, and cross-shard effects are
-//! applied in one sequential ascending-shard reconciliation pass — so the
-//! result is **byte-identical at any worker-thread count**.
+//! either applied by one sequential pass in a fixed order (the build's
+//! merge) or made order-free (the wave's drop marks) — so the result is
+//! **byte-identical at any worker-thread count**.
 //!
 //! # The sanctioned RNG-splitting idiom
 //!
@@ -44,15 +45,20 @@
 //! assembles the per-shard blocks in ascending shard order, and then
 //! stitches shards together with degree-preserving edge swaps from a
 //! dedicated merge stream — the assembled overlay is still exactly
-//! `k`-regular. Wave repair rebuilds each affected survivor's neighbor
-//! list once, in place, partitioned by owning shard (through
-//! [`Graph::remove_nodes_with_clique_repair`]), and partitions the prune
-//! pass by owning shard against frozen degrees, with the actual
-//! cross-shard edge removals replayed sequentially in ascending shard/id
-//! order.
+//! `k`-regular. Wave repair ([`sharded_wave_repair`]) rebuilds each
+//! affected survivor's list into a frozen per-shard arena, plans every
+//! shard's prune against that frozen view, marks both halves of each drop
+//! and then writes each affected list into the slab once (through
+//! [`Graph::repair_wave`]). A shard marks halves in other shards' arenas
+//! too, so the marks are flags that are only ever set: whichever shard
+//! sets a flag first, it ends set, and a drop planned by both of its
+//! ends sets the same two flags. Only the few drops whose far end the
+//! wave did not touch are removed sequentially, and their order cannot
+//! matter: each removes one entry from a list no other step writes.
 
 use onion_graph::budget::{map_in_order, thread_budget};
 use onion_graph::generators::random_regular;
+pub use onion_graph::graph::WaveOutcome;
 use onion_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -148,8 +154,7 @@ impl ShardGrid {
     }
 
     /// The ascending range cut points (`shards() + 1` entries, first `0`,
-    /// last `n`) — the partition handed to
-    /// [`Graph::remove_nodes_with_clique_repair`].
+    /// last `n`) — the partition handed to [`Graph::repair_wave`].
     pub fn bounds(&self) -> &[usize] {
         &self.bounds
     }
@@ -306,45 +311,41 @@ fn try_swap(graph: &mut Graph, u: NodeId, v: NodeId, rng: &mut StdRng) -> bool {
     true
 }
 
-/// Everything one sharded wave changed, for the overlay's stats counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WaveOutcome {
-    /// Victims actually removed (present before the wave).
-    pub removed: usize,
-    /// Repair edges added by the in-place repair.
-    pub edges_added: u64,
-    /// Edges dropped by the reconciled prune pass.
-    pub edges_pruned: u64,
-}
-
 /// Removes one takedown wave with shard-partitioned repair and pruning.
 ///
 /// All victims die before any repair runs, and each affected survivor is
 /// pruned once; with pruning off and no two victims adjacent, the result
 /// equals sequential
 /// [`remove_node_with_repair`](crate::overlay::DdsrOverlay::remove_node_with_repair)
-/// calls. Three phases:
+/// calls. The wave is one [`Graph::repair_wave`] call over the grid's
+/// ranges, which writes every affected list once in five phases:
 ///
-/// 1. **In-place repair** (parallel by shard): one
-///    [`Graph::remove_nodes_with_clique_repair`] call takes the victims'
-///    lists out of the slab (sequential), then each shard rebuilds every
-///    affected survivor it owns once — its old list minus the victims,
-///    joined with each adjacent victim's former list — so every pair of a
-///    victim's surviving former neighbors ends up adjacent. It returns
-///    each shard's affected survivors in ascending order.
-/// 2. **Prune planning** (parallel by shard): each shard walks its
-///    affected survivors in ascending id order with its own stream split
-///    from the wave base via [`shard_stream_seed`], planning each one's
-///    drops with the sequential pass's planner (`maintenance::plan_prune`)
-///    against **frozen** post-repair degrees (the graph is read-only
-///    during this phase).
-///    Unlike the sequential pass, one survivor's drops do not lower the
-///    degree another survivor sees — a documented divergence that keeps
-///    shards independent; each node still sheds enough edges on its own
-///    to return to `d_max`.
-/// 3. **Reconciliation** (sequential): planned removals are applied in
-///    ascending shard-then-id order; a drop both endpoints planned is
-///    applied (and counted) once.
+/// 1. **Takedown** (sequential): the victims' lists come out of the slab,
+///    and each survivor-victim edge is bucketed by the survivor's shard.
+/// 2. **Frozen rebuild** (parallel by shard, slab read-only): each shard
+///    writes the repaired list of every affected survivor it owns — its
+///    old list minus the victims, joined with each adjacent victim's
+///    former list — into its own arena, so every pair of a victim's
+///    surviving former neighbors ends up adjacent.
+/// 3. **Plan and mark** (parallel by shard): each shard walks its affected
+///    survivors in ascending id order with its own stream split from the
+///    wave base via [`shard_stream_seed`], planning each one's drops with
+///    the per-victim pass's planner (`maintenance::plan_prune`) against
+///    the **frozen** repaired degrees. Unlike the per-victim pass, one
+///    survivor's drops do not lower the degree another survivor sees — a
+///    documented divergence that keeps shards independent; each node
+///    still sheds enough edges on its own to return to `d_max`. Both
+///    halves of every drop are marked by flags that are only ever set, so
+///    the marks, and the graph, do not depend on which shard marks first.
+/// 4. **Write once** (parallel by shard): each affected list becomes its
+///    frozen list minus its marked entries. With pruning on, that list is
+///    at most `d_max` long.
+/// 5. **Fix-up** (sequential): the halves that belong to nodes the wave
+///    did not affect are removed; a drop both endpoints planned is
+///    counted once.
+///
+/// With pruning off nothing is planned, and phase 4 writes the frozen
+/// lists as they are.
 ///
 /// The wave advances the caller's RNG by exactly one `u64` draw, and all
 /// parallel work is keyed by shard — output is byte-identical at any
@@ -357,40 +358,28 @@ pub fn sharded_wave_repair<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> WaveOutcome {
     let wave_base = rng.next_u64(); // the ONE draw on the caller's stream
-    let (removed, edges_added, by_shard) =
-        graph.remove_nodes_with_clique_repair(victims, grid.bounds(), thread_budget());
-    let mut outcome = WaveOutcome {
-        removed,
-        edges_added: edges_added as u64,
-        edges_pruned: 0,
-    };
-    if config.pruning {
-        // Phase 2: plan drops per shard against the frozen graph.
-        let frozen: &Graph = graph;
-        let planned = map_in_order(
-            (0..grid.shards()).collect(),
-            thread_budget(),
-            Vec::new,
-            |peers, s| {
-                let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
-                let mut drops = Vec::new();
-                for &u in &by_shard[s] {
-                    plan_prune(frozen, u, config.d_max, peers, &mut shard_rng, |victim| {
-                        drops.push((u, victim));
-                    });
-                }
-                drops
-            },
-        );
-        // Phase 3: apply in ascending shard order (plans within a shard
-        // are already in ascending node order).
-        for (u, victim) in planned.into_iter().flatten() {
-            if graph.remove_edge(u, victim) {
-                outcome.edges_pruned += 1;
+    graph.repair_wave(
+        victims,
+        grid.bounds(),
+        thread_budget(),
+        Vec::new,
+        |peers, s, frozen, drop| {
+            if !config.pruning {
+                return;
             }
-        }
-    }
-    outcome
+            let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+            for &u in frozen.survivors(s) {
+                plan_prune(
+                    frozen.neighbors(u),
+                    |p| frozen.degree(p),
+                    config.d_max,
+                    peers,
+                    &mut shard_rng,
+                    |v| drop(u, v),
+                );
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -586,6 +575,69 @@ mod tests {
         use proptest::prelude::*;
         use rand::rngs::StdRng;
 
+        /// The wave pipeline [`sharded_wave_repair`] replaced, kept as its
+        /// oracle: the repair built edge by edge (`remove_node` on each
+        /// victim, then `add_edge` on every pair of each one's former
+        /// neighbors — the graph the old rebuild was pinned to), each
+        /// shard's affected survivors planned in ascending order on the
+        /// shard's stream against that graph frozen, and every drop
+        /// applied by one `remove_edge` in ascending shard order.
+        fn sequential_wave(
+            graph: &mut Graph,
+            config: &DdsrConfig,
+            victims: &[NodeId],
+            grid: &ShardGrid,
+            rng: &mut StdRng,
+        ) -> WaveOutcome {
+            let wave_base = rng.next_u64();
+            let neighborhoods: Vec<Vec<NodeId>> = victims
+                .iter()
+                .filter_map(|&v| graph.remove_node(v))
+                .collect();
+            let mut outcome = WaveOutcome {
+                removed: neighborhoods.len(),
+                ..WaveOutcome::default()
+            };
+            for former in &neighborhoods {
+                for (i, &a) in former.iter().enumerate() {
+                    for &b in &former[i + 1..] {
+                        outcome.edges_added += u64::from(graph.add_edge(a, b));
+                    }
+                }
+            }
+            if !config.pruning {
+                return outcome;
+            }
+            let mut survivors: Vec<NodeId> = neighborhoods
+                .into_iter()
+                .flatten()
+                .filter(|&u| graph.contains(u))
+                .collect();
+            survivors.sort_unstable();
+            survivors.dedup();
+            let frozen = graph.clone();
+            let (mut peers, mut drops) = (Vec::new(), Vec::new());
+            for s in 0..grid.shards() {
+                let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+                for &u in survivors.iter().filter(|&&u| grid.owner(u) == s) {
+                    let neighbors = frozen.neighbors(u).unwrap();
+                    let degree = |p| frozen.degree(p).unwrap_or(0);
+                    plan_prune(
+                        neighbors,
+                        degree,
+                        config.d_max,
+                        &mut peers,
+                        &mut shard_rng,
+                        |v| drops.push((u, v)),
+                    );
+                }
+            }
+            for (u, v) in drops {
+                outcome.edges_pruned += u64::from(graph.remove_edge(u, v));
+            }
+            outcome
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -633,6 +685,52 @@ mod tests {
                     prop_assert_eq!(graph.degree(NodeId(id)), Some(k));
                 }
                 prop_assert_eq!(build(4), graph);
+            }
+
+            /// The wave kernel equals the [`sequential_wave`] oracle — the
+            /// same graph, the same outcome and the caller's RNG at the
+            /// same position — with pruning on and off, on 1 to 8 shards
+            /// and thread budgets 1 to 4. The base graphs are churned
+            /// first: extra edges push some nodes above `d_max` going in,
+            /// tombstones leave dead ids, and the victim list repeats ids
+            /// and names dead ones.
+            #[test]
+            fn wave_kernel_equals_the_sequential_pipeline(
+                seed in 0u64..10_000,
+                shards in 1usize..9,
+                extra in 0usize..60,
+                dead in 0usize..12,
+                wave in 1usize..40,
+            ) {
+                let (n, k) = (160usize, 6usize);
+                let grid = ShardGrid::new(n, k, shards);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (mut base, ids) = build_sharded_regular(n, k, &grid, &mut rng);
+                for _ in 0..extra {
+                    base.add_edge(*ids.choose(&mut rng).unwrap(), *ids.choose(&mut rng).unwrap());
+                }
+                for _ in 0..dead {
+                    base.remove_node(*ids.choose(&mut rng).unwrap());
+                }
+                let mut victims: Vec<NodeId> = (0..wave).map(|_| *ids.choose(&mut rng).unwrap()).collect();
+                victims.push(NodeId(n + 5));
+                for pruning in [true, false] {
+                    let config = DdsrConfig { d_max: k, pruning };
+                    let mut oracle = base.clone();
+                    let mut oracle_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                    let expected = sequential_wave(&mut oracle, &config, &victims, &grid, &mut oracle_rng);
+                    for budget in 1usize..=4 {
+                        let mut graph = base.clone();
+                        let mut wave_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                        let outcome = with_thread_budget(budget, || {
+                            sharded_wave_repair(&mut graph, &config, &victims, &grid, &mut wave_rng)
+                        });
+                        prop_assert_eq!(outcome, expected, "pruning={} budget={}", pruning, budget);
+                        prop_assert_eq!(&graph, &oracle, "pruning={} budget={}", pruning, budget);
+                        prop_assert_eq!(wave_rng.next_u64(), oracle_rng.clone().next_u64());
+                        prop_assert!(graph.check_invariants().is_ok());
+                    }
+                }
             }
         }
     }

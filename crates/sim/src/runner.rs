@@ -326,8 +326,9 @@ impl Runner {
     /// [`ExecutorError`] whose [`is_cancelled`](ExecutorError::is_cancelled)
     /// reads `true`. Because fresh results are only
     /// written back after the *whole* dispatch succeeds, a cancelled run
-    /// never leaves partial state in the cache. A cancel raised after the
-    /// last item was taken loses the race and the run completes normally.
+    /// never leaves partial state in the cache. A cancel raised while the
+    /// last items were in flight cancels the run too, though every item
+    /// finished: the cancel was acknowledged, so nothing is stored.
     ///
     /// # Errors
     /// Returns the [`ExecutorError`] when the backend cannot complete the
@@ -499,8 +500,9 @@ impl Runner {
     /// stamping the resolved per-item thread budget onto every item first
     /// (and, for worker subprocesses, into their environment). A cancel
     /// raised before dispatch fails the run without starting the backend;
-    /// one raised mid-run stops the backend at its next item boundary,
-    /// and the run fails if that left items without a result.
+    /// one raised mid-run stops the backend at its next item boundary, and
+    /// the run fails whenever the observer reads cancelled once the
+    /// backend returns, also if every item has its result.
     fn dispatch(
         &self,
         scenarios: &[Arc<dyn Scenario>],
@@ -530,7 +532,7 @@ impl Runner {
                 .execute(pending, observer),
             Backend::Custom(executor) => executor.execute(pending, observer),
         }?;
-        if observer.cancelled() && executed.len() < total {
+        if observer.cancelled() {
             return Err(ExecutorError::cancelled(total - executed.len(), total));
         }
         Ok(executed)
@@ -1162,7 +1164,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_after_the_last_item_loses_the_race_and_the_run_completes() {
+    fn cancel_after_the_last_item_still_cancels_the_run() {
         let (cache, dir) = temp_cache("cancel-late");
         let params = ScenarioParams::with_seed(6);
         let token = Arc::new(AtomicBool::new(false));
@@ -1172,29 +1174,76 @@ mod tests {
             trip_after: 7,
             executed: std::sync::Mutex::new(0),
         });
-        let (summary, stats) = Runner::new(params.clone())
+        let error = Runner::new(params.clone())
             .jobs(2)
             .with_cache(cache.clone())
-            .backend(Backend::Custom(backend))
-            .try_run_observed(&scenarios(), &Token(token.clone()))
-            .unwrap();
-        assert!(token.load(Ordering::SeqCst), "the token did trip");
-        assert_eq!(stats.unwrap().stored, 7, "every result was stored");
+            .backend(Backend::Custom(backend.clone()))
+            .try_run_observed(&scenarios(), &Token(token))
+            .unwrap_err();
+        assert!(error.is_cancelled());
         assert_eq!(
-            summary.to_json(),
-            Runner::new(params.clone())
-                .try_run_observed(&scenarios(), &())
-                .unwrap()
-                .0
-                .to_json()
+            error.to_string(),
+            "job cancelled with 0 of 7 item(s) still pending"
         );
+        assert_eq!(*backend.executed.lock().unwrap(), 7, "every item ran");
         let (_, stats) = Runner::new(params)
             .with_cache(cache)
             .try_run_observed(&scenarios(), &())
             .unwrap();
         let stats = stats.unwrap();
-        assert!(stats.all_hits(), "{stats:?}");
-        assert_eq!(stats.hits, 7);
+        assert_eq!(stats.hits, 0, "a cancelled run stores none of its results");
+        assert_eq!(stats.misses, 7);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A one-part scenario whose part trips the cancel token while it
+    /// runs, the way a client's cancel lands on a job's last part.
+    struct TripsCancel(Arc<AtomicBool>);
+
+    impl Scenario for TripsCancel {
+        fn id(&self) -> &str {
+            "trips-cancel"
+        }
+        fn title(&self) -> &str {
+            "a part cancelled while it runs"
+        }
+        fn parts(&self, _params: &ScenarioParams) -> usize {
+            1
+        }
+        fn run_part(
+            &self,
+            _part: usize,
+            _params: &ScenarioParams,
+            _rng: &mut StdRng,
+        ) -> Vec<ExperimentReport> {
+            self.0.store(true, Ordering::SeqCst);
+            vec![ExperimentReport::new("trips-cancel", "t", "x", "y")]
+        }
+    }
+
+    #[test]
+    fn a_one_part_job_cancelled_while_its_part_runs_ends_cancelled_and_stores_nothing() {
+        let (cache, dir) = temp_cache("cancel-in-flight");
+        let token = Arc::new(AtomicBool::new(false));
+        let scenarios: Vec<Arc<dyn Scenario>> = vec![Arc::new(TripsCancel(token.clone()))];
+        let error = Runner::new(ScenarioParams::with_seed(6))
+            .with_cache(cache)
+            .try_run_observed(&scenarios, &Token(token))
+            .unwrap_err();
+        assert!(error.is_cancelled(), "{error}");
+        let mut entries = Vec::new();
+        let mut dirs = vec![dir.clone()];
+        while let Some(d) = dirs.pop() {
+            for entry in std::fs::read_dir(d).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    entries.push(path);
+                }
+            }
+        }
+        assert!(entries.is_empty(), "the cache holds {entries:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
