@@ -10,7 +10,6 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tor_sim::onion::OnionAddress;
 
 /// The size of the v2 onion address space (32^16); random probing is
@@ -18,7 +17,7 @@ use tor_sim::onion::OnionAddress;
 pub const ONION_ADDRESS_SPACE_LOG2: u32 = 80;
 
 /// A bootstrap strategy with its configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum BootstrapStrategy {
     /// A peer list embedded in the sample. `inclusion_probability` is the
     /// per-entry probability `p` with which an infecting bot shares each of

@@ -11,14 +11,13 @@ use onion_crypto::error::CryptoError;
 use onion_crypto::rsa::RsaPublicKey;
 use onionbots_core::rotation::AddressSchedule;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tor_sim::onion::OnionAddress;
 
 use crate::lifecycle::BotState;
 use crate::messages::{CommandKind, SignedCommand};
 
 /// Identifier of a bot inside the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BotId(pub u64);
 
 impl std::fmt::Display for BotId {
@@ -29,7 +28,7 @@ impl std::fmt::Display for BotId {
 
 /// Counters of (inert) command executions, used by experiments to check
 /// which bots acted on which commands.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecutionLog {
     /// Maintenance / keep-alive commands processed.
     pub maintenance: u64,
@@ -101,11 +100,6 @@ impl Bot {
     /// The bot's `.onion` address for the current period.
     pub fn current_address(&self) -> OnionAddress {
         self.schedule.address_for_period(self.current_period)
-    }
-
-    /// The period index the bot is currently using.
-    pub fn current_period(&self) -> u64 {
-        self.current_period
     }
 
     /// The bot's current peer list.
@@ -256,7 +250,7 @@ mod tests {
         let (old, new) = bot.rotate_to(5);
         assert_eq!(old, original);
         assert_ne!(new, original);
-        assert_eq!(bot.current_period(), 5);
+        assert_eq!(bot.current_period, 5);
         // The botmaster can derive the same new address from K_B.
         let schedule = AddressSchedule::new(cc.public(), bot.k_b());
         assert_eq!(schedule.address_for_period(5), new);

@@ -6,10 +6,8 @@
 //! command. The catalog is reproduced here so the `table1` harness binary can
 //! regenerate the table and tests can assert its contents.
 
-use serde::{Deserialize, Serialize};
-
 /// Payload encryption used by a botnet family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CryptoUse {
     /// No encryption at all.
     None,
@@ -25,7 +23,7 @@ pub enum CryptoUse {
 }
 
 /// Command signing used by a botnet family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SigningUse {
     /// Commands are not signed.
     None,
@@ -34,7 +32,7 @@ pub enum SigningUse {
 }
 
 /// One row of Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BotnetFamily {
     /// Family name as used in the paper.
     pub name: String,

@@ -7,10 +7,10 @@
 //! authenticated commands. In this simulator "execution" only increments
 //! counters — commands are inert data.
 
-use serde::{Deserialize, Serialize};
-
-/// The four life-cycle stages of a bot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The four life-cycle stages of a bot: Infection → Rally → Waiting ⇄
+/// Execution; a bot falls back to Rally from Waiting when it loses all of
+/// its peers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BotState {
     /// Freshly compromised host: generates its key material and `.onion`
     /// identity.
@@ -21,24 +21,6 @@ pub enum BotState {
     Waiting,
     /// Executing an authenticated command from the botmaster.
     Execution,
-}
-
-impl BotState {
-    /// Whether the transition `self -> next` is allowed by the life cycle.
-    ///
-    /// Infection → Rally → Waiting ⇄ Execution; a bot can also fall back to
-    /// Rally from Waiting when it loses all of its peers.
-    pub fn can_transition_to(self, next: BotState) -> bool {
-        use BotState::{Execution, Infection, Rally, Waiting};
-        matches!(
-            (self, next),
-            (Infection, Rally)
-                | (Rally, Waiting)
-                | (Waiting, Execution)
-                | (Execution, Waiting)
-                | (Waiting, Rally)
-        )
-    }
 }
 
 impl std::fmt::Display for BotState {
@@ -57,29 +39,6 @@ impl std::fmt::Display for BotState {
 mod tests {
     use super::*;
     use BotState::{Execution, Infection, Rally, Waiting};
-
-    #[test]
-    fn normal_life_cycle_is_permitted() {
-        assert!(Infection.can_transition_to(Rally));
-        assert!(Rally.can_transition_to(Waiting));
-        assert!(Waiting.can_transition_to(Execution));
-        assert!(Execution.can_transition_to(Waiting));
-    }
-
-    #[test]
-    fn losing_all_peers_sends_a_bot_back_to_rally() {
-        assert!(Waiting.can_transition_to(Rally));
-    }
-
-    #[test]
-    fn illegal_transitions_are_rejected() {
-        assert!(!Infection.can_transition_to(Waiting));
-        assert!(!Infection.can_transition_to(Execution));
-        assert!(!Rally.can_transition_to(Execution));
-        assert!(!Execution.can_transition_to(Infection));
-        assert!(!Waiting.can_transition_to(Infection));
-        assert!(!Waiting.can_transition_to(Waiting));
-    }
 
     #[test]
     fn display_names_are_lowercase() {

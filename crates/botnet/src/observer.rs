@@ -9,10 +9,10 @@
 //! use, so tests and examples can check that those statistics carry no
 //! signal about the underlying commands.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One observed wire object (a uniform cell between two unknown endpoints).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedCell {
     /// Size in bytes (always the uniform cell length for OnionBot traffic).
     pub size: usize,
@@ -21,13 +21,13 @@ pub struct ObservedCell {
 }
 
 /// A passive observer accumulating wire-level observations.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireObserver {
     cells: Vec<ObservedCell>,
 }
 
 /// Summary statistics available to the observer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObservationSummary {
     /// Total cells observed.
     pub total_cells: usize,

@@ -18,7 +18,6 @@ use onion_crypto::elligator::UniformEncoder;
 use onion_crypto::kdf::derive_link_key;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tor_sim::network::TorNetwork;
 use tor_sim::onion::OnionAddress;
 
@@ -27,7 +26,7 @@ use crate::botmaster::Botmaster;
 use crate::messages::{Audience, CommandKind, SignedCommand};
 
 /// Outcome of propagating one command through the botnet.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PropagationReport {
     /// Bots that received the command (acted or relayed).
     pub bots_reached: usize,
@@ -101,11 +100,6 @@ impl BotnetSimulation {
         &mut self.botmaster
     }
 
-    /// Number of live bots.
-    pub fn bot_count(&self) -> usize {
-        self.bots.len()
-    }
-
     /// The live bots' identifiers, in ascending order.
     pub fn bot_ids(&self) -> Vec<BotId> {
         self.bots.keys().copied().collect()
@@ -114,16 +108,6 @@ impl BotnetSimulation {
     /// Current onion address of a bot.
     pub fn address_of(&self, bot: BotId) -> Option<OnionAddress> {
         self.bots.get(&bot).map(Bot::current_address)
-    }
-
-    /// A bot's execution log.
-    pub fn log_of(&self, bot: BotId) -> Option<crate::bot::ExecutionLog> {
-        self.bots.get(&bot).map(Bot::log)
-    }
-
-    /// A bot's peer list.
-    pub fn peers_of(&self, bot: BotId) -> Option<Vec<OnionAddress>> {
-        self.bots.get(&bot).map(Bot::peers)
     }
 
     /// Current simulation clock in seconds.
@@ -146,7 +130,7 @@ impl BotnetSimulation {
             let id = BotId(start + i as u64);
             let bot = Bot::infect(id, self.botmaster.public_key(), rng);
             let addr = bot.current_address();
-            self.tor.register_hidden_service(addr, None);
+            self.tor.register_hidden_service(addr);
             self.tor
                 .announce_service(addr)
                 .expect("freshly registered services can announce");
@@ -255,7 +239,7 @@ impl BotnetSimulation {
                 .to_cell(&encoder, rng)
                 .expect("commands fit in one uniform cell");
             report.messages_sent += 1;
-            if self.tor.send_to_onion(addr, None, cell).is_ok() {
+            if self.tor.send_to_onion(addr, cell).is_ok() {
                 if reached.insert(id) {
                     queue.push_back((id, 0));
                 }
@@ -297,7 +281,7 @@ impl BotnetSimulation {
                     .to_cell(&encoder, rng)
                     .expect("commands fit in one uniform cell");
                 report.messages_sent += 1;
-                match self.tor.send_to_onion(peer_addr, None, cell) {
+                match self.tor.send_to_onion(peer_addr, cell) {
                     Ok(()) => {
                         reached.insert(peer_id);
                         queue.push_back((peer_id, round + 1));
@@ -347,7 +331,7 @@ impl BotnetSimulation {
         let mut published = 0usize;
         let addrs: Vec<OnionAddress> = self.bots.values().map(Bot::current_address).collect();
         for addr in addrs {
-            self.tor.register_hidden_service(addr, None);
+            self.tor.register_hidden_service(addr);
             if self.tor.announce_service(addr).is_ok() {
                 published += 1;
             }
@@ -370,7 +354,7 @@ impl BotnetSimulation {
         for (old, new, id) in &renames {
             self.tor.deregister_hidden_service(*old);
             self.address_index.remove(old);
-            self.tor.register_hidden_service(*new, None);
+            self.tor.register_hidden_service(*new);
             let _ = self.tor.announce_service(*new);
             self.address_index.insert(*new, *id);
         }
@@ -407,11 +391,11 @@ mod tests {
     #[test]
     fn infection_registers_bots_with_master_and_tor() {
         let (sim, _) = small_botnet(1, 12, 3);
-        assert_eq!(sim.bot_count(), 12);
+        assert_eq!(sim.bots.len(), 12);
         assert_eq!(sim.botmaster().known_bot_count(), 12);
         assert_eq!(sim.tor().registered_service_count(), 12);
         for id in sim.bot_ids() {
-            assert!(sim.peers_of(id).unwrap().len() >= 3);
+            assert!(sim.bots[&id].peers().len() >= 3);
         }
     }
 
@@ -424,7 +408,7 @@ mod tests {
         assert!((report.coverage() - 1.0).abs() < 1e-12);
         assert_eq!(report.messages_failed, 0);
         for id in sim.bot_ids() {
-            assert_eq!(sim.log_of(id).unwrap().maintenance, 1);
+            assert_eq!(sim.bots[&id].log().maintenance, 1);
         }
     }
 
@@ -434,7 +418,7 @@ mod tests {
         for id in sim.bot_ids().into_iter().take(8) {
             assert!(sim.take_down(id));
         }
-        assert_eq!(sim.bot_count(), 12);
+        assert_eq!(sim.bots.len(), 12);
         let report = sim.broadcast_command(CommandKind::Maintenance, 2, &mut rng);
         assert!(report.bots_reached <= 12);
         assert!(
@@ -477,7 +461,7 @@ mod tests {
         let report = sim.propagate(&cmd, 2, &mut rng);
         assert_eq!(report.bots_executed, 1);
         assert!(report.bots_reached > 1, "non-targets still relay");
-        assert_eq!(sim.log_of(target).unwrap().maintenance, 1);
+        assert_eq!(sim.bots[&target].log().maintenance, 1);
     }
 
     #[test]

@@ -16,13 +16,12 @@
 use onion_graph::graph::NodeId;
 use onionbots_core::overlay::DdsrOverlay;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::defenses::{PeeringRateLimiter, PowChallenge};
 use crate::soap::{SoapAttack, SoapConfig, SoapOutcome};
 
 /// Defense configuration applied to every peering acceptance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefenseConfig {
     /// Base proof-of-work difficulty in bits (0 disables PoW).
     pub pow_base_bits: u32,
@@ -56,7 +55,7 @@ impl DefenseConfig {
 }
 
 /// Outcome of a SOAP campaign against a defended overlay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefendedSoapOutcome {
     /// The underlying SOAP result (containment trace, clone count, ...).
     pub soap: SoapOutcome,

@@ -13,10 +13,9 @@
 
 use onion_crypto::digest::Digest;
 use onion_crypto::sha256::Sha256;
-use serde::{Deserialize, Serialize};
 
 /// A proof-of-work challenge for one peering request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PowChallenge {
     /// Random challenge bytes chosen by the accepting node.
     pub challenge: Vec<u8>,
@@ -76,7 +75,7 @@ fn leading_zero_bits(digest: &[u8]) -> u32 {
 /// Rate limiter for peering acceptance: the waiting period grows linearly
 /// with the current peer-list size, so an attacker who has already displaced
 /// some peers pays more and more simulated time per additional clone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeeringRateLimiter {
     /// Base delay (in simulated seconds) applied to every request.
     pub base_delay_secs: u64,

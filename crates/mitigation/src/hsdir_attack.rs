@@ -11,14 +11,13 @@
 //! why the paper judges this mitigation weak against OnionBots.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tor_sim::hsdir::{descriptor_ids, responsible_hsdirs, HSDIRS_PER_REPLICA};
 use tor_sim::network::TorNetwork;
 use tor_sim::onion::OnionAddress;
 use tor_sim::relay::{Fingerprint, Relay};
 
 /// Result of planting adversarial HSDirs for one target address.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HsdirTakeoverPlan {
     /// The onion address being targeted.
     pub target: OnionAddress,
@@ -46,7 +45,7 @@ pub fn plan_takeover<R: Rng + ?Sized>(
     let mut planted = Vec::new();
     let mut attempts = 0u64;
     let _ = rng;
-    for id in descriptor_ids(target.identifier(), attack_time_secs, None) {
+    for id in descriptor_ids(target.identifier(), attack_time_secs) {
         attempts += simulated_attempts_per_position;
         for offset in 0..HSDIRS_PER_REPLICA as u8 {
             // A fingerprint equal to the descriptor id plus a tiny positive
@@ -81,18 +80,19 @@ fn add_offset(mut bytes: [u8; 20], offset: u64) -> [u8; 20] {
 /// planted relays, waits the 25 hours needed for the HSDir flag, and then
 /// verifies whether the planted relays are now among the responsible HSDirs.
 ///
-/// Returns the number of planted relays that ended up responsible for the
-/// target at `check_time_secs`.
+/// Returns the number of planted relays that are responsible for the target
+/// after the wait.
 pub fn execute_takeover(network: &mut TorNetwork, plan: &HsdirTakeoverPlan) -> usize {
-    for (i, fp) in plan.planted_fingerprints.iter().enumerate() {
-        let relay = Relay::with_fingerprint(*fp, format!("sybil-hsdir-{i}"), 5000);
-        network.consensus_mut().add_relay(relay);
+    for fp in &plan.planted_fingerprints {
+        network
+            .consensus_mut()
+            .add_relay(Relay::with_fingerprint(*fp, 5000));
     }
     // The HSDir flag requires 25 hours of uptime.
     network.advance_time(26 * 3600);
     let ring = network.consensus().hsdir_ring();
     let mut responsible_planted = 0usize;
-    for id in descriptor_ids(plan.target.identifier(), network.time_secs(), None) {
+    for id in descriptor_ids(plan.target.identifier(), network.time_secs()) {
         for fp in responsible_hsdirs(id, &ring) {
             if plan.planted_fingerprints.contains(&fp) {
                 responsible_planted += 1;
@@ -109,7 +109,7 @@ pub fn deny_service(network: &mut TorNetwork, plan: &HsdirTakeoverPlan) -> bool 
     for fp in &plan.planted_fingerprints {
         network.wipe_hsdir(*fp);
     }
-    !network.is_resolvable(plan.target, None)
+    !network.is_resolvable(plan.target)
 }
 
 #[cfg(test)]
@@ -123,7 +123,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut network = TorNetwork::new(50, &mut rng);
         let target = OnionAddress::from_identifier([0x42; 10]);
-        network.register_hidden_service(target, None);
+        network.register_hidden_service(target);
 
         // Plan against the time at which the check will happen (the
         // adversary knows descriptor IDs rotate daily and positions for the
@@ -148,7 +148,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut network = TorNetwork::new(40, &mut rng);
         let target = OnionAddress::from_identifier([0x99; 10]);
-        network.register_hidden_service(target, None);
+        network.register_hidden_service(target);
 
         let future = network.time_secs() + 26 * 3600;
         let plan = plan_takeover(target, future, 0, &mut rng);
@@ -158,7 +158,7 @@ mod tests {
         // announcement lands on the adversary's relays, which then refuse to
         // serve it.
         network.announce_service(target).unwrap();
-        assert!(network.is_resolvable(target, None));
+        assert!(network.is_resolvable(target));
         let denied = deny_service(&mut network, &plan);
         assert!(denied, "target should be unreachable after the denial");
     }
@@ -171,8 +171,8 @@ mod tests {
         let mut network = TorNetwork::new(40, &mut rng);
         let today = OnionAddress::from_identifier([0x10; 10]);
         let tomorrow = OnionAddress::from_identifier([0x77; 10]);
-        network.register_hidden_service(today, None);
-        network.register_hidden_service(tomorrow, None);
+        network.register_hidden_service(today);
+        network.register_hidden_service(tomorrow);
 
         let future = network.time_secs() + 26 * 3600;
         let plan = plan_takeover(today, future, 0, &mut rng);
@@ -180,7 +180,7 @@ mod tests {
         network.announce_service(tomorrow).unwrap();
         deny_service(&mut network, &plan);
         assert!(
-            network.is_resolvable(tomorrow, None),
+            network.is_resolvable(tomorrow),
             "an address the adversary did not plan for stays reachable"
         );
     }

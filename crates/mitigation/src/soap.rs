@@ -18,10 +18,9 @@ use std::collections::{BTreeSet, VecDeque};
 use onion_graph::graph::NodeId;
 use onionbots_core::overlay::DdsrOverlay;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a SOAP campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoapConfig {
     /// Upper bound (exclusive) of the small random degree clones declare.
     pub max_declared_degree: usize,
@@ -42,7 +41,7 @@ impl Default for SoapConfig {
 }
 
 /// One sample of campaign progress (a row of the Figure-7 style trace).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoapProgress {
     /// Campaign iteration index.
     pub iteration: usize,
@@ -58,7 +57,7 @@ pub struct SoapProgress {
 }
 
 /// Result of a full SOAP campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoapOutcome {
     /// Progress trace, one entry per iteration (plus the initial state).
     pub trace: Vec<SoapProgress>,
@@ -108,7 +107,7 @@ impl SoapAttack {
 
     /// Returns `true` if the given bot is fully surrounded by clones (or has
     /// lost all of its peers).
-    pub fn is_contained(&self, overlay: &DdsrOverlay, bot: NodeId) -> bool {
+    fn is_contained(&self, overlay: &DdsrOverlay, bot: NodeId) -> bool {
         match overlay.peers(bot) {
             Some(peers) => peers.iter().all(|p| self.clones.contains(p)),
             None => true,
@@ -116,7 +115,7 @@ impl SoapAttack {
     }
 
     /// Number of discovered, still-alive bots that are fully contained.
-    pub fn contained_count(&self, overlay: &DdsrOverlay) -> usize {
+    fn contained_count(&self, overlay: &DdsrOverlay) -> usize {
         self.discovered
             .iter()
             .filter(|&&b| overlay.graph().contains(b) && self.is_contained(overlay, b))

@@ -17,14 +17,13 @@ use onion_graph::graph::{Graph, NodeId};
 use onion_graph::metrics::BfsScratch;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a physical host in the SuperOnion construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HostId(pub usize);
 
 /// Parameters of a SuperOnion construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuperOnionConfig {
     /// Number of physical hosts `n`.
     pub hosts: usize,
@@ -46,7 +45,7 @@ impl SuperOnionConfig {
 }
 
 /// Result of one host's connectivity probe.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeReport {
     /// The probing host.
     pub host: HostId,
@@ -142,11 +141,6 @@ impl SuperOnion {
     /// The virtual nodes currently owned by a host.
     pub fn virtual_nodes(&self, host: HostId) -> Vec<NodeId> {
         self.virtuals.get(&host).cloned().unwrap_or_default()
-    }
-
-    /// The owner of a virtual node, if it exists.
-    pub fn owner_of(&self, node: NodeId) -> Option<HostId> {
-        self.owner.get(&node).copied()
     }
 
     /// Total number of live virtual nodes.
@@ -281,7 +275,7 @@ mod tests {
         }
         // Virtual nodes never peer with siblings on the same host.
         for (a, b) in so.graph().edges() {
-            assert_ne!(so.owner_of(a), so.owner_of(b));
+            assert_ne!(so.owner.get(&a), so.owner.get(&b));
         }
         // Each virtual node has at most i = 2 outgoing peer choices, but may
         // have a higher total degree because other nodes also chose it.

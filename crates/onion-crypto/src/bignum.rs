@@ -13,7 +13,7 @@
 //! let a = BigUint::from_u64(1_000_000_007);
 //! let b = BigUint::from_u64(998_244_353);
 //! let product = &a * &b;
-//! assert_eq!(product.to_u64(), Some(1_000_000_007u64 * 998_244_353u64));
+//! assert_eq!(product, BigUint::from_u64(1_000_000_007u64 * 998_244_353u64));
 //! ```
 
 use std::cmp::Ordering;
@@ -184,23 +184,13 @@ impl BigUint {
     }
 
     /// Sets bit `i` to one, growing the representation if necessary.
-    pub fn set_bit(&mut self, i: usize) {
+    fn set_bit(&mut self, i: usize) {
         let limb = i / 32;
         let off = i % 32;
         if self.limbs.len() <= limb {
             self.limbs.resize(limb + 1, 0);
         }
         self.limbs[limb] |= 1 << off;
-    }
-
-    /// Converts to `u64`, returning `None` when the value does not fit.
-    pub fn to_u64(&self) -> Option<u64> {
-        match self.limbs.len() {
-            0 => Some(0),
-            1 => Some(u64::from(self.limbs[0])),
-            2 => Some(u64::from(self.limbs[0]) | (u64::from(self.limbs[1]) << 32)),
-            _ => None,
-        }
     }
 
     fn normalize(&mut self) {
@@ -574,6 +564,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl BigUint {
+        /// Converts to `u64`, returning `None` when the value does not fit.
+        fn to_u64(&self) -> Option<u64> {
+            match self.limbs.len() {
+                0 => Some(0),
+                1 => Some(u64::from(self.limbs[0])),
+                2 => Some(u64::from(self.limbs[0]) | (u64::from(self.limbs[1]) << 32)),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn zero_and_one_identities() {

@@ -1,10 +1,8 @@
 //! ChaCha20 stream cipher (RFC 7539 construction).
 //!
 //! OnionBot traffic must be encrypted and indistinguishable hop by hop
-//! (§IV-D). The simulated Tor circuits apply one ChaCha20 layer per hop to
-//! model Tor's layered (onion) encryption, and the uniform message encoding
-//! ([`crate::elligator`]) uses the same keystream to make payloads look like
-//! random strings.
+//! (§IV-D). The uniform message encoding ([`crate::elligator`]) uses the
+//! ChaCha20 keystream to make payloads look like random strings.
 //!
 //! ```
 //! use onion_crypto::chacha20::ChaCha20;
@@ -99,12 +97,6 @@ impl ChaCha20 {
         }
         out
     }
-
-    /// Produces `len` bytes of raw keystream starting at the configured
-    /// counter. Useful as a deterministic pseudo-random byte source.
-    pub fn keystream(&self, len: usize) -> Vec<u8> {
-        self.apply(&vec![0u8; len])
-    }
 }
 
 #[cfg(test)]
@@ -151,15 +143,15 @@ mod tests {
     #[test]
     fn counter_advances_per_block() {
         let cipher = ChaCha20::new(&[9u8; 32], &[3u8; 12], 0);
-        let two_blocks = cipher.keystream(128);
+        let two_blocks = cipher.apply(&[0u8; 128]);
         assert_eq!(&two_blocks[..64], &cipher.block(0)[..]);
         assert_eq!(&two_blocks[64..], &cipher.block(1)[..]);
     }
 
     #[test]
     fn keystream_is_deterministic() {
-        let a = ChaCha20::new(&[5u8; 32], &[6u8; 12], 7).keystream(256);
-        let b = ChaCha20::new(&[5u8; 32], &[6u8; 12], 7).keystream(256);
+        let a = ChaCha20::new(&[5u8; 32], &[6u8; 12], 7).apply(&[0u8; 256]);
+        let b = ChaCha20::new(&[5u8; 32], &[6u8; 12], 7).apply(&[0u8; 256]);
         assert_eq!(a, b);
     }
 
@@ -167,7 +159,7 @@ mod tests {
     fn keystream_looks_balanced() {
         // Crude sanity check that the keystream is not obviously biased: the
         // popcount of 4 KiB of keystream should be close to half the bits.
-        let ks = ChaCha20::new(&[0xabu8; 32], &[0xcdu8; 12], 0).keystream(4096);
+        let ks = ChaCha20::new(&[0xabu8; 32], &[0xcdu8; 12], 0).apply(&[0u8; 4096]);
         let ones: u32 = ks.iter().map(|b| b.count_ones()).sum();
         let total = 4096 * 8;
         let ratio = f64::from(ones) / f64::from(total as u32);

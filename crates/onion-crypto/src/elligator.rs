@@ -32,10 +32,10 @@ use crate::error::CryptoError;
 
 /// Size in bytes of every encoded cell (nonce prefix + encrypted body).
 ///
-/// Sized to hold a signed command together with its rental token; on the
-/// simulated wire one uniform cell is transported as four fixed-size 512-byte
-/// Tor cells (see `tor_sim::cell`), so observers still only ever see
-/// uniform-size units.
+/// Sized to hold a signed command together with its rental token. The
+/// simulated network counts one uniform cell as five fixed-size 512-byte Tor
+/// cells of 505 payload bytes each (see `tor_sim::network`), so observers
+/// still only ever see uniform-size units.
 pub const UNIFORM_CELL_LEN: usize = 2048;
 
 /// Nonce length prepended to each cell.

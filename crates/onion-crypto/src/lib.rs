@@ -14,8 +14,7 @@
 //! * [`sha1`], [`sha256`], [`digest`] — hash functions (Tor identifiers and
 //!   descriptor IDs use SHA-1; everything else uses SHA-256).
 //! * [`hmac`] — message authentication.
-//! * [`chacha20`] — the stream cipher used for layered circuit encryption and
-//!   uniform message encoding.
+//! * [`chacha20`] — the stream cipher behind the uniform message encoding.
 //! * [`base32`] — `.onion` hostname encoding.
 //! * [`kdf`] — the paper's `generateKey(PK_CC, H(K_B, i_p))` periodic address
 //!   rotation recipe.

@@ -10,7 +10,7 @@ use rand::Rng;
 use crate::bignum::BigUint;
 
 /// Returns all primes below `limit` using a simple sieve of Eratosthenes.
-pub fn small_primes(limit: usize) -> Vec<u64> {
+fn small_primes(limit: usize) -> Vec<u64> {
     if limit < 2 {
         return Vec::new();
     }
@@ -40,7 +40,7 @@ pub fn small_primes(limit: usize) -> Vec<u64> {
 /// Numbers below 2 are composite; 2 and 3 are prime. The error probability is
 /// at most 4^-rounds for adversarially chosen inputs, far smaller for random
 /// candidates.
-pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
+fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> bool {
     let two = BigUint::from_u64(2);
     let three = BigUint::from_u64(3);
     if n < &two {

@@ -74,7 +74,7 @@ impl RsaPublicKey {
     }
 
     /// The modulus size in whole bytes.
-    pub fn modulus_len(&self) -> usize {
+    fn modulus_len(&self) -> usize {
         self.n.bit_len().div_ceil(8)
     }
 

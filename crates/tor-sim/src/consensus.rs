@@ -8,13 +8,12 @@
 use std::collections::BTreeMap;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::relay::{Fingerprint, Relay};
 
 /// The hourly consensus: every known relay keyed (and ordered) by
 /// fingerprint.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Consensus {
     relays: BTreeMap<Fingerprint, Relay>,
     /// Hour index at which this consensus is valid.
@@ -31,8 +30,8 @@ impl Consensus {
     /// up long enough to carry the HSDir flag (a steady-state Tor network).
     pub fn bootstrap<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Self {
         let mut consensus = Consensus::new();
-        for i in 0..n {
-            let mut relay = Relay::new(format!("relay{i}"), rng.gen_range(1000..20_000), rng);
+        for _ in 0..n {
+            let mut relay = Relay::new(rng.gen_range(1000..20_000), rng);
             relay.tick_hours(26 + rng.gen_range(0..1000));
             consensus.add_relay(relay);
         }
@@ -49,26 +48,6 @@ impl Consensus {
         self.relays.insert(relay.fingerprint(), relay);
     }
 
-    /// Removes a relay, returning it if it was present.
-    pub fn remove_relay(&mut self, fingerprint: Fingerprint) -> Option<Relay> {
-        self.relays.remove(&fingerprint)
-    }
-
-    /// Looks up a relay by fingerprint.
-    pub fn relay(&self, fingerprint: Fingerprint) -> Option<&Relay> {
-        self.relays.get(&fingerprint)
-    }
-
-    /// Number of relays in the consensus.
-    pub fn relay_count(&self) -> usize {
-        self.relays.len()
-    }
-
-    /// All relays in fingerprint order.
-    pub fn relays(&self) -> impl Iterator<Item = &Relay> {
-        self.relays.values()
-    }
-
     /// The HSDir ring: fingerprints of all relays carrying the HSDir flag,
     /// in ascending fingerprint order (the "circle of the fingerprint of Tor
     /// relays" from Figure 2 of the paper).
@@ -78,11 +57,6 @@ impl Consensus {
             .filter(|r| r.flags().hsdir)
             .map(Relay::fingerprint)
             .collect()
-    }
-
-    /// Fingerprints of relays suitable for general circuit hops.
-    pub fn circuit_candidates(&self) -> Vec<Fingerprint> {
-        self.relays.keys().copied().collect()
     }
 
     /// Advances the consensus clock by `hours`, aging every relay and
@@ -105,7 +79,7 @@ mod tests {
     fn bootstrap_produces_hsdir_capable_network() {
         let mut rng = StdRng::seed_from_u64(1);
         let consensus = Consensus::bootstrap(50, &mut rng);
-        assert_eq!(consensus.relay_count(), 50);
+        assert_eq!(consensus.relays.len(), 50);
         assert_eq!(consensus.hsdir_ring().len(), 50);
     }
 
@@ -123,27 +97,16 @@ mod tests {
     fn new_relays_join_the_ring_only_after_25_hours() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut consensus = Consensus::bootstrap(10, &mut rng);
-        let newcomer = Relay::new("newcomer", 5000, &mut rng);
+        let newcomer = Relay::new(5000, &mut rng);
         let fp = newcomer.fingerprint();
         consensus.add_relay(newcomer);
-        assert_eq!(consensus.relay_count(), 11);
+        assert_eq!(consensus.relays.len(), 11);
         assert_eq!(consensus.hsdir_ring().len(), 10, "newcomer lacks uptime");
         consensus.advance_hours(24);
         assert_eq!(consensus.hsdir_ring().len(), 10);
         consensus.advance_hours(1);
         assert_eq!(consensus.hsdir_ring().len(), 11);
         assert!(consensus.hsdir_ring().contains(&fp));
-    }
-
-    #[test]
-    fn remove_relay_shrinks_consensus() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut consensus = Consensus::bootstrap(5, &mut rng);
-        let fp = consensus.hsdir_ring()[0];
-        assert!(consensus.remove_relay(fp).is_some());
-        assert!(consensus.relay(fp).is_none());
-        assert_eq!(consensus.relay_count(), 4);
-        assert!(consensus.remove_relay(fp).is_none());
     }
 
     #[test]

@@ -9,19 +9,13 @@ use std::fmt;
 pub enum TorError {
     /// A `.onion` address string could not be parsed.
     InvalidOnionAddress(String),
-    /// No descriptor for the requested hidden service is currently published
+    /// No descriptor for the requested hidden service is currently announced
     /// on any responsible HSDir.
     DescriptorNotFound(String),
     /// The hidden service is not reachable (not registered or taken down).
     ServiceUnreachable(String),
-    /// A relay referenced by fingerprint is not in the current consensus.
-    UnknownRelay(String),
-    /// A circuit could not be built (not enough relays, or a hop rejected).
-    CircuitFailed(String),
-    /// A descriptor failed signature validation.
-    InvalidDescriptor(String),
-    /// A cell was malformed (wrong size or inconsistent framing).
-    MalformedCell(String),
+    /// The consensus has no HSDirs to store a descriptor announcement on.
+    NoHsdirs,
 }
 
 impl fmt::Display for TorError {
@@ -30,10 +24,7 @@ impl fmt::Display for TorError {
             TorError::InvalidOnionAddress(msg) => write!(f, "invalid onion address: {msg}"),
             TorError::DescriptorNotFound(msg) => write!(f, "descriptor not found: {msg}"),
             TorError::ServiceUnreachable(msg) => write!(f, "hidden service unreachable: {msg}"),
-            TorError::UnknownRelay(msg) => write!(f, "unknown relay: {msg}"),
-            TorError::CircuitFailed(msg) => write!(f, "circuit failed: {msg}"),
-            TorError::InvalidDescriptor(msg) => write!(f, "invalid descriptor: {msg}"),
-            TorError::MalformedCell(msg) => write!(f, "malformed cell: {msg}"),
+            TorError::NoHsdirs => write!(f, "no HSDirs in the consensus"),
         }
     }
 }

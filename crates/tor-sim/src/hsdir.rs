@@ -9,14 +9,16 @@
 //! ```
 //!
 //! `H` is SHA-1, `Identifier` is the 80-bit truncated SHA-1 of the service's
-//! public key, `descriptor-cookie` is an optional 128-bit authorization
-//! field, and `replica` ∈ {0, 1} yields two descriptor IDs. Each descriptor
-//! ID is stored on the 3 HSDirs whose fingerprints follow it on the ring, so
-//! each service has 6 responsible HSDirs in total.
+//! public key, and `replica` ∈ {0, 1} yields two descriptor IDs. Each
+//! descriptor ID is stored on the 3 HSDirs whose fingerprints follow it on
+//! the ring, so each service has 6 responsible HSDirs in total.
+//!
+//! Client authorization is not modelled: no bot or client sets the optional
+//! 128-bit `descriptor-cookie`, so it is left out of `secret-id-part`, which
+//! hashes `time-period || replica` only.
 
 use onion_crypto::digest::Digest;
 use onion_crypto::sha1::Sha1;
-use serde::{Deserialize, Serialize};
 
 use crate::relay::Fingerprint;
 
@@ -30,32 +32,22 @@ pub const HSDIRS_PER_REPLICA: usize = 3;
 pub const PERIOD_SECONDS: u64 = 86_400;
 
 /// A 20-byte descriptor ID, ordered on the same ring as relay fingerprints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DescriptorId(pub [u8; 20]);
-
-impl DescriptorId {
-    /// Hex rendering.
-    pub fn to_hex(&self) -> String {
-        onion_crypto::hex::encode(&self.0)
-    }
-}
 
 /// Computes the time period index for a service.
 ///
 /// `permanent_id_byte` is the first byte of the service identifier; it
 /// staggers period rollovers across services so "the descriptors [do not
 /// change] all at the same time".
-pub fn time_period(current_time_secs: u64, permanent_id_byte: u8) -> u64 {
+fn time_period(current_time_secs: u64, permanent_id_byte: u8) -> u64 {
     (current_time_secs + u64::from(permanent_id_byte) * PERIOD_SECONDS / 256) / PERIOD_SECONDS
 }
 
-/// Computes `secret-id-part = H(time-period || descriptor-cookie || replica)`.
-pub fn secret_id_part(period: u64, descriptor_cookie: Option<&[u8; 16]>, replica: u8) -> [u8; 20] {
+/// Computes `secret-id-part = H(time-period || replica)`.
+fn secret_id_part(period: u64, replica: u8) -> [u8; 20] {
     let mut hasher = Sha1::new();
     hasher.update(&period.to_be_bytes());
-    if let Some(cookie) = descriptor_cookie {
-        hasher.update(cookie);
-    }
     hasher.update(&[replica]);
     let digest = hasher.finalize();
     let mut out = [0u8; 20];
@@ -64,14 +56,9 @@ pub fn secret_id_part(period: u64, descriptor_cookie: Option<&[u8; 16]>, replica
 }
 
 /// Computes `descriptor-id = H(identifier || secret-id-part)`.
-pub fn descriptor_id(
-    identifier: [u8; 10],
-    current_time_secs: u64,
-    descriptor_cookie: Option<&[u8; 16]>,
-    replica: u8,
-) -> DescriptorId {
+pub fn descriptor_id(identifier: [u8; 10], current_time_secs: u64, replica: u8) -> DescriptorId {
     let period = time_period(current_time_secs, identifier[0]);
-    let secret = secret_id_part(period, descriptor_cookie, replica);
+    let secret = secret_id_part(period, replica);
     let mut hasher = Sha1::new();
     hasher.update(&identifier);
     hasher.update(&secret);
@@ -85,11 +72,10 @@ pub fn descriptor_id(
 pub fn descriptor_ids(
     identifier: [u8; 10],
     current_time_secs: u64,
-    descriptor_cookie: Option<&[u8; 16]>,
 ) -> [DescriptorId; REPLICAS as usize] {
     [
-        descriptor_id(identifier, current_time_secs, descriptor_cookie, 0),
-        descriptor_id(identifier, current_time_secs, descriptor_cookie, 1),
+        descriptor_id(identifier, current_time_secs, 0),
+        descriptor_id(identifier, current_time_secs, 1),
     ]
 }
 
@@ -110,28 +96,27 @@ pub fn responsible_hsdirs(descriptor: DescriptorId, ring: &[Fingerprint]) -> Vec
     (0..take).map(|i| ring[(start + i) % ring.len()]).collect()
 }
 
-/// Convenience: the full responsible set (both replicas, deduplicated,
-/// order preserved) for a service identifier at a point in time.
-pub fn responsible_hsdirs_for_service(
-    identifier: [u8; 10],
-    current_time_secs: u64,
-    descriptor_cookie: Option<&[u8; 16]>,
-    ring: &[Fingerprint],
-) -> Vec<Fingerprint> {
-    let mut out = Vec::new();
-    for id in descriptor_ids(identifier, current_time_secs, descriptor_cookie) {
-        for fp in responsible_hsdirs(id, ring) {
-            if !out.contains(&fp) {
-                out.push(fp);
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The full responsible set of a service (both replicas, deduplicated,
+    /// order preserved).
+    fn responsible_hsdirs_for_service(
+        identifier: [u8; 10],
+        current_time_secs: u64,
+        ring: &[Fingerprint],
+    ) -> Vec<Fingerprint> {
+        let mut out = Vec::new();
+        for id in descriptor_ids(identifier, current_time_secs) {
+            for fp in responsible_hsdirs(id, ring) {
+                if !out.contains(&fp) {
+                    out.push(fp);
+                }
+            }
+        }
+        out
+    }
 
     fn ring_of(n: usize) -> Vec<Fingerprint> {
         // Evenly spaced fingerprints 0x00.., 0x10.., 0x20.. for predictable
@@ -163,24 +148,17 @@ mod tests {
 
     #[test]
     fn replicas_produce_distinct_descriptor_ids() {
-        let ids = descriptor_ids([9u8; 10], 1000, None);
+        let ids = descriptor_ids([9u8; 10], 1000);
         assert_ne!(ids[0], ids[1]);
-    }
-
-    #[test]
-    fn descriptor_cookie_changes_ids() {
-        let without = descriptor_id([3u8; 10], 500, None, 0);
-        let with = descriptor_id([3u8; 10], 500, Some(&[7u8; 16]), 0);
-        assert_ne!(without, with);
     }
 
     #[test]
     fn descriptor_id_is_stable_within_a_period_and_rotates_across_periods() {
         let id = [1u8; 10];
-        let a = descriptor_id(id, 1_000, None, 0);
-        let b = descriptor_id(id, 2_000, None, 0);
+        let a = descriptor_id(id, 1_000, 0);
+        let b = descriptor_id(id, 2_000, 0);
         assert_eq!(a, b, "same period, same id");
-        let next_day = descriptor_id(id, 1_000 + PERIOD_SECONDS, None, 0);
+        let next_day = descriptor_id(id, 1_000 + PERIOD_SECONDS, 0);
         assert_ne!(a, next_day, "descriptor ids rotate every 24 hours");
     }
 
@@ -218,7 +196,7 @@ mod tests {
     #[test]
     fn service_has_up_to_six_responsible_hsdirs() {
         let ring = ring_of(64);
-        let responsible = responsible_hsdirs_for_service([0xabu8; 10], 12_345, None, &ring);
+        let responsible = responsible_hsdirs_for_service([0xabu8; 10], 12_345, &ring);
         assert!(responsible.len() <= 6);
         assert!(responsible.len() >= 3);
         // All unique.

@@ -4,40 +4,37 @@
 //! (DSN 2015) reproduction.
 //!
 //! The paper's botnet lives entirely inside Tor hidden services; its
-//! evaluation and the proposed mitigations depend on structural properties
-//! of Tor, not on live network measurements. This crate provides exactly
-//! those structures:
+//! evaluation and the proposed mitigations depend on where a service's
+//! descriptors land on the HSDir ring, not on live network measurements or
+//! on how Tor moves bytes. This crate provides exactly that one directory
+//! path:
 //!
 //! * [`relay`] / [`consensus`] — Onion Routers, consensus flags (including
 //!   the 25-hour HSDir eligibility rule) and the hourly consensus.
-//! * [`onion`] — `.onion` addresses derived from RSA keys exactly as Tor
-//!   derives them (base32 of the truncated SHA-1 fingerprint).
+//! * [`onion`] — `.onion` addresses: base32 of an 80-bit identifier.
 //! * [`hsdir`] — descriptor-ID computation and responsible-HSDir selection
 //!   on the fingerprint ring (Figure 2 of the paper).
-//! * [`descriptor`] — signed hidden-service descriptors.
-//! * [`cell`] / [`circuit`] — fixed-size cells and layered (onion)
-//!   encryption along multi-hop circuits.
 //! * [`network`] — the [`network::TorNetwork`] façade: registration,
-//!   descriptor publication/lookup, message delivery by onion address, and
-//!   traffic accounting.
+//!   descriptor announcement and resolution, message delivery by onion
+//!   address, and traffic accounting.
+//!
+//! Cells, circuits and signed descriptors are not modelled: a delivery
+//! counts the cells it would take without building them.
 //!
 //! ```
 //! use tor_sim::network::TorNetwork;
-//! use tor_sim::descriptor::HiddenServiceDescriptor;
 //! use tor_sim::onion::OnionAddress;
-//! use onion_crypto::rsa::RsaKeyPair;
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), tor_sim::error::TorError> {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let mut tor = TorNetwork::new(30, &mut rng);
-//! let key = RsaKeyPair::generate(512, &mut rng);
-//! let onion = OnionAddress::from_public_key(key.public());
+//! let onion = OnionAddress::from_identifier([0x42; 10]);
 //!
-//! tor.register_hidden_service(onion, None);
-//! let intro = tor.consensus().hsdir_ring()[..3].to_vec();
-//! tor.publish_descriptor(&HiddenServiceDescriptor::create(&key, intro, tor.time_secs()))?;
-//! tor.send_to_onion(onion, None, b"hello hidden service".to_vec())?;
+//! tor.register_hidden_service(onion);
+//! tor.announce_service(onion)?;
+//! assert!(tor.is_resolvable(onion));
+//! tor.send_to_onion(onion, b"hello hidden service".to_vec())?;
 //! assert_eq!(tor.drain_mailbox(onion).len(), 1);
 //! # Ok(())
 //! # }
@@ -46,10 +43,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cell;
-pub mod circuit;
 pub mod consensus;
-pub mod descriptor;
 pub mod error;
 pub mod hsdir;
 pub mod network;
@@ -114,11 +108,11 @@ mod property_tests {
             id_b in prop::array::uniform10(any::<u8>()),
             time in 0u64..10_000_000
         ) {
-            let a0 = descriptor_id(id_a, time, None, 0);
-            let a1 = descriptor_id(id_a, time, None, 1);
+            let a0 = descriptor_id(id_a, time, 0);
+            let a1 = descriptor_id(id_a, time, 1);
             prop_assert_ne!(a0, a1);
             if id_a != id_b {
-                let b0 = descriptor_id(id_b, time, None, 0);
+                let b0 = descriptor_id(id_b, time, 0);
                 prop_assert_ne!(a0, b0);
             }
         }

@@ -1,64 +1,55 @@
 //! The simulated Tor network.
 //!
-//! [`TorNetwork`] ties the pieces together: a consensus of relays, HSDir
-//! descriptor storage, hidden-service registration and message delivery by
-//! `.onion` address. It deliberately models only the properties the
-//! OnionBots design and its mitigations interact with:
+//! [`TorNetwork`] ties the pieces together: a consensus of relays, the
+//! descriptor announcements stored on HSDirs, hidden-service registration
+//! and message delivery by `.onion` address. It deliberately models only the
+//! properties the OnionBots design and its mitigations interact with:
 //!
 //! * a service is reachable **only** through its onion address — the network
 //!   never exposes "IP addresses" of services to clients (the decoupling the
 //!   paper exploits);
-//! * reaching a service requires a currently published descriptor on a
-//!   responsible HSDir plus a live registration (so HSDir takeovers and
-//!   service takedowns both break reachability);
-//! * every payload is moved in fixed-size cells and counted, so experiments
-//!   can report traffic volumes without ever inspecting contents.
+//! * reaching a service requires a current announcement on a responsible
+//!   HSDir plus a live registration (so HSDir takeovers and service
+//!   takedowns both break reachability);
+//! * every payload is counted in fixed-size cells, so experiments can report
+//!   traffic volumes without ever inspecting contents. The cells are counted,
+//!   not built: no circuit carries them.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-use crate::cell::{Cell, CELL_PAYLOAD_LEN};
-use crate::circuit::{Circuit, DEFAULT_CIRCUIT_HOPS};
 use crate::consensus::Consensus;
-use crate::descriptor::HiddenServiceDescriptor;
 use crate::error::TorError;
 use crate::hsdir::{descriptor_ids, responsible_hsdirs, DescriptorId};
 use crate::onion::OnionAddress;
 use crate::relay::Fingerprint;
 
+/// Payload bytes of one fixed-size 512-byte Tor cell (a 7-byte header
+/// aside).
+const CELL_PAYLOAD_LEN: usize = 505;
+
+/// Hops on each of the two circuits a message crosses (the client's
+/// rendezvous circuit and the service's), Tor's 3.
+const CIRCUIT_HOPS: u64 = 3;
+
 /// Aggregate traffic and directory statistics, used by the experiment
 /// harness for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetworkStats {
     /// Total fixed-size cells moved through the network.
     pub cells_relayed: u64,
-    /// Descriptor publications accepted by HSDirs.
+    /// Descriptor announcements accepted by HSDirs.
     pub descriptors_published: u64,
-    /// Successful descriptor lookups.
-    pub lookups_succeeded: u64,
-    /// Failed descriptor lookups.
-    pub lookups_failed: u64,
     /// Messages delivered end to end.
     pub messages_delivered: u64,
     /// Messages that could not be delivered.
     pub messages_failed: u64,
 }
 
-#[derive(Debug, Clone, Default)]
-struct ServiceState {
-    mailbox: VecDeque<Vec<u8>>,
-    descriptor_cookie: Option<[u8; 16]>,
-}
-
-/// A lightweight descriptor announcement: proof that *some* descriptor for
-/// the onion address is stored at an HSDir position, without carrying the
-/// full signed descriptor. Overlay-scale simulations use this to keep
-/// thousands of bots resolvable without generating an RSA service key per
-/// bot per period; protocol-level tests use full
-/// [`HiddenServiceDescriptor`]s instead.
+/// A descriptor announcement: proof that a descriptor for the onion address
+/// is stored at an HSDir position. The signed descriptor itself is not
+/// modelled; only where it lands on the ring matters to reachability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Announcement {
     onion: OnionAddress,
@@ -76,11 +67,10 @@ struct Announcement {
 pub struct TorNetwork {
     consensus: Consensus,
     time_secs: u64,
-    hsdir_storage: BTreeMap<Fingerprint, BTreeMap<DescriptorId, HiddenServiceDescriptor>>,
     announcements: BTreeMap<Fingerprint, BTreeSet<Announcement>>,
-    services: BTreeMap<OnionAddress, ServiceState>,
+    /// Each registered hidden service's mailbox.
+    services: BTreeMap<OnionAddress, VecDeque<Vec<u8>>>,
     stats: NetworkStats,
-    next_circuit_id: u32,
 }
 
 impl TorNetwork {
@@ -89,11 +79,9 @@ impl TorNetwork {
         TorNetwork {
             consensus: Consensus::bootstrap(relay_count, rng),
             time_secs: 0,
-            hsdir_storage: BTreeMap::new(),
             announcements: BTreeMap::new(),
             services: BTreeMap::new(),
             stats: NetworkStats::default(),
-            next_circuit_id: 1,
         }
     }
 
@@ -128,20 +116,10 @@ impl TorNetwork {
         self.stats
     }
 
-    /// Registers a hidden service, making it reachable once a descriptor is
-    /// published. Re-registration resets the mailbox.
-    pub fn register_hidden_service(
-        &mut self,
-        onion: OnionAddress,
-        descriptor_cookie: Option<[u8; 16]>,
-    ) {
-        self.services.insert(
-            onion,
-            ServiceState {
-                mailbox: VecDeque::new(),
-                descriptor_cookie,
-            },
-        );
+    /// Registers a hidden service, making it reachable once it is
+    /// announced. Re-registration resets the mailbox.
+    pub fn register_hidden_service(&mut self, onion: OnionAddress) {
+        self.services.insert(onion, VecDeque::new());
     }
 
     /// Deregisters (takes down) a hidden service. Returns `true` if it was
@@ -150,101 +128,27 @@ impl TorNetwork {
         self.services.remove(&onion).is_some()
     }
 
-    /// Returns `true` if a service is currently registered.
-    pub fn is_registered(&self, onion: OnionAddress) -> bool {
-        self.services.contains_key(&onion)
-    }
-
     /// Number of currently registered hidden services.
     pub fn registered_service_count(&self) -> usize {
         self.services.len()
     }
 
-    /// Publishes a descriptor to all currently responsible HSDirs.
-    ///
-    /// # Errors
-    /// Returns [`TorError::InvalidDescriptor`] for unverifiable descriptors
-    /// and [`TorError::CircuitFailed`] when the consensus has no HSDirs.
-    pub fn publish_descriptor(
-        &mut self,
-        descriptor: &HiddenServiceDescriptor,
-    ) -> Result<(), TorError> {
-        if !descriptor.verify() {
-            return Err(TorError::InvalidDescriptor(
-                "descriptor signature does not verify".to_string(),
-            ));
-        }
-        let onion = descriptor.onion_address()?;
-        let cookie = self.services.get(&onion).and_then(|s| s.descriptor_cookie);
-        let ring = self.consensus.hsdir_ring();
-        if ring.is_empty() {
-            return Err(TorError::CircuitFailed(
-                "no hsdirs in consensus".to_string(),
-            ));
-        }
-        for id in descriptor_ids(onion.identifier(), self.time_secs, cookie.as_ref()) {
-            for hsdir in responsible_hsdirs(id, &ring) {
-                self.hsdir_storage
-                    .entry(hsdir)
-                    .or_default()
-                    .insert(id, descriptor.clone());
-                self.stats.descriptors_published += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Looks a descriptor up the way a client would: compute the descriptor
-    /// IDs from the onion address, ask the responsible HSDirs.
-    ///
-    /// # Errors
-    /// Returns [`TorError::DescriptorNotFound`] when no responsible HSDir has
-    /// a copy (e.g. never published, HSDirs replaced, or the adversary now
-    /// controls the responsible positions and withholds it).
-    pub fn lookup_descriptor(
-        &mut self,
-        onion: OnionAddress,
-        descriptor_cookie: Option<&[u8; 16]>,
-    ) -> Result<HiddenServiceDescriptor, TorError> {
-        let ring = self.consensus.hsdir_ring();
-        for id in descriptor_ids(onion.identifier(), self.time_secs, descriptor_cookie) {
-            for hsdir in responsible_hsdirs(id, &ring) {
-                if let Some(desc) = self
-                    .hsdir_storage
-                    .get(&hsdir)
-                    .and_then(|store| store.get(&id))
-                {
-                    self.stats.lookups_succeeded += 1;
-                    return Ok(desc.clone());
-                }
-            }
-        }
-        self.stats.lookups_failed += 1;
-        Err(TorError::DescriptorNotFound(onion.to_string()))
-    }
-
-    /// Publishes a lightweight descriptor announcement for a registered
-    /// service: the onion address becomes resolvable on its responsible
-    /// HSDirs for the current period without constructing a full signed
-    /// descriptor. This is the path the overlay-scale botnet simulation uses
-    /// (one RSA service key per bot per period would dominate runtime).
+    /// Announces a registered service's descriptor: the onion address
+    /// becomes resolvable on its responsible HSDirs for the current period.
     ///
     /// # Errors
     /// Returns [`TorError::ServiceUnreachable`] when the service is not
-    /// registered and [`TorError::CircuitFailed`] when the consensus has no
+    /// registered and [`TorError::NoHsdirs`] when the consensus has no
     /// HSDirs.
     pub fn announce_service(&mut self, onion: OnionAddress) -> Result<(), TorError> {
-        let cookie = match self.services.get(&onion) {
-            Some(state) => state.descriptor_cookie,
-            None => return Err(TorError::ServiceUnreachable(onion.to_string())),
-        };
+        if !self.services.contains_key(&onion) {
+            return Err(TorError::ServiceUnreachable(onion.to_string()));
+        }
         let ring = self.consensus.hsdir_ring();
         if ring.is_empty() {
-            return Err(TorError::CircuitFailed(
-                "no hsdirs in consensus".to_string(),
-            ));
+            return Err(TorError::NoHsdirs);
         }
-        for id in descriptor_ids(onion.identifier(), self.time_secs, cookie.as_ref()) {
+        for id in descriptor_ids(onion.identifier(), self.time_secs) {
             for hsdir in responsible_hsdirs(id, &ring) {
                 self.announcements
                     .entry(hsdir)
@@ -259,93 +163,53 @@ impl TorNetwork {
         Ok(())
     }
 
-    /// Returns `true` when a client knowing the onion address (and cookie)
-    /// can currently resolve the service: either a full descriptor or an
-    /// announcement is stored on a responsible HSDir.
-    pub fn is_resolvable(
-        &mut self,
-        onion: OnionAddress,
-        descriptor_cookie: Option<&[u8; 16]>,
-    ) -> bool {
+    /// Returns `true` when a client knowing the onion address can currently
+    /// resolve the service: an announcement for one of its current
+    /// descriptor IDs is stored on a responsible HSDir.
+    pub fn is_resolvable(&self, onion: OnionAddress) -> bool {
         let ring = self.consensus.hsdir_ring();
-        for id in descriptor_ids(onion.identifier(), self.time_secs, descriptor_cookie) {
-            for hsdir in responsible_hsdirs(id, &ring) {
-                let has_descriptor = self
-                    .hsdir_storage
-                    .get(&hsdir)
-                    .is_some_and(|store| store.contains_key(&id));
-                let has_announcement = self.announcements.get(&hsdir).is_some_and(|set| {
-                    set.contains(&Announcement {
-                        onion,
-                        descriptor: id,
-                    })
-                });
-                if has_descriptor || has_announcement {
-                    self.stats.lookups_succeeded += 1;
-                    return true;
-                }
-            }
-        }
-        self.stats.lookups_failed += 1;
-        false
+        descriptor_ids(onion.identifier(), self.time_secs)
+            .into_iter()
+            .any(|id| {
+                let announcement = Announcement {
+                    onion,
+                    descriptor: id,
+                };
+                responsible_hsdirs(id, &ring).into_iter().any(|hsdir| {
+                    self.announcements
+                        .get(&hsdir)
+                        .is_some_and(|set| set.contains(&announcement))
+                })
+            })
     }
 
-    /// Removes every descriptor and announcement stored on a given HSDir
-    /// (models an HSDir takeover / denial attack from §VI-A).
+    /// Removes every announcement stored on a given HSDir (models an HSDir
+    /// takeover / denial attack from §VI-A). Returns how many it removed.
     pub fn wipe_hsdir(&mut self, hsdir: Fingerprint) -> usize {
-        let descriptors = self.hsdir_storage.remove(&hsdir).map_or(0, |m| m.len());
-        let announcements = self.announcements.remove(&hsdir).map_or(0, |s| s.len());
-        descriptors + announcements
+        self.announcements.remove(&hsdir).map_or(0, |s| s.len())
     }
 
-    /// Builds a fresh circuit through `hops` random relays.
-    ///
-    /// # Errors
-    /// Returns [`TorError::CircuitFailed`] when the consensus has fewer
-    /// relays than requested hops.
-    pub fn build_circuit<R: Rng + ?Sized>(
-        &mut self,
-        hops: usize,
-        rng: &mut R,
-    ) -> Result<Circuit, TorError> {
-        let candidates = self.consensus.circuit_candidates();
-        if candidates.len() < hops {
-            return Err(TorError::CircuitFailed(format!(
-                "need {hops} relays, consensus has {}",
-                candidates.len()
-            )));
-        }
-        let chosen: Vec<Fingerprint> = candidates.choose_multiple(rng, hops).copied().collect();
-        let id = self.next_circuit_id;
-        self.next_circuit_id = self.next_circuit_id.wrapping_add(1);
-        Circuit::build(id, chosen, rng)
-    }
-
-    /// Sends an opaque payload to a hidden service: performs the descriptor
-    /// lookup, checks the service is up, accounts for the relayed cells and
+    /// Sends an opaque payload to a hidden service: resolves the address,
+    /// checks the service is up, accounts for the relayed cells and
     /// enqueues the payload in the service's mailbox.
     ///
     /// # Errors
-    /// Propagates lookup failures and returns
-    /// [`TorError::ServiceUnreachable`] for services that are not registered
-    /// (taken down) even though a stale descriptor may still be cached.
-    pub fn send_to_onion(
-        &mut self,
-        onion: OnionAddress,
-        descriptor_cookie: Option<&[u8; 16]>,
-        payload: Vec<u8>,
-    ) -> Result<(), TorError> {
-        if !self.is_resolvable(onion, descriptor_cookie) {
+    /// Returns [`TorError::DescriptorNotFound`] when the address does not
+    /// resolve and [`TorError::ServiceUnreachable`] for services that are
+    /// not registered (taken down) even though a stale announcement may
+    /// still be stored.
+    pub fn send_to_onion(&mut self, onion: OnionAddress, payload: Vec<u8>) -> Result<(), TorError> {
+        if !self.is_resolvable(onion) {
             self.stats.messages_failed += 1;
             return Err(TorError::DescriptorNotFound(onion.to_string()));
         }
         // Client rendezvous circuit + service circuit: count the cells on
         // both, matching Tor's 6-hop end-to-end path.
         let cells = payload.len().div_ceil(CELL_PAYLOAD_LEN).max(1) as u64;
-        self.stats.cells_relayed += cells * (2 * DEFAULT_CIRCUIT_HOPS as u64);
+        self.stats.cells_relayed += cells * (2 * CIRCUIT_HOPS);
         match self.services.get_mut(&onion) {
-            Some(state) => {
-                state.mailbox.push_back(payload);
+            Some(mailbox) => {
+                mailbox.push_back(payload);
                 self.stats.messages_delivered += 1;
                 Ok(())
             }
@@ -361,191 +225,114 @@ impl TorNetwork {
     pub fn drain_mailbox(&mut self, onion: OnionAddress) -> Vec<Vec<u8>> {
         self.services
             .get_mut(&onion)
-            .map(|s| s.mailbox.drain(..).collect())
+            .map(|mailbox| mailbox.drain(..).collect())
             .unwrap_or_default()
-    }
-
-    /// Number of messages currently queued for a service.
-    pub fn mailbox_len(&self, onion: OnionAddress) -> usize {
-        self.services.get(&onion).map_or(0, |s| s.mailbox.len())
-    }
-
-    /// Helper used by tests and cells accounting: how many cells a payload
-    /// of `len` bytes occupies.
-    pub fn cells_for_payload(len: usize) -> usize {
-        len.div_ceil(CELL_PAYLOAD_LEN).max(1)
-    }
-
-    /// Fragments and reassembles a payload through a circuit, returning the
-    /// number of cells used. Exercises the cell/circuit layers together; the
-    /// overlay uses it to model in-circuit traffic without buffering cells.
-    pub fn relay_payload<R: Rng + ?Sized>(
-        &mut self,
-        payload: &[u8],
-        rng: &mut R,
-    ) -> Result<usize, TorError> {
-        let circuit = self.build_circuit(DEFAULT_CIRCUIT_HOPS, rng)?;
-        let cells = Cell::fragment(circuit.id(), payload);
-        let delivered = circuit.relay_through(payload);
-        debug_assert_eq!(delivered, payload);
-        self.stats.cells_relayed += cells.len() as u64 * circuit.len() as u64;
-        Ok(cells.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onion_crypto::rsa::RsaKeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    struct Fixture {
-        network: TorNetwork,
-        service_key: RsaKeyPair,
-        onion: OnionAddress,
-        rng: StdRng,
-    }
-
-    fn fixture(seed: u64) -> Fixture {
+    /// A 40-relay network and one registered service address.
+    fn fixture(seed: u64) -> (TorNetwork, OnionAddress) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let network = TorNetwork::new(40, &mut rng);
-        let service_key = RsaKeyPair::generate(512, &mut rng);
-        let onion = OnionAddress::from_public_key(service_key.public());
-        Fixture {
-            network,
-            service_key,
-            onion,
-            rng,
-        }
-    }
-
-    fn publish(f: &mut Fixture) {
-        let intro: Vec<Fingerprint> = f.network.consensus().hsdir_ring()[..3].to_vec();
-        let desc = HiddenServiceDescriptor::create(&f.service_key, intro, f.network.time_secs());
-        f.network.publish_descriptor(&desc).unwrap();
+        let mut network = TorNetwork::new(40, &mut rng);
+        let onion = OnionAddress::from_identifier([seed as u8; 10]);
+        network.register_hidden_service(onion);
+        (network, onion)
     }
 
     #[test]
     fn full_hidden_service_message_flow() {
-        let mut f = fixture(1);
-        f.network.register_hidden_service(f.onion, None);
-        publish(&mut f);
-        f.network
-            .send_to_onion(f.onion, None, b"hello bot".to_vec())
-            .unwrap();
-        assert_eq!(f.network.mailbox_len(f.onion), 1);
-        let delivered = f.network.drain_mailbox(f.onion);
-        assert_eq!(delivered, vec![b"hello bot".to_vec()]);
-        assert_eq!(f.network.mailbox_len(f.onion), 0);
-        let stats = f.network.stats();
+        let (mut network, onion) = fixture(1);
+        network.announce_service(onion).unwrap();
+        network.send_to_onion(onion, b"hello bot".to_vec()).unwrap();
+        assert_eq!(network.drain_mailbox(onion), vec![b"hello bot".to_vec()]);
+        assert!(network.drain_mailbox(onion).is_empty());
+        let stats = network.stats();
         assert_eq!(stats.messages_delivered, 1);
-        assert!(stats.cells_relayed >= 6);
-        assert!(stats.descriptors_published >= 3);
+        assert_eq!(stats.cells_relayed, 6);
+        assert_eq!(stats.descriptors_published, 6, "3 HSDirs x 2 replicas");
     }
 
     #[test]
     fn sending_without_descriptor_fails() {
-        let mut f = fixture(2);
-        f.network.register_hidden_service(f.onion, None);
-        let err = f
-            .network
-            .send_to_onion(f.onion, None, b"x".to_vec())
-            .unwrap_err();
+        let (mut network, onion) = fixture(2);
+        let err = network.send_to_onion(onion, b"x".to_vec()).unwrap_err();
         assert!(matches!(err, TorError::DescriptorNotFound(_)));
-        assert_eq!(f.network.stats().messages_failed, 1);
+        assert_eq!(network.stats().messages_failed, 1);
     }
 
     #[test]
     fn taken_down_service_is_unreachable_despite_descriptor() {
-        let mut f = fixture(3);
-        f.network.register_hidden_service(f.onion, None);
-        publish(&mut f);
-        assert!(f.network.deregister_hidden_service(f.onion));
-        let err = f
-            .network
-            .send_to_onion(f.onion, None, b"x".to_vec())
-            .unwrap_err();
+        let (mut network, onion) = fixture(3);
+        network.announce_service(onion).unwrap();
+        assert!(network.deregister_hidden_service(onion));
+        let err = network.send_to_onion(onion, b"x".to_vec()).unwrap_err();
         assert!(matches!(err, TorError::ServiceUnreachable(_)));
-    }
-
-    #[test]
-    fn wiping_responsible_hsdirs_denies_lookup() {
-        let mut f = fixture(4);
-        f.network.register_hidden_service(f.onion, None);
-        publish(&mut f);
-        assert!(f.network.lookup_descriptor(f.onion, None).is_ok());
-        // Wipe every HSDir (an over-approximation of targeting the 6
-        // responsible ones).
-        for fp in f.network.consensus().hsdir_ring() {
-            f.network.wipe_hsdir(fp);
-        }
-        assert!(f.network.lookup_descriptor(f.onion, None).is_err());
-    }
-
-    #[test]
-    fn descriptor_cookie_gates_lookup() {
-        let mut f = fixture(5);
-        let cookie = [9u8; 16];
-        f.network.register_hidden_service(f.onion, Some(cookie));
-        publish(&mut f);
-        assert!(f.network.lookup_descriptor(f.onion, Some(&cookie)).is_ok());
-        assert!(
-            f.network.lookup_descriptor(f.onion, None).is_err(),
-            "clients without the cookie compute different descriptor ids"
-        );
-    }
-
-    #[test]
-    fn invalid_descriptor_rejected_at_publication() {
-        let mut f = fixture(6);
-        let intro: Vec<Fingerprint> = f.network.consensus().hsdir_ring()[..2].to_vec();
-        let mut desc =
-            HiddenServiceDescriptor::create(&f.service_key, intro, f.network.time_secs());
-        desc.published_at_secs += 1; // break the signature
         assert!(matches!(
-            f.network.publish_descriptor(&desc),
-            Err(TorError::InvalidDescriptor(_))
+            network.announce_service(onion),
+            Err(TorError::ServiceUnreachable(_))
         ));
     }
 
     #[test]
+    fn announcing_without_hsdirs_fails() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut network = TorNetwork::new(0, &mut rng);
+        let onion = OnionAddress::from_identifier([11; 10]);
+        network.register_hidden_service(onion);
+        assert_eq!(network.announce_service(onion), Err(TorError::NoHsdirs));
+    }
+
+    #[test]
+    fn wiping_responsible_hsdirs_denies_lookup() {
+        let (mut network, onion) = fixture(4);
+        network.announce_service(onion).unwrap();
+        assert!(network.is_resolvable(onion));
+        // Wipe every HSDir (an over-approximation of targeting the 6
+        // responsible ones).
+        let wiped: usize = network
+            .consensus()
+            .hsdir_ring()
+            .into_iter()
+            .map(|fp| network.wipe_hsdir(fp))
+            .sum();
+        assert_eq!(wiped, 6);
+        assert!(!network.is_resolvable(onion));
+    }
+
+    #[test]
     fn descriptor_expires_with_the_time_period() {
-        let mut f = fixture(7);
-        f.network.register_hidden_service(f.onion, None);
-        publish(&mut f);
-        assert!(f.network.lookup_descriptor(f.onion, None).is_ok());
-        // A day later the descriptor IDs rotate and the stale copies no
-        // longer match -> service must republish.
-        f.network.advance_time(86_400 + 3600);
-        assert!(f.network.lookup_descriptor(f.onion, None).is_err());
-        publish(&mut f);
-        assert!(f.network.lookup_descriptor(f.onion, None).is_ok());
+        let (mut network, onion) = fixture(7);
+        network.announce_service(onion).unwrap();
+        assert!(network.is_resolvable(onion));
+        // A day later the descriptor IDs rotate and the stale announcements
+        // no longer match -> the service must re-announce.
+        network.advance_time(86_400 + 3600);
+        assert!(!network.is_resolvable(onion));
+        network.announce_service(onion).unwrap();
+        assert!(network.is_resolvable(onion));
     }
 
     #[test]
-    fn circuits_respect_consensus_size() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut small = TorNetwork::new(2, &mut rng);
-        assert!(small.build_circuit(3, &mut rng).is_err());
-        let circuit = small.build_circuit(2, &mut rng).unwrap();
-        assert_eq!(circuit.len(), 2);
-    }
-
-    #[test]
-    fn relay_payload_counts_cells() {
-        let mut f = fixture(9);
-        let payload = vec![7u8; 1200];
-        let cells = f.network.relay_payload(&payload, &mut f.rng).unwrap();
-        assert_eq!(cells, TorNetwork::cells_for_payload(1200));
-        assert!(f.network.stats().cells_relayed >= cells as u64 * 3);
+    fn sends_count_cells_on_both_three_hop_circuits() {
+        let (mut network, onion) = fixture(9);
+        network.announce_service(onion).unwrap();
+        network.send_to_onion(onion, vec![7u8; 1200]).unwrap();
+        assert_eq!(network.stats().cells_relayed, 18, "3 cells x 6 hops");
+        network.send_to_onion(onion, Vec::new()).unwrap();
+        assert_eq!(network.stats().cells_relayed, 18 + 6, "one cell minimum");
     }
 
     #[test]
     fn advancing_time_ages_the_consensus() {
-        let mut f = fixture(10);
-        let before = f.network.consensus().valid_after_hour();
-        f.network.advance_time(7200);
-        assert_eq!(f.network.consensus().valid_after_hour(), before + 2);
+        let (mut network, _) = fixture(10);
+        let before = network.consensus().valid_after_hour();
+        network.advance_time(7200);
+        assert_eq!(network.consensus().valid_after_hour(), before + 2);
     }
 }

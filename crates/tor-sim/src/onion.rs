@@ -1,8 +1,10 @@
 //! `.onion` addresses.
 //!
 //! A (v2-style) onion address is the base32 encoding of the 80-bit
-//! identifier — the first 10 bytes of the SHA-1 digest of the hidden
-//! service's RSA public key (§III of the paper).
+//! identifier. Tor takes the first 10 bytes of the SHA-1 digest of the
+//! hidden service's RSA public key (§III of the paper); the simulated bots
+//! derive theirs from the rotation secret instead
+//! (`onionbots_core::rotation`).
 //!
 //! ```
 //! use tor_sim::onion::OnionAddress;
@@ -15,7 +17,6 @@
 use std::fmt;
 
 use onion_crypto::base32;
-use onion_crypto::rsa::RsaPublicKey;
 use serde::{Deserialize, Serialize};
 
 use crate::error::TorError;
@@ -31,14 +32,6 @@ impl OnionAddress {
     /// Builds an address directly from its 10-byte identifier.
     pub fn from_identifier(identifier: [u8; 10]) -> Self {
         OnionAddress { identifier }
-    }
-
-    /// Derives the address of a hidden service from its RSA public key,
-    /// exactly as Tor does: base32(first 10 bytes of SHA-1(public key)).
-    pub fn from_public_key(key: &RsaPublicKey) -> Self {
-        OnionAddress {
-            identifier: key.identifier(),
-        }
     }
 
     /// The raw 10-byte identifier.
@@ -81,9 +74,6 @@ impl fmt::Display for OnionAddress {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use onion_crypto::rsa::RsaKeyPair;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn label_is_sixteen_characters() {
@@ -104,16 +94,6 @@ mod tests {
         assert!(OnionAddress::parse("tooshort.onion").is_err());
         assert!(OnionAddress::parse("0000000000000000.onion").is_err());
         assert!(OnionAddress::parse("").is_err());
-    }
-
-    #[test]
-    fn address_follows_public_key() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let kp = RsaKeyPair::generate(512, &mut rng);
-        let addr = OnionAddress::from_public_key(kp.public());
-        assert_eq!(addr.identifier(), kp.public().identifier());
-        let kp2 = RsaKeyPair::generate(512, &mut rng);
-        assert_ne!(addr, OnionAddress::from_public_key(kp2.public()));
     }
 
     #[test]

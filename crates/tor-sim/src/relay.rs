@@ -7,16 +7,14 @@
 //! can choose its position on the fingerprint ring.
 
 use onion_crypto::hex;
-use onion_crypto::rsa::RsaPublicKey;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Minimum uptime (in hours) before a relay receives the HSDir flag,
 /// as described in §III of the paper.
 pub const HSDIR_MIN_UPTIME_HOURS: u64 = 25;
 
 /// A 20-byte relay identity fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Fingerprint(pub [u8; 20]);
 
 impl Fingerprint {
@@ -27,11 +25,6 @@ impl Fingerprint {
         let mut bytes = [0u8; 20];
         rng.fill(&mut bytes);
         Fingerprint(bytes)
-    }
-
-    /// Derives the fingerprint from an actual RSA identity key.
-    pub fn from_public_key(key: &RsaPublicKey) -> Self {
-        Fingerprint(key.fingerprint())
     }
 
     /// Hex rendering (lowercase, 40 characters).
@@ -47,23 +40,20 @@ impl std::fmt::Display for Fingerprint {
 }
 
 /// Flags a relay can carry in the consensus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RelayFlags {
     /// Eligible to store hidden-service descriptors.
     pub hsdir: bool,
     /// Suitable as an entry guard.
     pub guard: bool,
-    /// Allows exit traffic.
-    pub exit: bool,
     /// Long-running and stable.
     pub stable: bool,
 }
 
 /// A simulated Tor relay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Relay {
     fingerprint: Fingerprint,
-    nickname: String,
     bandwidth_kbps: u64,
     uptime_hours: u64,
     flags: RelayFlags,
@@ -71,31 +61,16 @@ pub struct Relay {
 
 impl Relay {
     /// Creates a relay with a random identity.
-    pub fn new<R: Rng + ?Sized>(
-        nickname: impl Into<String>,
-        bandwidth_kbps: u64,
-        rng: &mut R,
-    ) -> Self {
-        Relay {
-            fingerprint: Fingerprint::random(rng),
-            nickname: nickname.into(),
-            bandwidth_kbps,
-            uptime_hours: 0,
-            flags: RelayFlags::default(),
-        }
+    pub fn new<R: Rng + ?Sized>(bandwidth_kbps: u64, rng: &mut R) -> Self {
+        Relay::with_fingerprint(Fingerprint::random(rng), bandwidth_kbps)
     }
 
     /// Creates a relay with a chosen fingerprint — the primitive behind the
     /// HSDir positioning attack, where an adversary brute-forces identity
     /// keys until the fingerprint lands at a target ring position.
-    pub fn with_fingerprint(
-        fingerprint: Fingerprint,
-        nickname: impl Into<String>,
-        bandwidth_kbps: u64,
-    ) -> Self {
+    pub fn with_fingerprint(fingerprint: Fingerprint, bandwidth_kbps: u64) -> Self {
         Relay {
             fingerprint,
-            nickname: nickname.into(),
             bandwidth_kbps,
             uptime_hours: 0,
             flags: RelayFlags::default(),
@@ -105,21 +80,6 @@ impl Relay {
     /// The relay's fingerprint.
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
-    }
-
-    /// The relay's nickname.
-    pub fn nickname(&self) -> &str {
-        &self.nickname
-    }
-
-    /// Advertised bandwidth in kilobits per second.
-    pub fn bandwidth_kbps(&self) -> u64 {
-        self.bandwidth_kbps
-    }
-
-    /// Hours the relay has been continuously up.
-    pub fn uptime_hours(&self) -> u64 {
-        self.uptime_hours
     }
 
     /// Current consensus flags.
@@ -141,11 +101,6 @@ impl Relay {
         self.refresh_flags();
     }
 
-    /// Sets the exit flag (policy decision, not uptime derived).
-    pub fn set_exit(&mut self, exit: bool) {
-        self.flags.exit = exit;
-    }
-
     fn refresh_flags(&mut self) {
         self.flags.hsdir = self.uptime_hours >= HSDIR_MIN_UPTIME_HOURS;
         self.flags.stable = self.uptime_hours >= 24 * 7;
@@ -162,15 +117,15 @@ mod tests {
     #[test]
     fn fresh_relays_have_no_hsdir_flag() {
         let mut rng = StdRng::seed_from_u64(1);
-        let relay = Relay::new("relay0", 5000, &mut rng);
+        let relay = Relay::new(5000, &mut rng);
         assert!(!relay.flags().hsdir);
-        assert_eq!(relay.uptime_hours(), 0);
+        assert_eq!(relay.uptime_hours, 0);
     }
 
     #[test]
     fn hsdir_flag_granted_after_25_hours() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut relay = Relay::new("relay1", 5000, &mut rng);
+        let mut relay = Relay::new(5000, &mut rng);
         relay.tick_hours(24);
         assert!(!relay.flags().hsdir, "24 hours is not enough");
         relay.tick_hours(1);
@@ -180,7 +135,7 @@ mod tests {
     #[test]
     fn restart_revokes_uptime_flags() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut relay = Relay::new("relay2", 5000, &mut rng);
+        let mut relay = Relay::new(5000, &mut rng);
         relay.tick_hours(200);
         assert!(relay.flags().hsdir);
         assert!(relay.flags().guard);
@@ -192,11 +147,11 @@ mod tests {
     #[test]
     fn guard_requires_bandwidth_and_stability() {
         let mut rng = StdRng::seed_from_u64(4);
-        let mut slow = Relay::new("slow", 100, &mut rng);
+        let mut slow = Relay::new(100, &mut rng);
         slow.tick_hours(24 * 8);
         assert!(slow.flags().stable);
         assert!(!slow.flags().guard);
-        let mut fast = Relay::new("fast", 10_000, &mut rng);
+        let mut fast = Relay::new(10_000, &mut rng);
         fast.tick_hours(24 * 8);
         assert!(fast.flags().guard);
     }
@@ -214,7 +169,7 @@ mod tests {
     #[test]
     fn chosen_fingerprint_is_preserved() {
         let fp = Fingerprint([7u8; 20]);
-        let relay = Relay::with_fingerprint(fp, "sybil", 1000);
+        let relay = Relay::with_fingerprint(fp, 1000);
         assert_eq!(relay.fingerprint(), fp);
     }
 }

@@ -16,8 +16,8 @@ fn main() {
 
     let bot_today = OnionAddress::from_identifier([0x21; 10]);
     let bot_tomorrow = OnionAddress::from_identifier([0xc4; 10]);
-    tor.register_hidden_service(bot_today, None);
-    tor.register_hidden_service(bot_tomorrow, None);
+    tor.register_hidden_service(bot_today);
+    tor.register_hidden_service(bot_tomorrow);
 
     // Plan against the period that will be current once the planted relays
     // have earned the HSDir flag (25 hours from now).
@@ -39,13 +39,13 @@ fn main() {
     tor.announce_service(bot_tomorrow).unwrap();
     println!(
         "before denial: today's address resolvable = {}",
-        tor.is_resolvable(bot_today, None)
+        tor.is_resolvable(bot_today)
     );
     let denied = deny_service(&mut tor, &plan);
     println!("after denial: today's address blocked = {denied}");
     println!(
         "but the rotated address the adversary did not plan for is still reachable = {}",
-        tor.is_resolvable(bot_tomorrow, None)
+        tor.is_resolvable(bot_tomorrow)
     );
     println!("\nconclusion (matching §VI-A): per-address HSDir takeovers cannot keep up with rotating OnionBots.");
 }

@@ -12,7 +12,8 @@
 //! * [`graph`] (`onion-graph`) — graphs, k-regular generators, centrality
 //!   and component metrics.
 //! * [`tor`] (`tor-sim`) — the simulated Tor substrate: relays, consensus,
-//!   HSDir ring, descriptors, circuits, cells and the [`tor::TorNetwork`].
+//!   the HSDir ring, and the [`tor::TorNetwork`] that announces, resolves
+//!   and delivers to hidden services by onion address.
 //! * [`core`] (`onionbots-core`) — the DDSR self-healing overlay (the
 //!   paper's contribution), maintenance protocol, address rotation and
 //!   routing.
@@ -42,8 +43,9 @@
 //! is the one way to run a single figure or table. See
 //! `examples/custom_scenario.rs` for registering your own workload.
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured record of every table and figure.
+//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for how
+//! to regenerate every table and figure: the CLI flags, the execution
+//! backends, the result cache and the simulation service.
 //!
 //! ```
 //! use onionbots::core::{DdsrConfig, DdsrOverlay};
