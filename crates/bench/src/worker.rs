@@ -3,14 +3,17 @@
 //!
 //! A worker serves one dispatcher channel over its stdio with
 //! [`sim::serve_connection`], the same loop a worker host runs per TCP
-//! connection: a `Hello`/`Welcome` version handshake, then one
-//! [`sim::WorkItem`] per `Assign` frame, looked up by id in the same
+//! connection and a `--backend local` worker thread runs over its socket:
+//! a `Hello`/`Welcome` version handshake, then one [`sim::WorkItem`] per
+//! `Assign` frame, looked up by id in the same
 //! [`registry`](crate::scenarios::registry) the parent uses and executed
 //! with its precomputed seed, answered by one `Completed` frame carrying
-//! the [`sim::PartResult`]. Per-item failures (an unknown scenario id)
-//! are reported *in* the result — the parent aggregates status and
-//! prints every summary; a worker writes nothing to stdout but frames
-//! and nothing user-facing to stderr.
+//! the [`sim::PartResult`]. Per-item failures (an unknown scenario id, a
+//! part that panics) are reported *in* the result, so the parent fails
+//! the run once instead of respawning the worker; the parent aggregates
+//! status and prints every summary. A worker writes nothing to stdout
+//! but frames, and nothing user-facing to stderr beyond a panic's own
+//! message.
 //!
 //! EOF on stdin ends the worker; the dispatcher kills and reaps it when
 //! it closes the channel. Crash-recovery tests inject deterministic

@@ -12,8 +12,11 @@
 //! it: run #1 replays byte-identically, run #2 is all hits.
 //!
 //! Crash-action schedules never target `local.item`: a crash failpoint
-//! exits the *process* that hits it, which for the local backend is the
-//! dispatcher itself — the worker/host points rehearse crashes instead.
+//! exits the *process* that hits it, and the local backend's worker
+//! threads run inside the dispatcher's own process — the worker/host
+//! points rehearse crashes instead. An injected `local.item` error ends
+//! one worker thread's channel, which the dispatcher re-queues like a
+//! dead worker subprocess.
 
 mod common;
 
@@ -282,7 +285,15 @@ fn local_backend_absorbs_or_cleanly_fails_every_seeded_schedule() {
             schedule(
                 "inject-item-error",
                 &["local.item=err@2"],
-                Expect::CleanError("injected fault"),
+                Expect::Identical,
+            ),
+            // Every item from the second on ends its thread's channel:
+            // fresh channels keep dying until one item's retry budget
+            // runs out.
+            schedule(
+                "every-later-item-errors",
+                &["local.item=err@2.."],
+                Expect::CleanError("giving up"),
             ),
             Schedule {
                 name: "cache-load-errors",

@@ -2,8 +2,9 @@
 //! registered scenarios: `RunSummary` byte-equality local-vs-process at
 //! several worker counts, worker-kill recovery with identical output,
 //! retry exhaustion for an item that keeps killing workers, a clean
-//! failure on a worker that streams an endless line, and cache sharing
-//! across backends (parts computed by worker subprocesses replay
+//! failure on a worker that streams an endless line, a panicking part
+//! that fails a process run once instead of being retried, and cache
+//! sharing across backends (parts computed by worker subprocesses replay
 //! as hits in a local run, byte-identically).
 //!
 //! The worker subprocess is this package's own `run_experiments` binary
@@ -11,6 +12,7 @@
 //! `CARGO_BIN_EXE_run_experiments`.
 
 use std::path::PathBuf;
+use std::process::Command;
 use std::sync::Arc;
 
 use onionbots_bench::scenarios;
@@ -211,4 +213,38 @@ fn a_worker_streaming_an_endless_line_fails_the_run_naming_the_line_limit() {
         message.contains("line limit"),
         "unexpected error: {message}"
     );
+}
+
+#[test]
+fn a_panicking_part_fails_a_process_run_once_naming_the_part_and_the_panic() {
+    // `k >= n`: the scale part panics in every worker that runs it. The
+    // worker answers the panic as a failed result, so the run fails on
+    // the first attempt instead of re-queueing the part onto fresh
+    // workers until the retry bound trips.
+    let out = temp_dir("infeasible-process");
+    let output = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
+        .args(["--only", "scale", "--set", "n=5", "--no-cache"])
+        .args(["--backend", "process", "--out"])
+        .arg(&out)
+        .env_remove(sim::FAULTS_ENV)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "the run must fail:\n{stderr}");
+    assert_ne!(
+        output.status.code(),
+        Some(101),
+        "a crash, not a clean error"
+    );
+    assert!(
+        stderr.contains("failed on scale#0: panicked: degree must be smaller than the node count"),
+        "{stderr}"
+    );
+    assert_eq!(
+        stderr.matches("panicked at").count(),
+        1,
+        "one run: {stderr}"
+    );
+    assert!(!stderr.contains("re-queueing"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&out);
 }

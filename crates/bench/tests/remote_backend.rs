@@ -2,8 +2,9 @@
 //! real registered scenarios and real `serve-worker` host processes:
 //! `RunSummary` byte-equality remote-vs-local at several fleet sizes
 //! (cold and warm), host-kill recovery with identical output, retry
-//! exhaustion against a host that keeps corrupting the stream, fatal
-//! rejection by a host that refuses the handshake, a reply that pauses
+//! exhaustion against a host that keeps corrupting the stream, a
+//! panicking part that fails the run once, fatal rejection by a host
+//! that refuses the handshake, a reply that pauses
 //! mid-character, a clean failure on an endless line, and cache sharing
 //! (parts computed by remote hosts replay as local hits, byte-identically
 //! — and a failed remote run never poisons the cache).
@@ -234,6 +235,28 @@ fn an_item_that_keeps_corrupting_the_stream_fails_the_run_instead_of_looping() {
     assert!(
         message.contains("worker") && message.contains("giving up"),
         "unexpected error: {message}"
+    );
+}
+
+#[test]
+fn a_panicking_part_fails_a_remote_run_once_naming_the_part_and_the_panic() {
+    // `k >= n`: the scale part panics on the host, which answers a failed
+    // result instead of dropping the connection, so the part is not
+    // retried on fresh connections.
+    let host = WorkerHost::spawn(None);
+    let scale = scenarios::registry()
+        .select(&["scale".to_string()])
+        .unwrap();
+    let error = Runner::new(ScenarioParams::with_seed(1).with_override("n", "5"))
+        .backend(Backend::Remote(vec![host.addr.clone()]))
+        .try_run_observed(&scale, &())
+        .unwrap_err();
+    assert_eq!(
+        error.to_string(),
+        format!(
+            "worker host '{}' failed on scale#0: panicked: degree must be smaller than the node count",
+            host.addr
+        )
     );
 }
 

@@ -10,7 +10,6 @@
 //! scales with the number of bot addresses and the addresses rotate, which is
 //! why the paper judges this mitigation weak against OnionBots.
 
-use rand::Rng;
 use tor_sim::hsdir::{descriptor_ids, responsible_hsdirs, HSDIRS_PER_REPLICA};
 use tor_sim::network::TorNetwork;
 use tor_sim::onion::OnionAddress;
@@ -23,8 +22,9 @@ pub struct HsdirTakeoverPlan {
     pub target: OnionAddress,
     /// Fingerprints the adversary crafted (one set per replica).
     pub planted_fingerprints: Vec<Fingerprint>,
-    /// Simulated brute-force attempts spent crafting the fingerprints
-    /// (each attempt models generating and hashing one RSA identity key).
+    /// Brute-force attempts charged for crafting the fingerprints: the
+    /// caller's per-position cost times the number of replicas (each
+    /// attempt stands for generating and hashing one RSA identity key).
     pub keygen_attempts: u64,
 }
 
@@ -32,19 +32,17 @@ pub struct HsdirTakeoverPlan {
 /// target's descriptor IDs, so the planted relays become the first
 /// responsible HSDirs once they obtain the HSDir flag.
 ///
-/// The brute-force key search is simulated: each "attempt" draws a random
-/// fingerprint, and we count how many draws were needed before falling back
-/// to directly constructing the successful value (the success itself is what
-/// a real adversary buys with compute, per Biryukov et al.).
-pub fn plan_takeover<R: Rng + ?Sized>(
+/// The brute-force key search is not run: the fingerprints are
+/// constructed directly (the success is what a real adversary buys with
+/// compute, per Biryukov et al.), and `keygen_attempts` charges
+/// `simulated_attempts_per_position` once per descriptor replica.
+pub fn plan_takeover(
     target: OnionAddress,
     attack_time_secs: u64,
     simulated_attempts_per_position: u64,
-    rng: &mut R,
 ) -> HsdirTakeoverPlan {
     let mut planted = Vec::new();
     let mut attempts = 0u64;
-    let _ = rng;
     for id in descriptor_ids(target.identifier(), attack_time_secs) {
         attempts += simulated_attempts_per_position;
         for offset in 0..HSDIRS_PER_REPLICA as u8 {
@@ -129,7 +127,7 @@ mod tests {
         // adversary knows descriptor IDs rotate daily and positions for the
         // upcoming period).
         let future = network.time_secs() + 26 * 3600;
-        let plan = plan_takeover(target, future, 1_000_000, &mut rng);
+        let plan = plan_takeover(target, future, 1_000_000);
         assert_eq!(
             plan.planted_fingerprints.len(),
             6,
@@ -151,7 +149,7 @@ mod tests {
         network.register_hidden_service(target);
 
         let future = network.time_secs() + 26 * 3600;
-        let plan = plan_takeover(target, future, 0, &mut rng);
+        let plan = plan_takeover(target, future, 0);
         execute_takeover(&mut network, &plan);
 
         // The bot (re-)announces its service for the new period; the
@@ -175,7 +173,7 @@ mod tests {
         network.register_hidden_service(tomorrow);
 
         let future = network.time_secs() + 26 * 3600;
-        let plan = plan_takeover(today, future, 0, &mut rng);
+        let plan = plan_takeover(today, future, 0);
         execute_takeover(&mut network, &plan);
         network.announce_service(tomorrow).unwrap();
         deny_service(&mut network, &plan);
@@ -187,9 +185,8 @@ mod tests {
 
     #[test]
     fn plan_reports_simulated_keygen_cost() {
-        let mut rng = StdRng::seed_from_u64(4);
         let target = OnionAddress::from_identifier([5; 10]);
-        let plan = plan_takeover(target, 1000, 500_000, &mut rng);
+        let plan = plan_takeover(target, 1000, 500_000);
         assert_eq!(plan.keygen_attempts, 1_000_000, "cost scales with replicas");
     }
 }

@@ -1,12 +1,16 @@
-//! Out-of-process execution: one work-stealing dispatcher for worker
-//! subprocesses and TCP worker hosts alike.
+//! The one work-stealing dispatcher behind every built-in backend:
+//! in-process worker threads, worker subprocesses and TCP worker hosts.
 //!
 //! [`Dispatcher`] sends serialized [`WorkItem`]s over *channels*: duplex
 //! byte streams with a read timeout, speaking the [`crate::wire`]
 //! protocol (`Hello`/`Welcome` handshake, then `Assign`/`Completed`
-//! round trips). A channel is opened one of two ways, and nothing past
+//! round trips). A channel is opened one of three ways, and nothing past
 //! the opening differs:
 //!
+//! * **starting a thread** (`--backend local`): one end of a
+//!   `UnixStream::pair()` goes to an in-process thread running
+//!   [`serve_connection`], the dispatcher holds the other; closing the
+//!   channel shuts the socket down and joins the thread;
 //! * **spawning** a [`WorkerCommand`] (e.g. `run_experiments worker`):
 //!   the child's stdin and stdout are both one end of a
 //!   `UnixStream::pair()`, the dispatcher holds the other; closing the
@@ -14,48 +18,53 @@
 //! * **connecting** over TCP to a `serve-worker` host.
 //!
 //! Dispatch is **work-stealing**: one dispatcher thread per slot (per
-//! worker subprocess, per configured host address) pulls items off a
-//! shared pending queue, so a slow worker never stalls the run — it just
-//! steals fewer items. A channel that fails mid-item is dropped and its
-//! item re-queued; deaths of *fresh* channels (no completed items) charge
-//! the item's bounded retry budget, and a run fails instead of looping
-//! when an item keeps killing fresh channels or when every slot is gone
-//! with work still queued. Results dedup on the item **fingerprint**, so
-//! a re-queued item can never be double-merged.
+//! worker thread, per worker subprocess, per configured host address)
+//! pulls items off a shared pending queue, so a slow worker never stalls
+//! the run — it just steals fewer items. A channel that fails mid-item is
+//! dropped and its item re-queued; deaths of *fresh* channels (no
+//! completed items) charge the item's bounded retry budget, and a run
+//! fails instead of looping when an item keeps killing fresh channels or
+//! when every slot is gone with work still queued. A worker that answers
+//! a failed result (a panicking part, an unknown scenario id) fails the
+//! run at once. Results dedup on the item **fingerprint**, so a re-queued
+//! item can never be double-merged.
 //!
 //! **No call here can block forever.** Every read carries a timeout of
-//! [`READ_POLL_MS`] and each reply is bounded by a per-item deadline
-//! enforced by *counting* timeout polls (never by reading a wall clock —
-//! detlint rule D002). A worker that never replies — during the
-//! handshake or mid-item — is abandoned after the deadline and its item
-//! re-queued on the surviving slots; TCP connects are bounded by
-//! [`CONNECT_TIMEOUT_MS`]. Retried items back off with a bounded
-//! exponential pause whose jitter derives deterministically from the
-//! item fingerprint. The `remote.connect`/`remote.read` failpoints
+//! [`READ_POLL_MS`] and each reply from a subprocess or host is bounded
+//! by a per-item deadline enforced by *counting* timeout polls (never by
+//! reading a wall clock — detlint rule D002). A worker that never replies
+//! — during the handshake or mid-item — is abandoned after the deadline
+//! and its item re-queued on the surviving slots; TCP connects are
+//! bounded by [`CONNECT_TIMEOUT_MS`]. A worker thread cannot be killed,
+//! so thread slots set no deadline. Retried items back off with a
+//! bounded exponential pause whose jitter derives deterministically from
+//! the item fingerprint. The `remote.connect`/`remote.read` failpoints
 //! ([`crate::faults`]) sit on the TCP channels' dispatcher side.
 //!
-//! Determinism is inherited, not re-argued: workers compute parts with
-//! [`run_work_item`](crate::executor::run_work_item), the cache pass sits
-//! above the backend, and the `Runner` reassembles results in
-//! `(scenario, part)` order — so `RunSummary` is byte-identical to
-//! `--backend local` at any worker count, including under mid-run
-//! worker kills.
+//! Determinism is inherited, not re-argued: every worker computes parts
+//! with [`run_work_item`](crate::executor::run_work_item), the cache pass
+//! sits above the backend, and the `Runner` reassembles results in
+//! `(scenario, part)` order — so `RunSummary` is byte-identical across
+//! backends at any worker count, including under mid-run worker kills.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::executor::{Executor, ExecutorError, PartResult, WorkItem};
 use crate::faults;
 use crate::runner::{PartEvent, PartState, RunObserver};
+use crate::scenario_api::Scenario;
 use crate::wire::{
-    write_frame, DispatchFrame, Duplex, Frame, FrameReader, WorkerFrame, PROTOCOL_VERSION,
+    serve_connection, write_frame, DispatchFrame, Duplex, Frame, FrameReader, WorkerFrame,
+    PROTOCOL_VERSION,
 };
 
 /// Bound on how many *fresh* channels one item may kill before the run
@@ -149,13 +158,23 @@ impl WorkerCommand {
     }
 }
 
+/// The worker a channel started, closed with the channel.
+enum Worker {
+    /// A subprocess: killed and reaped.
+    Process(Child),
+    /// An in-process thread and a handle on the dispatcher's end of its
+    /// socket: the socket is shut down, which ends the thread's serving
+    /// loop, and the thread is joined.
+    Thread(UnixStream, JoinHandle<()>),
+}
+
 /// A freshly opened duplex byte stream to one worker; its reads time out
 /// every [`READ_POLL_MS`].
 struct Stream {
     reader: Box<dyn Read + Send>,
     writer: Box<dyn Write + Send>,
-    /// The subprocess behind a spawned stream.
-    child: Option<Child>,
+    /// The subprocess or thread behind a started stream.
+    worker: Option<Worker>,
     /// Dispatcher-side failpoint hit before each reply read, if any.
     read_failpoint: Option<&'static str>,
 }
@@ -166,7 +185,7 @@ impl Stream {
         Ok(Stream {
             reader: Box::new(socket.duplicate()?),
             writer: Box::new(socket),
-            child: None,
+            worker: None,
             read_failpoint: None,
         })
     }
@@ -177,14 +196,17 @@ impl Stream {
 trait Endpoint: Sync {
     /// Names the peer in messages, e.g. `worker host '127.0.0.1:7461'`.
     fn label(&self) -> String;
-    /// What a failed first open could not do: `spawn` or `connect to`.
+    /// What a failed first open could not do: `start`, `spawn` or
+    /// `connect to`.
     fn open_verb(&self) -> &'static str;
     fn open(&self) -> io::Result<Stream>;
 }
 
-/// The two ways a [`Dispatcher`] slot opens its channels.
+/// The three ways a [`Dispatcher`] slot opens its channels.
 #[derive(Clone)]
 enum Peer {
+    /// An in-process worker thread resolving ids against these scenarios.
+    Thread(Arc<[Arc<dyn Scenario>]>),
     Spawn(WorkerCommand),
     Host(String),
 }
@@ -192,6 +214,7 @@ enum Peer {
 impl Endpoint for Peer {
     fn label(&self) -> String {
         match self {
+            Peer::Thread(_) => "worker thread".to_string(),
             Peer::Spawn(command) => format!("worker process '{}'", command.program.display()),
             Peer::Host(addr) => format!("worker host '{addr}'"),
         }
@@ -199,6 +222,7 @@ impl Endpoint for Peer {
 
     fn open_verb(&self) -> &'static str {
         match self {
+            Peer::Thread(_) => "start",
             Peer::Spawn(_) => "spawn",
             Peer::Host(_) => "connect to",
         }
@@ -206,6 +230,23 @@ impl Endpoint for Peer {
 
     fn open(&self) -> io::Result<Stream> {
         match self {
+            Peer::Thread(scenarios) => {
+                let (parent, child_end) = UnixStream::pair()?;
+                let mut stream = Stream::new(parent.try_clone()?)?;
+                let reader = child_end.try_clone()?;
+                let scenarios = scenarios.clone();
+                let resolve = move |id: &str| scenarios.iter().find(|s| s.id() == id).cloned();
+                let thread = std::thread::Builder::new().spawn(move || {
+                    // The thread's end closes only after the warning, so
+                    // it precedes the dispatcher's re-queue line.
+                    let point = faults::points::LOCAL_ITEM;
+                    if let Err(e) = serve_connection(reader, &child_end, resolve, point) {
+                        eprintln!("warning: worker thread ended: {e}");
+                    }
+                })?;
+                stream.worker = Some(Worker::Thread(parent, thread));
+                Ok(stream)
+            }
             Peer::Spawn(command) => {
                 let (parent, child_end) = UnixStream::pair()?;
                 let mut stream = Stream::new(parent)?;
@@ -213,13 +254,13 @@ impl Endpoint for Peer {
                 // on the parent's stderr. The command (and with it this
                 // process's copies of the child's end) drops right after
                 // the spawn, so the child's exit reads as EOF here.
-                stream.child = Some(
+                stream.worker = Some(Worker::Process(
                     command
                         .command()
                         .stdin(Stdio::from(OwnedFd::from(child_end.try_clone()?)))
                         .stdout(Stdio::from(OwnedFd::from(child_end)))
                         .spawn()?,
-                );
+                ));
                 Ok(stream)
             }
             Peer::Host(addr) => {
@@ -263,7 +304,7 @@ enum ConnectFailure {
 struct Channel {
     frames: FrameReader<Box<dyn Read + Send>>,
     writer: Box<dyn Write + Send>,
-    child: Option<Child>,
+    worker: Option<Worker>,
     read_failpoint: Option<&'static str>,
     /// Items this channel answered successfully — distinguishes a worker
     /// that dies on its very first item (the item is suspect) from one
@@ -274,12 +315,20 @@ struct Channel {
 }
 
 impl Drop for Channel {
-    /// Closing a channel kills and reaps its subprocess, if any; a TCP
-    /// host sees EOF when the socket drops and ends the connection.
+    /// Closing a channel kills and reaps its subprocess or ends and joins
+    /// its thread, if any; a TCP host sees EOF when the socket drops and
+    /// ends the connection.
     fn drop(&mut self) {
-        if let Some(child) = &mut self.child {
-            let _ = child.kill();
-            let _ = child.wait();
+        match self.worker.take() {
+            Some(Worker::Process(mut child)) => {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            Some(Worker::Thread(socket, thread)) => {
+                let _ = socket.shutdown(Shutdown::Both);
+                let _ = thread.join();
+            }
+            None => {}
         }
     }
 }
@@ -290,7 +339,7 @@ impl Channel {
         let mut channel = Channel {
             frames: FrameReader::new(stream.reader),
             writer: stream.writer,
-            child: stream.child,
+            worker: stream.worker,
             read_failpoint: stream.read_failpoint,
             completed: 0,
             deadline_polls,
@@ -334,7 +383,7 @@ impl Channel {
                             io::ErrorKind::TimedOut,
                             format!(
                                 "no reply within the {} ms deadline",
-                                self.deadline_polls * READ_POLL_MS
+                                self.deadline_polls.saturating_mul(READ_POLL_MS)
                             ),
                         ));
                     }
@@ -380,22 +429,34 @@ struct DispatchQueue {
     in_flight: usize,
 }
 
-/// The out-of-process backend behind [`Backend::Process`] and
-/// [`Backend::Remote`](crate::runner::Backend::Remote): dispatches work
-/// items over worker channels, one dispatcher thread per slot.
+/// The backend behind [`Backend::Local`], [`Backend::Process`] and
+/// [`Backend::Remote`]: dispatches work items over worker channels, one
+/// dispatcher thread per slot.
 ///
 /// A slot whose first channel cannot be opened, or whose peer rejects the
 /// handshake (version skew), fails the run immediately. On cancel
 /// ([`RunObserver::cancelled`]) each dispatcher thread stops taking
 /// items, lets its in-flight item finish and closes its channel.
 ///
+/// [`Backend::Local`]: crate::runner::Backend::Local
 /// [`Backend::Process`]: crate::runner::Backend::Process
+/// [`Backend::Remote`]: crate::runner::Backend::Remote
 pub struct Dispatcher {
     peers: Vec<Peer>,
     deadline_ms: u64,
 }
 
 impl Dispatcher {
+    /// Dispatches to `jobs` in-process worker threads (clamped to at
+    /// least one) that resolve ids against `scenarios`. A thread cannot
+    /// be killed, so these slots wait for every reply without a deadline.
+    pub fn threads(scenarios: Vec<Arc<dyn Scenario>>, jobs: usize) -> Self {
+        Dispatcher {
+            peers: vec![Peer::Thread(scenarios.into()); jobs.max(1)],
+            deadline_ms: u64::MAX,
+        }
+    }
+
     /// Dispatches to `jobs` worker subprocesses launched from `command`
     /// (clamped to at least one).
     pub fn processes(command: WorkerCommand, jobs: usize) -> Self {
@@ -417,7 +478,9 @@ impl Dispatcher {
 
     /// Sets the per-reply deadline in milliseconds (clamped to at least
     /// one read poll). A worker that has not answered within this budget
-    /// is abandoned and its item re-queued on the surviving slots.
+    /// is abandoned and its item re-queued on the surviving slots. A
+    /// worker thread is joined when abandoned, so on
+    /// [`threads`](Self::threads) slots the re-queue waits for its part.
     #[must_use]
     pub fn deadline_millis(mut self, deadline_ms: u64) -> Self {
         self.deadline_ms = deadline_ms.max(READ_POLL_MS);
@@ -859,7 +922,7 @@ mod tests {
                     answer: self.answer.clone(),
                     pending: Vec::new(),
                 }),
-                child: None,
+                worker: None,
                 read_failpoint: None,
             })
         }

@@ -10,25 +10,19 @@
 //! results — lives entirely above the backend and behaves identically no
 //! matter which backend runs the misses.
 //!
-//! Two backends implement the [`Executor`] trait:
+//! One type implements the [`Executor`] trait for all three built-in
+//! backends: the [`Dispatcher`](crate::dispatch::Dispatcher), which
+//! drives in-process worker threads, worker subprocesses or TCP worker
+//! hosts through one channel state machine speaking the [`crate::wire`]
+//! frames, served on the worker side by one loop,
+//! [`serve_connection`](crate::wire::serve_connection).
 //!
-//! * [`LocalExecutor`] — the in-process `std::thread` fan-out the
-//!   `Runner` used to hard-wire: one drain loop over a shared work
-//!   queue, run on the calling thread plus `jobs − 1` scoped threads
-//!   (so one job runs its items in order on the calling thread).
-//! * [`Dispatcher`](crate::dispatch::Dispatcher) — the out-of-process
-//!   backend: worker subprocesses or TCP worker hosts, both driven
-//!   through one channel state machine speaking the [`crate::wire`]
-//!   frames.
-//!
-//! Because both backends consume the same serialized work items and
+//! Because every backend consumes the same serialized work items and
 //! per-part seeding makes results position-independent, a `RunSummary`
 //! is byte-identical across backends and worker counts.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,8 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::PartFingerprint;
 use crate::experiment::ExperimentReport;
-use crate::faults;
-use crate::runner::{PartEvent, PartState, RunObserver};
+use crate::runner::RunObserver;
 use crate::scenario_api::{part_count, part_seed, Scenario, ScenarioParams};
 
 /// One self-contained unit of executable work: a single part of a single
@@ -176,11 +169,11 @@ impl PartResult {
 
 /// Executes one work item against its (already resolved) scenario: scope
 /// the item's thread-budget hint, seed the part RNG from the precomputed
-/// [`WorkItem::part_seed`] and run the part. This is the one place both
-/// backends (and the worker loop) call, so local and remote execution
-/// cannot drift apart — and the one place the budget is applied, so a
-/// part's graph sweeps see the same budget whether they run on a local
-/// worker thread or inside a worker subprocess.
+/// [`WorkItem::part_seed`] and run the part. This is the one place the
+/// worker loop calls, so local and remote execution cannot drift apart —
+/// and the one place the budget is applied, so a part's graph sweeps see
+/// the same budget whether they run on a local worker thread or inside a
+/// worker subprocess.
 pub fn run_work_item(scenario: &dyn Scenario, item: &WorkItem) -> Vec<ExperimentReport> {
     onion_graph::budget::with_thread_budget(item.threads, || {
         let mut rng = StdRng::seed_from_u64(item.part_seed);
@@ -237,17 +230,17 @@ impl std::error::Error for ExecutorError {}
 /// Backends retry transient failures themselves; an `Err` means the batch
 /// could not be completed and the run must fail.
 ///
-/// While it runs, a backend reports a `Started` [`PartEvent`] as each
-/// item begins (again, if it was re-queued), a `Finished` event as each
-/// result lands, and an `Error` event for the item that fails the batch,
-/// just before it returns the error. Events come from worker threads in
-/// completion order and are informational: the returned results stay the
-/// single source of truth. A backend polls
-/// [`RunObserver::cancelled`] each time it is about to take the next
-/// item; once it reads `true` it takes no further items, lets in-flight
-/// items finish and returns the results it has. Returning fewer results
-/// than items is then expected, not a failure: the caller asked for the
-/// stop.
+/// While it runs, a backend reports a `Started`
+/// [`PartEvent`](crate::runner::PartEvent) as each item begins (again,
+/// if it was re-queued), a `Finished` event as each result lands, and an
+/// `Error` event for the item that fails the batch, just before it
+/// returns the error. Events come from worker threads in completion
+/// order and are informational: the returned results stay the single
+/// source of truth. A backend polls [`RunObserver::cancelled`] each time
+/// it is about to take the next item; once it reads `true` it takes no
+/// further items, lets in-flight items finish and returns the results it
+/// has. Returning fewer results than items is then expected, not a
+/// failure: the caller asked for the stop.
 pub trait Executor: Send + Sync {
     /// Executes every item, returning their results in completion order.
     ///
@@ -259,120 +252,6 @@ pub trait Executor: Send + Sync {
         items: Vec<WorkItem>,
         observer: &dyn RunObserver,
     ) -> Result<Vec<PartResult>, ExecutorError>;
-}
-
-/// The in-process backend: `jobs` workers drain a shared queue, the
-/// calling thread being one of them, so with one job (or one item) items
-/// run in submission order on the calling thread and no thread is
-/// spawned. A part that panics (or hits the `local.item` failpoint) fails
-/// the batch with an error naming it, reported first as the part's
-/// `Error` event.
-pub struct LocalExecutor {
-    scenarios: Vec<Arc<dyn Scenario>>,
-    jobs: usize,
-}
-
-impl LocalExecutor {
-    /// Creates a single-threaded local executor resolving ids against
-    /// `scenarios`.
-    pub fn new(scenarios: Vec<Arc<dyn Scenario>>) -> Self {
-        LocalExecutor { scenarios, jobs: 1 }
-    }
-
-    /// Sets the number of worker threads (clamped to at least 1).
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    fn resolve(&self, id: &str) -> Result<&Arc<dyn Scenario>, ExecutorError> {
-        self.scenarios.iter().find(|s| s.id() == id).ok_or_else(|| {
-            ExecutorError::new(format!("scenario '{id}' is not known to this executor"))
-        })
-    }
-}
-
-/// Runs one item on the calling thread and turns a panicking part (an
-/// infeasible `--set` override, say) into an error naming the part, so
-/// the run fails cleanly instead of unwinding through its caller — a
-/// daemon would otherwise lose the job's row and its admission slot.
-fn run_caught(scenario: &dyn Scenario, item: &WorkItem) -> Result<PartResult, ExecutorError> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| run_work_item(scenario, item)))
-        .map(|reports| PartResult::ok(item, reports))
-        .map_err(|payload| {
-            let message = payload
-                .downcast_ref::<&str>()
-                .map(|text| text.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "a non-text panic payload".to_string());
-            ExecutorError::new(format!(
-                "{}#{} panicked: {message}",
-                item.scenario_id, item.part
-            ))
-        })
-}
-
-impl Executor for LocalExecutor {
-    fn execute(
-        &self,
-        items: Vec<WorkItem>,
-        observer: &dyn RunObserver,
-    ) -> Result<Vec<PartResult>, ExecutorError> {
-        // Resolve every id up front so an unknown scenario fails before
-        // any item runs.
-        let resolved: Vec<(Arc<dyn Scenario>, WorkItem)> = items
-            .into_iter()
-            .map(|item| Ok((self.resolve(&item.scenario_id)?.clone(), item)))
-            .collect::<Result<_, ExecutorError>>()?;
-        let workers = self.jobs.min(resolved.len());
-        let queue = Mutex::new(VecDeque::from(resolved));
-        let results = Mutex::new(Vec::new());
-        let fatal: Mutex<Option<ExecutorError>> = Mutex::new(None);
-        let drain = || loop {
-            if fatal.lock().expect("fatal lock").is_some() || observer.cancelled() {
-                break;
-            }
-            let next = queue.lock().expect("queue lock").pop_front();
-            let Some((scenario, item)) = next else {
-                break;
-            };
-            // An injected fault fails the batch, never a single item
-            // silently.
-            let outcome = faults::hit_io(faults::points::LOCAL_ITEM)
-                .map_err(|e| {
-                    ExecutorError::new(format!(
-                        "local executor failed on {}#{}: {e}",
-                        item.scenario_id, item.part
-                    ))
-                })
-                .and_then(|()| {
-                    observer.part_event(PartEvent::for_item(&item, PartState::Started));
-                    run_caught(&*scenario, &item)
-                });
-            let result = match outcome {
-                Ok(result) => result,
-                Err(error) => {
-                    let state = PartState::Error(error.to_string());
-                    observer.part_event(PartEvent::for_item(&item, state));
-                    fatal.lock().expect("fatal lock").get_or_insert(error);
-                    break;
-                }
-            };
-            observer.part_event(PartEvent::for_result(&result));
-            results.lock().expect("results lock").push(result);
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..workers {
-                scope.spawn(drain);
-            }
-            drain();
-        });
-        if let Some(error) = fatal.into_inner().expect("fatal lock") {
-            return Err(error);
-        }
-        Ok(results.into_inner().expect("results lock"))
-    }
 }
 
 /// Builds one [`WorkItem`] per part of every scenario, in `(scenario,
@@ -624,19 +503,22 @@ mod tests {
             .into_iter()
             .map(|(_, item)| item)
             .collect();
-        let reference = LocalExecutor::new(toys())
-            .execute(items.clone(), &())
-            .unwrap();
-        for jobs in [2, 8] {
-            let mut parallel = LocalExecutor::new(toys())
-                .jobs(jobs)
+        // Items are planned in (scenario, part) order, so the sequential
+        // reference is already sorted that way.
+        let scenarios = toys();
+        let reference: Vec<PartResult> = items
+            .iter()
+            .map(|item| {
+                let scenario = scenarios.iter().find(|s| s.id() == item.scenario_id);
+                PartResult::ok(item, run_work_item(&**scenario.unwrap(), item))
+            })
+            .collect();
+        for jobs in [1, 2, 8] {
+            let mut threaded = Dispatcher::threads(toys(), jobs)
                 .execute(items.clone(), &())
                 .unwrap();
-            parallel.sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
-            let mut sorted_reference = reference.clone();
-            sorted_reference
-                .sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
-            assert_eq!(parallel, sorted_reference, "jobs={jobs}");
+            threaded.sort_by(|a, b| (&a.scenario_id, a.part).cmp(&(&b.scenario_id, b.part)));
+            assert_eq!(threaded, reference, "jobs={jobs}");
         }
     }
 
@@ -663,10 +545,13 @@ mod tests {
             keys: None,
         };
         let item = WorkItem::new(&stranger, 0, &params);
-        let error = LocalExecutor::new(toys())
+        let error = Dispatcher::threads(toys(), 1)
             .execute(vec![item], &())
             .unwrap_err();
-        assert!(error.to_string().contains("stranger"), "{error}");
+        assert_eq!(
+            error.to_string(),
+            "worker thread failed on stranger#0: scenario 'stranger' is not registered on this worker"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Deterministic fault injection ("failpoints") for the execution stack.
 //!
-//! A *failpoint* is a named hook compiled into a hot path — executor item
-//! dispatch, the remote dispatcher's connect/read calls, cache loads and
-//! stores, the daemon's job intake ([`points`] is the full catalog). In a
-//! normal run every hook is free: [`hit`] reads one relaxed atomic, sees
-//! nothing armed and returns. Under a *fault schedule* — armed from the
+//! A *failpoint* is a named hook compiled into a hot path — the worker
+//! loop's item intake, the remote dispatcher's connect/read calls, cache
+//! loads and stores, the daemon's job intake ([`points`] is the full
+//! catalog). In a normal run every hook is free: [`hit`] reads one
+//! relaxed atomic, sees nothing armed and returns. Under a *fault
+//! schedule* — armed from the
 //! `--faults NAME=SPEC` CLI flag or the [`FAULTS_ENV`] environment
 //! variable — a hook can inject an I/O error, a delay or hang, a partial
 //! write, or an abrupt process crash, and the hardened call sites must
@@ -62,8 +63,9 @@ pub const CRASH_EXIT_CODE: i32 = 101;
 /// The failpoint catalog. Arming an unknown name is a spec error, so a
 /// typo in a chaos schedule fails fast instead of silently never firing.
 pub mod points {
-    /// [`LocalExecutor`](crate::executor::LocalExecutor): before each
-    /// item executes (both the sequential and the threaded path).
+    /// Worker-thread side of the local backend
+    /// ([`serve_connection`](crate::wire::serve_connection) in an
+    /// in-process thread): before each assignment is answered.
     pub const LOCAL_ITEM: &str = "local.item";
     /// Worker-subprocess side of the process backend
     /// ([`serve_connection`](crate::wire::serve_connection) over stdio):

@@ -16,13 +16,13 @@
 //!   and collects a [`RunSummary`] whose JSON is byte-identical for any
 //!   worker count and backend.
 //! * [`executor`] — the [`Executor`] trait over serializable
-//!   [`WorkItem`]s (whose identity is the cache fingerprint) and the
-//!   in-process [`LocalExecutor`] thread pool.
-//! * [`dispatch`] — the out-of-process backend: one work-stealing
-//!   [`Dispatcher`] driving worker subprocesses (`run_experiments
-//!   worker`) and TCP worker hosts (`serve-worker`) through the same
-//!   channel state machine — handshake, per-item deadline, crash
-//!   re-queue, fingerprint dedup.
+//!   [`WorkItem`]s (whose identity is the cache fingerprint).
+//! * [`dispatch`] — the one backend behind `local`, `process` and
+//!   `remote`: a work-stealing [`Dispatcher`] driving in-process worker
+//!   threads, worker subprocesses (`run_experiments worker`) and TCP
+//!   worker hosts (`serve-worker`) through the same channel state
+//!   machine — handshake, per-item deadline, crash re-queue, fingerprint
+//!   dedup.
 //! * [`wire`] — the one NDJSON framing every out-of-process channel
 //!   speaks: the bounded [`wire::FrameReader`], [`wire::write_frame`],
 //!   the versioned dispatcher↔worker frames and the one serving loop,
@@ -33,7 +33,7 @@
 //!   or TCP loopback sockets, streaming per-part lifecycle events and
 //!   fronting one shared result cache for every client.
 //! * [`faults`] — deterministic fault injection: named failpoints
-//!   compiled into the executors, the dispatcher, the cache and the
+//!   compiled into the worker loop, the dispatcher, the cache and the
 //!   service, armed via `--faults NAME=SPEC` schedules with
 //!   count-based (never wall-clock) triggers — the chaos layer behind
 //!   the robustness tests.
@@ -78,7 +78,7 @@ pub mod wire;
 
 pub use cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache, CACHE_FORMAT_VERSION};
 pub use dispatch::{Dispatcher, WorkerCommand};
-pub use executor::{Executor, ExecutorError, LocalExecutor, PartResult, WorkItem};
+pub use executor::{Executor, ExecutorError, PartResult, WorkItem};
 pub use experiment::{ExperimentReport, Series};
 pub use faults::FAULTS_ENV;
 pub use runner::{

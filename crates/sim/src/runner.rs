@@ -15,11 +15,12 @@
 //! [`Runner::with_cache`] every planned item is first resolved against
 //! the [`ResultCache`] by its fingerprint (which is the work item's
 //! identity), hits are replayed from disk, and only the misses are
-//! dispatched — to in-process threads ([`Backend::Local`]), worker
-//! subprocesses ([`Backend::Process`]), worker hosts
-//! ([`Backend::Remote`]) or any custom [`Executor`]
-//! ([`Backend::Custom`]). Workers report per-item status; the parent
-//! aggregates the [`CacheStats`] and prints the single stderr summary.
+//! dispatched — to in-process worker threads ([`Backend::Local`]),
+//! worker subprocesses ([`Backend::Process`]) or worker hosts
+//! ([`Backend::Remote`]), all three through one [`Dispatcher`], or to
+//! any custom [`Executor`] ([`Backend::Custom`]). Workers report per-item
+//! status; the parent aggregates the [`CacheStats`] and prints the
+//! single stderr summary.
 
 use std::sync::Arc;
 
@@ -28,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{CacheLookup, CacheStats, PartFingerprint, ResultCache};
 use crate::dispatch::{Dispatcher, WorkerCommand, DEFAULT_ITEM_DEADLINE_MS};
 use crate::executor::{
-    index_by_id, plan_work_items, Executor, ExecutorError, LocalExecutor, PartResult, WorkItem,
+    index_by_id, plan_work_items, Executor, ExecutorError, PartResult, WorkItem,
 };
 use crate::experiment::ExperimentReport;
 use crate::scenario_api::{merge_reports, part_count, Scenario, ScenarioParams};
@@ -160,7 +161,8 @@ impl RunObserver for () {
 /// Which execution backend a [`Runner`] dispatches its work items to.
 #[derive(Clone, Default)]
 pub enum Backend {
-    /// In-process `std::thread` fan-out (the default).
+    /// In-process worker threads, speaking the [`crate::wire`] frames
+    /// over socket pairs ([`Dispatcher::threads`]; the default).
     #[default]
     Local,
     /// Worker subprocesses launched from this command, speaking the
@@ -257,8 +259,9 @@ impl Runner {
         }
     }
 
-    /// Sets the number of workers — threads for [`Backend::Local`],
-    /// subprocesses for [`Backend::Process`] (clamped to at least 1).
+    /// Sets the number of workers — worker threads for
+    /// [`Backend::Local`], subprocesses for [`Backend::Process`] (clamped
+    /// to at least 1).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -298,7 +301,8 @@ impl Runner {
     /// Overrides the per-item reply deadline (milliseconds) of the
     /// out-of-process backends, [`Backend::Process`] and
     /// [`Backend::Remote`]; see [`Dispatcher::deadline_millis`]. Has no
-    /// effect on the other backends.
+    /// effect on the other backends: a local worker thread cannot be
+    /// killed, so [`Backend::Local`] waits without a deadline.
     pub fn item_deadline_ms(mut self, millis: u64) -> Self {
         self.item_deadline_ms = millis;
         self
@@ -521,9 +525,9 @@ impl Runner {
             item.threads = threads;
         }
         let executed = match &self.backend {
-            Backend::Local => LocalExecutor::new(scenarios.to_vec())
-                .jobs(self.jobs)
-                .execute(pending, observer),
+            Backend::Local => {
+                Dispatcher::threads(scenarios.to_vec(), self.jobs).execute(pending, observer)
+            }
             Backend::Process(command) => Dispatcher::processes(command.clone(), self.jobs)
                 .deadline_millis(self.item_deadline_ms)
                 .execute(pending, observer),
@@ -933,7 +937,7 @@ mod tests {
                 .unwrap_err();
             assert_eq!(
                 error.to_string(),
-                "infeasible#1 panicked: part 1 has no feasible grid",
+                "worker thread failed on infeasible#1: panicked: part 1 has no feasible grid",
                 "jobs={jobs}"
             );
         }
@@ -1249,7 +1253,7 @@ mod tests {
 
     #[test]
     fn a_cancellable_run_dispatches_to_one_executor_call() {
-        /// Counts `execute` calls and runs items in-process.
+        /// Counts `execute` calls and runs items on worker threads.
         struct Counting {
             scenarios: Vec<Arc<dyn Scenario>>,
             calls: std::sync::Mutex<usize>,
@@ -1261,7 +1265,7 @@ mod tests {
                 observer: &dyn RunObserver,
             ) -> Result<Vec<PartResult>, ExecutorError> {
                 *self.calls.lock().unwrap() += 1;
-                LocalExecutor::new(self.scenarios.clone()).execute(items, observer)
+                Dispatcher::threads(self.scenarios.clone(), 2).execute(items, observer)
             }
         }
 

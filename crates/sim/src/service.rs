@@ -1507,9 +1507,9 @@ mod tests {
                 },
             )
         });
-        // jobs=1 → the local executor runs the parts in order and polls
-        // the token before taking each: part 0 trips it, so no further
-        // part starts.
+        // jobs=1 → one local worker thread runs the parts in order and
+        // its dispatcher polls the token before taking each: part 0
+        // trips it, so no further part starts.
         let events = roundtrip(&service, &[submit_frame(&spec_with_seed(13))]);
         assert_eq!(
             events.last(),

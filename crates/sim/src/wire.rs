@@ -19,12 +19,14 @@
 //! | dispatcher → worker | `Assign(WorkItem)` | execute one item |
 //! | worker → dispatcher | `Completed(PartResult)` | the item's result |
 //!
-//! [`serve_connection`] is the one serving loop behind both worker
-//! kinds; [`serve_remote_host`] runs it per accepted TCP connection.
+//! [`serve_connection`] is the one serving loop behind every worker kind:
+//! the local backend's worker threads, worker subprocesses and worker
+//! hosts; [`serve_remote_host`] runs it per accepted TCP connection.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -228,19 +230,25 @@ impl Duplex for TcpStream {
 }
 
 /// Serves one dispatcher channel: handshake, then assignments until EOF.
-/// Transport-agnostic, so a worker subprocess serves its stdio, a worker
-/// host serves each TCP connection, and tests serve in-memory buffers.
+/// Transport-agnostic, so a local worker thread serves its end of a
+/// socket pair, a worker subprocess serves its stdio, a worker host
+/// serves each TCP connection, and tests serve in-memory buffers.
 ///
 /// A hello with the wrong protocol version — or anything that is not a
 /// hello — is answered with [`WorkerFrame::Reject`] and an error return;
 /// a malformed assignment or an oversized line is a protocol violation
 /// and terminates the channel without a response (the dispatcher treats
-/// it like a death). An unknown scenario id becomes a per-item error
-/// result, which the dispatcher treats as fatal.
+/// it like a death). An unknown scenario id and a part that panics (an
+/// infeasible `--set` override, say) each become a per-item error
+/// result, which the dispatcher treats as fatal: a panic is answered as
+/// `panicked: <message>` instead of unwinding through the worker, so
+/// the run fails once, naming the part, on every backend.
 ///
 /// Every read assignment hits `failpoint` before it is answered —
-/// `worker.item` in worker subprocesses, `remote.host.item` on worker
-/// hosts ([`faults::points`]). Failpoint counters are process-wide, so a
+/// `local.item` in local worker threads, `worker.item` in worker
+/// subprocesses, `remote.host.item` on worker hosts
+/// ([`faults::points`]). An injected error ends the channel like a
+/// malformed frame does. Failpoint counters are process-wide, so a
 /// `crash@N` spec injects one deterministic crash no matter how a host's
 /// connections interleave.
 ///
@@ -305,7 +313,19 @@ where
         };
         faults::hit_io(failpoint)?;
         let result = match resolve(&item.scenario_id) {
-            Some(scenario) => PartResult::ok(&item, run_work_item(&*scenario, &item)),
+            Some(scenario) => {
+                match catch_unwind(AssertUnwindSafe(|| run_work_item(&*scenario, &item))) {
+                    Ok(reports) => PartResult::ok(&item, reports),
+                    Err(payload) => {
+                        let message = payload
+                            .downcast_ref::<&str>()
+                            .map(|text| text.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "a non-text panic payload".to_string());
+                        PartResult::failed(&item, format!("panicked: {message}"))
+                    }
+                }
+            }
             None => PartResult::failed(
                 &item,
                 format!(

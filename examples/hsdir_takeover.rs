@@ -22,7 +22,7 @@ fn main() {
     // Plan against the period that will be current once the planted relays
     // have earned the HSDir flag (25 hours from now).
     let attack_time = tor.time_secs() + 26 * 3600;
-    let plan = plan_takeover(bot_today, attack_time, 1_000_000, &mut rng);
+    let plan = plan_takeover(bot_today, attack_time, 1_000_000);
     println!(
         "planted {} relay fingerprints targeting {} (simulated keygen attempts: {})",
         plan.planted_fingerprints.len(),
