@@ -4,10 +4,11 @@
 //! (cold and warm), host-kill recovery with identical output, retry
 //! exhaustion against a host that keeps corrupting the stream, a
 //! panicking part that fails the run once, fatal rejection by a host
-//! that refuses the handshake, a reply that pauses
-//! mid-character, a clean failure on an endless line, and cache sharing
-//! (parts computed by remote hosts replay as local hits, byte-identically
-//! — and a failed remote run never poisons the cache).
+//! that refuses the handshake, a host whose reply nests past the parser's
+//! depth bound (abandoned; the run finishes on the other host), a reply
+//! that pauses mid-character, a clean failure on an endless line, and
+//! cache sharing (parts computed by remote hosts replay as local hits,
+//! byte-identically — and a failed remote run never poisons the cache).
 //!
 //! Worker hosts are this package's own `run_experiments` binary in its
 //! `serve-worker` mode, bound to `127.0.0.1:0`; each host prints its
@@ -19,6 +20,7 @@ mod common;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -236,6 +238,47 @@ fn an_item_that_keeps_corrupting_the_stream_fails_the_run_instead_of_looping() {
         message.contains("worker") && message.contains("giving up"),
         "unexpected error: {message}"
     );
+}
+
+#[test]
+fn a_host_that_replies_with_deep_nesting_is_abandoned_and_the_run_finishes_elsewhere() {
+    let reference = Runner::new(params(11))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
+    // A one-connection "host": it completes the handshake, answers the
+    // first assignment with a megabyte of `[`, then stops listening. The
+    // dispatcher must refuse the reply at the parser's depth bound (not
+    // overflow its thread's stack), fail to reconnect, abandon the slot
+    // and finish the run on the healthy host.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let nested_addr = listener.local_addr().unwrap().to_string();
+    let answered = Arc::new(AtomicBool::new(false));
+    let flag = answered.clone();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let welcome = serde_json::to_string(&WorkerFrame::Welcome {
+            protocol: PROTOCOL_VERSION,
+        })
+        .unwrap();
+        writeln!(writer, "{welcome}").unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        writeln!(writer, "{}", "[".repeat(1 << 20)).unwrap();
+        flag.store(true, Ordering::SeqCst);
+    });
+    let real = WorkerHost::spawn(None);
+    let summary = Runner::new(params(11))
+        .backend(Backend::Remote(vec![nested_addr, real.addr.clone()]))
+        .try_run_observed(&selected(), &())
+        .unwrap()
+        .0;
+    assert!(answered.load(Ordering::SeqCst), "the nested reply was sent");
+    assert_eq!(summary.to_json(), reference.to_json());
 }
 
 #[test]

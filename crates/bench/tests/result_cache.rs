@@ -1,13 +1,14 @@
 //! Integration tests for the content-addressed result cache against real
 //! registered scenarios: cold/warm byte-equality at any worker count,
 //! fingerprint invalidation on seed/scale/override changes, `--refresh`
-//! semantics and graceful degradation when the cache location is unusable.
+//! semantics, quarantine of an entry nested past the parser's depth bound,
+//! and graceful degradation when the cache location is unusable.
 
 use std::path::PathBuf;
 
 use onionbots_bench::scenarios;
 use sim::scenario_api::ScenarioParams;
-use sim::{ResultCache, Runner};
+use sim::{PartFingerprint, ResultCache, Runner};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -139,6 +140,38 @@ fn refresh_reexecutes_everything_but_changes_nothing() {
     assert_eq!(stats.invalidated, PARTS);
     assert_eq!(stats.stored, PARTS);
     assert_eq!(refreshed.to_json(), baseline.to_json());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_deeply_nested_entry_is_quarantined_as_a_miss() {
+    let dir = temp_dir("nested");
+    let cache = ResultCache::open(&dir).unwrap();
+    let (cold, _) = Runner::new(params(8))
+        .with_cache(cache.clone())
+        .try_run_observed(&selected(), &())
+        .unwrap();
+    // A megabyte of `[` under one entry's name: the lookup must refuse it
+    // at the parser's depth bound instead of overflowing the stack, move
+    // it aside and recompute that one part.
+    let fig6 = scenarios::registry().get("fig6").unwrap();
+    let path = cache.entry_path(&PartFingerprint::compute(&*fig6, 0, &params(8)));
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    let (warm, stats) = Runner::new(params(8))
+        .with_cache(cache)
+        .try_run_observed(&selected(), &())
+        .unwrap();
+    let stats = stats.unwrap();
+    assert_eq!((stats.hits, stats.misses), (PARTS - 1, 1), "{stats:?}");
+    assert_eq!(warm.to_json(), cold.to_json());
+    let quarantined = std::fs::read_dir(path.parent().unwrap())
+        .unwrap()
+        .filter(|entry| {
+            let name = entry.as_ref().unwrap().file_name();
+            name.to_string_lossy().contains(".corrupt-")
+        })
+        .count();
+    assert_eq!(quarantined, 1, "the nested entry is kept aside as evidence");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

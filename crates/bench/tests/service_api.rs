@@ -5,7 +5,8 @@
 //! Covered: cold and warm submissions are byte-identical to the one-shot
 //! runner (with per-job cache stats flipping from all-misses to
 //! all-hits), two concurrent clients agree byte-for-byte, malformed
-//! frames are rejected without killing the daemon, an oversized request
+//! frames (a megabyte of nesting among them) are rejected without killing
+//! the daemon, an oversized request
 //! line closes only its own connection, `Cancel` stops a process-backend
 //! job at an item boundary without warming the cache, and SIGTERM drains
 //! an in-flight job to completion — even while a `worker.item=crash@2`
@@ -221,6 +222,17 @@ fn malformed_frames_are_rejected_without_killing_the_daemon() {
         }
         other => panic!("expected a malformed-frame error, got {other:?}"),
     }
+    // A megabyte of nesting: refused at the parser's depth bound instead
+    // of overflowing the connection thread's stack (which aborts the
+    // whole daemon).
+    writeln!(writer, "{}", "[".repeat(1 << 20)).unwrap();
+    writer.flush().unwrap();
+    match read_event(&mut reader) {
+        Event::Error { job: None, message } => {
+            assert!(message.contains("nesting deeper"), "{message}")
+        }
+        other => panic!("expected a nesting error, got {other:?}"),
+    }
     // Well-formed JSON that fails validation: an unknown scenario.
     let bogus = JobSpec {
         only: Some(vec!["no-such-figure".to_string()]),
@@ -246,6 +258,15 @@ fn malformed_frames_are_rejected_without_killing_the_daemon() {
     match read_event(&mut reader) {
         Event::Jobs(jobs) => assert!(jobs.is_empty(), "{jobs:?}"),
         other => panic!("expected the job table, got {other:?}"),
+    }
+    // The next client is served too.
+    let stream = daemon.connect();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    send_frame(&mut writer, &Request::List);
+    match read_event(&mut reader) {
+        Event::Scenarios(infos) => assert!(!infos.is_empty()),
+        other => panic!("expected the scenario listing, got {other:?}"),
     }
 }
 

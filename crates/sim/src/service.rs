@@ -43,13 +43,16 @@
 //! runner as usual), idle connections are told [`Event::ShuttingDown`],
 //! and the serve loop returns once every connection has wound down.
 //!
-//! A misbehaving client cannot hurt the daemon: a malformed frame gets
-//! an [`Event::Error`] answer and the connection keeps serving; a line
-//! longer than [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES) gets an
+//! A misbehaving client costs only its own connection: a malformed
+//! frame (not JSON, the wrong shape, or arrays and objects nested deeper
+//! than [`serde::MAX_DEPTH`], which the parser refuses instead of
+//! overflowing the connection thread's stack) gets an [`Event::Error`]
+//! answer and the connection keeps serving; a line longer than
+//! [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES) gets an
 //! [`Event::Error`] answer and the connection is closed, so the read
-//! buffer never grows past the bound; and a client that disconnects mid-job merely stops receiving
-//! events — the job still runs to completion, so the shared cache is
-//! warmed, never poisoned.
+//! buffer never grows past the bound; and a client that disconnects
+//! mid-job merely stops receiving events — the job still runs to
+//! completion, so the shared cache is warmed, never poisoned.
 //!
 //! Resource use is bounded and jobs are revocable: admission control
 //! refuses submissions beyond [`ServiceConfig::max_active_jobs`]

@@ -78,16 +78,19 @@ pub enum WorkerFrame {
     Completed(PartResult),
 }
 
-/// Writes `frame` as one JSON line and flushes it.
+/// Writes `frame` as one JSON line in one write, and flushes it.
 ///
 /// # Errors
 /// Returns the underlying I/O error when the write or flush fails.
 pub fn write_frame<W: Write + ?Sized, T: Serialize>(output: &mut W, frame: &T) -> io::Result<()> {
-    let line = serde_json::to_string(frame).expect("protocol frames serialize");
-    // Two writes, not a `push('\n')`: appending could double a large
-    // frame's allocation (a `Done` summary) just for its terminator.
+    // One write per frame, so a reader wakes once per line. The writer
+    // appends to one buffer that grows by doubling, so the terminator
+    // lands in spare capacity and costs no second copy of a large frame
+    // (a `Done` summary) unless that buffer is exactly full.
+    let mut line = String::new();
+    frame.to_value().write_compact(&mut line);
+    line.push('\n');
     output.write_all(line.as_bytes())?;
-    output.write_all(b"\n")?;
     output.flush()
 }
 
@@ -157,7 +160,7 @@ impl<R: Read> FrameReader<R> {
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
+                return Ok(Frame::Line(into_text(line)));
             }
             let mut chunk = [0u8; 4096];
             match self.input.read(&mut chunk) {
@@ -167,8 +170,7 @@ impl<R: Read> FrameReader<R> {
                     }
                     // A final unterminated line; the next call sees EOF.
                     self.scanned = 0;
-                    let line = std::mem::take(&mut self.buffer);
-                    return Ok(Frame::Line(String::from_utf8_lossy(&line).into_owned()));
+                    return Ok(Frame::Line(into_text(std::mem::take(&mut self.buffer))));
                 }
                 Ok(read) => self.buffer.extend_from_slice(&chunk[..read]),
                 Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
@@ -201,6 +203,13 @@ impl<R: Read> FrameReader<R> {
             }
         }
     }
+}
+
+/// A line's bytes as text: valid UTF-8 is taken over without a copy,
+/// anything else is decoded with replacement characters.
+fn into_text(line: Vec<u8>) -> String {
+    String::from_utf8(line)
+        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
 }
 
 /// A socket that can hand out a second handle for its read side and
@@ -475,8 +484,25 @@ mod tests {
 
     #[test]
     fn serve_connection_rejects_malformed_frames() {
+        // A megabyte of openers must be refused, not recursed into until
+        // the worker's stack overflows.
+        let nested = "[".repeat(1 << 20);
+        for garbage in ["this is not json", nested.as_str()] {
+            let mut output = Vec::new();
+            let input = format!("{}{garbage}\n", hello());
+            let error = serve_connection(
+                input.as_bytes(),
+                &mut output,
+                lookup,
+                faults::points::WORKER_ITEM,
+            )
+            .unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(replies(&output).len(), 1, "only the welcome was written");
+        }
+        // The same nesting in place of the hello is answered with a Reject.
         let mut output = Vec::new();
-        let input = format!("{}this is not json\n", hello());
+        let input = format!("{nested}\n");
         let error = serve_connection(
             input.as_bytes(),
             &mut output,
@@ -485,7 +511,34 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(replies(&output).len(), 1, "only the welcome was written");
+        match &replies(&output)[..] {
+            [WorkerFrame::Reject { reason }] => {
+                assert!(reason.contains("nesting deeper"), "{reason}")
+            }
+            other => panic!("expected one Reject, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        // Two writes (line, then terminator) could wake a reader twice.
+        struct Counting(Vec<Vec<u8>>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut output = Counting(Vec::new());
+        let hello = DispatchFrame::Hello {
+            protocol: PROTOCOL_VERSION,
+        };
+        write_frame(&mut output, &hello).unwrap();
+        let expected = format!("{{\"Hello\":{{\"protocol\":{PROTOCOL_VERSION}}}}}\n");
+        assert_eq!(output.0, [expected.into_bytes()]);
     }
 
     #[test]
