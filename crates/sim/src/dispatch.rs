@@ -18,10 +18,11 @@
 //! * **connecting** over TCP to a `serve-worker` host.
 //!
 //! Dispatch is **work-stealing**: one dispatcher thread per slot (per
-//! worker thread, per worker subprocess, per configured host address)
-//! pulls items off a shared pending queue, so a slow worker never stalls
-//! the run — it just steals fewer items. A channel that fails mid-item is
-//! dropped and its item re-queued; deaths of *fresh* channels (no
+//! worker thread, per worker subprocess, per configured host address;
+//! the calling thread serves the first slot) pulls items off a shared
+//! pending queue, so a slow worker never stalls the run — it just
+//! steals fewer items. A channel that fails mid-item is dropped and its
+//! item re-queued; deaths of *fresh* channels (no
 //! completed items) charge the item's bounded retry budget, and a run
 //! fails instead of looping when an item keeps killing fresh channels or
 //! when every slot is gone with work still queued. A worker that answers
@@ -431,7 +432,7 @@ struct DispatchQueue {
 
 /// The backend behind [`Backend::Local`], [`Backend::Process`] and
 /// [`Backend::Remote`]: dispatches work items over worker channels, one
-/// dispatcher thread per slot.
+/// dispatcher thread per slot, the calling thread serving the first.
 ///
 /// A slot whose first channel cannot be opened, or whose peer rejects the
 /// handshake (version skew), fails the run immediately. On cancel
@@ -498,8 +499,9 @@ impl Executor for Dispatcher {
     }
 }
 
-/// The dispatch loop: one thread per endpoint steals items off the
-/// shared queue and round-trips them over that endpoint's channel.
+/// The dispatch loop: one slot per endpoint steals items off the shared
+/// queue and round-trips them over that endpoint's channel. The calling
+/// thread runs the first slot, a scoped thread each other one.
 fn dispatch<E: Endpoint>(
     endpoints: &[E],
     items: Vec<WorkItem>,
@@ -563,171 +565,176 @@ fn dispatch<E: Endpoint>(
         *last_loss.lock().expect("loss lock") = Some(loss);
         requeue(item, retries);
     };
-    std::thread::scope(|scope| {
-        for endpoint in endpoints.iter().take(total) {
-            let (queue, wake, results, merged) = (&queue, &wake, &results, &merged);
-            let (fail, fail_item) = (&fail, &fail_item);
-            let (requeue, settle, abandon) = (&requeue, &settle, &abandon);
-            let fatal = &fatal;
-            scope.spawn(move || {
-                let label = endpoint.label();
-                let mut channel: Option<Channel> = None;
-                let mut ever_connected = false;
+    // One slot: steal items off the queue and round-trip them over a
+    // channel to `endpoint`.
+    let slot = |endpoint: &E| {
+        let label = endpoint.label();
+        let mut channel: Option<Channel> = None;
+        let mut ever_connected = false;
+        loop {
+            if fatal.lock().expect("fatal lock").is_some() {
+                break;
+            }
+            let next = {
+                let mut state = queue.lock().expect("queue lock");
                 loop {
+                    // Checked before every pop, including after
+                    // waking from the park below: a cancelled run
+                    // takes no further items.
+                    if observer.cancelled() {
+                        break None;
+                    }
+                    if let Some(entry) = state.pending.pop_front() {
+                        state.in_flight += 1;
+                        break Some(entry);
+                    }
+                    if state.in_flight == 0 {
+                        // Drained for good: nothing queued and
+                        // nothing left that could re-queue.
+                        break None;
+                    }
+                    // Another slot holds the remaining items; if
+                    // it dies they come back here. Park until a
+                    // re-queue, a settle or a fatal.
+                    state = wake.wait(state).expect("queue lock");
                     if fatal.lock().expect("fatal lock").is_some() {
-                        break;
-                    }
-                    let next = {
-                        let mut state = queue.lock().expect("queue lock");
-                        loop {
-                            // Checked before every pop, including after
-                            // waking from the park below: a cancelled run
-                            // takes no further items.
-                            if observer.cancelled() {
-                                break None;
-                            }
-                            if let Some(entry) = state.pending.pop_front() {
-                                state.in_flight += 1;
-                                break Some(entry);
-                            }
-                            if state.in_flight == 0 {
-                                // Drained for good: nothing queued and
-                                // nothing left that could re-queue.
-                                break None;
-                            }
-                            // Another slot holds the remaining items; if
-                            // it dies they come back here. Park until a
-                            // re-queue, a settle or a fatal.
-                            state = wake.wait(state).expect("queue lock");
-                            if fatal.lock().expect("fatal lock").is_some() {
-                                break None;
-                            }
-                        }
-                    };
-                    let Some((item, retries)) = next else {
-                        break;
-                    };
-                    if channel.is_none() {
-                        match Channel::open(endpoint, deadline_polls) {
-                            Ok(opened) => {
-                                channel = Some(opened);
-                                ever_connected = true;
-                            }
-                            Err(ConnectFailure::Refused(reason)) => {
-                                fail(format!("{label} refused the dispatcher: {reason}"));
-                                settle();
-                                break;
-                            }
-                            // A peer that opens but never answers the
-                            // handshake is *hung*, not misconfigured:
-                            // abandon it and let the survivors drain the
-                            // queue, even on the very first attempt.
-                            Err(ConnectFailure::Dead(e)) if ever_connected || is_timeout(&e) => {
-                                abandon(item, retries, format!("{label} is gone ({e})"));
-                                break;
-                            }
-                            Err(ConnectFailure::Dead(e)) => {
-                                fail(format!("cannot {} {label}: {e}", endpoint.open_verb()));
-                                settle();
-                                break;
-                            }
-                        }
-                    }
-                    let active = channel.as_mut().expect("channel just ensured");
-                    observer.part_event(PartEvent::for_item(&item, PartState::Started));
-                    match active.round_trip(&item) {
-                        Ok(result) => {
-                            if let Some(error) = &result.error {
-                                fail_item(
-                                    &item,
-                                    format!(
-                                        "{label} failed on {}#{}: {error}",
-                                        item.scenario_id, item.part
-                                    ),
-                                );
-                                settle();
-                                break;
-                            }
-                            if result.scenario_id != item.scenario_id
-                                || result.part != item.part
-                                || result.fingerprint != item.fingerprint
-                            {
-                                fail(format!(
-                                    "{label} answered {}#{} with a result for {}#{} (protocol error)",
-                                    item.scenario_id, item.part, result.scenario_id, result.part
-                                ));
-                                settle();
-                                break;
-                            }
-                            active.completed += 1;
-                            let first_landing = merged
-                                .lock()
-                                .expect("merged lock")
-                                .insert(result.fingerprint.clone());
-                            if first_landing {
-                                observer.part_event(PartEvent::for_result(&result));
-                                results.lock().expect("results lock").push(result);
-                            } else {
-                                eprintln!(
-                                    "warning: dropped a duplicate result for {}#{} from {label} (fingerprint already merged)",
-                                    item.scenario_id, item.part
-                                );
-                            }
-                            settle();
-                        }
-                        Err(e) if is_timeout(&e) => {
-                            // Per-item deadline: the worker is hung (open,
-                            // silent). Abandon the slot — a late reply on
-                            // this channel would desync the framing anyway
-                            // — and re-queue the item on the survivors. No
-                            // retry charge: the worker is at fault, not
-                            // the item.
-                            drop(channel.take());
-                            let loss = format!(
-                                "{label} hit the per-item deadline on {}#{} ({e})",
-                                item.scenario_id, item.part
-                            );
-                            abandon(item, retries, loss);
-                            break;
-                        }
-                        Err(e) => {
-                            // The channel is gone or confused: drop it,
-                            // re-queue the in-flight item and reopen
-                            // lazily on the next iteration. Only deaths of
-                            // *fresh* channels (no completed items) are
-                            // charged to the item — a toxic item kills
-                            // every fresh worker it meets, while a worker
-                            // wearing out after completed work says
-                            // nothing about the item it happened to hold.
-                            let fresh_death = channel
-                                .take()
-                                .map(|dead| dead.completed == 0)
-                                .unwrap_or(true);
-                            let retries = if fresh_death { retries + 1 } else { retries };
-                            if retries > DEFAULT_MAX_ITEM_RETRIES {
-                                fail_item(
-                                    &item,
-                                    format!(
-                                        "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
-                                        item.scenario_id, item.part
-                                    ),
-                                );
-                                settle();
-                                break;
-                            }
-                            let pause = retry_backoff_millis(&item.fingerprint, retries);
-                            eprintln!(
-                                "warning: {label} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{DEFAULT_MAX_ITEM_RETRIES} charged retries)",
-                                item.scenario_id, item.part
-                            );
-                            // detlint: allow(D002) reason="bounded retry backoff; the pause is deterministic (fingerprint-derived) and its duration never feeds back into any output"
-                            std::thread::sleep(Duration::from_millis(pause));
-                            requeue(item, retries);
-                        }
+                        break None;
                     }
                 }
-            });
+            };
+            let Some((item, retries)) = next else {
+                break;
+            };
+            if channel.is_none() {
+                match Channel::open(endpoint, deadline_polls) {
+                    Ok(opened) => {
+                        channel = Some(opened);
+                        ever_connected = true;
+                    }
+                    Err(ConnectFailure::Refused(reason)) => {
+                        fail(format!("{label} refused the dispatcher: {reason}"));
+                        settle();
+                        break;
+                    }
+                    // A peer that opens but never answers the
+                    // handshake is *hung*, not misconfigured:
+                    // abandon it and let the survivors drain the
+                    // queue, even on the very first attempt.
+                    Err(ConnectFailure::Dead(e)) if ever_connected || is_timeout(&e) => {
+                        abandon(item, retries, format!("{label} is gone ({e})"));
+                        break;
+                    }
+                    Err(ConnectFailure::Dead(e)) => {
+                        fail(format!("cannot {} {label}: {e}", endpoint.open_verb()));
+                        settle();
+                        break;
+                    }
+                }
+            }
+            let active = channel.as_mut().expect("channel just ensured");
+            observer.part_event(PartEvent::for_item(&item, PartState::Started));
+            match active.round_trip(&item) {
+                Ok(result) => {
+                    if let Some(error) = &result.error {
+                        fail_item(
+                            &item,
+                            format!(
+                                "{label} failed on {}#{}: {error}",
+                                item.scenario_id, item.part
+                            ),
+                        );
+                        settle();
+                        break;
+                    }
+                    if result.scenario_id != item.scenario_id
+                        || result.part != item.part
+                        || result.fingerprint != item.fingerprint
+                    {
+                        fail(format!(
+                            "{label} answered {}#{} with a result for {}#{} (protocol error)",
+                            item.scenario_id, item.part, result.scenario_id, result.part
+                        ));
+                        settle();
+                        break;
+                    }
+                    active.completed += 1;
+                    let first_landing = merged
+                        .lock()
+                        .expect("merged lock")
+                        .insert(result.fingerprint.clone());
+                    if first_landing {
+                        observer.part_event(PartEvent::for_result(&result));
+                        results.lock().expect("results lock").push(result);
+                    } else {
+                        eprintln!(
+                            "warning: dropped a duplicate result for {}#{} from {label} (fingerprint already merged)",
+                            item.scenario_id, item.part
+                        );
+                    }
+                    settle();
+                }
+                Err(e) if is_timeout(&e) => {
+                    // Per-item deadline: the worker is hung (open,
+                    // silent). Abandon the slot — a late reply on
+                    // this channel would desync the framing anyway
+                    // — and re-queue the item on the survivors. No
+                    // retry charge: the worker is at fault, not
+                    // the item.
+                    drop(channel.take());
+                    let loss = format!(
+                        "{label} hit the per-item deadline on {}#{} ({e})",
+                        item.scenario_id, item.part
+                    );
+                    abandon(item, retries, loss);
+                    break;
+                }
+                Err(e) => {
+                    // The channel is gone or confused: drop it,
+                    // re-queue the in-flight item and reopen
+                    // lazily on the next iteration. Only deaths of
+                    // *fresh* channels (no completed items) are
+                    // charged to the item — a toxic item kills
+                    // every fresh worker it meets, while a worker
+                    // wearing out after completed work says
+                    // nothing about the item it happened to hold.
+                    let fresh_death = channel
+                        .take()
+                        .map(|dead| dead.completed == 0)
+                        .unwrap_or(true);
+                    let retries = if fresh_death { retries + 1 } else { retries };
+                    if retries > DEFAULT_MAX_ITEM_RETRIES {
+                        fail_item(
+                            &item,
+                            format!(
+                                "{}#{} killed {retries} fresh worker channel(s) ({e}); giving up",
+                                item.scenario_id, item.part
+                            ),
+                        );
+                        settle();
+                        break;
+                    }
+                    let pause = retry_backoff_millis(&item.fingerprint, retries);
+                    eprintln!(
+                        "warning: {label} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{DEFAULT_MAX_ITEM_RETRIES} charged retries)",
+                        item.scenario_id, item.part
+                    );
+                    // detlint: allow(D002) reason="bounded retry backoff; the pause is deterministic (fingerprint-derived) and its duration never feeds back into any output"
+                    std::thread::sleep(Duration::from_millis(pause));
+                    requeue(item, retries);
+                }
+            }
         }
+    };
+    std::thread::scope(|scope| {
+        let slot = &slot;
+        let mut slots = endpoints.iter().take(total);
+        let first = slots.next().expect("items and endpoints are non-empty");
+        for endpoint in slots {
+            scope.spawn(move || slot(endpoint));
+        }
+        // The calling thread runs one slot itself, so a one-slot job
+        // starts no dispatcher thread.
+        slot(first);
     });
     if let Some(error) = fatal.into_inner().expect("fatal lock") {
         return Err(error);

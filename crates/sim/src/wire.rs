@@ -83,12 +83,8 @@ pub enum WorkerFrame {
 /// # Errors
 /// Returns the underlying I/O error when the write or flush fails.
 pub fn write_frame<W: Write + ?Sized, T: Serialize>(output: &mut W, frame: &T) -> io::Result<()> {
-    // One write per frame, so a reader wakes once per line. The writer
-    // appends to one buffer that grows by doubling, so the terminator
-    // lands in spare capacity and costs no second copy of a large frame
-    // (a `Done` summary) unless that buffer is exactly full.
-    let mut line = String::new();
-    frame.to_value().write_compact(&mut line);
+    // One write per frame, so a reader wakes once per line.
+    let mut line = serde_json::to_string(frame).expect("protocol frames serialize");
     line.push('\n');
     output.write_all(line.as_bytes())?;
     output.flush()
