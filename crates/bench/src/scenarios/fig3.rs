@@ -55,7 +55,7 @@ impl Scenario for RepairTrace {
             for (i, &a) in neighbors.iter().enumerate() {
                 for &b in neighbors.iter().skip(i + 1) {
                     if overlay.graph().has_edge(a, b) {
-                        new_edges.push(format!("({}, {})", a.0, b.0));
+                        new_edges.push(format!("({}, {})", a.index(), b.index()));
                     }
                 }
             }
@@ -63,7 +63,7 @@ impl Scenario for RepairTrace {
                 "step {}: delete node {:>2} -> repair links among {:?}: {} | nodes={} edges={} (was {}) components={}",
                 step + 2,
                 victim,
-                neighbors.iter().map(|n| n.0).collect::<Vec<_>>(),
+                neighbors.iter().map(|n| n.index()).collect::<Vec<_>>(),
                 if new_edges.is_empty() {
                     "none needed".to_string()
                 } else {

@@ -50,7 +50,7 @@ impl Scenario for SuperOnionRecovery {
                 "host {h}: virtual nodes {:?}, probe reachable {}/{}, gossip messages {}",
                 so.virtual_nodes(host)
                     .iter()
-                    .map(|v| v.0)
+                    .map(|v| v.index())
                     .collect::<Vec<_>>(),
                 probe.reachable.len(),
                 config.virtual_per_host,

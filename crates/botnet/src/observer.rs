@@ -9,8 +9,6 @@
 //! use, so tests and examples can check that those statistics carry no
 //! signal about the underlying commands.
 
-use serde::Serialize;
-
 /// One observed wire object (a uniform cell between two unknown endpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObservedCell {
@@ -27,7 +25,7 @@ pub struct WireObserver {
 }
 
 /// Summary statistics available to the observer.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservationSummary {
     /// Total cells observed.
     pub total_cells: usize,

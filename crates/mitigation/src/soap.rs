@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn missing_target_is_trivially_contained() {
         let (ov, _, _) = overlay(10, 4, 5);
-        let attack = SoapAttack::new(SoapConfig::default(), NodeId(99_999));
-        assert!(attack.is_contained(&ov, NodeId(99_999)));
+        let attack = SoapAttack::new(SoapConfig::default(), NodeId::new(99_999));
+        assert!(attack.is_contained(&ov, NodeId::new(99_999)));
     }
 }

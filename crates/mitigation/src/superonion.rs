@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn soaping_missing_node_is_rejected() {
         let (mut so, _) = figure8(5);
-        assert!(!so.soap_virtual_node(NodeId(10_000)));
+        assert!(!so.soap_virtual_node(NodeId::new(10_000)));
     }
 
     #[test]

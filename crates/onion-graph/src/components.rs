@@ -50,21 +50,21 @@ pub(crate) fn scan_components<A: Adjacency + ?Sized>(
     let mut queue = Vec::new();
     let mut count = 0usize;
     let mut largest = 0..0;
-    for seed in (0..adj.id_bound()).map(NodeId) {
-        if visited[seed.0] || !adj.contains(seed) {
+    for seed in (0..adj.id_bound()).map(NodeId::new) {
+        if visited[seed.index()] || !adj.contains(seed) {
             continue;
         }
         count += 1;
         let start = queue.len();
-        visited[seed.0] = true;
+        visited[seed.index()] = true;
         queue.push(seed);
         let mut head = start;
         while head < queue.len() {
             let u = queue[head];
             head += 1;
             for &v in adj.neighbors_of(u) {
-                if !visited[v.0] {
-                    visited[v.0] = true;
+                if !visited[v.index()] {
+                    visited[v.index()] = true;
                     queue.push(v);
                 }
             }
@@ -110,15 +110,15 @@ fn count_components<A: Adjacency + Sync + ?Sized>(adj: &A) -> (usize, usize) {
         |_, mut forest| {
             let end = forest.base + forest.parent.len();
             let mut leaving = Vec::new();
-            for u in forest.base..end {
-                for &v in adj.neighbors_of(NodeId(u)) {
-                    if v.0 <= u {
+            for u in (forest.base..end).map(NodeId::new) {
+                for &v in adj.neighbors_of(u) {
+                    if v <= u {
                         continue;
                     }
-                    if v.0 < end {
-                        forest.union(u, v.0);
+                    if v.index() < end {
+                        forest.union(u.index(), v.index());
                     } else {
-                        leaving.push((u, v.0));
+                        leaving.push((u, v));
                     }
                 }
             }
@@ -130,11 +130,11 @@ fn count_components<A: Adjacency + Sync + ?Sized>(adj: &A) -> (usize, usize) {
         parent: &mut parent,
     };
     for (u, v) in leaving.into_iter().flatten() {
-        forest.union(u, v);
+        forest.union(u.index(), v.index());
     }
     let (mut count, mut largest) = (0usize, 0usize);
     for (i, &p) in parent.iter().enumerate() {
-        if p < 0 && adj.contains(NodeId(i)) {
+        if p < 0 && adj.contains(NodeId::new(i)) {
             count += 1;
             largest = largest.max(p.unsigned_abs() as usize);
         }
@@ -225,19 +225,22 @@ pub fn largest_component_fraction(graph: &Graph) -> f64 {
 pub(crate) fn connected_components<A: Adjacency + ?Sized>(adj: &A) -> Vec<Vec<NodeId>> {
     let mut visited = vec![false; adj.id_bound()];
     let mut components = Vec::new();
-    for node in (0..adj.id_bound()).map(NodeId).filter(|&n| adj.contains(n)) {
-        if visited[node.0] {
+    for node in (0..adj.id_bound())
+        .map(NodeId::new)
+        .filter(|&n| adj.contains(n))
+    {
+        if visited[node.index()] {
             continue;
         }
-        visited[node.0] = true;
+        visited[node.index()] = true;
         let mut component = vec![node];
         let mut head = 0usize;
         while head < component.len() {
             let u = component[head];
             head += 1;
             for &v in adj.neighbors_of(u) {
-                if !visited[v.0] {
-                    visited[v.0] = true;
+                if !visited[v.index()] {
+                    visited[v.index()] = true;
                     component.push(v);
                 }
             }

@@ -73,7 +73,7 @@ impl CsrSnapshot {
         let mut live = vec![false; bound];
         offsets.push(0);
         for (i, alive) in live.iter_mut().enumerate() {
-            if let Some(neighbors) = graph.neighbors(NodeId(i)) {
+            if let Some(neighbors) = graph.neighbors(NodeId::new(i)) {
                 *alive = true;
                 targets.extend_from_slice(neighbors);
             }
@@ -105,18 +105,18 @@ impl CsrSnapshot {
 
     /// Whether `node` was live at snapshot time.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.live.get(node.0).copied().unwrap_or(false)
+        self.live.get(node.index()).copied().unwrap_or(false)
     }
 
     /// The neighbors of `node` as the same sorted slice the slab held;
     /// empty for tombstoned, isolated or out-of-range nodes (use
     /// [`contains`](CsrSnapshot::contains) to tell the first two apart).
     pub fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        if node.0 >= self.live.len() {
+        if node.index() >= self.live.len() {
             return &[];
         }
-        let start = self.offsets[node.0] as usize;
-        let end = self.offsets[node.0 + 1] as usize;
+        let start = self.offsets[node.index()] as usize;
+        let end = self.offsets[node.index() + 1] as usize;
         &self.targets[start..end]
     }
 
@@ -130,7 +130,7 @@ impl CsrSnapshot {
         self.live
             .iter()
             .enumerate()
-            .filter_map(|(i, &alive)| alive.then_some(NodeId(i)))
+            .filter_map(|(i, &alive)| alive.then_some(NodeId::new(i)))
             .collect()
     }
 }
@@ -146,8 +146,8 @@ mod tests {
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
         assert!(csr.live_nodes().is_empty());
-        assert!(!csr.contains(NodeId(0)));
-        assert_eq!(csr.neighbors(NodeId(0)), &[]);
+        assert!(!csr.contains(NodeId::new(0)));
+        assert_eq!(csr.neighbors(NodeId::new(0)), &[]);
     }
 
     #[test]
@@ -187,7 +187,7 @@ mod tests {
     fn out_of_range_ids_are_dead_not_panics() {
         let (g, _) = Graph::with_nodes(2);
         let csr = CsrSnapshot::build(&g);
-        let ghost = NodeId(10_000);
+        let ghost = NodeId::new(10_000);
         assert!(!csr.contains(ghost));
         assert_eq!(csr.neighbors(ghost), &[]);
         assert_eq!(csr.degree(ghost), 0);

@@ -72,12 +72,12 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> (Grap
         .map(|v| {
             let row = &mut rows[v * k..(v + 1) * k];
             row.sort_unstable();
-            row.iter().map(|&u| NodeId(u as usize)).collect()
+            row.iter().map(|&u| NodeId::new(u as usize)).collect()
         })
         .collect();
     (
         Graph::from_sorted_lists(lists),
-        (0..n).map(NodeId).collect(),
+        (0..n).map(NodeId::new).collect(),
     )
 }
 
@@ -160,7 +160,7 @@ mod tests {
             let (graph, ids) = random_regular(n, k, &mut fast_rng);
             let oracle = random_regular_oracle(n, k, &mut oracle_rng);
             graph.check_invariants().unwrap();
-            prop_assert_eq!(ids, (0..n).map(NodeId).collect::<Vec<_>>());
+            prop_assert_eq!(ids, (0..n).map(NodeId::new).collect::<Vec<_>>());
             prop_assert_eq!(graph.node_count(), oracle.node_count());
             prop_assert_eq!(&graph, &oracle, "n={} k={}", n, k);
             prop_assert_eq!(fast_rng.next_u64(), oracle_rng.next_u64(), "n={} k={}", n, k);

@@ -1,12 +1,12 @@
 //! Undirected graph data structure used by the overlay simulations.
 //!
 //! Nodes are identified by [`NodeId`]s handed out by the graph. The
-//! representation is an **index-addressed slab**: `NodeId(i)` is a direct
-//! index into a `Vec` of node slots, and each live slot holds its neighbor
-//! list as a **sorted `Vec<NodeId>`**. Deletions (the whole evaluation of
-//! the paper is about node takedowns) tombstone the slot; identifiers are
-//! never reused, so a `NodeId` remains a valid "name" for a deleted node
-//! (useful when replaying takedown traces).
+//! representation is an **index-addressed slab**: the id of slot `i` is a
+//! direct index into a `Vec` of node slots, and each live slot holds its
+//! neighbor list as a **sorted `Vec<NodeId>`** of 32-bit ids. Deletions
+//! (the whole evaluation of the paper is about node takedowns) tombstone
+//! the slot; identifiers are never reused, so a `NodeId` remains a valid
+//! "name" for a deleted node (useful when replaying takedown traces).
 //!
 //! Compared to the previous `HashMap<NodeId, BTreeSet<NodeId>>` adjacency,
 //! every lookup is an array index, neighbor iteration is a cache-friendly
@@ -31,16 +31,43 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::budget::map_in_order;
 
-/// Identifier of a node inside a [`Graph`]: a direct index into the slab.
+/// Identifier of a node inside a [`Graph`]: a direct index into the slab,
+/// stored in 32 bits.
 ///
 /// Identifiers are never reused within one graph, so a `NodeId` remains a
 /// valid "name" for a deleted node (useful when replaying takedown traces).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct NodeId(pub usize);
+///
+/// An id is a `u32`, so every neighbor list, wave arena, BFS queue and CSR
+/// row holds four bytes per entry, not eight. Ids are made from slab
+/// positions by the one checked constructor [`NodeId::new`], which panics
+/// past `u32::MAX`; [`Graph::add_node`], [`Graph::with_nodes`],
+/// [`Graph::assemble`] and the generators' list builders all go through
+/// it, so a graph too large for 32-bit ids fails where its ids are made.
+/// [`NodeId::index`] turns an id back into the slab position.
+///
+/// A random draw that picks an id keeps drawing a `usize` from the same
+/// range and converts afterwards (`NodeId::new(rng.gen_range(0..n))`): the
+/// draw's integer type is part of a seeded stream's contract, so the
+/// narrower id changes no stream and no output byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(u32);
+
+impl NodeId {
+    /// The id of slab position `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` exceeds `u32::MAX`.
+    pub fn new(index: usize) -> NodeId {
+        NodeId(u32::try_from(index).expect("node ids must fit in u32"))
+    }
+
+    /// The slab position this id names.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 impl std::fmt::Display for NodeId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -52,7 +79,7 @@ impl std::fmt::Display for NodeId {
 /// an index-addressed slab.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Graph {
-    /// Node slots indexed by `NodeId.0`; `None` marks a deleted node.
+    /// Node slots indexed by [`NodeId::index`]; `None` marks a deleted node.
     /// Live slots hold the neighbor list sorted ascending.
     slots: Vec<Option<Vec<NodeId>>>,
     live_count: usize,
@@ -75,7 +102,7 @@ impl Graph {
 
     /// Adds a new isolated node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.slots.len());
+        let id = NodeId::new(self.slots.len());
         self.slots.push(Some(Vec::new()));
         self.live_count += 1;
         id
@@ -83,7 +110,7 @@ impl Graph {
 
     /// Returns `true` if `node` is present (i.e. not deleted).
     pub fn contains(&self, node: NodeId) -> bool {
-        self.slots.get(node.0).is_some_and(Option::is_some)
+        self.slots.get(node.index()).is_some_and(Option::is_some)
     }
 
     /// Number of live nodes.
@@ -99,7 +126,7 @@ impl Graph {
     /// One past the largest id ever allocated. Every live (or deleted)
     /// `NodeId` in this graph is strictly below this bound, so flat
     /// per-node arrays for traversals (`vec![u32::MAX; g.id_bound()]`) can
-    /// be indexed by `NodeId.0` without bounds surprises.
+    /// be indexed by [`NodeId::index`] without bounds surprises.
     pub fn id_bound(&self) -> usize {
         self.slots.len()
     }
@@ -109,7 +136,7 @@ impl Graph {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(|(i, slot)| slot.as_ref().map(|_| NodeId(i)))
+            .filter_map(|(i, slot)| slot.as_ref().map(|_| NodeId::new(i)))
             .collect()
     }
 
@@ -120,12 +147,12 @@ impl Graph {
         if a == b || !self.contains(a) || !self.contains(b) {
             return false;
         }
-        let list_a = self.slots[a.0].as_mut().expect("checked present");
+        let list_a = self.slots[a.index()].as_mut().expect("checked present");
         let Err(pos_a) = list_a.binary_search(&b) else {
             return false;
         };
         list_a.insert(pos_a, b);
-        let list_b = self.slots[b.0].as_mut().expect("checked present");
+        let list_b = self.slots[b.index()].as_mut().expect("checked present");
         let pos_b = list_b
             .binary_search(&a)
             .expect_err("edge must be symmetric");
@@ -136,14 +163,14 @@ impl Graph {
 
     /// Removes an undirected edge. Returns `true` if it existed.
     pub fn remove_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        let Some(Some(list_a)) = self.slots.get_mut(a.0) else {
+        let Some(Some(list_a)) = self.slots.get_mut(a.index()) else {
             return false;
         };
         let Ok(pos_a) = list_a.binary_search(&b) else {
             return false;
         };
         list_a.remove(pos_a);
-        if let Some(Some(list_b)) = self.slots.get_mut(b.0) {
+        if let Some(Some(list_b)) = self.slots.get_mut(b.index()) {
             if let Ok(pos_b) = list_b.binary_search(&a) {
                 list_b.remove(pos_b);
             }
@@ -161,7 +188,7 @@ impl Graph {
     /// The neighbors of `node` as a sorted slice, or `None` if the node is
     /// absent.
     pub fn neighbors(&self, node: NodeId) -> Option<&[NodeId]> {
-        self.slots.get(node.0)?.as_deref()
+        self.slots.get(node.index())?.as_deref()
     }
 
     /// The degree of `node`, or `None` if the node is absent.
@@ -174,11 +201,11 @@ impl Graph {
     ///
     /// Returns `None` if the node was not present.
     pub fn remove_node(&mut self, node: NodeId) -> Option<Vec<NodeId>> {
-        let neighbors = self.slots.get_mut(node.0)?.take()?;
+        let neighbors = self.slots.get_mut(node.index())?.take()?;
         self.live_count -= 1;
         self.edge_count -= neighbors.len();
         for &n in &neighbors {
-            if let Some(Some(other)) = self.slots.get_mut(n.0) {
+            if let Some(Some(other)) = self.slots.get_mut(n.index()) {
                 if let Ok(pos) = other.binary_search(&node) {
                     other.remove(pos);
                 }
@@ -293,7 +320,7 @@ impl Graph {
         );
         let mut pruned: usize = marked.iter().sum();
         for (a, b) in far_halves.into_iter().flatten() {
-            if let Some(Some(list)) = self.slots.get_mut(a.0) {
+            if let Some(Some(list)) = self.slots.get_mut(a.index()) {
                 if let Ok(pos) = list.binary_search(&b) {
                     list.remove(pos);
                     pruned += 1;
@@ -324,7 +351,7 @@ impl Graph {
         &mut self,
         victims: &[NodeId],
         bounds: &[usize],
-    ) -> (Takedown, Vec<Vec<(NodeId, usize)>>) {
+    ) -> (Takedown, Vec<Vec<(NodeId, u32)>>) {
         assert!(
             bounds.len() >= 2 && bounds.windows(2).all(|w| w[0] <= w[1]),
             "range bounds must be ascending with at least two entries"
@@ -333,18 +360,19 @@ impl Graph {
         let mut is_victim = vec![false; self.slots.len()];
         let mut taken: Vec<Vec<NodeId>> = Vec::new();
         for &v in victims {
-            if let Some(list) = self.slots.get_mut(v.0).and_then(Option::take) {
-                is_victim[v.0] = true;
+            if let Some(list) = self.slots.get_mut(v.index()).and_then(Option::take) {
+                is_victim[v.index()] = true;
                 taken.push(list);
             }
         }
         self.live_count -= taken.len();
-        let mut buckets: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); bounds.len() - 1];
+        let mut buckets: Vec<Vec<(NodeId, u32)>> = vec![Vec::new(); bounds.len() - 1];
         let mut dropped = 0usize;
-        for (i, list) in taken.iter().enumerate() {
+        // Each victim is a distinct id, so its index in `taken` fits an id.
+        for (i, list) in (0u32..).zip(&taken) {
             dropped += list.len();
-            for &w in list.iter().filter(|w| !is_victim[w.0]) {
-                buckets[cuts.partition_point(|&c| c <= w.0)].push((w, i));
+            for &w in list.iter().filter(|w| !is_victim[w.index()]) {
+                buckets[cuts.partition_point(|&c| c <= w.index())].push((w, i));
                 dropped += 1;
             }
         }
@@ -360,7 +388,14 @@ impl Graph {
     /// Every list must already be sorted ascending, deduplicated and
     /// symmetric with the others; the lists become the slots as they are,
     /// so their capacity is kept.
+    ///
+    /// # Panics
+    /// Panics if the last node's position passes `u32::MAX` (see
+    /// [`NodeId::new`]).
     pub(crate) fn from_sorted_lists(lists: Vec<Vec<NodeId>>) -> Graph {
+        if let Some(last) = lists.len().checked_sub(1) {
+            NodeId::new(last);
+        }
         let half_edges: usize = lists.iter().map(Vec::len).sum();
         let graph = Graph {
             live_count: lists.len(),
@@ -372,23 +407,33 @@ impl Graph {
     }
 
     /// Concatenates per-range graphs into one slab: part `p`'s node `i`
-    /// becomes `NodeId(offset_p + i)` where `offset_p` is the sum of the
+    /// gets the id `offset_p + i`, where `offset_p` is the sum of the
     /// preceding parts' [`id_bound`](Self::id_bound)s, and every neighbor
     /// id is shifted accordingly. Tombstones and edge counts carry over.
     /// This is the deterministic ascending merge of a sharded
     /// construction: each part is built independently, then spliced in
     /// part order.
+    ///
+    /// # Panics
+    /// Panics if a shifted id would pass `u32::MAX` (see [`NodeId::new`]).
     pub fn assemble(parts: impl IntoIterator<Item = Graph>) -> Graph {
         let mut assembled = Graph::new();
         for part in parts {
             let offset = assembled.slots.len();
+            // The part's last slot, shifted, is its largest id; once that
+            // one fits, every shift below does.
+            let Some(last) = part.slots.len().checked_sub(1) else {
+                continue;
+            };
+            NodeId::new(offset + last);
+            let shift = NodeId::new(offset).0;
             assembled.live_count += part.live_count;
             assembled.edge_count += part.edge_count;
             assembled.slots.reserve(part.slots.len());
             for slot in part.slots {
                 assembled.slots.push(slot.map(|mut list| {
                     for id in &mut list {
-                        id.0 += offset;
+                        id.0 += shift;
                     }
                     list
                 }));
@@ -422,7 +467,7 @@ impl Graph {
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.edge_count);
         for (i, slot) in self.slots.iter().enumerate() {
-            let a = NodeId(i);
+            let a = NodeId::new(i);
             if let Some(neighbors) = slot {
                 for &b in neighbors {
                     if a < b {
@@ -441,7 +486,7 @@ impl Graph {
         let mut counted = 0usize;
         let mut live = 0usize;
         for (i, slot) in self.slots.iter().enumerate() {
-            let a = NodeId(i);
+            let a = NodeId::new(i);
             let Some(neighbors) = slot else { continue };
             live += 1;
             for pair in neighbors.windows(2) {
@@ -526,7 +571,7 @@ impl FrozenWave<'_> {
             Some((arena, entries)) => &arena.lists[entries],
             None => self
                 .slots
-                .get(node.0)
+                .get(node.index())
                 .and_then(Option::as_deref)
                 .unwrap_or(&[]),
         }
@@ -535,14 +580,14 @@ impl FrozenWave<'_> {
     /// The frozen degree of `node` (`0` for a dead or absent node).
     pub fn degree(&self, node: NodeId) -> usize {
         self.index
-            .get(node.0)
+            .get(node.index())
             .map_or(0, |slot| slot.degree as usize)
     }
 
     /// The arena holding `node`'s frozen list and the list's entries
     /// there, or `None` if the wave did not affect `node`.
     fn locate(&self, node: NodeId) -> Option<(&WaveArena, Range<usize>)> {
-        let slot = *self.index.get(node.0)?;
+        let slot = *self.index.get(node.index())?;
         if slot.range == IN_SLAB {
             return None;
         }
@@ -596,7 +641,7 @@ impl WaveArena {
         range: usize,
         start: usize,
         index: &mut [FrozenSlot],
-        mut bucket: Vec<(NodeId, usize)>,
+        mut bucket: Vec<(NodeId, u32)>,
         buf: &mut Vec<NodeId>,
     ) -> WaveArena {
         let Takedown {
@@ -606,19 +651,20 @@ impl WaveArena {
         let mut arena = WaveArena::default();
         for group in bucket.chunk_by(|a, b| a.0 == b.0) {
             let u = group[0].0;
-            let old = slots[u.0]
+            let old = slots[u.index()]
                 .as_deref()
                 .expect("a victim's neighbor outside the wave is live");
             buf.clear();
-            buf.extend(old.iter().filter(|w| !is_victim[w.0]));
+            buf.extend(old.iter().filter(|w| !is_victim[w.index()]));
             let kept = buf.len();
             for &(_, v) in group {
-                buf.extend(taken[v].iter().filter(|&&w| w != u && !is_victim[w.0]));
+                let former = &taken[v as usize];
+                buf.extend(former.iter().filter(|&&w| w != u && !is_victim[w.index()]));
             }
             buf.sort_unstable();
             buf.dedup();
             arena.added += buf.len() - kept;
-            index[u.0 - start] = FrozenSlot {
+            index[u.index() - start] = FrozenSlot {
                 range: range as u32,
                 offset: u32::try_from(arena.lists.len()).expect("arena offsets fit u32"),
                 degree: buf.len() as u32,
@@ -636,11 +682,11 @@ impl WaveArena {
     fn write(self, start: usize, view: &mut [Option<Vec<NodeId>>], index: &[FrozenSlot]) -> usize {
         let mut marked = 0usize;
         for &u in &self.survivors {
-            let list = view[u.0 - start]
+            let list = view[u.index() - start]
                 .as_mut()
                 .expect("an affected survivor is live");
             list.clear();
-            let entries = index[u.0].entries();
+            let entries = index[u.index()].entries();
             for (&w, mark) in self.lists[entries.clone()].iter().zip(&self.marks[entries]) {
                 if mark.load(Ordering::Relaxed) {
                     marked += 1;
@@ -709,6 +755,20 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn node_id_index_round_trips() {
+        for index in [0usize, 1, 4_096, 1_000_000, u32::MAX as usize] {
+            assert_eq!(NodeId::new(index).index(), index);
+        }
+        assert!(NodeId::new(3) < NodeId::new(10), "ids order as indices");
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids must fit in u32")]
+    fn node_id_past_u32_panics() {
+        NodeId::new(u32::MAX as usize + 1);
+    }
 
     #[test]
     fn add_and_query_nodes() {

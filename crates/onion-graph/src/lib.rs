@@ -93,7 +93,7 @@ mod property_tests {
                 .filter(|list| adjacent && !list.is_empty());
             victims.push(match near {
                 Some(list) => list[pick % list.len()],
-                None => NodeId(pick % (base.id_bound() + 8)),
+                None => NodeId::new(pick % (base.id_bound() + 8)),
             });
         }
         let mut bounds = cuts.to_vec();
@@ -135,7 +135,7 @@ mod property_tests {
         survivors.dedup();
         let mut by_range = vec![Vec::new(); bounds.len() - 1];
         for u in survivors {
-            by_range[bounds[1..bounds.len() - 1].partition_point(|&c| c <= u.0)].push(u);
+            by_range[bounds[1..bounds.len() - 1].partition_point(|&c| c <= u.index())].push(u);
         }
         (oracle, neighborhoods.len(), added, by_range)
     }
@@ -236,7 +236,7 @@ mod property_tests {
             prop_assert_eq!(csr.edge_count(), g.edge_count());
             prop_assert_eq!(csr.live_nodes(), g.nodes());
             for i in 0..g.id_bound() {
-                let node = crate::graph::NodeId(i);
+                let node = crate::graph::NodeId::new(i);
                 prop_assert_eq!(csr.contains(node), g.contains(node));
                 match g.neighbors(node) {
                     Some(neighbors) => prop_assert_eq!(csr.neighbors(node), neighbors),
@@ -254,7 +254,7 @@ mod property_tests {
             // Sweep every id ever allocated: live sources and tombstoned
             // sources must both behave identically at any thread count.
             let sources: Vec<crate::graph::NodeId> =
-                (0..g.id_bound()).map(crate::graph::NodeId).collect();
+                (0..g.id_bound()).map(crate::graph::NodeId::new).collect();
             let csr = CsrSnapshot::build(&g);
             let reference: Vec<BfsStats> = sources
                 .iter()
@@ -323,7 +323,7 @@ mod property_tests {
                 neighbors
                     .iter()
                     .copied()
-                    .filter(|&v| (u.0 * 7 + v.0 * 3 + degree(v) + salt).is_multiple_of(every))
+                    .filter(|&v| (u.index() * 7 + v.index() * 3 + degree(v) + salt).is_multiple_of(every))
                     .collect::<Vec<_>>()
             };
             let (mut oracle, removed, added, by_range) = clique_oracle(&base, &victims, &bounds);

@@ -135,7 +135,7 @@ impl BfsScratch {
         // Lazy reset: un-mark what the previous run touched, then grow the
         // distance array if the graph gained ids since.
         for &n in &self.queue {
-            self.dist[n.0] = UNREACHED;
+            self.dist[n.index()] = UNREACHED;
         }
         self.queue.clear();
         if self.dist.len() < adj.id_bound() {
@@ -144,24 +144,27 @@ impl BfsScratch {
         if !adj.contains(source) {
             return BfsStats::default();
         }
-        self.dist[source.0] = 0;
+        self.dist[source.index()] = 0;
         self.queue.push(source);
         let mut head = 0usize;
         let mut total = 0u64;
         while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            let d = self.dist[u.0] + 1;
+            let d = self.dist[u.index()] + 1;
             for &v in adj.neighbors_of(u) {
-                if self.dist[v.0] == UNREACHED {
-                    self.dist[v.0] = d;
+                if self.dist[v.index()] == UNREACHED {
+                    self.dist[v.index()] = d;
                     total += u64::from(d);
                     self.queue.push(v);
                 }
             }
         }
         BfsStats {
-            eccentricity: self.queue.last().map_or(0, |&n| self.dist[n.0] as usize),
+            eccentricity: self
+                .queue
+                .last()
+                .map_or(0, |&n| self.dist[n.index()] as usize),
             total_distance: total,
             reached: self.queue.len(),
         }
@@ -169,7 +172,7 @@ impl BfsScratch {
 
     /// The distance from the last run's source to `node`, if reached.
     pub fn get(&self, node: NodeId) -> Option<usize> {
-        match self.dist.get(node.0).copied() {
+        match self.dist.get(node.index()).copied() {
             None | Some(UNREACHED) => None,
             Some(d) => Some(d as usize),
         }
@@ -368,7 +371,7 @@ pub(crate) mod oracle {
     impl DistanceMap {
         /// The distance from the source to `node`, if it was reached.
         pub fn get(&self, node: NodeId) -> Option<usize> {
-            match self.dist.get(node.0).copied() {
+            match self.dist.get(node.index()).copied() {
                 None | Some(UNREACHED) => None,
                 Some(d) => Some(d as usize),
             }
@@ -399,12 +402,15 @@ pub(crate) mod oracle {
         pub fn iter(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
             self.reached
                 .iter()
-                .map(move |&n| (n, self.dist[n.0] as usize))
+                .map(move |&n| (n, self.dist[n.index()] as usize))
         }
 
         /// Sum of distances over all reached nodes (the source contributes 0).
         pub fn total(&self) -> usize {
-            self.reached.iter().map(|&n| self.dist[n.0] as usize).sum()
+            self.reached
+                .iter()
+                .map(|&n| self.dist[n.index()] as usize)
+                .sum()
         }
 
         /// Greatest distance to any reached node — the source's eccentricity
@@ -412,7 +418,7 @@ pub(crate) mod oracle {
         pub fn max(&self) -> Option<usize> {
             // The queue is filled in non-decreasing distance order, so the last
             // reached node carries the maximum distance.
-            self.reached.last().map(|&n| self.dist[n.0] as usize)
+            self.reached.last().map(|&n| self.dist[n.index()] as usize)
         }
     }
 
@@ -426,17 +432,17 @@ pub(crate) mod oracle {
         if !graph.contains(source) {
             return map;
         }
-        map.dist[source.0] = 0;
+        map.dist[source.index()] = 0;
         map.reached.push(source);
         let mut head = 0usize;
         while head < map.reached.len() {
             let u = map.reached[head];
             head += 1;
-            let d = map.dist[u.0] + 1;
+            let d = map.dist[u.index()] + 1;
             if let Some(neighbors) = graph.neighbors(u) {
                 for &v in neighbors {
-                    if map.dist[v.0] == UNREACHED {
-                        map.dist[v.0] = d;
+                    if map.dist[v.index()] == UNREACHED {
+                        map.dist[v.index()] = d;
                         map.reached.push(v);
                     }
                 }
@@ -506,8 +512,8 @@ mod tests {
     fn distance_map_ignores_out_of_range_ids() {
         let (g, ids) = path_graph(2);
         let dist = bfs_distances(&g, ids[0]);
-        assert_eq!(dist.get(NodeId(999)), None);
-        assert!(!dist.contains(NodeId(999)));
+        assert_eq!(dist.get(NodeId::new(999)), None);
+        assert!(!dist.contains(NodeId::new(999)));
     }
 
     #[test]

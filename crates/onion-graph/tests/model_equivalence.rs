@@ -25,7 +25,7 @@ struct ModelGraph {
 
 impl ModelGraph {
     fn add_node(&mut self) -> NodeId {
-        let id = NodeId(self.next_id);
+        let id = NodeId::new(self.next_id);
         self.next_id += 1;
         self.adjacency.insert(id, BTreeSet::new());
         id
@@ -134,7 +134,7 @@ fn replay_trace(seed: u64, steps: usize) {
         let pick = |rng: &mut StdRng, known: &[NodeId]| {
             // Occasionally aim past the allocated range.
             if rng.gen_bool(0.05) {
-                NodeId(rng.gen_range(0..known.len() + 8))
+                NodeId::new(rng.gen_range(0..known.len() + 8))
             } else {
                 known[rng.gen_range(0..known.len())]
             }

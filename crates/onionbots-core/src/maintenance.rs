@@ -146,7 +146,7 @@ mod tests {
         degrees
             .iter()
             .enumerate()
-            .map(|(i, &d)| (NodeId(i), d))
+            .map(|(i, &d)| (NodeId::new(i), d))
             .collect()
     }
 
@@ -177,7 +177,7 @@ mod tests {
     fn at_capacity_low_degree_requester_displaces_highest_peer() {
         let mut rng = StdRng::seed_from_u64(2);
         let decision = decide_peering(&mut peers(&[4, 9, 6]), 2, 3, &mut rng);
-        assert_eq!(decision, PeeringDecision::Replace(NodeId(1)));
+        assert_eq!(decision, PeeringDecision::Replace(NodeId::new(1)));
     }
 
     #[test]
@@ -195,7 +195,7 @@ mod tests {
         for _ in 0..20 {
             match decide_peering(&mut peers(&[7, 3, 7]), 1, 3, &mut rng) {
                 PeeringDecision::Replace(victim) => {
-                    assert!(victim == NodeId(0) || victim == NodeId(2));
+                    assert!(victim == NodeId::new(0) || victim == NodeId::new(2));
                 }
                 other => panic!("expected replacement, got {other:?}"),
             }
@@ -211,11 +211,11 @@ mod tests {
             victim
         };
         assert_eq!(first_victim(&[]), None);
-        assert_eq!(first_victim(&[3, 9, 5]), Some(NodeId(1)));
+        assert_eq!(first_victim(&[3, 9, 5]), Some(NodeId::new(1)));
         let mut seen = [false; 3];
         for _ in 0..40 {
             match first_victim(&[7, 7, 7]) {
-                Some(NodeId(i)) => seen[i] = true,
+                Some(v) => seen[v.index()] = true,
                 None => panic!("non-empty list must yield a victim"),
             }
         }
@@ -299,7 +299,7 @@ mod tests {
                 let peers: Vec<(NodeId, usize)> = ids
                     .iter()
                     .zip(&degrees)
-                    .map(|(&id, &d)| (NodeId(id), d))
+                    .map(|(&id, &d)| (NodeId::new(id), d))
                     .collect();
                 let drops = peers.len().saturating_sub(d_max);
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
@@ -329,7 +329,7 @@ mod tests {
                 let peers: Vec<(NodeId, usize)> = ids
                     .iter()
                     .zip(&degrees)
-                    .map(|(&id, &d)| (NodeId(id), d))
+                    .map(|(&id, &d)| (NodeId::new(id), d))
                     .collect();
                 let d_max = peers.len().saturating_add_signed(capacity_offset);
                 let max_degree = peers.iter().map(|&(_, d)| d).max().unwrap_or(0);
@@ -366,7 +366,7 @@ mod tests {
             (victims, rng.next_u64())
         };
         let untouched = StdRng::seed_from_u64(9).next_u64();
-        for (node, d_max) in [(ids[0], 5), (ids[0], 9), (ids[1], 1), (NodeId(99), 0)] {
+        for (node, d_max) in [(ids[0], 5), (ids[0], 9), (ids[1], 1), (NodeId::new(99), 0)] {
             assert_eq!(plan(node, d_max, 9, &mut peers), (vec![], untouched));
         }
         // Over d_max by two: the degree-3 leaf goes first, then one of the

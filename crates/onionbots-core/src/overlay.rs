@@ -421,8 +421,8 @@ mod tests {
     #[test]
     fn removing_unknown_node_is_a_noop() {
         let (mut ov, _, mut rng) = overlay(20, 4, true, 5);
-        assert!(!ov.remove_node_with_repair(NodeId(10_000), &mut rng));
-        assert!(!ov.remove_node_without_repair(NodeId(10_000)));
+        assert!(!ov.remove_node_with_repair(NodeId::new(10_000), &mut rng));
+        assert!(!ov.remove_node_without_repair(NodeId::new(10_000)));
         assert_eq!(ov.stats().nodes_repaired, 0);
     }
 

@@ -15,10 +15,9 @@
 
 use onion_graph::graph::{Graph, NodeId};
 use onion_graph::metrics::BfsScratch;
-use serde::{Deserialize, Serialize};
 
 /// Result of a flooding broadcast.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BroadcastReport {
     /// Nodes reached (including the source).
     pub reached: usize,
@@ -74,7 +73,7 @@ pub fn flood_broadcast(graph: &Graph, source: NodeId) -> BroadcastReport {
 }
 
 /// Outcome of a greedy routing attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteReport {
     /// Whether the destination was reached.
     pub delivered: bool,
@@ -93,7 +92,7 @@ impl RouteReport {
 /// Identifier distance used by greedy routing: XOR of node indices
 /// (a Kademlia-style metric on the overlay identifier space).
 fn id_distance(a: NodeId, b: NodeId) -> u64 {
-    (a.0 as u64) ^ (b.0 as u64)
+    (a.index() as u64) ^ (b.index() as u64)
 }
 
 /// Greedy routing with one-hop knowledge: at each step move to the neighbor
@@ -135,7 +134,7 @@ fn route_with_lookahead(
     }
     let mut current = source;
     let mut visited = vec![false; graph.id_bound()];
-    visited[source.0] = true;
+    visited[source.index()] = true;
     while current != destination && path.len() <= max_hops {
         let Some(neighbors) = graph.neighbors(current) else {
             break;
@@ -143,7 +142,7 @@ fn route_with_lookahead(
         // Score each candidate neighbor.
         let mut best: Option<(u64, NodeId)> = None;
         for &n in neighbors {
-            if visited[n.0] {
+            if visited[n.index()] {
                 continue;
             }
             let score = if n == destination {
@@ -169,7 +168,7 @@ fn route_with_lookahead(
         }
         match best {
             Some((_, next)) => {
-                visited[next.0] = true;
+                visited[next.index()] = true;
                 path.push(next);
                 current = next;
             }
@@ -236,7 +235,7 @@ mod tests {
         // Flat informed-flags indexed by node id: deterministic, allocation-light
         // and cache-friendly at million-node populations.
         let mut informed = vec![false; graph.id_bound()];
-        informed[source.0] = true;
+        informed[source.index()] = true;
         let mut reached = 1usize;
         let mut frontier = vec![source];
         let mut messages = 0usize;
@@ -248,8 +247,8 @@ mod tests {
                 if let Some(neighbors) = graph.neighbors(u) {
                     for &v in neighbors {
                         messages += 1;
-                        if !informed[v.0] {
-                            informed[v.0] = true;
+                        if !informed[v.index()] {
+                            informed[v.index()] = true;
                             reached += 1;
                             next.push(v);
                         }
@@ -281,20 +280,20 @@ mod tests {
         // Flat BFS with early exit at the destination.
         const UNREACHED: u32 = u32::MAX;
         let mut dist = vec![UNREACHED; graph.id_bound()];
-        dist[source.0] = 0;
+        dist[source.index()] = 0;
         let mut queue = vec![source];
         let mut head = 0usize;
         while head < queue.len() {
             let u = queue[head];
             head += 1;
             if u == destination {
-                return Some(dist[u.0] as usize);
+                return Some(dist[u.index()] as usize);
             }
-            let d = dist[u.0] + 1;
+            let d = dist[u.index()] + 1;
             if let Some(neighbors) = graph.neighbors(u) {
                 for &v in neighbors {
-                    if dist[v.0] == UNREACHED {
-                        dist[v.0] = d;
+                    if dist[v.index()] == UNREACHED {
+                        dist[v.index()] = d;
                         queue.push(v);
                     }
                 }
@@ -315,7 +314,7 @@ mod tests {
             ops in prop::collection::vec((0usize..24, 0usize..24, 0u8..5), 0..120),
         ) {
             let g = churned_graph(&ops);
-            let ids: Vec<NodeId> = (0..=g.id_bound()).map(NodeId).collect();
+            let ids: Vec<NodeId> = (0..=g.id_bound()).map(NodeId::new).collect();
             for &source in &ids {
                 prop_assert_eq!(flood_broadcast(&g, source), flood_oracle(&g, source));
                 for &destination in &ids {

@@ -171,7 +171,7 @@ impl ShardGrid {
     /// the last shard, so nodes added after construction still have a
     /// deterministic owner.
     pub fn owner(&self, id: NodeId) -> usize {
-        self.bounds[1..self.bounds.len() - 1].partition_point(|&cut| cut <= id.0)
+        self.bounds[1..self.bounds.len() - 1].partition_point(|&cut| cut <= id.index())
     }
 }
 
@@ -229,7 +229,7 @@ pub fn build_sharded_regular<R: Rng + ?Sized>(
         let mut merge_rng = StdRng::seed_from_u64(shard_stream_seed(base, shards));
         stitch_shards(&mut graph, grid, k, &mut merge_rng);
     }
-    let ids = (0..n).map(NodeId).collect();
+    let ids = (0..n).map(NodeId::new).collect();
     (graph, ids)
 }
 
@@ -272,8 +272,8 @@ fn stitch_shards(graph: &mut Graph, grid: &ShardGrid, k: usize, rng: &mut StdRng
     // keeping the sequential merge pass a small fraction of build time.
     let mixing = n / 2;
     for _ in 0..mixing {
-        let u = NodeId(rng.gen_range(0..n));
-        let v = NodeId(rng.gen_range(0..n));
+        let u = NodeId::new(rng.gen_range(0..n));
+        let v = NodeId::new(rng.gen_range(0..n));
         try_swap(graph, u, v, rng);
     }
 }
@@ -281,7 +281,7 @@ fn stitch_shards(graph: &mut Graph, grid: &ShardGrid, k: usize, rng: &mut StdRng
 /// A uniformly random node inside `range` (all construction-time ids are
 /// live, so a plain index draw suffices).
 fn pick_in(range: std::ops::Range<usize>, rng: &mut StdRng) -> NodeId {
-    NodeId(rng.gen_range(range))
+    NodeId::new(rng.gen_range(range))
 }
 
 /// Attempts one degree-preserving swap rooted at `u` and `v`: picks a
@@ -413,7 +413,7 @@ mod tests {
                     "shard {s} breaks pairing-model parity at k={k}"
                 );
                 for id in range.clone() {
-                    assert_eq!(grid.owner(NodeId(id)), s);
+                    assert_eq!(grid.owner(NodeId::new(id)), s);
                 }
             }
         }
@@ -435,9 +435,9 @@ mod tests {
     #[test]
     fn owner_clamps_ids_past_the_grid() {
         let grid = ShardGrid::new(100, 4, 5);
-        assert_eq!(grid.owner(NodeId(99)), grid.shards() - 1);
+        assert_eq!(grid.owner(NodeId::new(99)), grid.shards() - 1);
         assert_eq!(
-            grid.owner(NodeId(10_000)),
+            grid.owner(NodeId::new(10_000)),
             grid.shards() - 1,
             "post-construction ids fall into the last shard"
         );
@@ -487,7 +487,11 @@ mod tests {
         reference.check_invariants().unwrap();
         assert_eq!(reference.node_count(), 2_000);
         for id in 0..2_000 {
-            assert_eq!(reference.degree(NodeId(id)), Some(10), "exactly k-regular");
+            assert_eq!(
+                reference.degree(NodeId::new(id)),
+                Some(10),
+                "exactly k-regular"
+            );
         }
         assert!(is_connected(&reference), "stitching connects the shards");
         for budget in [2usize, 8, 64] {
@@ -538,7 +542,7 @@ mod tests {
         let config = DdsrConfig::for_degree(6);
         let mut rng = StdRng::seed_from_u64(3);
         let (mut graph, ids) = build_sharded_regular(400, 6, &grid, &mut rng);
-        let victims = [ids[0], ids[0], NodeId(9_999), ids[1]];
+        let victims = [ids[0], ids[0], NodeId::new(9_999), ids[1]];
         let before = rng.clone().next_u64();
         let outcome = sharded_wave_repair(&mut graph, &config, &victims, &grid, &mut rng);
         assert_eq!(outcome.removed, 2, "duplicates and ghosts are no-ops");
@@ -638,6 +642,210 @@ mod tests {
             outcome
         }
 
+        /// The id-width oracle: the adjacency as sorted `usize` lists
+        /// (`None` for a removed node), the width ids had before they
+        /// became `u32`. Its builders and wave repeat the graph core's
+        /// draws with every drawn index a `usize`, so a draw whose integer
+        /// type followed the id type would show as a different list or a
+        /// different next `u64`.
+        #[derive(Debug, PartialEq)]
+        struct Wide(Vec<Option<Vec<usize>>>);
+
+        impl Wide {
+            fn of(graph: &Graph) -> Wide {
+                Wide(
+                    (0..graph.id_bound())
+                        .map(|i| {
+                            let list = graph.neighbors(NodeId::new(i))?;
+                            Some(list.iter().map(|v| v.index()).collect())
+                        })
+                        .collect(),
+                )
+            }
+
+            fn list(&self, a: usize) -> Option<&Vec<usize>> {
+                self.0.get(a)?.as_ref()
+            }
+
+            fn has_edge(&self, a: usize, b: usize) -> bool {
+                self.list(a).is_some_and(|l| l.binary_search(&b).is_ok())
+            }
+
+            fn add_edge(&mut self, a: usize, b: usize) -> bool {
+                if a == b || self.list(a).is_none() || self.list(b).is_none() || self.has_edge(a, b)
+                {
+                    return false;
+                }
+                for (x, y) in [(a, b), (b, a)] {
+                    let list = self.0[x].as_mut().unwrap();
+                    let pos = list.binary_search(&y).unwrap_err();
+                    list.insert(pos, y);
+                }
+                true
+            }
+
+            fn remove_edge(&mut self, a: usize, b: usize) -> bool {
+                if !self.has_edge(a, b) {
+                    return false;
+                }
+                for (x, y) in [(a, b), (b, a)] {
+                    let list = self.0[x].as_mut().unwrap();
+                    let pos = list.binary_search(&y).unwrap();
+                    list.remove(pos);
+                }
+                true
+            }
+
+            fn remove_node(&mut self, a: usize) -> Option<Vec<usize>> {
+                let list = self.0.get_mut(a)?.take()?;
+                for &b in &list {
+                    let other = self.0[b].as_mut().unwrap();
+                    let pos = other.binary_search(&a).unwrap();
+                    other.remove(pos);
+                }
+                Some(list)
+            }
+
+            /// `random_regular`'s pairing model on `offset..offset + n`.
+            fn regular_block(&mut self, offset: usize, n: usize, k: usize, rng: &mut StdRng) {
+                let base = self.0.len();
+                'restart: loop {
+                    self.0.truncate(base);
+                    self.0.resize(base + n, Some(Vec::new()));
+                    let mut stubs: Vec<usize> = (0..n)
+                        .flat_map(|i| std::iter::repeat_n(offset + i, k))
+                        .collect();
+                    stubs.shuffle(rng);
+                    let mut stalled = 0usize;
+                    while !stubs.is_empty() {
+                        if stalled > 200 {
+                            continue 'restart;
+                        }
+                        let i = rng.gen_range(0..stubs.len());
+                        let j = rng.gen_range(0..stubs.len());
+                        if i == j || !self.add_edge(stubs[i], stubs[j]) {
+                            stalled += 1;
+                            continue;
+                        }
+                        stalled = 0;
+                        let (hi, lo) = if i > j { (i, j) } else { (j, i) };
+                        stubs.swap_remove(hi);
+                        stubs.swap_remove(lo);
+                    }
+                    return;
+                }
+            }
+
+            /// `build_sharded_regular`, stitching included.
+            fn sharded(n: usize, k: usize, grid: &ShardGrid, rng: &mut StdRng) -> Wide {
+                let base = rng.next_u64();
+                let mut wide = Wide(Vec::new());
+                for s in 0..grid.shards() {
+                    let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(base, s));
+                    wide.regular_block(grid.range(s).start, grid.range(s).len(), k, &mut shard_rng);
+                }
+                if grid.shards() == 1 {
+                    return wide;
+                }
+                let mut merge = StdRng::seed_from_u64(shard_stream_seed(base, grid.shards()));
+                for s in 0..grid.shards() {
+                    let next = (s + 1) % grid.shards();
+                    let (mut done, mut attempts) = (0usize, 0usize);
+                    while done < k && attempts < 8 * k {
+                        attempts += 1;
+                        let u = merge.gen_range(grid.range(s));
+                        let v = merge.gen_range(grid.range(next));
+                        done += usize::from(wide.swap(u, v, &mut merge));
+                    }
+                }
+                for _ in 0..n / 2 {
+                    let u = merge.gen_range(0..n);
+                    let v = merge.gen_range(0..n);
+                    wide.swap(u, v, &mut merge);
+                }
+                wide
+            }
+
+            /// `try_swap`.
+            fn swap(&mut self, u: usize, v: usize, rng: &mut StdRng) -> bool {
+                if u == v {
+                    return false;
+                }
+                let Some(&x) = self.list(u).and_then(|l| l.choose(rng)) else {
+                    return false;
+                };
+                let Some(&y) = self.list(v).and_then(|l| l.choose(rng)) else {
+                    return false;
+                };
+                if x == y || x == v || y == u || self.has_edge(u, v) || self.has_edge(x, y) {
+                    return false;
+                }
+                self.remove_edge(u, x);
+                self.remove_edge(v, y);
+                self.add_edge(u, v);
+                self.add_edge(x, y);
+                true
+            }
+
+            /// [`sequential_wave`] on the wide lists; the planner sees
+            /// each frozen list as ids, and draws only by its length.
+            fn wave(
+                &mut self,
+                config: &DdsrConfig,
+                victims: &[usize],
+                grid: &ShardGrid,
+                rng: &mut StdRng,
+            ) {
+                let wave_base = rng.next_u64();
+                let former: Vec<Vec<usize>> = victims
+                    .iter()
+                    .filter_map(|&v| self.remove_node(v))
+                    .collect();
+                for list in &former {
+                    for (i, &a) in list.iter().enumerate() {
+                        for &b in &list[i + 1..] {
+                            self.add_edge(a, b);
+                        }
+                    }
+                }
+                if !config.pruning {
+                    return;
+                }
+                let mut survivors: Vec<usize> = former
+                    .into_iter()
+                    .flatten()
+                    .filter(|&u| self.list(u).is_some())
+                    .collect();
+                survivors.sort_unstable();
+                survivors.dedup();
+                let frozen: Vec<Option<Vec<NodeId>>> = self
+                    .0
+                    .iter()
+                    .map(|l| Some(l.as_ref()?.iter().map(|&v| NodeId::new(v)).collect()))
+                    .collect();
+                let (mut peers, mut drops) = (Vec::new(), Vec::new());
+                for s in 0..grid.shards() {
+                    let mut shard_rng = StdRng::seed_from_u64(shard_stream_seed(wave_base, s));
+                    for &u in survivors
+                        .iter()
+                        .filter(|&&u| grid.owner(NodeId::new(u)) == s)
+                    {
+                        plan_prune(
+                            frozen[u].as_deref().unwrap(),
+                            |p| frozen[p.index()].as_ref().map_or(0, Vec::len),
+                            config.d_max,
+                            &mut peers,
+                            &mut shard_rng,
+                            |v| drops.push((u, v.index())),
+                        );
+                    }
+                }
+                for (u, v) in drops {
+                    self.remove_edge(u, v);
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -664,6 +872,43 @@ mod tests {
                 prop_assert_eq!(sharded, sequential);
             }
 
+            /// 32-bit ids change no draw: `random_regular`, the sharded
+            /// build and one wave, pruning on and off, build the same
+            /// lists as the [`Wide`] oracle and leave the RNG at the same
+            /// next `u64`.
+            #[test]
+            fn generators_and_wave_match_the_usize_oracle(
+                seed in 0u64..10_000,
+                n in 20usize..160,
+                k in 3usize..8,
+                shards in 1usize..6,
+                wave in 1usize..30,
+            ) {
+                prop_assume!((n * k).is_multiple_of(2));
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut oracle_rng = rng.clone();
+                let (graph, _) = random_regular(n, k, &mut rng);
+                let mut wide = Wide(Vec::new());
+                wide.regular_block(0, n, k, &mut oracle_rng);
+                prop_assert_eq!(Wide::of(&graph), wide);
+                prop_assert_eq!(rng.clone().next_u64(), oracle_rng.clone().next_u64());
+
+                let grid = ShardGrid::new(n, k, shards);
+                let (mut graph, ids) = build_sharded_regular(n, k, &grid, &mut rng);
+                let mut wide = Wide::sharded(n, k, &grid, &mut oracle_rng);
+                prop_assert_eq!(Wide::of(&graph), Wide(wide.0.clone()));
+                prop_assert_eq!(rng.clone().next_u64(), oracle_rng.clone().next_u64());
+
+                let victims: Vec<NodeId> = ids.choose_multiple(&mut rng, wave.min(n)).copied().collect();
+                let wide_victims: Vec<usize> = victims.iter().map(|v| v.index()).collect();
+                oracle_rng = rng.clone();
+                let config = DdsrConfig { d_max: k, pruning: seed % 2 == 0 };
+                sharded_wave_repair(&mut graph, &config, &victims, &grid, &mut rng);
+                wide.wave(&config, &wide_victims, &grid, &mut oracle_rng);
+                prop_assert_eq!(Wide::of(&graph), wide);
+                prop_assert_eq!(rng.next_u64(), oracle_rng.next_u64());
+            }
+
             /// Any grid yields an exactly k-regular graph whose bytes do
             /// not depend on the worker-thread budget.
             #[test]
@@ -682,7 +927,7 @@ mod tests {
                 let graph = build(1);
                 graph.check_invariants().unwrap();
                 for id in 0..n {
-                    prop_assert_eq!(graph.degree(NodeId(id)), Some(k));
+                    prop_assert_eq!(graph.degree(NodeId::new(id)), Some(k));
                 }
                 prop_assert_eq!(build(4), graph);
             }
@@ -713,7 +958,7 @@ mod tests {
                     base.remove_node(*ids.choose(&mut rng).unwrap());
                 }
                 let mut victims: Vec<NodeId> = (0..wave).map(|_| *ids.choose(&mut rng).unwrap()).collect();
-                victims.push(NodeId(n + 5));
+                victims.push(NodeId::new(n + 5));
                 for pruning in [true, false] {
                     let config = DdsrConfig { d_max: k, pruning };
                     let mut oracle = base.clone();

@@ -1071,6 +1071,33 @@ mod tests {
     }
 
     #[test]
+    fn a_result_that_is_not_utf8_kills_its_channel_and_is_never_merged() {
+        // A byte of the title's em dash becomes 0xff: decoded leniently,
+        // the corrupt title would be merged into the summary.
+        let corrupt = |item: &WorkItem| {
+            let mut line = completed(item);
+            let dash = line
+                .windows(3)
+                .position(|w| w == "—".as_bytes())
+                .expect("the title carries an em dash");
+            line[dash + 1] = 0xff;
+            line
+        };
+        let fake = Fake::new(move |ordinal, item| match ordinal {
+            0 => vec![Step::Bytes(corrupt(item))],
+            _ => vec![Step::Bytes(completed(item))],
+        });
+        let batch = items(2);
+        let results = dispatch(&[fake], batch.clone(), &(), DEFAULT_ITEM_DEADLINE_MS).unwrap();
+        assert_eq!(sorted(results), expected(&batch), "re-queued, then served");
+        let fake = Fake::new(move |_, item| vec![Step::Bytes(corrupt(item))]);
+        let error = dispatch(&[fake], items(1), &(), DEFAULT_ITEM_DEADLINE_MS).unwrap_err();
+        let message = error.to_string();
+        assert!(message.contains("not valid UTF-8"), "{message}");
+        assert!(message.contains("giving up"), "{message}");
+    }
+
+    #[test]
     fn the_item_that_fails_the_batch_is_reported_as_an_error_event() {
         /// Records every state in arrival order.
         #[derive(Default)]

@@ -162,16 +162,18 @@ pub fn partition_threshold<R: Rng + ?Sized>(
 /// live node of `graph` once.
 fn first_checked_split(graph: &Graph, order: &[NodeId], check_every: usize) -> usize {
     let bound = graph.id_bound();
-    let mut position = vec![0usize; bound];
-    for (j, node) in order.iter().enumerate() {
-        position[node.0] = j;
+    // Positions and component sizes never exceed the id count, so the
+    // three flat arrays hold 32-bit entries like the ids themselves.
+    let mut position = vec![0u32; bound];
+    for (j, node) in (0u32..).zip(order) {
+        position[node.index()] = j;
     }
-    let mut parent: Vec<usize> = (0..bound).collect();
-    let mut size = vec![1usize; bound];
-    let find = |parent: &mut [usize], mut x: usize| {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
+    let mut parent: Vec<NodeId> = (0..bound).map(NodeId::new).collect();
+    let mut size = vec![1u32; bound];
+    let find = |parent: &mut [NodeId], mut x: NodeId| {
+        while parent[x.index()] != x {
+            parent[x.index()] = parent[parent[x.index()].index()];
+            x = parent[x.index()];
         }
         x
     };
@@ -179,20 +181,24 @@ fn first_checked_split(graph: &Graph, order: &[NodeId], check_every: usize) -> u
     let mut answer = order.len();
     // Adding `order[j]` back leaves exactly the survivors of `j` deletions.
     for j in (1..order.len()).rev() {
-        let node = order[j].0;
+        let node = order[j];
         components += 1;
         let neighbors = graph
-            .neighbors(order[j])
+            .neighbors(node)
             .expect("every node in the order is live");
-        for neighbor in neighbors {
-            if position[neighbor.0] <= j {
+        for &neighbor in neighbors {
+            if position[neighbor.index()] as usize <= j {
                 continue;
             }
-            let (a, b) = (find(&mut parent, node), find(&mut parent, neighbor.0));
+            let (a, b) = (find(&mut parent, node), find(&mut parent, neighbor));
             if a != b {
-                let (big, small) = if size[a] >= size[b] { (a, b) } else { (b, a) };
-                parent[small] = big;
-                size[big] += size[small];
+                let (big, small) = if size[a.index()] >= size[b.index()] {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
+                parent[small.index()] = big;
+                size[big.index()] += size[small.index()];
                 components -= 1;
             }
         }

@@ -718,7 +718,8 @@ impl Service {
     /// # Errors
     /// Returns the underlying I/O error when the transport fails in a
     /// way that is neither EOF nor a read timeout, or when a request
-    /// line exceeds [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES);
+    /// line exceeds [`MAX_FRAME_BYTES`](crate::wire::MAX_FRAME_BYTES) or
+    /// is not UTF-8;
     /// either is first answered with an [`Event::Error`] frame where the
     /// transport still allows it.
     pub fn handle_connection<R: Read, W: Write + Send>(
@@ -732,8 +733,9 @@ impl Service {
             let frame = match frames.read_frame() {
                 Ok(frame) => frame,
                 Err(error) => {
-                    // An oversized line leaves the stream unframeable, so
-                    // the client is told why and the connection ends.
+                    // An oversized line leaves the stream unframeable and
+                    // a line that is not UTF-8 is not a frame, so the
+                    // client is told why and the connection ends.
                     sink.send(&Event::Error {
                         job: None,
                         message: format!("cannot read request frame: {error}"),
@@ -1648,6 +1650,27 @@ mod tests {
         assert!(params.full_scale);
         assert_eq!(params.overrides.get("offset").unwrap(), "1.5");
         assert_eq!(spec.selector(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_request_line_that_is_not_utf8_is_answered_and_closes_the_connection() {
+        let service = service(None);
+        let input = b"{\"Status\":{\"job\":\"a\xffb\"}}\n\"List\"\n";
+        let mut output = Vec::new();
+        let error = service
+            .handle_connection(&input[..], &mut output)
+            .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let text = String::from_utf8(output).unwrap();
+        let frames: Vec<Event> = text
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        assert_eq!(frames.len(), 1, "nothing after the bad line: {text}");
+        let Event::Error { job: None, message } = &frames[0] else {
+            panic!("expected an Error frame, got {:?}", frames[0]);
+        };
+        assert!(message.contains("not valid UTF-8"), "{message}");
     }
 
     #[test]

@@ -108,7 +108,8 @@ pub enum Frame {
 /// interrupts it inside a multi-byte character; this reader keeps
 /// partial bytes between calls and decodes only complete lines, so a
 /// transport with a read timeout yields [`Frame::Idle`] without
-/// corrupting the stream. Lines are bounded by [`MAX_FRAME_BYTES`].
+/// corrupting the stream. Lines are bounded by [`MAX_FRAME_BYTES`] and
+/// must be UTF-8.
 pub struct FrameReader<R: Read> {
     input: R,
     buffer: Vec<u8>,
@@ -132,7 +133,8 @@ impl<R: Read> FrameReader<R> {
     /// # Errors
     /// Returns the underlying I/O error for failures that are neither
     /// timeouts nor EOF, and an [`io::ErrorKind::InvalidData`] error for
-    /// a line longer than [`MAX_FRAME_BYTES`].
+    /// a line longer than [`MAX_FRAME_BYTES`] or one that is not UTF-8
+    /// (the line is consumed, so the next call reads the line after it).
     pub fn read_frame(&mut self) -> io::Result<Frame> {
         loop {
             let newline = self.buffer[self.scanned..]
@@ -156,7 +158,7 @@ impl<R: Read> FrameReader<R> {
                 if line.last() == Some(&b'\r') {
                     line.pop();
                 }
-                return Ok(Frame::Line(into_text(line)));
+                return into_text(line);
             }
             let mut chunk = [0u8; 4096];
             match self.input.read(&mut chunk) {
@@ -166,7 +168,7 @@ impl<R: Read> FrameReader<R> {
                     }
                     // A final unterminated line; the next call sees EOF.
                     self.scanned = 0;
-                    return Ok(Frame::Line(into_text(std::mem::take(&mut self.buffer))));
+                    return into_text(std::mem::take(&mut self.buffer));
                 }
                 Ok(read) => self.buffer.extend_from_slice(&chunk[..read]),
                 Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
@@ -201,11 +203,16 @@ impl<R: Read> FrameReader<R> {
     }
 }
 
-/// A line's bytes as text: valid UTF-8 is taken over without a copy,
-/// anything else is decoded with replacement characters.
-fn into_text(line: Vec<u8>) -> String {
-    String::from_utf8(line)
-        .unwrap_or_else(|invalid| String::from_utf8_lossy(invalid.as_bytes()).into_owned())
+/// A line's bytes as a frame: valid UTF-8 is taken over without a copy,
+/// anything else is an [`io::ErrorKind::InvalidData`] error, the rule the
+/// result cache applies to its entries.
+fn into_text(line: Vec<u8>) -> io::Result<Frame> {
+    String::from_utf8(line).map(Frame::Line).map_err(|invalid| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame is not valid UTF-8: {}", invalid.utf8_error()),
+        )
+    })
 }
 
 /// A socket that can hand out a second handle for its read side and
@@ -516,6 +523,22 @@ mod tests {
     }
 
     #[test]
+    fn an_assignment_that_is_not_utf8_ends_the_channel_unanswered() {
+        let item = WorkItem::new(&Toy, 0, &ScenarioParams::with_seed(2));
+        let mut input = hello().into_bytes();
+        let assign = line(&DispatchFrame::Assign(item));
+        let at = input.len() + assign.find("\"toy\"").expect("the item names its scenario") + 2;
+        input.extend_from_slice(assign.as_bytes());
+        input[at] = 0xff; // "toy" becomes "t\xffy"
+        let mut output = Vec::new();
+        let error = serve_connection(&input[..], &mut output, lookup, faults::points::WORKER_ITEM)
+            .unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("not valid UTF-8"), "{error}");
+        assert_eq!(replies(&output).len(), 1, "only the welcome was written");
+    }
+
+    #[test]
     fn write_frame_issues_one_write_per_frame() {
         // Two writes (line, then terminator) could wake a reader twice.
         struct Counting(Vec<Vec<u8>>);
@@ -587,6 +610,16 @@ mod tests {
             Frame::Line("tail".to_string()),
             "a final unterminated line is delivered"
         );
+        assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
+    }
+
+    #[test]
+    fn frame_reader_refuses_a_line_that_is_not_utf8() {
+        let mut reader = FrameReader::new(&b"{\"title\":\"a\xffb\"}\nnext\n"[..]);
+        let error = reader.read_frame().unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("not valid UTF-8"), "{error}");
+        assert_eq!(reader.read_frame().unwrap(), Frame::Line("next".into()));
         assert_eq!(reader.read_frame().unwrap(), Frame::Eof);
     }
 

@@ -486,8 +486,27 @@ proptest! {
         stalls in prop::collection::vec(any::<bool>(), 1..8),
     ) {
         let mut reader = FrameReader::new(Chunked::new(bytes.clone(), sizes, stalls));
-        let lines = decode_lines(&mut reader).unwrap();
-        prop_assert!(lines.len() <= bytes.len() + 1);
+        let (mut lines, mut refused) = (Vec::new(), 0usize);
+        loop {
+            match reader.read_frame() {
+                Ok(Frame::Line(line)) => lines.push(line),
+                Ok(Frame::Idle) => {}
+                Ok(Frame::Eof) => break,
+                // A line that is not UTF-8 is refused and consumed, and
+                // reading goes on with the next one.
+                Err(error) => {
+                    prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+                    refused += 1;
+                }
+            }
+        }
+        let mut pieces: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if pieces.last().is_some_and(|piece| piece.is_empty()) {
+            pieces.pop();
+        }
+        let invalid = pieces.iter().filter(|piece| std::str::from_utf8(piece).is_err());
+        prop_assert_eq!(refused, invalid.count(), "exactly the lines that are not UTF-8");
+        prop_assert_eq!(lines.len() + refused, pieces.len());
         for line in &lines {
             prop_assert!(!line.contains('\n'), "one line per frame");
             // Garbage is rejected by the frame parser, never executed.
