@@ -8,9 +8,9 @@
 //! * the scenario pipeline end to end: two in-process [`Runner`] runs
 //!   with the same seed must produce byte-identical summaries, serial
 //!   or parallel;
-//! * [`BotnetSimulation`], whose bot/address tables and the
+//! * [`BotnetSimulation`], whose bot table and the
 //!   [`tor_sim::network::TorNetwork`] HSDir/announcement storage it
-//!   drives are now ordered containers;
+//!   drives are now ordered containers, and whose overlay is a slab;
 //! * [`WireObserver::summarize`], whose size-entropy fold sums floats
 //!   over aggregated counts — the fold order must not depend on the
 //!   order cells happened to arrive in.
@@ -90,18 +90,18 @@ fn drive_botnet(seed: u64) -> String {
     sim.rotate_all(900);
     sim.publish_all_descriptors();
     for id in sim.bot_ids().into_iter().take(5) {
-        assert!(sim.take_down(id));
+        assert!(sim.take_down(id, &mut rng));
     }
     let second = sim.broadcast_command(CommandKind::RotateAddresses { period: 900 }, 2, &mut rng);
-    let (overlay, labels) = sim.overlay_snapshot();
     let addresses: Vec<_> = sim
         .bot_ids()
         .into_iter()
         .map(|id| (id, sim.address_of(id)))
         .collect();
     format!(
-        "{first:?}|{second:?}|bots={:?}|addresses={addresses:?}|overlay={overlay:?}|labels={labels:?}|clock={}",
+        "{first:?}|{second:?}|bots={:?}|addresses={addresses:?}|overlay={:?}|clock={}",
         sim.bot_ids(),
+        sim.overlay(),
         sim.clock_secs()
     )
 }

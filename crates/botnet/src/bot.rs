@@ -1,14 +1,14 @@
 //! A single simulated bot.
 //!
 //! A bot owns the shared key `K_B` it establishes with the botmaster at
-//! infection time, derives its rotating `.onion` addresses from it, keeps a
-//! small peer list, and verifies every command it acts on. All command
+//! infection time, derives its rotating `.onion` addresses from it and
+//! verifies every command it acts on. Its peers are edges of the
+//! simulation's overlay, where its [`BotId`] is its node. All command
 //! "execution" is an inert counter update.
-
-use std::collections::BTreeSet;
 
 use onion_crypto::error::CryptoError;
 use onion_crypto::rsa::RsaPublicKey;
+use onion_graph::graph::NodeId;
 use onionbots_core::rotation::AddressSchedule;
 use rand::Rng;
 use tor_sim::onion::OnionAddress;
@@ -16,9 +16,26 @@ use tor_sim::onion::OnionAddress;
 use crate::lifecycle::BotState;
 use crate::messages::{CommandKind, SignedCommand};
 
-/// Identifier of a bot inside the simulation.
+/// Identifier of a bot inside the simulation: `BotId(i)` is node
+/// `NodeId::new(i)` of the simulation's overlay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BotId(pub u64);
+
+impl BotId {
+    /// The bot's node in the simulation's overlay.
+    ///
+    /// # Panics
+    /// If the id is past `u32::MAX`, as [`NodeId::new`] does.
+    pub fn node(self) -> NodeId {
+        NodeId::new(self.0 as usize)
+    }
+}
+
+impl From<NodeId> for BotId {
+    fn from(node: NodeId) -> Self {
+        BotId(node.index() as u64)
+    }
+}
 
 impl std::fmt::Display for BotId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -54,7 +71,6 @@ pub struct Bot {
     k_b: [u8; 32],
     schedule: AddressSchedule,
     current_period: u64,
-    peers: BTreeSet<OnionAddress>,
     log: ExecutionLog,
     last_sequence: Option<u64>,
 }
@@ -70,7 +86,6 @@ impl Bot {
             k_b,
             schedule: AddressSchedule::new(botmaster_key, k_b),
             current_period: 0,
-            peers: BTreeSet::new(),
             log: ExecutionLog::default(),
             last_sequence: None,
         }
@@ -102,11 +117,6 @@ impl Bot {
         self.schedule.address_for_period(self.current_period)
     }
 
-    /// The bot's current peer list.
-    pub fn peers(&self) -> Vec<OnionAddress> {
-        self.peers.iter().copied().collect()
-    }
-
     /// Encrypts `K_B` to the botmaster ({K_B}_{PK_CC}), the report sent
     /// during the rally stage.
     ///
@@ -120,10 +130,9 @@ impl Bot {
         botmaster_key.encrypt(&self.k_b, rng)
     }
 
-    /// Rally: joins the overlay with an initial peer list obtained from a
-    /// bootstrap strategy, then settles into the waiting state.
-    pub fn rally(&mut self, initial_peers: impl IntoIterator<Item = OnionAddress>) {
-        self.peers.extend(initial_peers);
+    /// Rally: the bot has joined the overlay and settles into the waiting
+    /// state.
+    pub fn rally(&mut self) {
         if self.state == BotState::Infection {
             self.state = BotState::Rally;
         }
@@ -132,19 +141,12 @@ impl Bot {
         }
     }
 
-    /// Adds a peer address (accepting a peering request).
-    pub fn add_peer(&mut self, peer: OnionAddress) {
-        self.peers.insert(peer);
-    }
-
-    /// Removes (forgets) a peer address. Falls back to the rally state when
-    /// the last peer disappears.
-    pub fn remove_peer(&mut self, peer: OnionAddress) -> bool {
-        let removed = self.peers.remove(&peer);
-        if self.peers.is_empty() && self.state == BotState::Waiting {
+    /// The bot's last overlay peer is gone: a waiting bot falls back to the
+    /// rally state.
+    pub fn lose_last_peer(&mut self) {
+        if self.state == BotState::Waiting {
             self.state = BotState::Rally;
         }
-        removed
     }
 
     /// Rotates to a new period: the old address is forgotten and a new one
@@ -197,11 +199,8 @@ impl Bot {
             CommandKind::SimulatedCompute { work_units } => {
                 self.log.simulated_compute_units += work_units;
             }
-            CommandKind::ReplacePeer { drop, adopt } => {
-                self.peers.remove(drop);
-                self.peers.insert(*adopt);
-                self.log.peer_replacements += 1;
-            }
+            // The simulation rewires the overlay.
+            CommandKind::ReplacePeer { .. } => self.log.peer_replacements += 1,
         }
         self.state = BotState::Waiting;
         true
@@ -212,6 +211,7 @@ impl Bot {
 mod tests {
     use super::*;
     use crate::messages::Audience;
+    use crate::simulation::BotnetSimulation;
     use onion_crypto::rsa::RsaKeyPair;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -227,9 +227,8 @@ mod tests {
         let cc = master(1);
         let mut bot = Bot::infect(BotId(1), cc.public(), &mut rng);
         assert_eq!(bot.state(), BotState::Infection);
-        bot.rally([OnionAddress::from_identifier([9; 10])]);
+        bot.rally();
         assert_eq!(bot.state(), BotState::Waiting);
-        assert_eq!(bot.peers().len(), 1);
     }
 
     #[test]
@@ -261,7 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let cc = master(4);
         let mut bot = Bot::infect(BotId(4), cc.public(), &mut rng);
-        bot.rally([]);
+        bot.rally();
         let cmd = SignedCommand::sign(
             &cc,
             CommandKind::SimulatedCompute { work_units: 7 },
@@ -318,17 +317,15 @@ mod tests {
 
     #[test]
     fn replace_peer_command_updates_the_peer_list() {
+        // The bot counts the instruction...
         let mut rng = StdRng::seed_from_u64(7);
         let cc = master(8);
         let mut bot = Bot::infect(BotId(7), cc.public(), &mut rng);
-        let old_peer = OnionAddress::from_identifier([1; 10]);
-        let new_peer = OnionAddress::from_identifier([2; 10]);
-        bot.rally([old_peer]);
         let cmd = SignedCommand::sign(
             &cc,
             CommandKind::ReplacePeer {
-                drop: old_peer,
-                adopt: new_peer,
+                drop: OnionAddress::from_identifier([1; 10]),
+                adopt: OnionAddress::from_identifier([2; 10]),
             },
             Audience::Directed(vec![bot.current_address()]),
             1,
@@ -336,7 +333,40 @@ mod tests {
             None,
         );
         assert!(bot.handle_command(&cmd, cc.public(), 10));
-        assert_eq!(bot.peers(), vec![new_peer]);
+        assert_eq!(bot.log().peer_replacements, 1);
+
+        // ...and the simulation applies it to the overlay, which holds the
+        // bot's peer list.
+        let mut sim = BotnetSimulation::new(20, &mut rng);
+        sim.infect(10, &mut rng);
+        sim.rally(3, &mut rng);
+        let target = BotId(0);
+        let peers = sim.overlay().peers(target.node()).unwrap();
+        let drop = peers[0];
+        let adopt = (1..10)
+            .map(NodeId::new)
+            .find(|node| !peers.contains(node))
+            .unwrap();
+        let addresses = [target.node(), drop, adopt].map(|n| sim.address_of(n.into()).unwrap());
+        let cmd = {
+            let now = sim.clock_secs();
+            sim.botmaster_mut().issue(
+                CommandKind::ReplacePeer {
+                    drop: addresses[1],
+                    adopt: addresses[2],
+                },
+                Audience::Directed(vec![addresses[0]]),
+                now,
+            )
+        };
+        assert_eq!(sim.propagate(&cmd, 1, &mut rng).bots_executed, 1);
+        let after = sim.overlay().peers(target.node()).unwrap();
+        assert!(!after.contains(&drop));
+        assert!(after.contains(&adopt));
+        assert!(
+            sim.overlay().graph().max_degree() <= 3,
+            "adopting stays within d_max"
+        );
     }
 
     #[test]
@@ -344,10 +374,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         let cc = master(9);
         let mut bot = Bot::infect(BotId(8), cc.public(), &mut rng);
-        let p = OnionAddress::from_identifier([3; 10]);
-        bot.rally([p]);
+        bot.rally();
         assert_eq!(bot.state(), BotState::Waiting);
-        assert!(bot.remove_peer(p));
+        bot.lose_last_peer();
         assert_eq!(bot.state(), BotState::Rally);
     }
 }

@@ -125,7 +125,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut master = Botmaster::new(768, &mut rng);
         let mut bot = Bot::infect(BotId(1), master.public_key(), &mut rng);
-        bot.rally([]);
+        bot.rally();
         let report = bot.key_report(master.public_key(), &mut rng).unwrap();
         master.register_key_report(BotId(1), &report).unwrap();
         assert_eq!(master.known_bot_count(), 1);

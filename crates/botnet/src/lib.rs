@@ -4,7 +4,7 @@
 //! research simulator (§IV of the paper).
 //!
 //! * [`lifecycle`] — infection / rally / waiting / execution states.
-//! * [`bot`] — a single bot: `K_B`, rotating addresses, peer list, command
+//! * [`bot`] — a single bot: `K_B`, rotating addresses, command
 //!   verification, inert execution counters.
 //! * [`botmaster`] — the C&C side: key reports, address prediction, command
 //!   signing, rental-token issuance.
@@ -15,7 +15,9 @@
 //! * [`rental`] — botnet-for-rent tokens (§IV-E).
 //! * [`crypto_catalog`] — Table I of the paper.
 //! * [`simulation`] — the end-to-end [`simulation::BotnetSimulation`] over
-//!   the simulated Tor network.
+//!   the simulated Tor network. Its bots peer in one DDSR overlay
+//!   ([`onionbots_core::DdsrOverlay`]), which repairs and prunes around
+//!   every takedown.
 //!
 //! **Scope note.** Everything here is a single-process simulation for
 //! defensive research, mirroring the paper's preemptive-analysis goal.
@@ -71,7 +73,7 @@ mod rental_flow_tests {
         let mut mallory = Botmaster::new(768, &mut rng);
         let trudy = RsaKeyPair::generate(512, &mut rng);
         let mut bot = Bot::infect(BotId(1), mallory.public_key(), &mut rng);
-        bot.rally([]);
+        bot.rally();
 
         let token = mallory.issue_rental_token(
             trudy.public(),
@@ -123,7 +125,7 @@ mod rental_flow_tests {
         let mut mallory = Botmaster::new(768, &mut rng);
         let trudy = RsaKeyPair::generate(512, &mut rng);
         let mut bot = Bot::infect(BotId(1), mallory.public_key(), &mut rng);
-        bot.rally([]);
+        bot.rally();
 
         // Trudy signs a token with her own key instead of Mallory's.
         let forged = crate::rental::RentalToken::issue(

@@ -2,20 +2,27 @@
 //!
 //! [`BotnetSimulation`] wires the pieces together: bots register hidden
 //! services in [`tor_sim::TorNetwork`], report their keys to the
-//! [`Botmaster`], peer with each other to form the overlay, and propagate
-//! signed commands by gossip — every hop delivered through Tor by onion
-//! address and wrapped in a fixed-size uniform cell under a per-link key.
+//! [`Botmaster`], form one DDSR overlay ([`DdsrOverlay`], §IV-C) in the
+//! rally stage, and propagate signed commands by gossip along it — every
+//! hop delivered through Tor by onion address and wrapped in a fixed-size
+//! uniform cell under a per-link key.
+//!
+//! The overlay holds the peer relation by id: `BotId(i)` is its node
+//! `NodeId::new(i)`, allocated from the graph's slab at infection and
+//! never reused. A hop reads the peer's current `.onion` address from the
+//! bot, so address rotation leaves the overlay untouched. A takedown goes
+//! through the overlay's repair and prune, so the survivors' degrees stay
+//! within `d_max`.
 //!
 //! Experiments use it to measure command coverage before and after
-//! takedowns, and the mitigation crate reuses its bot population for SOAP.
+//! takedowns and address rotation.
 
-#[allow(clippy::disallowed_types)]
-// detlint: allow(D001) reason="imported only for the membership-only `reached` set in propagate()"
-use std::collections::HashSet;
 use std::collections::{BTreeMap, VecDeque};
 
 use onion_crypto::elligator::UniformEncoder;
 use onion_crypto::kdf::derive_link_key;
+use onion_graph::graph::{Graph, NodeId};
+use onionbots_core::{DdsrConfig, DdsrOverlay};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use tor_sim::network::TorNetwork;
@@ -38,7 +45,9 @@ pub struct PropagationReport {
     pub rounds: usize,
     /// Point-to-point Tor deliveries attempted.
     pub messages_sent: usize,
-    /// Deliveries that failed (descriptor missing or service down).
+    /// Deliveries Tor failed: the address had no current descriptor or
+    /// its service was down. A taken-down bot is no bot's peer, so gossip
+    /// never sends to it.
     pub messages_failed: usize,
 }
 
@@ -52,8 +61,8 @@ impl PropagationReport {
     }
 }
 
-/// The complete simulated botnet: Tor substrate, botmaster and bot
-/// population.
+/// The complete simulated botnet: Tor substrate, botmaster, bot
+/// population and their overlay.
 #[derive(Debug)]
 pub struct BotnetSimulation {
     tor: TorNetwork,
@@ -62,9 +71,8 @@ pub struct BotnetSimulation {
     /// iterate the population, so bot order must be id order, not hash
     /// order, for seed replay to hold.
     bots: BTreeMap<BotId, Bot>,
-    /// Ordered (detlint D001): point lookups today, but rebuilt during
-    /// rotation and one `keys()` sweep away from leaking into gossip.
-    address_index: BTreeMap<OnionAddress, BotId>,
+    /// The peer relation; node `NodeId::new(i)` is `BotId(i)`.
+    overlay: DdsrOverlay,
     link_secret: Vec<u8>,
     clock_secs: u64,
 }
@@ -79,7 +87,7 @@ impl BotnetSimulation {
             tor: TorNetwork::new(relay_count, rng),
             botmaster,
             bots: BTreeMap::new(),
-            address_index: BTreeMap::new(),
+            overlay: DdsrOverlay::from_graph(Graph::new(), DdsrConfig::default()),
             link_secret,
             clock_secs: 0,
         }
@@ -98,6 +106,12 @@ impl BotnetSimulation {
     /// Mutable access to the botmaster (issuing commands / tokens).
     pub fn botmaster_mut(&mut self) -> &mut Botmaster {
         &mut self.botmaster
+    }
+
+    /// The bots' overlay, whose node `NodeId::new(i)` is `BotId(i)`
+    /// (see [`BotId::node`]). A bot's peers are its neighbors.
+    pub fn overlay(&self) -> &DdsrOverlay {
+        &self.overlay
     }
 
     /// The live bots' identifiers, in ascending order.
@@ -121,13 +135,13 @@ impl BotnetSimulation {
         self.tor.advance_time(secs);
     }
 
-    /// Infects `count` new bots: each generates its identity, registers its
+    /// Infects `count` new bots: each takes the next node id of the
+    /// overlay (no peers yet), generates its identity, registers its
     /// hidden service, and reports `K_B` to the botmaster.
     pub fn infect<R: Rng + ?Sized>(&mut self, count: usize, rng: &mut R) -> Vec<BotId> {
         let mut new_ids = Vec::with_capacity(count);
-        let start = self.bots.len() as u64;
-        for i in 0..count {
-            let id = BotId(start + i as u64);
+        for _ in 0..count {
+            let id = BotId::from(self.overlay.add_isolated_node());
             let bot = Bot::infect(id, self.botmaster.public_key(), rng);
             let addr = bot.current_address();
             self.tor.register_hidden_service(addr);
@@ -140,50 +154,78 @@ impl BotnetSimulation {
             self.botmaster
                 .register_key_report(id, &report)
                 .expect("self-produced reports decrypt");
-            self.address_index.insert(addr, id);
             self.bots.insert(id, bot);
             new_ids.push(id);
         }
         new_ids
     }
 
-    /// Rally: every bot peers with `k` random other bots (mutual edges),
-    /// forming the initial overlay.
+    /// Rally: the `n` bots infected so far form a fresh overlay, a random
+    /// `k`-regular graph under DDSR maintenance with
+    /// [`DdsrConfig::for_degree`]`(k)`, and settle into the waiting state.
+    ///
+    /// # Panics
+    /// If `k >= n` or `n * k` is odd, which rule out a `k`-regular graph,
+    /// or if a bot has been taken down before the rally.
     pub fn rally<R: Rng + ?Sized>(&mut self, k: usize, rng: &mut R) {
-        let ids = self.bot_ids();
-        let addresses: BTreeMap<BotId, OnionAddress> = ids
-            .iter()
-            .map(|&id| (id, self.bots[&id].current_address()))
-            .collect();
-        for &id in &ids {
-            let mut others: Vec<BotId> = ids.iter().copied().filter(|&o| o != id).collect();
-            others.shuffle(rng);
-            let chosen: Vec<BotId> = others.into_iter().take(k).collect();
-            let peer_addrs: Vec<OnionAddress> = chosen.iter().map(|o| addresses[o]).collect();
-            if let Some(bot) = self.bots.get_mut(&id) {
-                bot.rally(peer_addrs);
-            }
-            let my_addr = addresses[&id];
-            for other in chosen {
-                if let Some(other_bot) = self.bots.get_mut(&other) {
-                    other_bot.add_peer(my_addr);
-                }
-            }
+        let n = self.overlay.graph().id_bound();
+        assert_eq!(self.bots.len(), n, "the rally precedes every takedown");
+        (self.overlay, _) = DdsrOverlay::new_regular(n, k, DdsrConfig::for_degree(k), rng);
+        for bot in self.bots.values_mut() {
+            bot.rally();
         }
     }
 
     /// Takes a bot down (defender cleanup): its hidden service is
-    /// deregistered and it stops processing messages. Peers are *not*
-    /// notified — they discover the loss when deliveries fail.
-    pub fn take_down(&mut self, bot: BotId) -> bool {
-        if let Some(b) = self.bots.remove(&bot) {
-            let addr = b.current_address();
-            self.tor.deregister_hidden_service(addr);
-            self.address_index.remove(&addr);
-            true
-        } else {
-            false
+    /// deregistered and the overlay repairs around it — its former peers
+    /// pair up, then each prunes back to `d_max`. Returns `false` if the
+    /// bot was not alive.
+    pub fn take_down<R: Rng + ?Sized>(&mut self, bot: BotId, rng: &mut R) -> bool {
+        let Some(b) = self.bots.remove(&bot) else {
+            return false;
+        };
+        self.tor.deregister_hidden_service(b.current_address());
+        self.overlay.remove_node_with_repair(bot.node(), rng);
+        self.rally_isolated_bots();
+        true
+    }
+
+    /// Sends every waiting bot that the overlay left without a peer back
+    /// to the rally state.
+    fn rally_isolated_bots(&mut self) {
+        let graph = self.overlay.graph();
+        for (id, bot) in &mut self.bots {
+            if graph.degree(id.node()) == Some(0) {
+                bot.lose_last_peer();
+            }
         }
+    }
+
+    /// Applies a `ReplacePeer` the bot at `node` acted on: it forgets the
+    /// bot at `drop`, then asks the bot at `adopt` to peer, which that bot
+    /// accepts, rejects or makes room for by the maintenance policy.
+    fn replace_peer<R: Rng + ?Sized>(
+        &mut self,
+        node: NodeId,
+        drop: OnionAddress,
+        adopt: OnionAddress,
+        rng: &mut R,
+    ) {
+        let node_at = |addr| {
+            self.bots
+                .iter()
+                .find(|(_, bot)| bot.current_address() == addr)
+                .map(|(id, _)| id.node())
+        };
+        let (drop, adopt) = (node_at(drop), node_at(adopt));
+        if let Some(peer) = drop {
+            self.overlay.forget_peer(node, peer);
+        }
+        if let Some(target) = adopt {
+            let degree = self.overlay.graph().degree(node).unwrap_or(0);
+            self.overlay.request_peering(node, target, degree, rng);
+        }
+        self.rally_isolated_bots();
     }
 
     fn encoder_for(&self, a: OnionAddress, b: OnionAddress) -> UniformEncoder {
@@ -206,7 +248,8 @@ impl BotnetSimulation {
     }
 
     /// Propagates an already-signed command (used for renter-issued
-    /// commands) by gossip from `seeds` random entry bots.
+    /// commands) by gossip from `seeds` random entry bots. Each bot
+    /// forwards it to its overlay peers in ascending id order.
     pub fn propagate<R: Rng + ?Sized>(
         &mut self,
         command: &SignedCommand,
@@ -225,10 +268,8 @@ impl BotnetSimulation {
         seed_ids.shuffle(rng);
         seed_ids.truncate(seeds.max(1));
 
-        #[allow(clippy::disallowed_types)]
-        // detlint: allow(D001) reason="membership-only: insert/contains/len; iteration never happens, so hash order cannot leak into the RNG stream or the report"
-        let mut reached: HashSet<BotId> = HashSet::new();
-        let mut queue: VecDeque<(BotId, usize)> = VecDeque::new();
+        let mut reached = vec![false; self.overlay.graph().id_bound()];
+        let mut queue: VecDeque<(NodeId, usize)> = VecDeque::new();
 
         // The botmaster delivers the command to the seed bots through Tor
         // (it knows their addresses from the key reports).
@@ -240,8 +281,10 @@ impl BotnetSimulation {
                 .expect("commands fit in one uniform cell");
             report.messages_sent += 1;
             if self.tor.send_to_onion(addr, cell).is_ok() {
-                if reached.insert(id) {
-                    queue.push_back((id, 0));
+                let node = id.node();
+                if !reached[node.index()] {
+                    reached[node.index()] = true;
+                    queue.push_back((node, 0));
                 }
             } else {
                 report.messages_failed += 1;
@@ -249,33 +292,27 @@ impl BotnetSimulation {
         }
 
         let mut max_round = 0usize;
-        while let Some((id, round)) = queue.pop_front() {
+        while let Some((node, round)) = queue.pop_front() {
             max_round = max_round.max(round);
             // The bot drains its Tor mailbox, decodes, verifies and acts.
-            let addr = match self.bots.get(&id) {
-                Some(b) => b.current_address(),
-                None => continue,
-            };
+            let bot = self
+                .bots
+                .get_mut(&node.into())
+                .expect("overlay nodes are live bots");
+            let addr = bot.current_address();
             let _delivered = self.tor.drain_mailbox(addr);
-            let acted = match self.bots.get_mut(&id) {
-                Some(bot) => bot.handle_command(command, &botmaster_key, self.clock_secs),
-                None => false,
-            };
-            if acted {
+            if bot.handle_command(command, &botmaster_key, self.clock_secs) {
                 report.bots_executed += 1;
+                if let CommandKind::ReplacePeer { drop, adopt } = command.command {
+                    self.replace_peer(node, drop, adopt, rng);
+                }
             }
             // Forward to every peer that has not been reached yet.
-            let peers = self.bots.get(&id).map(Bot::peers).unwrap_or_default();
-            for peer_addr in peers {
-                let Some(&peer_id) = self.address_index.get(&peer_addr) else {
-                    // Peer was taken down; delivery would fail.
-                    report.messages_sent += 1;
-                    report.messages_failed += 1;
-                    continue;
-                };
-                if reached.contains(&peer_id) {
+            for &peer in self.overlay.graph().neighbors(node).unwrap_or_default() {
+                if reached[peer.index()] {
                     continue;
                 }
+                let peer_addr = self.bots[&peer.into()].current_address();
                 let encoder = self.encoder_for(addr, peer_addr);
                 let cell = command
                     .to_cell(&encoder, rng)
@@ -283,45 +320,17 @@ impl BotnetSimulation {
                 report.messages_sent += 1;
                 match self.tor.send_to_onion(peer_addr, cell) {
                     Ok(()) => {
-                        reached.insert(peer_id);
-                        queue.push_back((peer_id, round + 1));
+                        reached[peer.index()] = true;
+                        queue.push_back((peer, round + 1));
                     }
                     Err(_) => report.messages_failed += 1,
                 }
             }
         }
 
-        report.bots_reached = reached.len();
+        report.bots_reached = reached.iter().filter(|&&r| r).count();
         report.rounds = max_round;
         report
-    }
-
-    /// Exports the current peer topology as a graph snapshot: one graph node
-    /// per live bot, one edge per (mutual or one-sided) peer relation.
-    /// Mitigation experiments (SOAP) operate on this snapshot, and the
-    /// returned map translates graph nodes back to bot identifiers.
-    pub fn overlay_snapshot(&self) -> (onion_graph::Graph, BTreeMap<onion_graph::NodeId, BotId>) {
-        let mut graph = onion_graph::Graph::new();
-        let mut by_bot: BTreeMap<BotId, onion_graph::NodeId> = BTreeMap::new();
-        let mut by_node: BTreeMap<onion_graph::NodeId, BotId> = BTreeMap::new();
-        for id in self.bot_ids() {
-            let node = graph.add_node();
-            by_bot.insert(id, node);
-            by_node.insert(node, id);
-        }
-        for id in self.bot_ids() {
-            let Some(bot) = self.bots.get(&id) else {
-                continue;
-            };
-            for peer_addr in bot.peers() {
-                if let Some(peer_id) = self.address_index.get(&peer_addr) {
-                    if let (Some(&a), Some(&b)) = (by_bot.get(&id), by_bot.get(peer_id)) {
-                        graph.add_edge(a, b);
-                    }
-                }
-            }
-        }
-        (graph, by_node)
     }
 
     /// Re-announces descriptors for every live bot (needed after address
@@ -339,37 +348,16 @@ impl BotnetSimulation {
         published
     }
 
-    /// Rotates every bot to a new period: addresses change, old ones are
-    /// forgotten, new services are registered and announced, and the address
-    /// index is rebuilt. Models the network-wide "forgetting" step.
+    /// Rotates every bot to a new period: addresses change, old services
+    /// are deregistered, new ones registered and announced. Models the
+    /// network-wide "forgetting" step. Peers are node ids, so the overlay
+    /// is untouched: each hop reads the peer's new address from the bot.
     pub fn rotate_all(&mut self, period: u64) {
-        let ids = self.bot_ids();
-        let mut renames: Vec<(OnionAddress, OnionAddress, BotId)> = Vec::with_capacity(ids.len());
-        for &id in &ids {
-            if let Some(bot) = self.bots.get_mut(&id) {
-                let (old, new) = bot.rotate_to(period);
-                renames.push((old, new, id));
-            }
-        }
-        for (old, new, id) in &renames {
-            self.tor.deregister_hidden_service(*old);
-            self.address_index.remove(old);
-            self.tor.register_hidden_service(*new);
-            let _ = self.tor.announce_service(*new);
-            self.address_index.insert(*new, *id);
-        }
-        // Peers learn the new addresses through AddressAnnounce maintenance
-        // messages; the simulation applies the renames directly.
-        let rename_map: BTreeMap<OnionAddress, OnionAddress> =
-            renames.iter().map(|(old, new, _)| (*old, *new)).collect();
         for bot in self.bots.values_mut() {
-            let old_peers = bot.peers();
-            for old in old_peers {
-                if let Some(new) = rename_map.get(&old) {
-                    bot.remove_peer(old);
-                    bot.add_peer(*new);
-                }
-            }
+            let (old, new) = bot.rotate_to(period);
+            self.tor.deregister_hidden_service(old);
+            self.tor.register_hidden_service(new);
+            let _ = self.tor.announce_service(new);
         }
     }
 }
@@ -377,6 +365,7 @@ impl BotnetSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::BotState;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -395,13 +384,24 @@ mod tests {
         assert_eq!(sim.botmaster().known_bot_count(), 12);
         assert_eq!(sim.tor().registered_service_count(), 12);
         for id in sim.bot_ids() {
-            assert!(sim.bots[&id].peers().len() >= 3);
+            assert_eq!(sim.overlay().graph().degree(id.node()), Some(3));
         }
     }
 
     #[test]
+    fn bots_infected_after_a_takedown_get_fresh_ids() {
+        let (mut sim, mut rng) = small_botnet(9, 10, 3);
+        assert!(sim.take_down(BotId(0), &mut rng));
+        let fresh = sim.infect(1, &mut rng);
+        assert_eq!(fresh, vec![BotId(10)], "ids are never reused");
+        assert_eq!(sim.bot_ids().len(), 10);
+        assert_eq!(sim.tor().registered_service_count(), 10);
+        assert_eq!(sim.overlay().node_count(), 10);
+    }
+
+    #[test]
     fn broadcast_reaches_every_bot() {
-        let (mut sim, mut rng) = small_botnet(2, 15, 3);
+        let (mut sim, mut rng) = small_botnet(2, 15, 4);
         let report = sim.broadcast_command(CommandKind::Maintenance, 2, &mut rng);
         assert_eq!(report.bots_reached, 15);
         assert_eq!(report.bots_executed, 15);
@@ -416,15 +416,48 @@ mod tests {
     fn takedowns_reduce_coverage_but_do_not_break_verification() {
         let (mut sim, mut rng) = small_botnet(3, 20, 3);
         for id in sim.bot_ids().into_iter().take(8) {
-            assert!(sim.take_down(id));
+            assert!(sim.take_down(id, &mut rng));
         }
+        assert!(!sim.take_down(BotId(0), &mut rng), "already down");
         assert_eq!(sim.bots.len(), 12);
         let report = sim.broadcast_command(CommandKind::Maintenance, 2, &mut rng);
-        assert!(report.bots_reached <= 12);
-        assert!(
-            report.messages_failed > 0,
-            "deliveries to removed peers fail"
+        assert_eq!(
+            report.bots_reached, 12,
+            "the repaired overlay reaches every survivor"
         );
+        assert_eq!(report.bots_executed, 12);
+        assert_eq!(
+            report.messages_failed, 0,
+            "taken-down bots are no survivor's peers"
+        );
+    }
+
+    #[test]
+    fn repair_keeps_degrees_within_d_max_after_a_one_third_takedown() {
+        let (mut sim, mut rng) = small_botnet(10, 30, 4);
+        let d_max = sim.overlay().config().d_max;
+        for id in sim.bot_ids().into_iter().step_by(3) {
+            assert!(sim.take_down(id, &mut rng));
+        }
+        assert_eq!(sim.overlay().node_count(), 20);
+        let graph = sim.overlay().graph();
+        graph.check_invariants().unwrap();
+        for id in sim.bot_ids() {
+            assert!(graph.degree(id.node()).unwrap() <= d_max);
+        }
+        assert!(
+            sim.overlay().stats().edges_added > 0,
+            "takedowns were repaired"
+        );
+    }
+
+    #[test]
+    fn a_bot_left_without_peers_falls_back_to_rally() {
+        let (mut sim, mut rng) = small_botnet(11, 4, 3);
+        for id in [BotId(0), BotId(1), BotId(2)] {
+            assert!(sim.take_down(id, &mut rng));
+        }
+        assert_eq!(sim.bots[&BotId(3)].state(), BotState::Rally);
     }
 
     #[test]
@@ -465,30 +498,26 @@ mod tests {
     }
 
     #[test]
-    fn overlay_snapshot_reflects_peer_relations() {
+    fn overlay_reflects_peer_relations() {
         let (sim, _) = small_botnet(7, 10, 3);
-        let (graph, by_node) = sim.overlay_snapshot();
-        assert_eq!(graph.node_count(), 10);
-        assert_eq!(by_node.len(), 10);
-        // Every bot has at least its k rally peers reflected as edges.
-        for node in graph.nodes() {
-            assert!(
-                graph.degree(node).unwrap() >= 3,
-                "bot {:?} under-connected",
-                by_node[&node]
-            );
+        let overlay = sim.overlay();
+        assert_eq!(overlay.node_count(), 10);
+        assert_eq!(overlay.config(), DdsrConfig::for_degree(3));
+        for id in sim.bot_ids() {
+            let peers = overlay.peers(id.node()).unwrap();
+            assert_eq!(peers.len(), 3, "{id} has its k rally peers");
+            assert!(peers.iter().all(|&p| sim.address_of(p.into()).is_some()));
         }
-        graph.check_invariants().unwrap();
+        overlay.graph().check_invariants().unwrap();
     }
 
     #[test]
-    fn overlay_snapshot_drops_taken_down_bots() {
-        let (mut sim, _) = small_botnet(8, 10, 3);
+    fn overlay_drops_taken_down_bots() {
+        let (mut sim, mut rng) = small_botnet(8, 10, 3);
         let victim = sim.bot_ids()[0];
-        sim.take_down(victim);
-        let (graph, by_node) = sim.overlay_snapshot();
-        assert_eq!(graph.node_count(), 9);
-        assert!(by_node.values().all(|&b| b != victim));
+        sim.take_down(victim, &mut rng);
+        assert_eq!(sim.overlay().node_count(), 9);
+        assert!(!sim.overlay().graph().contains(victim.node()));
     }
 
     #[test]

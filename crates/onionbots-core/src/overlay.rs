@@ -221,6 +221,13 @@ impl DdsrOverlay {
         new
     }
 
+    /// Forgets the edge between `node` and `peer`, as a node does when its
+    /// botmaster tells it to replace that peer. Both stay alive, so no
+    /// repair follows. Returns whether the edge existed.
+    pub fn forget_peer(&mut self, node: NodeId, peer: NodeId) -> bool {
+        self.graph.remove_edge(node, peer)
+    }
+
     /// Handles an explicit peering request from `requester` to `target`
     /// using the acceptance policy from [`crate::maintenance`]. Returns
     /// `true` if the edge now exists.

@@ -16,12 +16,11 @@
 
 use onion_crypto::kdf::{derive_period_secret, derive_period_seed};
 use onion_crypto::rsa::RsaPublicKey;
-use serde::{Deserialize, Serialize};
 use tor_sim::onion::OnionAddress;
 
 /// The address schedule of a single bot: everything needed to compute its
 /// onion address for any period.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddressSchedule {
     k_b: [u8; 32],
     pk_cc_bytes: Vec<u8>,
@@ -110,17 +109,5 @@ mod tests {
         for period in 0..20 {
             assert_ne!(a.address_for_period(period), b.address_for_period(period));
         }
-    }
-
-    #[test]
-    fn schedule_is_deterministic_across_serialization() {
-        let (bot, _) = schedule(4);
-        let json = serde_json::to_string(&bot).unwrap();
-        let restored: AddressSchedule = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored.address_for_period(7), bot.address_for_period(7));
-        assert_eq!(
-            restored.rotated_service_key_seed(7),
-            bot.rotated_service_key_seed(7)
-        );
     }
 }

@@ -16,12 +16,10 @@ use crate::relay::{Fingerprint, Relay};
 #[derive(Debug, Clone, Default)]
 pub struct Consensus {
     relays: BTreeMap<Fingerprint, Relay>,
-    /// Hour index at which this consensus is valid.
-    valid_after_hour: u64,
 }
 
 impl Consensus {
-    /// Creates an empty consensus valid at hour 0.
+    /// Creates an empty consensus.
     pub fn new() -> Self {
         Consensus::default()
     }
@@ -36,11 +34,6 @@ impl Consensus {
             consensus.add_relay(relay);
         }
         consensus
-    }
-
-    /// The hour at which this consensus became valid.
-    pub fn valid_after_hour(&self) -> u64 {
-        self.valid_after_hour
     }
 
     /// Adds (or replaces) a relay.
@@ -62,7 +55,6 @@ impl Consensus {
     /// Advances the consensus clock by `hours`, aging every relay and
     /// re-deriving its flags.
     pub fn advance_hours(&mut self, hours: u64) {
-        self.valid_after_hour += hours;
         for relay in self.relays.values_mut() {
             relay.tick_hours(hours);
         }
@@ -111,9 +103,17 @@ mod tests {
 
     #[test]
     fn clock_advances() {
+        let mut rng = StdRng::seed_from_u64(4);
         let mut consensus = Consensus::new();
-        assert_eq!(consensus.valid_after_hour(), 0);
+        let relay = Relay::new(5000, &mut rng);
+        let fp = relay.fingerprint();
+        consensus.add_relay(relay);
         consensus.advance_hours(5);
-        assert_eq!(consensus.valid_after_hour(), 5);
+        assert!(!consensus.relays[&fp].flags().hsdir);
+        consensus.advance_hours(20);
+        assert!(
+            consensus.relays[&fp].flags().hsdir,
+            "advances add up to the 25 hours of uptime the flag needs"
+        );
     }
 }

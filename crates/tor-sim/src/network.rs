@@ -233,6 +233,7 @@ impl TorNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relay::Relay;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -331,8 +332,16 @@ mod tests {
     #[test]
     fn advancing_time_ages_the_consensus() {
         let (mut network, _) = fixture(10);
-        let before = network.consensus().valid_after_hour();
-        network.advance_time(7200);
-        assert_eq!(network.consensus().valid_after_hour(), before + 2);
+        let mut rng = StdRng::seed_from_u64(10);
+        let newcomer = Relay::new(5000, &mut rng);
+        let fp = newcomer.fingerprint();
+        network.consensus_mut().add_relay(newcomer);
+        network.advance_time(25 * 3600 - 1);
+        assert!(
+            !network.consensus().hsdir_ring().contains(&fp),
+            "the consensus ages in whole hours"
+        );
+        network.advance_time(1);
+        assert!(network.consensus().hsdir_ring().contains(&fp));
     }
 }

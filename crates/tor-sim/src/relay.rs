@@ -95,12 +95,6 @@ impl Relay {
         self.refresh_flags();
     }
 
-    /// Marks the relay as restarted: uptime and uptime-derived flags reset.
-    pub fn restart(&mut self) {
-        self.uptime_hours = 0;
-        self.refresh_flags();
-    }
-
     fn refresh_flags(&mut self) {
         self.flags.hsdir = self.uptime_hours >= HSDIR_MIN_UPTIME_HOURS;
         self.flags.stable = self.uptime_hours >= 24 * 7;
@@ -130,18 +124,6 @@ mod tests {
         assert!(!relay.flags().hsdir, "24 hours is not enough");
         relay.tick_hours(1);
         assert!(relay.flags().hsdir, "25 hours grants the flag");
-    }
-
-    #[test]
-    fn restart_revokes_uptime_flags() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut relay = Relay::new(5000, &mut rng);
-        relay.tick_hours(200);
-        assert!(relay.flags().hsdir);
-        assert!(relay.flags().guard);
-        relay.restart();
-        assert!(!relay.flags().hsdir);
-        assert!(!relay.flags().guard);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!   routing.
 //! * [`botnet`] — bot life cycle, botmaster, signed commands, bootstrap
 //!   strategies, rental tokens and the end-to-end
-//!   [`botnet::BotnetSimulation`].
+//!   [`botnet::BotnetSimulation`], which runs the C&C protocol over
+//!   [`tor`] on one [`core`] DDSR overlay.
 //! * [`mitigation`] — SOAP, HSDir positioning, proof-of-work / rate-limit
 //!   defenses and the SuperOnion extension.
 //! * [`sim`] — the experiment layer: takedown primitives, the

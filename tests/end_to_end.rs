@@ -36,7 +36,7 @@ fn command_broadcast_survives_address_rotation_and_partial_takedown() {
     // Take a third of the botnet down; the rest remains commandable.
     let victims: Vec<_> = sim.bot_ids().into_iter().take(8).collect();
     for v in victims {
-        assert!(sim.take_down(v));
+        assert!(sim.take_down(v, &mut rng));
     }
     let after = sim.broadcast_command(CommandKind::Maintenance, 3, &mut rng);
     assert_eq!(after.population, 16);

@@ -4,7 +4,7 @@
 //! what a defender learns from a captured bot.
 
 use onionbots::botnet::messages::{Audience, CommandKind, SignedCommand};
-use onionbots::botnet::{Bot, BotId, Botmaster};
+use onionbots::botnet::{Botmaster, BotnetSimulation};
 use onionbots::core::rotation::AddressSchedule;
 use onionbots::crypto::elligator::{UniformEncoder, UNIFORM_CELL_LEN};
 use onionbots::crypto::kdf::derive_link_key;
@@ -95,29 +95,34 @@ fn rotated_addresses_are_unlinkable_without_k_b() {
 #[test]
 fn a_captured_bot_reveals_only_its_own_peers_and_no_ips() {
     let mut rng = StdRng::seed_from_u64(4);
-    let master = Botmaster::new(768, &mut rng);
-    let mut bots: Vec<Bot> = (0..10)
-        .map(|i| Bot::infect(BotId(i), master.public_key(), &mut rng))
+    let (n, k) = (10, 2);
+    let mut sim = BotnetSimulation::new(20, &mut rng);
+    sim.infect(n, &mut rng);
+    sim.rally(k, &mut rng);
+    let addresses: Vec<_> = sim
+        .bot_ids()
+        .into_iter()
+        .map(|id| sim.address_of(id).unwrap())
         .collect();
-    let addresses: Vec<_> = bots.iter().map(Bot::current_address).collect();
-    // Ring topology: each bot knows exactly two peers.
-    for i in 0..10usize {
-        let left = addresses[(i + 9) % 10];
-        let right = addresses[(i + 1) % 10];
-        bots[i].rally([left, right]);
-    }
-    // Capturing bot 0 exposes two onion addresses — not the rest of the
-    // botnet and nothing IP-like.
-    let captured = &bots[0];
-    let exposed = captured.peers();
-    assert_eq!(exposed.len(), 2);
+    // Capturing a bot exposes the onion addresses of its k overlay peers —
+    // not the rest of the botnet and nothing IP-like.
+    let captured = sim.bot_ids()[0];
+    let exposed: Vec<_> = sim
+        .overlay()
+        .peers(captured.node())
+        .unwrap()
+        .into_iter()
+        .map(|peer| sim.address_of(peer.into()).unwrap())
+        .collect();
+    assert_eq!(exposed.len(), k);
     for addr in &exposed {
         assert!(addresses.contains(addr));
         assert!(addr.to_string().ends_with(".onion"));
     }
-    let unexposed: Vec<_> = addresses
+    let own = sim.address_of(captured).unwrap();
+    let unexposed = addresses
         .iter()
-        .filter(|a| !exposed.contains(a) && **a != captured.current_address())
-        .collect();
-    assert_eq!(unexposed.len(), 7, "the other seven bots stay hidden");
+        .filter(|a| !exposed.contains(a) && **a != own)
+        .count();
+    assert_eq!(unexposed, n - 1 - k, "the other bots stay hidden");
 }
