@@ -86,13 +86,16 @@ impl WireObserver {
         let entropy = if total == 0 {
             0.0
         } else {
+            // A one-size distribution folds to -0.0 (`-1.0 * 0.0`); adding
+            // +0.0 makes that +0.0 and leaves every other value's bits.
             size_counts
                 .values()
                 .map(|&c| {
                     let p = c as f64 / total as f64;
                     -p * p.log2()
                 })
-                .sum()
+                .sum::<f64>()
+                + 0.0
         };
         ObservationSummary {
             total_cells: total,
@@ -139,6 +142,15 @@ mod tests {
         assert_eq!(summary.uniform_size, Some(UNIFORM_CELL_LEN));
         assert_eq!(summary.size_entropy_bits, 0.0);
         assert!((summary.mean_cells_per_window - 75.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_size_entropy_is_positive_zero() {
+        let mut obs = WireObserver::new();
+        obs.observe_many(UNIFORM_CELL_LEN, 0, 10);
+        let entropy = obs.summarize().size_entropy_bits;
+        assert!(entropy.is_sign_positive(), "{entropy}");
+        assert_eq!(format!("{entropy:.3}"), "0.000");
     }
 
     #[test]

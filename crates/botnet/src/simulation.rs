@@ -303,8 +303,19 @@ impl BotnetSimulation {
             let _delivered = self.tor.drain_mailbox(addr);
             if bot.handle_command(command, &botmaster_key, self.clock_secs) {
                 report.bots_executed += 1;
-                if let CommandKind::ReplacePeer { drop, adopt } = command.command {
-                    self.replace_peer(node, drop, adopt, rng);
+                match command.command {
+                    CommandKind::ReplacePeer { drop, adopt } => {
+                        self.replace_peer(node, drop, adopt, rng);
+                    }
+                    // The bot moved to its next address: serve that one,
+                    // as `rotate_all` does.
+                    CommandKind::RotateAddresses { .. } => {
+                        let new = bot.current_address();
+                        self.tor.deregister_hidden_service(addr);
+                        self.tor.register_hidden_service(new);
+                        let _ = self.tor.announce_service(new);
+                    }
+                    _ => {}
                 }
             }
             // Forward to every peer that has not been reached yet.
@@ -410,6 +421,18 @@ mod tests {
         for id in sim.bot_ids() {
             assert_eq!(sim.bots[&id].log().maintenance, 1);
         }
+    }
+
+    #[test]
+    fn bots_that_rotate_on_command_stay_reachable() {
+        let (mut sim, mut rng) = small_botnet(4, 15, 4);
+        let rotate = CommandKind::RotateAddresses { period: 2 };
+        let report = sim.broadcast_command(rotate, 2, &mut rng);
+        assert_eq!(report.bots_executed, 15);
+        assert_eq!(sim.tor().registered_service_count(), 15);
+        let report = sim.broadcast_command(CommandKind::Maintenance, 2, &mut rng);
+        assert_eq!(report.bots_reached, 15);
+        assert_eq!(report.messages_failed, 0);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! [`Dispatcher`] sends serialized [`WorkItem`]s over *channels*: duplex
 //! byte streams with a read timeout, speaking the [`crate::wire`]
-//! protocol (`Hello`/`Welcome` handshake, then `Assign`/`Completed`
-//! round trips). A channel is opened one of three ways, and nothing past
-//! the opening differs:
+//! protocol (`Hello`/`Welcome` handshake, then `Assign` frames each
+//! answered, in order, by a `Completed` frame). A channel is opened one
+//! of three ways, and nothing past the opening differs:
 //!
 //! * **starting a thread** (`--backend local`): one end of a
 //!   `UnixStream::pair()` goes to an in-process thread running
@@ -21,9 +21,24 @@
 //! worker thread, per worker subprocess, per configured host address;
 //! the calling thread serves the first slot) pulls items off a shared
 //! pending queue, so a slow worker never stalls the run — it just
-//! steals fewer items. A channel that fails mid-item is dropped and its
-//! item re-queued; deaths of *fresh* channels (no
-//! completed items) charge the item's bounded retry budget, and a run
+//! steals fewer items.
+//!
+//! Dispatch is **pipelined**: a slot keeps up to [`PIPELINE_DEPTH`]
+//! items assigned on a subprocess or host channel. It writes the next
+//! `Assign` as soon as the current one is on the wire, then reads the
+//! oldest item's `Completed`, so the worker finds its next item already
+//! buffered instead of idling for a round trip, and the dispatcher's
+//! parsing and merging overlap the worker's compute. The worker runs
+//! items in order, so the oldest unanswered item (the *head*) is the one
+//! running and is reported `Started` when it becomes the head. A slot
+//! pre-assigns only while the queue holds at least one item per slot, so
+//! a pre-assignment never leaves another slot idle at the tail of a
+//! batch. A worker thread cannot be killed, so thread channels keep one
+//! item: closing one joins the thread only after it ran its buffer.
+//!
+//! A channel that fails mid-item is dropped, its head re-queued and its
+//! unstarted tail handed back uncharged; deaths of *fresh* channels (no
+//! completed items) charge the head's bounded retry budget, and a run
 //! fails instead of looping when an item keeps killing fresh channels or
 //! when every slot is gone with work still queued. A worker that answers
 //! a failed result (a panicking part, an unknown scenario id) fails the
@@ -35,7 +50,7 @@
 //! by a per-item deadline enforced by *counting* timeout polls (never by
 //! reading a wall clock — detlint rule D002). A worker that never replies
 //! — during the handshake or mid-item — is abandoned after the deadline
-//! and its item re-queued on the surviving slots; TCP connects are
+//! and its items re-queued on the surviving slots; TCP connects are
 //! bounded by [`CONNECT_TIMEOUT_MS`]. A worker thread cannot be killed,
 //! so thread slots set no deadline. Retried items back off with a
 //! bounded exponential pause whose jitter derives deterministically from
@@ -83,11 +98,19 @@ pub const READ_POLL_MS: u64 = 200;
 
 /// Default per-reply deadline: a worker that has not answered an
 /// assignment (or the handshake) within this budget is abandoned and its
-/// in-flight item re-queued on the surviving slots. Deliberately generous
+/// in-flight items re-queued on the surviving slots. Deliberately generous
 /// — a deadline shorter than the slowest legitimate item would turn a
 /// healthy run into serial re-queueing; a part that runs longer needs it
 /// raised with [`Dispatcher::deadline_millis`] (`--item-deadline-ms`).
 pub const DEFAULT_ITEM_DEADLINE_MS: u64 = 60_000;
+
+/// Items a slot keeps assigned and unanswered on one subprocess or host
+/// channel: the one the worker runs plus one waiting in its receive
+/// buffer. A worker thread's channel keeps one, for the reason thread
+/// slots set no deadline: the thread cannot be killed. At most one unread
+/// `Assign` of well under a socket buffer sits with the worker, so
+/// neither side can block on a write while the other blocks on its own.
+pub const PIPELINE_DEPTH: usize = 2;
 
 /// Ceiling on one retry-backoff pause, so retries stay exponential only
 /// up to a bounded, test-friendly cap.
@@ -201,6 +224,11 @@ trait Endpoint: Sync {
     /// `connect to`.
     fn open_verb(&self) -> &'static str;
     fn open(&self) -> io::Result<Stream>;
+    /// How many items a slot keeps assigned and unanswered on one of
+    /// this peer's channels.
+    fn window(&self) -> usize {
+        PIPELINE_DEPTH
+    }
 }
 
 /// The three ways a [`Dispatcher`] slot opens its channels.
@@ -226,6 +254,17 @@ impl Endpoint for Peer {
             Peer::Thread(_) => "start",
             Peer::Spawn(_) => "spawn",
             Peer::Host(_) => "connect to",
+        }
+    }
+
+    fn window(&self) -> usize {
+        match self {
+            // Closing a thread's channel joins the thread once it has run
+            // everything buffered, so a cancel would wait out a
+            // pre-assigned part too (and the thread would warn of the
+            // broken pipe its answer met).
+            Peer::Thread(_) => 1,
+            Peer::Spawn(_) | Peer::Host(_) => PIPELINE_DEPTH,
         }
     }
 
@@ -274,8 +313,8 @@ impl Endpoint for Peer {
                 })?;
                 let socket =
                     TcpStream::connect_timeout(&target, Duration::from_millis(CONNECT_TIMEOUT_MS))?;
-                // The protocol is strictly request/response with small
-                // frames; without TCP_NODELAY every round trip stalls on
+                // Frames are small and each one is waited on; without
+                // TCP_NODELAY every round trip stalls on
                 // Nagle vs delayed-ACK (~40 ms each way — measured
                 // ~87 ms/item on loopback, dwarfing the work itself).
                 socket.set_nodelay(true)?;
@@ -393,10 +432,16 @@ impl Channel {
         }
     }
 
-    /// Sends one assignment and reads back its result. Any error means
-    /// the channel is unusable and must be replaced.
-    fn round_trip(&mut self, item: &WorkItem) -> io::Result<PartResult> {
-        write_frame(&mut self.writer, &DispatchFrame::Assign(item.clone()))?;
+    /// Sends one assignment. Any error here or in
+    /// [`read_result`](Self::read_result) means the channel is unusable
+    /// and must be replaced.
+    fn assign(&mut self, item: &WorkItem) -> io::Result<()> {
+        write_frame(&mut self.writer, &DispatchFrame::Assign(item.clone()))
+    }
+
+    /// Reads the result of the oldest unanswered assignment: the worker
+    /// answers in order.
+    fn read_result(&mut self) -> io::Result<PartResult> {
         if let Some(point) = self.read_failpoint {
             faults::hit_io(point)?;
         }
@@ -419,10 +464,11 @@ impl Channel {
 
 /// The shared dispatch queue plus the in-flight ledger that makes the
 /// work-stealing termination protocol sound. An idle dispatcher thread
-/// may only exit when the queue is empty AND nothing is in flight:
-/// otherwise a dying channel could re-queue its in-flight item after
-/// every peer already went home, stranding the item with live slots
-/// available (the race the in-flight count exists to close). Threads
+/// may only exit when the queue is empty AND nothing is in flight (a
+/// slot's running and pre-assigned items both count): otherwise a dying
+/// channel could re-queue its items after every peer already went home,
+/// stranding them with live slots available (the race the in-flight
+/// count exists to close). Threads
 /// with nothing to steal park on the paired [`Condvar`] and are woken by
 /// every re-queue, every settled item and every fatal error.
 struct DispatchQueue {
@@ -433,11 +479,15 @@ struct DispatchQueue {
 /// The backend behind [`Backend::Local`], [`Backend::Process`] and
 /// [`Backend::Remote`]: dispatches work items over worker channels, one
 /// dispatcher thread per slot, the calling thread serving the first.
+/// Each subprocess or host slot keeps up to [`PIPELINE_DEPTH`] items
+/// assigned on its channel, so its worker never waits out a round trip
+/// between items; a thread slot keeps one.
 ///
 /// A slot whose first channel cannot be opened, or whose peer rejects the
 /// handshake (version skew), fails the run immediately. On cancel
 /// ([`RunObserver::cancelled`]) each dispatcher thread stops taking
-/// items, lets its in-flight item finish and closes its channel.
+/// items, lets its running item finish, closes its channel and hands a
+/// pre-assigned item back unstarted.
 ///
 /// [`Backend::Local`]: crate::runner::Backend::Local
 /// [`Backend::Process`]: crate::runner::Backend::Process
@@ -500,8 +550,9 @@ impl Executor for Dispatcher {
 }
 
 /// The dispatch loop: one slot per endpoint steals items off the shared
-/// queue and round-trips them over that endpoint's channel. The calling
-/// thread runs the first slot, a scoped thread each other one.
+/// queue and keeps up to the endpoint's window of them assigned on that
+/// endpoint's channel. The calling thread runs the first slot, a scoped
+/// thread each other one.
 fn dispatch<E: Endpoint>(
     endpoints: &[E],
     items: Vec<WorkItem>,
@@ -538,9 +589,10 @@ fn dispatch<E: Endpoint>(
         // Parked stealers re-check the fatal flag on every wake-up.
         wake.notify_all();
     };
-    // An item leaves a thread's hands one of exactly two ways; both wake
-    // the parked stealers so the termination condition (empty queue,
-    // nothing in flight) is re-evaluated.
+    // An item leaves a slot's hands by a re-queue (`requeue`,
+    // `hand_back`) or a settle; each wakes the parked stealers so the
+    // termination condition (empty queue, nothing in flight) is
+    // re-evaluated.
     let fail_item = |item: &WorkItem, message: String| {
         let state = PartState::Error(message.clone());
         observer.part_event(PartEvent::for_item(item, state));
@@ -552,8 +604,18 @@ fn dispatch<E: Endpoint>(
         state.in_flight -= 1;
         wake.notify_all();
     };
-    let settle = || {
-        queue.lock().expect("queue lock").in_flight -= 1;
+    let settle = |count: usize| {
+        queue.lock().expect("queue lock").in_flight -= count;
+        wake.notify_all();
+    };
+    // A slot's pre-assigned items never ran: they go back to the front
+    // of the queue, in order and uncharged.
+    let hand_back = |tail: &mut VecDeque<(WorkItem, usize)>| {
+        let mut state = queue.lock().expect("queue lock");
+        state.in_flight -= tail.len();
+        while let Some(entry) = tail.pop_back() {
+            state.pending.push_front(entry);
+        }
         wake.notify_all();
     };
     // A slot gives up on its peer: hand the item back to the survivors.
@@ -565,75 +627,101 @@ fn dispatch<E: Endpoint>(
         *last_loss.lock().expect("loss lock") = Some(loss);
         requeue(item, retries);
     };
-    // One slot: steal items off the queue and round-trip them over a
-    // channel to `endpoint`.
+    let slots = endpoints.len().min(total);
+    // Takes the next item off the queue. A slot with nothing assigned
+    // parks until an item comes back or the run drains. A slot topping
+    // up its window never parks, and takes an item only while the queue
+    // holds one for every slot: no slot may idle while another holds an
+    // unstarted item.
+    let take = |top_up: bool| {
+        let mut state = queue.lock().expect("queue lock");
+        loop {
+            // Checked before every pop, including after waking from the
+            // park below: a cancelled run takes no further items.
+            if observer.cancelled() || (top_up && state.pending.len() < slots) {
+                return None;
+            }
+            if let Some(entry) = state.pending.pop_front() {
+                state.in_flight += 1;
+                return Some(entry);
+            }
+            if state.in_flight == 0 {
+                // Drained for good: nothing queued and nothing left
+                // that could re-queue.
+                return None;
+            }
+            // Another slot holds the remaining items; if it dies they
+            // come back here. Park until a re-queue, a settle or a fatal.
+            state = wake.wait(state).expect("queue lock");
+            if fatal.lock().expect("fatal lock").is_some() {
+                return None;
+            }
+        }
+    };
+    // One slot: steal items off the queue and keep up to the endpoint's
+    // window of them assigned on a channel to `endpoint`.
     let slot = |endpoint: &E| {
         let label = endpoint.label();
+        let window = endpoint.window();
         let mut channel: Option<Channel> = None;
         let mut ever_connected = false;
+        // Assigned, unanswered items, oldest first. The worker runs them
+        // in order: the head is running, the tail waits in its buffer.
+        let mut assigned: VecDeque<(WorkItem, usize)> = VecDeque::new();
         loop {
             if fatal.lock().expect("fatal lock").is_some() {
+                settle(assigned.len());
                 break;
             }
-            let next = {
-                let mut state = queue.lock().expect("queue lock");
-                loop {
-                    // Checked before every pop, including after
-                    // waking from the park below: a cancelled run
-                    // takes no further items.
-                    if observer.cancelled() {
-                        break None;
-                    }
-                    if let Some(entry) = state.pending.pop_front() {
-                        state.in_flight += 1;
-                        break Some(entry);
-                    }
-                    if state.in_flight == 0 {
-                        // Drained for good: nothing queued and
-                        // nothing left that could re-queue.
-                        break None;
-                    }
-                    // Another slot holds the remaining items; if
-                    // it dies they come back here. Park until a
-                    // re-queue, a settle or a fatal.
-                    state = wake.wait(state).expect("queue lock");
-                    if fatal.lock().expect("fatal lock").is_some() {
-                        break None;
-                    }
-                }
-            };
-            let Some((item, retries)) = next else {
-                break;
-            };
-            if channel.is_none() {
-                match Channel::open(endpoint, deadline_polls) {
-                    Ok(opened) => {
-                        channel = Some(opened);
-                        ever_connected = true;
-                    }
-                    Err(ConnectFailure::Refused(reason)) => {
-                        fail(format!("{label} refused the dispatcher: {reason}"));
-                        settle();
-                        break;
-                    }
-                    // A peer that opens but never answers the
-                    // handshake is *hung*, not misconfigured:
-                    // abandon it and let the survivors drain the
-                    // queue, even on the very first attempt.
-                    Err(ConnectFailure::Dead(e)) if ever_connected || is_timeout(&e) => {
-                        abandon(item, retries, format!("{label} is gone ({e})"));
-                        break;
-                    }
-                    Err(ConnectFailure::Dead(e)) => {
-                        fail(format!("cannot {} {label}: {e}", endpoint.open_verb()));
-                        settle();
-                        break;
+            let mut sent = Ok(());
+            if assigned.is_empty() {
+                let Some((item, retries)) = take(false) else {
+                    break;
+                };
+                if channel.is_none() {
+                    match Channel::open(endpoint, deadline_polls) {
+                        Ok(opened) => {
+                            channel = Some(opened);
+                            ever_connected = true;
+                        }
+                        Err(ConnectFailure::Refused(reason)) => {
+                            fail(format!("{label} refused the dispatcher: {reason}"));
+                            settle(1);
+                            break;
+                        }
+                        // A peer that opens but never answers the
+                        // handshake is *hung*, not misconfigured:
+                        // abandon it and let the survivors drain the
+                        // queue, even on the very first attempt.
+                        Err(ConnectFailure::Dead(e)) if ever_connected || is_timeout(&e) => {
+                            abandon(item, retries, format!("{label} is gone ({e})"));
+                            break;
+                        }
+                        Err(ConnectFailure::Dead(e)) => {
+                            fail(format!("cannot {} {label}: {e}", endpoint.open_verb()));
+                            settle(1);
+                            break;
+                        }
                     }
                 }
+                observer.part_event(PartEvent::for_item(&item, PartState::Started));
+                sent = channel
+                    .as_mut()
+                    .expect("channel just ensured")
+                    .assign(&item);
+                assigned.push_back((item, retries));
             }
-            let active = channel.as_mut().expect("channel just ensured");
-            observer.part_event(PartEvent::for_item(&item, PartState::Started));
-            match active.round_trip(&item) {
+            let active = channel.as_mut().expect("assigned items have a channel");
+            while sent.is_ok() && assigned.len() < window {
+                let Some(entry) = take(true) else {
+                    break;
+                };
+                sent = active.assign(&entry.0);
+                assigned.push_back(entry);
+            }
+            let reply = sent.and_then(|()| active.read_result());
+            let (item, retries) = assigned.pop_front().expect("a slot reads only its head");
+            match reply {
                 Ok(result) => {
                     if let Some(error) = &result.error {
                         fail_item(
@@ -643,7 +731,7 @@ fn dispatch<E: Endpoint>(
                                 item.scenario_id, item.part
                             ),
                         );
-                        settle();
+                        settle(1 + assigned.len());
                         break;
                     }
                     if result.scenario_id != item.scenario_id
@@ -654,7 +742,7 @@ fn dispatch<E: Endpoint>(
                             "{label} answered {}#{} with a result for {}#{} (protocol error)",
                             item.scenario_id, item.part, result.scenario_id, result.part
                         ));
-                        settle();
+                        settle(1 + assigned.len());
                         break;
                     }
                     active.completed += 1;
@@ -671,16 +759,27 @@ fn dispatch<E: Endpoint>(
                             item.scenario_id, item.part
                         );
                     }
-                    settle();
+                    settle(1);
+                    if let Some((next, _)) = assigned.front() {
+                        if observer.cancelled() {
+                            // Stop at the boundary: the worker must not
+                            // run its tail, which goes back unstarted.
+                            drop(channel.take());
+                            hand_back(&mut assigned);
+                        } else {
+                            observer.part_event(PartEvent::for_item(next, PartState::Started));
+                        }
+                    }
                 }
                 Err(e) if is_timeout(&e) => {
                     // Per-item deadline: the worker is hung (open,
                     // silent). Abandon the slot — a late reply on
                     // this channel would desync the framing anyway
-                    // — and re-queue the item on the survivors. No
+                    // — and re-queue its items on the survivors. No
                     // retry charge: the worker is at fault, not
-                    // the item.
+                    // the items.
                     drop(channel.take());
+                    hand_back(&mut assigned);
                     let loss = format!(
                         "{label} hit the per-item deadline on {}#{} ({e})",
                         item.scenario_id, item.part
@@ -690,13 +789,14 @@ fn dispatch<E: Endpoint>(
                 }
                 Err(e) => {
                     // The channel is gone or confused: drop it,
-                    // re-queue the in-flight item and reopen
-                    // lazily on the next iteration. Only deaths of
-                    // *fresh* channels (no completed items) are
-                    // charged to the item — a toxic item kills
-                    // every fresh worker it meets, while a worker
-                    // wearing out after completed work says
-                    // nothing about the item it happened to hold.
+                    // re-queue its items and reopen lazily on the
+                    // next iteration. Only deaths of *fresh* channels
+                    // (no completed items) are charged, and only to
+                    // the head — a toxic item kills every fresh
+                    // worker it meets, while a worker wearing out
+                    // after completed work says nothing about the
+                    // item it happened to hold, and the tail never
+                    // ran at all.
                     let fresh_death = channel
                         .take()
                         .map(|dead| dead.completed == 0)
@@ -710,9 +810,10 @@ fn dispatch<E: Endpoint>(
                                 item.scenario_id, item.part
                             ),
                         );
-                        settle();
+                        settle(1 + assigned.len());
                         break;
                     }
+                    hand_back(&mut assigned);
                     let pause = retry_backoff_millis(&item.fingerprint, retries);
                     eprintln!(
                         "warning: {label} failed while running {}#{} ({e}); re-queueing after {pause} ms ({retries}/{DEFAULT_MAX_ITEM_RETRIES} charged retries)",
@@ -727,9 +828,9 @@ fn dispatch<E: Endpoint>(
     };
     std::thread::scope(|scope| {
         let slot = &slot;
-        let mut slots = endpoints.iter().take(total);
-        let first = slots.next().expect("items and endpoints are non-empty");
-        for endpoint in slots {
+        let mut endpoints = endpoints.iter().take(slots);
+        let first = endpoints.next().expect("items and endpoints are non-empty");
+        for endpoint in endpoints {
             scope.spawn(move || slot(endpoint));
         }
         // The calling thread runs one slot itself, so a one-slot job
@@ -749,8 +850,7 @@ fn dispatch<E: Endpoint>(
             .map(|loss| format!(" (last loss: {loss})"))
             .unwrap_or_default();
         return Err(ExecutorError::new(format!(
-            "all {} worker slot(s) are gone with {stranded} of {total} item(s) still queued{cause}",
-            endpoints.len().min(total)
+            "all {slots} worker slot(s) are gone with {stranded} of {total} item(s) still queued{cause}"
         )));
     }
     Ok(results.into_inner().expect("results lock"))
@@ -815,6 +915,21 @@ mod tests {
         Stall,
         /// Block until the gate opens, then read EOF (the worker dies).
         DieAfter(Arc<(Mutex<bool>, Condvar)>),
+        /// Count one reply the dispatcher began to read, then read on.
+        Mark(Arc<AtomicUsize>),
+        /// Block until the gate opens (or for at most [`AWAIT_LIMIT`]),
+        /// then read on.
+        Await(Arc<(Mutex<bool>, Condvar)>),
+    }
+
+    /// How long an [`Step::Await`] waits for a gate that never opens, so
+    /// a dispatcher that does not open it fails the test instead of
+    /// hanging it.
+    const AWAIT_LIMIT: Duration = Duration::from_secs(5);
+
+    fn open_gate(gate: &(Mutex<bool>, Condvar)) {
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
     }
 
     /// How a fake worker answers one assignment: `(channel ordinal,
@@ -850,27 +965,39 @@ mod tests {
 
     impl Read for FakeReader {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let step = self.0.lock().unwrap().pop_front();
-            match step {
-                None | Some(Step::Stall) => Err(io::ErrorKind::WouldBlock.into()),
-                Some(Step::Bytes(mut bytes)) => {
-                    let n = bytes.len().min(buf.len());
-                    buf[..n].copy_from_slice(&bytes[..n]);
-                    if n < bytes.len() {
-                        self.0
-                            .lock()
-                            .unwrap()
-                            .push_front(Step::Bytes(bytes.split_off(n)));
+            loop {
+                let step = self.0.lock().unwrap().pop_front();
+                match step {
+                    None | Some(Step::Stall) => return Err(io::ErrorKind::WouldBlock.into()),
+                    Some(Step::Bytes(mut bytes)) => {
+                        let n = bytes.len().min(buf.len());
+                        buf[..n].copy_from_slice(&bytes[..n]);
+                        if n < bytes.len() {
+                            self.0
+                                .lock()
+                                .unwrap()
+                                .push_front(Step::Bytes(bytes.split_off(n)));
+                        }
+                        return Ok(n);
                     }
-                    Ok(n)
-                }
-                Some(Step::DieAfter(gate)) => {
-                    let (open, signal) = &*gate;
-                    let mut opened = open.lock().unwrap();
-                    while !*opened {
-                        opened = signal.wait(opened).unwrap();
+                    Some(Step::DieAfter(gate)) => {
+                        let (open, signal) = &*gate;
+                        let mut opened = open.lock().unwrap();
+                        while !*opened {
+                            opened = signal.wait(opened).unwrap();
+                        }
+                        return Ok(0);
                     }
-                    Ok(0)
+                    Some(Step::Mark(count)) => {
+                        count.fetch_add(1, Ordering::SeqCst);
+                    }
+                    Some(Step::Await(gate)) => {
+                        let (open, signal) = &*gate;
+                        let opened = open.lock().unwrap();
+                        let _ = signal
+                            .wait_timeout_while(opened, AWAIT_LIMIT, |opened| !*opened)
+                            .unwrap();
+                    }
                 }
             }
         }
@@ -1149,5 +1276,121 @@ mod tests {
         let message = error.to_string();
         assert!(message.contains("still queued"), "{message}");
         assert!(message.contains("deadline"), "{message}");
+    }
+
+    /// A fake endpoint with a worker thread's window.
+    struct ThreadLike(Fake);
+
+    impl Endpoint for ThreadLike {
+        fn label(&self) -> String {
+            self.0.label()
+        }
+        fn open_verb(&self) -> &'static str {
+            self.0.open_verb()
+        }
+        fn open(&self) -> io::Result<Stream> {
+            self.0.open()
+        }
+        fn window(&self) -> usize {
+            Peer::Thread(Vec::new().into()).window()
+        }
+    }
+
+    /// `(part, replies the dispatcher had begun to read)` per assignment,
+    /// in the order the assignments were written.
+    type Seen = Arc<Mutex<Vec<(usize, usize)>>>;
+
+    /// A fake worker that records a [`Seen`] entry per assignment.
+    fn recording_reads() -> (Fake, Seen) {
+        let begun = Arc::new(AtomicUsize::new(0));
+        let seen: Seen = Arc::default();
+        let log = seen.clone();
+        let fake = Fake::new(move |_, item| {
+            log.lock()
+                .unwrap()
+                .push((item.part, begun.load(Ordering::SeqCst)));
+            vec![Step::Mark(begun.clone()), Step::Bytes(completed(item))]
+        });
+        (fake, seen)
+    }
+
+    #[test]
+    fn the_next_item_is_assigned_before_the_head_is_answered() {
+        let (fake, seen) = recording_reads();
+        let batch = items(3);
+        let results = dispatch(&[fake], batch.clone(), &(), DEFAULT_ITEM_DEADLINE_MS).unwrap();
+        assert_eq!(sorted(results), expected(&batch));
+        // Part 1 goes out before part 0's reply is read, part 2 right
+        // after it: never more than one item waits behind the head.
+        assert_eq!(*seen.lock().unwrap(), vec![(0, 0), (1, 0), (2, 1)]);
+    }
+
+    #[test]
+    fn a_thread_peer_never_has_two_assignments_outstanding() {
+        assert_eq!(Peer::Thread(Vec::new().into()).window(), 1);
+        let (fake, seen) = recording_reads();
+        let batch = items(3);
+        let results = dispatch(
+            &[ThreadLike(fake)],
+            batch.clone(),
+            &(),
+            DEFAULT_ITEM_DEADLINE_MS,
+        )
+        .unwrap();
+        assert_eq!(sorted(results), expected(&batch));
+        assert_eq!(*seen.lock().unwrap(), vec![(0, 0), (1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn a_channel_dying_on_its_head_charges_only_a_fresh_head_and_hands_the_tail_back() {
+        let dead: Arc<(Mutex<bool>, Condvar)> = Arc::new((Mutex::new(true), Condvar::new()));
+        // Part 1 kills channels 0 to 3. Channels 0 and 1 each completed an
+        // item first, holding part 1 as head and another part as tail, so
+        // part 1 is charged for channels 2 and 3 only: within the bound.
+        let gate = dead.clone();
+        let fake = Fake::new(move |ordinal, item| {
+            if item.part == 1 && ordinal <= DEFAULT_MAX_ITEM_RETRIES {
+                vec![Step::DieAfter(gate.clone())]
+            } else {
+                vec![Step::Bytes(completed(item))]
+            }
+        });
+        let batch = items(3);
+        let results = dispatch(&[fake], batch.clone(), &(), DEFAULT_ITEM_DEADLINE_MS).unwrap();
+        assert_eq!(sorted(results), expected(&batch));
+        // Every channel dies on its fresh head with the other part as its
+        // tail. Only heads are charged, so the parts take turns and part
+        // 0 is the first to exceed the bound, on the seventh channel.
+        let gate = dead.clone();
+        let fakes = [Fake::new(move |_, _| vec![Step::DieAfter(gate.clone())])];
+        let error = dispatch(&fakes, items(2), &(), DEFAULT_ITEM_DEADLINE_MS).unwrap_err();
+        let message = error.to_string();
+        let bound = DEFAULT_MAX_ITEM_RETRIES + 1;
+        assert!(
+            message.contains(&format!("toy#0 killed {bound}")),
+            "{message}"
+        );
+        assert_eq!(fakes[0].opens.load(Ordering::SeqCst), 2 * bound - 1);
+    }
+
+    #[test]
+    fn a_silent_worker_holding_a_tail_hands_both_items_to_the_survivor() {
+        // The healthy worker answers nothing until the silent one holds
+        // two items, so the silent one cannot miss its tail.
+        let gate: Arc<(Mutex<bool>, Condvar)> = Arc::default();
+        let assigned = Arc::new(AtomicUsize::new(0));
+        let (opens, count) = (gate.clone(), assigned.clone());
+        let hung = Fake::new(move |_, _| {
+            if count.fetch_add(1, Ordering::SeqCst) == 1 {
+                open_gate(&opens);
+            }
+            Vec::new()
+        });
+        let healthy =
+            Fake::new(move |_, item| vec![Step::Await(gate.clone()), Step::Bytes(completed(item))]);
+        let batch = items(6);
+        let results = dispatch(&[hung, healthy], batch.clone(), &(), READ_POLL_MS).unwrap();
+        assert_eq!(sorted(results), expected(&batch));
+        assert_eq!(assigned.load(Ordering::SeqCst), 2, "a head and a tail");
     }
 }

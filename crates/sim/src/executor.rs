@@ -238,9 +238,10 @@ impl std::error::Error for ExecutorError {}
 /// order and are informational: the returned results stay the single
 /// source of truth. A backend polls [`RunObserver::cancelled`] each time
 /// it is about to take the next item; once it reads `true` it takes no
-/// further items, lets in-flight items finish and returns the results it
-/// has. Returning fewer results than items is then expected, not a
-/// failure: the caller asked for the stop.
+/// further items, lets started items finish, hands back any item it
+/// assigned ahead but had not started (no `Started` event, no result)
+/// and returns the results it has. Returning fewer results than items is
+/// then expected, not a failure: the caller asked for the stop.
 pub trait Executor: Send + Sync {
     /// Executes every item, returning their results in completion order.
     ///

@@ -19,6 +19,9 @@
 //! | dispatcher → worker | `Assign(WorkItem)` | execute one item |
 //! | worker → dispatcher | `Completed(PartResult)` | the item's result |
 //!
+//! A dispatcher may have two `Assign`s outstanding on one channel, so a
+//! worker answers assignments in the order it received them.
+//!
 //! [`serve_connection`] is the one serving loop behind every worker kind:
 //! the local backend's worker threads, worker subprocesses and worker
 //! hosts; [`serve_remote_host`] runs it per accepted TCP connection.
