@@ -310,10 +310,7 @@ impl BotnetSimulation {
                     // The bot moved to its next address: serve that one,
                     // as `rotate_all` does.
                     CommandKind::RotateAddresses { .. } => {
-                        let new = bot.current_address();
-                        self.tor.deregister_hidden_service(addr);
-                        self.tor.register_hidden_service(new);
-                        let _ = self.tor.announce_service(new);
+                        serve_rotated(&mut self.tor, addr, bot.current_address());
                     }
                     _ => {}
                 }
@@ -366,11 +363,17 @@ impl BotnetSimulation {
     pub fn rotate_all(&mut self, period: u64) {
         for bot in self.bots.values_mut() {
             let (old, new) = bot.rotate_to(period);
-            self.tor.deregister_hidden_service(old);
-            self.tor.register_hidden_service(new);
-            let _ = self.tor.announce_service(new);
+            serve_rotated(&mut self.tor, old, new);
         }
     }
+}
+
+/// A bot moved from `old` to `new`: deregister the old hidden service,
+/// then register and announce the new one.
+fn serve_rotated(tor: &mut TorNetwork, old: OnionAddress, new: OnionAddress) {
+    tor.deregister_hidden_service(old);
+    tor.register_hidden_service(new);
+    let _ = tor.announce_service(new);
 }
 
 #[cfg(test)]

@@ -10,9 +10,11 @@ use crate::error::CryptoError;
 
 /// Encodes bytes as lowercase hexadecimal.
 pub fn encode(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0x0f)]));
     }
     s
 }
@@ -50,6 +52,13 @@ mod tests {
     fn roundtrip() {
         let data = [0u8, 1, 2, 254, 255, 16, 32];
         assert_eq!(decode(&encode(&data)).unwrap(), data.to_vec());
+    }
+
+    #[test]
+    fn every_byte_encodes_as_two_lowercase_digits() {
+        let all: Vec<u8> = (0..=255).collect();
+        let expected: String = all.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(encode(&all), expected);
     }
 
     #[test]
