@@ -23,7 +23,7 @@
 //! The `serve` / `submit` / `status` subcommands front the always-on
 //! simulation service ([`sim::service`]): `serve` keeps the registry,
 //! cache and backend resident and speaks newline-delimited JSON to
-//! concurrent clients over Unix-domain and/or TCP loopback sockets;
+//! concurrent clients over one Unix domain socket;
 //! `submit` streams one job's per-part progress and renders the final
 //! summary byte-identically to a one-shot run; `status` inspects the
 //! daemon's job table or asks it to drain. SIGTERM/ctrl-c drain the

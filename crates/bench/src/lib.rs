@@ -18,7 +18,7 @@
 //! byte-identical summaries.
 //! `run_experiments serve` keeps the whole stack resident as a daemon
 //! ([`service_cli`], over [`sim::service`]): clients `submit` jobs and
-//! `status`-poll over Unix-domain or TCP loopback sockets, per-part
+//! `status`-poll over one Unix domain socket, per-part
 //! progress streams back as NDJSON frames, and every job shares one
 //! result cache. Every front end describes a run as one
 //! [`sim::JobSpec`], parsed from the same job flags ([`cli`]) and turned

@@ -3,19 +3,17 @@
 //!
 //! `serve` starts the persistent daemon: the scenario registry is loaded
 //! once, the result cache and execution backend are owned centrally, and
-//! concurrent clients speak newline-delimited JSON over a Unix domain
-//! socket (`--socket PATH`) and/or TCP loopback (`--tcp ADDR`). `submit`
-//! is the client: it sends one job, streams the per-part progress frames
-//! to stderr as they land, and renders the final summary through the
-//! exact pipeline the one-shot CLI uses ([`crate::output`]), so stdout
-//! and `summary.json` are byte-identical to a local run with the same
-//! seed. `status` queries the daemon's job table, lists its scenarios,
-//! or asks it to shut down gracefully.
+//! concurrent clients speak newline-delimited JSON over one Unix domain
+//! socket (`--socket PATH`). `submit` is the client: it sends one job,
+//! streams the per-part progress frames to stderr as they land, and
+//! renders the final summary through the exact pipeline the one-shot
+//! CLI uses ([`crate::output`]), so stdout and `summary.json` are
+//! byte-identical to a local run with the same seed. `status` queries
+//! the daemon's job table, lists its scenarios, or asks it to shut down
+//! gracefully.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
 
@@ -27,52 +25,19 @@ use crate::cli::{number, Args, JobFlags, ServiceFlags};
 use crate::output::render_summary;
 use crate::scenarios;
 
-/// Where a daemon listens / a client connects.
-enum Transport {
-    /// Unix domain socket at this path.
-    Unix(PathBuf),
-    /// TCP address, e.g. `127.0.0.1:7415`.
-    Tcp(String),
-}
-
-/// Interprets the shared `--socket PATH` / `--tcp ADDR` transport flags.
-/// Returns `Ok(Some(...))` when `flag` was a transport flag (consuming
-/// its value), `Ok(None)` otherwise.
-fn match_transport(flag: &str, args: &mut Args) -> Result<Option<Transport>, String> {
-    match flag {
-        "--socket" => Ok(Some(Transport::Unix(PathBuf::from(args.value(flag)?)))),
-        "--tcp" => Ok(Some(Transport::Tcp(args.value(flag)?.to_string()))),
-        _ => Ok(None),
-    }
-}
-
-/// The read and write halves of a client connection.
-type Connection = (Box<dyn Read>, Box<dyn Write>);
-
-/// Opens both halves of a client connection.
-fn connect(transport: &Transport) -> Result<Connection, String> {
-    match transport {
-        Transport::Unix(path) => {
-            let stream = UnixStream::connect(path)
-                .map_err(|e| format!("cannot connect to socket {}: {e}", path.display()))?;
-            let reader = stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone socket: {e}"))?;
-            Ok((Box::new(reader), Box::new(stream)))
-        }
-        Transport::Tcp(addr) => {
-            let stream =
-                TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-            let reader = stream
-                .try_clone()
-                .map_err(|e| format!("cannot clone socket: {e}"))?;
-            Ok((Box::new(reader), Box::new(stream)))
-        }
-    }
+/// Opens a client connection to the daemon's socket: a read half and a
+/// write half.
+fn connect(socket: &Path) -> Result<(UnixStream, UnixStream), String> {
+    let stream = UnixStream::connect(socket)
+        .map_err(|e| format!("cannot connect to socket {}: {e}", socket.display()))?;
+    let reader = stream
+        .try_clone()
+        .map_err(|e| format!("cannot clone socket: {e}"))?;
+    Ok((reader, stream))
 }
 
 /// Reads the daemon's next event frame; EOF is the error `eof`.
-fn next_event(frames: &mut FrameReader<Box<dyn Read>>, eof: &str) -> Result<Event, String> {
+fn next_event(frames: &mut FrameReader<UnixStream>, eof: &str) -> Result<Event, String> {
     let line = frames
         .next_line()
         .map_err(|e| format!("connection to the service failed: {e}"))?
@@ -84,8 +49,8 @@ fn next_event(frames: &mut FrameReader<Box<dyn Read>>, eof: &str) -> Result<Even
 /// frame. Every non-submission request is answered with exactly one
 /// event, so the client never has to wait for the connection to close
 /// (dropping a cloned read/write half does not shut the socket down).
-fn request_one(transport: &Transport, request: &Request) -> Result<Event, String> {
-    let (reader, mut writer) = connect(transport)?;
+fn request_one(socket: &Path, request: &Request) -> Result<Event, String> {
+    let (reader, mut writer) = connect(socket)?;
     write_frame(&mut writer, request).map_err(|e| format!("cannot send request: {e}"))?;
     next_event(
         &mut FrameReader::new(reader),
@@ -102,9 +67,7 @@ Starts the persistent simulation service. Clients connect with
 `run_experiments submit` / `status` and speak newline-delimited JSON.
 
 Options:
-  --socket PATH       listen on a Unix domain socket at PATH
-  --tcp ADDR          listen on a TCP address (loopback recommended,
-                      e.g. 127.0.0.1:0); may be combined with --socket
+  --socket PATH       listen on a Unix domain socket at PATH (required)
   --jobs N            default workers per job (default: 1)
   --backend B         default execution backend: local|process|remote
   --worker ADDR       default remote worker host address, repeatable
@@ -127,7 +90,7 @@ jobs finish and flush their cache entries, then the process exits 0.
 ";
 
 struct ServeOptions {
-    transports: Vec<Transport>,
+    socket: PathBuf,
     /// The per-job defaults: `--jobs`, `--backend`, `--worker` and
     /// `--threads-per-item`, parsed exactly like a job's own flags.
     defaults: JobSpec,
@@ -136,20 +99,17 @@ struct ServeOptions {
 }
 
 fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let mut transports = Vec::new();
+    let mut socket = None;
     let mut defaults = JobFlags::default();
     let mut service = ServiceFlags::default();
     let mut max_active_jobs = sim::service::DEFAULT_MAX_ACTIVE_JOBS;
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
-        if let Some(transport) = match_transport(flag, &mut args)? {
-            transports.push(transport);
-            continue;
-        }
         if service.apply(flag, &mut args)? {
             continue;
         }
         match flag {
+            "--socket" => socket = Some(PathBuf::from(args.value(flag)?)),
             "--jobs" | "--backend" | "--worker" | "--threads-per-item" => {
                 defaults.apply(flag, &mut args)?;
             }
@@ -167,11 +127,8 @@ fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    if transports.is_empty() {
-        return Err("serve needs at least one of --socket PATH or --tcp ADDR".to_string());
-    }
     Ok(ServeOptions {
-        transports,
+        socket: socket.ok_or_else(|| "serve needs --socket PATH".to_string())?,
         defaults: defaults.spec,
         service,
         max_active_jobs,
@@ -206,57 +163,12 @@ pub fn serve_main(args: &[String], stop: &AtomicBool) -> ExitCode {
         eprintln!("service: caching results under {}", cache.dir().display());
     }
     let service = Service::new(scenarios::registry(), config);
-    // Bind TCP listeners up front so `--tcp 127.0.0.1:0` can report the
-    // assigned port before the first client tries to connect.
-    let mut tcp_listeners = Vec::new();
-    let mut unix_paths = Vec::new();
-    for transport in &options.transports {
-        match transport {
-            Transport::Unix(path) => unix_paths.push(path.clone()),
-            Transport::Tcp(addr) => match TcpListener::bind(addr) {
-                Ok(listener) => {
-                    match listener.local_addr() {
-                        Ok(addr) => eprintln!("service: listening on tcp {addr}"),
-                        Err(_) => eprintln!("service: listening on tcp {addr}"),
-                    }
-                    tcp_listeners.push(listener);
-                }
-                Err(error) => {
-                    eprintln!("error: cannot bind {addr}: {error}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        }
-    }
-    let failed = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for listener in tcp_listeners {
-            let service = &service;
-            handles.push(scope.spawn(move || {
-                service
-                    .serve_tcp(listener, stop)
-                    .map_err(|e| format!("tcp serve loop failed: {e}"))
-            }));
-        }
-        for path in &unix_paths {
-            let service = &service;
-            eprintln!("service: listening on socket {}", path.display());
-            handles.push(scope.spawn(move || {
-                service
-                    .serve_unix(path, stop)
-                    .map_err(|e| format!("socket serve loop failed: {e}"))
-            }));
-        }
-        let mut failed = false;
-        for handle in handles {
-            if let Err(message) = handle.join().expect("serve loop thread") {
-                eprintln!("error: {message}");
-                failed = true;
-            }
-        }
-        failed
-    });
-    if failed {
+    eprintln!("service: starting on socket {}", options.socket.display());
+    if let Err(error) = service.serve_unix(&options.socket, stop) {
+        eprintln!(
+            "error: cannot serve socket {}: {error}",
+            options.socket.display()
+        );
         return ExitCode::FAILURE;
     }
     eprintln!("service: drained cleanly");
@@ -273,8 +185,7 @@ per-part progress to stderr, and renders the final summary exactly like
 a one-shot run (byte-identical stdout / summary.json for a fixed seed).
 
 Options:
-  --socket PATH       connect to the daemon's Unix domain socket
-  --tcp ADDR          connect to the daemon's TCP address
+  --socket PATH       connect to the daemon's Unix domain socket (required)
   --only ID[,ID...]   run only the named scenarios (repeatable)
   --scale quick|full  population scale (default: quick; env ONIONBOTS_FULL=1)
   --seed N            base RNG seed (default: the daemon's default, 2015)
@@ -293,25 +204,22 @@ Options:
 ";
 
 pub(crate) struct SubmitOptions {
-    transport: Transport,
+    socket: PathBuf,
     pub(crate) job: JobFlags,
     quiet: bool,
 }
 
 pub(crate) fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, String> {
-    let mut transport = None;
+    let mut socket = None;
     let mut job = JobFlags::default();
     let mut quiet = false;
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
-        if let Some(parsed) = match_transport(flag, &mut args)? {
-            transport = Some(parsed);
-            continue;
-        }
         if job.apply(flag, &mut args)? {
             continue;
         }
         match flag {
+            "--socket" => socket = Some(PathBuf::from(args.value(flag)?)),
             "--quiet" => quiet = true,
             "--help" | "-h" => {
                 print!("{SUBMIT_USAGE}");
@@ -320,17 +228,15 @@ pub(crate) fn parse_submit_options(args: &[String]) -> Result<SubmitOptions, Str
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let transport =
-        transport.ok_or_else(|| "submit needs --socket PATH or --tcp ADDR".to_string())?;
     Ok(SubmitOptions {
-        transport,
+        socket: socket.ok_or_else(|| "submit needs --socket PATH".to_string())?,
         job,
         quiet,
     })
 }
 
 fn run_submit(options: &SubmitOptions) -> Result<(), String> {
-    let (reader, mut writer) = connect(&options.transport)?;
+    let (reader, mut writer) = connect(&options.socket)?;
     write_frame(&mut writer, &Request::Submit(options.job.spec.clone()))
         .map_err(|e| format!("cannot send job: {e}"))?;
     let mut frames = FrameReader::new(reader);
@@ -410,8 +316,7 @@ Usage: run_experiments status [options]
 Queries a running `run_experiments serve` daemon.
 
 Options:
-  --socket PATH       connect to the daemon's Unix domain socket
-  --tcp ADDR          connect to the daemon's TCP address
+  --socket PATH       connect to the daemon's Unix domain socket (required)
   --job N             show only job N (default: every job)
   --list              list the daemon's scenarios instead of its jobs
   --cancel N          cancel running job N: its pending items are drained
@@ -424,23 +329,20 @@ a shutdown/cancel acknowledgement).
 ";
 
 struct StatusOptions {
-    transport: Transport,
+    socket: PathBuf,
     request: Request,
 }
 
 fn parse_status_options(args: &[String]) -> Result<StatusOptions, String> {
-    let mut transport = None;
+    let mut socket = None;
     let mut job = None;
     let mut list = false;
     let mut cancel = None;
     let mut shutdown = false;
     let mut args = Args::new(args);
     while let Some(flag) = args.flag() {
-        if let Some(parsed) = match_transport(flag, &mut args)? {
-            transport = Some(parsed);
-            continue;
-        }
         match flag {
+            "--socket" => socket = Some(PathBuf::from(args.value(flag)?)),
             "--job" => job = Some(number(flag, args.value(flag)?)?),
             "--list" => list = true,
             "--cancel" => cancel = Some(number(flag, args.value(flag)?)?),
@@ -452,8 +354,7 @@ fn parse_status_options(args: &[String]) -> Result<StatusOptions, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    let transport =
-        transport.ok_or_else(|| "status needs --socket PATH or --tcp ADDR".to_string())?;
+    let socket = socket.ok_or_else(|| "status needs --socket PATH".to_string())?;
     let request = if shutdown {
         Request::Shutdown
     } else if let Some(job) = cancel {
@@ -463,11 +364,11 @@ fn parse_status_options(args: &[String]) -> Result<StatusOptions, String> {
     } else {
         Request::Status { job }
     };
-    Ok(StatusOptions { transport, request })
+    Ok(StatusOptions { socket, request })
 }
 
 fn run_status(options: &StatusOptions) -> Result<(), String> {
-    let first = request_one(&options.transport, &options.request)?;
+    let first = request_one(&options.socket, &options.request)?;
     match first {
         Event::Jobs(jobs) => println!(
             "{}",
@@ -519,8 +420,6 @@ mod tests {
         let options = parse_serve_options(&args(&[
             "--socket",
             "/tmp/svc.sock",
-            "--tcp",
-            "127.0.0.1:0",
             "--jobs",
             "4",
             "--backend",
@@ -534,7 +433,7 @@ mod tests {
             "--no-cache",
         ]))
         .unwrap();
-        assert_eq!(options.transports.len(), 2);
+        assert_eq!(options.socket, PathBuf::from("/tmp/svc.sock"));
         assert_eq!(options.defaults.jobs, Some(4));
         assert_eq!(options.defaults.backend, Some(BackendSpec::Process));
         assert_eq!(
@@ -605,11 +504,11 @@ mod tests {
         assert_eq!(options.job.format, Format::Json);
         assert!(options.quiet);
         // Defaults: an empty flag set is a bare full-registry submission.
-        let bare = parse_submit_options(&args(&["--tcp", "127.0.0.1:7415"])).unwrap();
+        let bare = parse_submit_options(&args(&["--socket", "/tmp/svc.sock"])).unwrap();
         assert_eq!(bare.job.spec, JobSpec::default());
         assert!(
             parse_submit_options(&args(&["--seed", "1"])).is_err(),
-            "no transport"
+            "no socket"
         );
     }
 
@@ -628,15 +527,14 @@ mod tests {
         assert!(parse_status_options(&args(&["--socket", "/tmp/s", "--cancel", "x"])).is_err());
         assert!(
             parse_status_options(&args(&["--job", "1"])).is_err(),
-            "no transport"
+            "no socket"
         );
         assert!(parse_status_options(&args(&["--socket", "/tmp/s", "--job", "x"])).is_err());
     }
 
     #[test]
     fn connecting_to_a_missing_socket_is_a_clean_error() {
-        let transport = Transport::Unix(PathBuf::from("/nonexistent/service.sock"));
-        let error = match connect(&transport) {
+        let error = match connect(Path::new("/nonexistent/service.sock")) {
             Ok(_) => panic!("connected to a nonexistent socket"),
             Err(error) => error,
         };

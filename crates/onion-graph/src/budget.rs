@@ -13,65 +13,37 @@
 //! already fanning across workers. Letting every phase grab all cores
 //! would oversubscribe the machine as soon as two parts run
 //! concurrently, so parallelism inside one part is governed by an
-//! explicit **thread budget**:
-//!
-//! * the executor scopes a per-item budget around each work item with
-//!   [`with_thread_budget`] (a thread-local, so concurrent items on
-//!   different worker threads cannot see each other's budgets);
-//! * standalone processes inherit a process-wide budget from the
-//!   [`THREADS_ENV`] environment variable;
-//! * with neither set, the budget is 1 and every phase runs inline, on
-//!   the calling thread.
+//! explicit **thread budget**. The executor scopes a per-item budget
+//! around each work item with [`with_thread_budget`] (a thread-local,
+//! so concurrent items on different worker threads cannot see each
+//! other's budgets). Outside such a scope the budget is 1 and every
+//! phase runs inline, on the calling thread.
 //!
 //! The budget only bounds *resource use*; results never depend on it —
 //! [`map_in_order`] writes each item's result into its slot by item
 //! index, so any budget produces byte-identical output.
 
 use std::cell::Cell;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Hard ceiling on the workers of one [`map_in_order`] call. Budgets are
-/// caller-supplied (CLI flag, environment variable), and an absurd value
+/// caller-supplied (a CLI flag, a work item's hint), and an absurd value
 /// must degrade to "merely pointless", not to a failed `std::thread`
 /// spawn aborting the scope. 64 is far above any useful fan-out while
 /// keeping over-provisioned determinism tests (threads > cores)
 /// meaningful.
 pub const MAX_THREADS: usize = 64;
 
-/// Environment variable holding the process-wide default thread budget
-/// (`ONIONBOTS_THREADS_PER_ITEM`). Read once, on first use; values that
-/// are absent, unparseable or zero mean a budget of 1. It is the
-/// default for standalone processes (an example binary, a REPL); work
-/// items carry their own budget, which [`with_thread_budget`] scopes.
-pub const THREADS_ENV: &str = "ONIONBOTS_THREADS_PER_ITEM";
-
 thread_local! {
-    /// The scoped per-thread budget; `None` falls back to the env default.
-    static BUDGET: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// Parses one raw env value into a budget (`None` when it does not name a
-/// usable thread count).
-fn parse_env(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().filter(|&n| n >= 1)
-}
-
-fn env_default() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var(THREADS_ENV)
-            .ok()
-            .as_deref()
-            .and_then(parse_env)
-            .unwrap_or(1)
-    })
+    /// The calling thread's budget; 1 outside any scope.
+    static BUDGET: Cell<usize> = const { Cell::new(1) };
 }
 
 /// The thread budget governing intra-graph parallelism on the calling
-/// thread: the innermost [`with_thread_budget`] scope if one is active,
-/// else the [`THREADS_ENV`] process default, else 1.
+/// thread: the innermost [`with_thread_budget`] scope's if one is
+/// active, else 1.
 pub fn thread_budget() -> usize {
-    BUDGET.with(Cell::get).unwrap_or_else(env_default)
+    BUDGET.with(Cell::get)
 }
 
 /// Runs `f` with the calling thread's budget set to `threads` (clamped to
@@ -79,13 +51,13 @@ pub fn thread_budget() -> usize {
 /// via a drop guard, so a panicking work item cannot leak its budget into
 /// the next item executed on the same worker thread.
 pub fn with_thread_budget<T>(threads: usize, f: impl FnOnce() -> T) -> T {
-    struct Restore(Option<usize>);
+    struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
             BUDGET.with(|b| b.set(self.0));
         }
     }
-    let _restore = Restore(BUDGET.with(|b| b.replace(Some(threads.max(1)))));
+    let _restore = Restore(BUDGET.with(|b| b.replace(threads.max(1))));
     f()
 }
 
@@ -145,20 +117,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The budget the current environment implies outside any scope —
-    /// tests assert against this instead of a literal 1, so the suite
-    /// passes even when the developer has exported [`THREADS_ENV`].
-    fn ambient() -> usize {
-        std::env::var(THREADS_ENV)
-            .ok()
-            .as_deref()
-            .and_then(parse_env)
-            .unwrap_or(1)
-    }
-
     #[test]
-    fn unscoped_budget_matches_the_environment() {
-        assert_eq!(thread_budget(), ambient());
+    fn unscoped_budget_is_one() {
+        assert_eq!(thread_budget(), 1);
     }
 
     #[test]
@@ -169,11 +130,7 @@ mod tests {
             (outer, thread_budget(), inner)
         });
         assert_eq!(observed, (4, 4, 2));
-        assert_eq!(
-            thread_budget(),
-            ambient(),
-            "scope exit restores the ambient default"
-        );
+        assert_eq!(thread_budget(), 1, "scope exit restores the default");
     }
 
     #[test]
@@ -187,14 +144,14 @@ mod tests {
             with_thread_budget(usize::MAX, || panic!("boom"));
         });
         assert!(result.is_err());
-        assert_eq!(thread_budget(), ambient(), "drop guard restored the budget");
+        assert_eq!(thread_budget(), 1, "drop guard restored the budget");
     }
 
     #[test]
     fn budgets_are_per_thread() {
         with_thread_budget(6, || {
             let other = std::thread::spawn(thread_budget).join().unwrap();
-            assert_eq!(other, ambient(), "a fresh thread sees the process default");
+            assert_eq!(other, 1, "a fresh thread sees the default");
             assert_eq!(thread_budget(), 6);
         });
     }
@@ -252,15 +209,5 @@ mod tests {
             });
             assert!(result.is_err(), "threads={threads}");
         }
-    }
-
-    #[test]
-    fn env_values_parse_conservatively() {
-        assert_eq!(parse_env("4"), Some(4));
-        assert_eq!(parse_env(" 16 "), Some(16));
-        assert_eq!(parse_env("0"), None, "zero threads is not a budget");
-        assert_eq!(parse_env("auto"), None, "auto is resolved by the CLI");
-        assert_eq!(parse_env(""), None);
-        assert_eq!(parse_env("-2"), None);
     }
 }

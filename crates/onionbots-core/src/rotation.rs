@@ -11,10 +11,9 @@
 //! identifier directly from the period secret instead of generating a fresh
 //! RSA key per period per bot; the *sequence structure* (deterministic from
 //! `(PK_CC, K_B, period)`, unlinkable without `K_B`) is what the experiments
-//! rely on, and [`AddressSchedule::rotated_service_key_seed`] exposes the
-//! seed a full RSA-backed rotation would use.
+//! rely on.
 
-use onion_crypto::kdf::{derive_period_secret, derive_period_seed};
+use onion_crypto::kdf::derive_period_secret;
 use onion_crypto::rsa::RsaPublicKey;
 use tor_sim::onion::OnionAddress;
 
@@ -44,14 +43,6 @@ impl AddressSchedule {
         let mut identifier = [0u8; 10];
         identifier.copy_from_slice(&secret[..10]);
         OnionAddress::from_identifier(identifier)
-    }
-
-    /// Seed for the RSA key a fully faithful implementation would generate
-    /// for `period` (exposed so tests can demonstrate the equivalence).
-    pub fn rotated_service_key_seed(&self, period: u64) -> u64 {
-        let pk_cc = RsaPublicKey::from_bytes(&self.pk_cc_bytes)
-            .expect("schedule always stores a valid key encoding");
-        derive_period_seed(&pk_cc, &self.k_b, period)
     }
 
     /// The addresses for a consecutive range of periods.

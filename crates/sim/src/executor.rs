@@ -45,7 +45,7 @@ use crate::scenario_api::{part_count, part_seed, Scenario, ScenarioParams};
 /// identity — two items with equal fingerprints are bytewise equal up to
 /// the `threads` execution hint — and keeps undeclared-key leakage from
 /// ever differing between backends.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkItem {
     /// Registry id of the scenario to run.
     pub scenario_id: String,
@@ -68,32 +68,6 @@ pub struct WorkItem {
     /// resource use. The runner assigns it by splitting the machine
     /// across in-flight items (`Runner::threads_per_item`).
     pub threads: usize,
-}
-
-/// Hand-written because the offline serde_derive stub has no
-/// `#[serde(default)]`: `threads` is an *optional* execution hint, so an
-/// item stream in the pre-hint wire shape — the documented ndjson
-/// protocol surface a custom/multi-host dispatcher may speak — still
-/// parses, defaulting to sequential. Every identity field stays
-/// required.
-impl serde::Deserialize for WorkItem {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let entries = value
-            .as_object()
-            .ok_or_else(|| serde::Error::custom("WorkItem: expected a JSON object"))?;
-        let field = |name: &str| serde::obj_get(entries, name);
-        Ok(WorkItem {
-            scenario_id: serde::Deserialize::from_value(field("scenario_id"))?,
-            part: serde::Deserialize::from_value(field("part"))?,
-            part_seed: serde::Deserialize::from_value(field("part_seed"))?,
-            fingerprint: serde::Deserialize::from_value(field("fingerprint"))?,
-            params: serde::Deserialize::from_value(field("params"))?,
-            threads: match field("threads") {
-                serde::Value::Null => 1,
-                raw => serde::Deserialize::from_value(raw)?,
-            },
-        })
-    }
 }
 
 impl WorkItem {
@@ -428,14 +402,11 @@ mod tests {
         let params = ScenarioParams::with_seed(1);
         let mut item = WorkItem::new(&BudgetProbe, 0, &params);
         item.threads = 5;
-        // Capture the ambient budget (env-dependent) rather than assuming
-        // 1, so the test is immune to an exported THREADS_ENV.
-        let ambient = onion_graph::budget::thread_budget();
         let reports = run_work_item(&BudgetProbe, &item);
         assert_eq!(reports[0].series[0].y, vec![5.0], "hint visible in-part");
         assert_eq!(
             onion_graph::budget::thread_budget(),
-            ambient,
+            1,
             "budget restored after the item"
         );
         // The default hint keeps parts sequential.
@@ -443,10 +414,10 @@ mod tests {
     }
 
     #[test]
-    fn work_items_without_a_threads_field_parse_with_the_default() {
-        // Wire-compat: a dispatcher emitting the pre-hint item shape (no
-        // `threads` key) must still be understood; the hint defaults to
-        // sequential instead of failing the protocol.
+    fn work_items_without_a_threads_field_are_rejected() {
+        // Every dispatcher that passes the `Hello` version check sends
+        // `threads`, so an item without it is malformed, like one missing
+        // an identity field.
         let params = ScenarioParams::with_seed(3).with_override("offset", "1.5");
         let scenario = Toy {
             id: "t1",
@@ -454,7 +425,7 @@ mod tests {
             keys: Some(vec!["offset"]),
         };
         let item = WorkItem::new(&scenario, 0, &params);
-        let legacy_line = format!(
+        let unhinted = format!(
             "{{\"scenario_id\":\"{}\",\"part\":{},\"part_seed\":{},\"fingerprint\":\"{}\",\"params\":{}}}",
             item.scenario_id,
             item.part,
@@ -462,11 +433,11 @@ mod tests {
             item.fingerprint,
             serde_json::to_string(&item.params).unwrap()
         );
-        let parsed: WorkItem = serde_json::from_str(&legacy_line).unwrap();
-        assert_eq!(parsed, item, "defaulted threads hint equals a fresh item's");
-        assert_eq!(parsed.threads, 1);
+        assert!(serde_json::from_str::<WorkItem>(&unhinted).is_err());
+        let hinted = format!("{},\"threads\":1}}", &unhinted[..unhinted.len() - 1]);
+        assert_eq!(serde_json::from_str::<WorkItem>(&hinted).unwrap(), item);
         // Identity fields stay required: dropping one is still an error.
-        let truncated = legacy_line.replace("\"part\":0,", "");
+        let truncated = hinted.replace("\"part\":0,", "");
         assert!(serde_json::from_str::<WorkItem>(&truncated).is_err());
     }
 

@@ -29,8 +29,8 @@
 //!   [`serve_connection`].
 //! * [`service`] — the always-on simulation service: a persistent
 //!   daemon over the same runner pipeline, speaking an NDJSON job API
-//!   ([`service::Request`]/[`service::Event`] frames) over Unix-domain
-//!   or TCP loopback sockets, streaming per-part lifecycle events and
+//!   ([`service::Request`]/[`service::Event`] frames) over one Unix
+//!   domain socket, streaming per-part lifecycle events and
 //!   fronting one shared result cache for every client.
 //! * [`faults`] — deterministic fault injection: named failpoints
 //!   compiled into the worker loop, the dispatcher, the cache and the

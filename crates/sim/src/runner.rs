@@ -501,12 +501,11 @@ impl Runner {
     }
 
     /// Hands the pending items to the configured backend as one batch,
-    /// stamping the resolved per-item thread budget onto every item first
-    /// (and, for worker subprocesses, into their environment). A cancel
-    /// raised before dispatch fails the run without starting the backend;
-    /// one raised mid-run stops the backend at its next item boundary, and
-    /// the run fails whenever the observer reads cancelled once the
-    /// backend returns, also if every item has its result.
+    /// stamping the resolved per-item thread budget onto every item first.
+    /// A cancel raised before dispatch fails the run without starting the
+    /// backend; one raised mid-run stops the backend at its next item
+    /// boundary, and the run fails whenever the observer reads cancelled
+    /// once the backend returns, also if every item has its result.
     fn dispatch(
         &self,
         scenarios: &[Arc<dyn Scenario>],

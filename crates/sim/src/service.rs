@@ -3,12 +3,12 @@
 //!
 //! A [`Service`] loads the [`ScenarioRegistry`] once, owns the shared
 //! [`ResultCache`] and the executor backend configuration, and serves
-//! concurrent client connections over a Unix domain socket
-//! ([`Service::serve_unix`]) or TCP loopback ([`Service::serve_tcp`]).
-//! The wire protocol is newline-delimited JSON — the one framing in
-//! [`crate::wire`], shared with the worker protocol: one [`Request`]
-//! frame per client line, one [`Event`] frame per daemon line. No HTTP
-//! stack is involved; `std::net` and `std::os::unix::net` suffice.
+//! concurrent client connections on one Unix domain socket
+//! ([`Service::serve_unix`]). The wire protocol is newline-delimited
+//! JSON — the one framing in [`crate::wire`], shared with the worker
+//! protocol: one [`Request`] frame per client line, one [`Event`] frame
+//! per daemon line. No HTTP stack is involved; `std::os::unix::net`
+//! suffices.
 //!
 //! A submitted job ([`JobSpec`]) becomes a [`Runner`] through
 //! [`ServiceConfig::runner`] — the same path the one-shot CLI takes — and
@@ -78,9 +78,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -94,7 +92,7 @@ use crate::executor::{Executor, ExecutorError, PartResult, WorkItem};
 use crate::faults;
 use crate::runner::{Backend, PartEvent, RunObserver, RunSummary, Runner, ThreadsPerItem};
 use crate::scenario_api::{part_count, ScenarioParams, ScenarioRegistry};
-use crate::wire::{write_frame, Duplex, Frame, FrameReader};
+use crate::wire::{write_frame, Frame, FrameReader};
 
 // The unused-import lint would otherwise flag these doc-link-only names.
 #[allow(unused_imports)]
@@ -474,15 +472,13 @@ impl JobTable {
 /// The persistent simulation service: registry + cache + backend loaded
 /// once, serving concurrent NDJSON clients.
 ///
-/// `Service` itself is transport-agnostic — [`handle_connection`]
-/// drives any `Read`/`Write` pair — and the serve loops
-/// ([`serve_unix`], [`serve_tcp`]) layer socket accept/drain mechanics
-/// on top. Its state is one job table behind one lock and one drain
-/// flag, which the serve loops exit on.
+/// [`handle_connection`] drives any `Read`/`Write` pair, and
+/// [`serve_unix`] layers the Unix socket's accept/drain mechanics on
+/// top. Its state is one job table behind one lock and one drain flag,
+/// which the serve loop exits on.
 ///
 /// [`handle_connection`]: Service::handle_connection
 /// [`serve_unix`]: Service::serve_unix
-/// [`serve_tcp`]: Service::serve_tcp
 pub struct Service {
     registry: ScenarioRegistry,
     config: ServiceConfig,
@@ -712,8 +708,8 @@ impl Service {
     /// Malformed frames are answered with [`Event::Error`] and the
     /// connection keeps serving — a bad client can cost itself, never
     /// the daemon. When the connection's transport has a read timeout
-    /// (the serve loops set one), idle periods poll the drain flag so a
-    /// silent client cannot stall shutdown.
+    /// ([`Service::serve_unix`] sets one), idle periods poll the drain
+    /// flag so a silent client cannot stall shutdown.
     ///
     /// # Errors
     /// Returns the underlying I/O error when the transport fails in a
@@ -771,92 +767,72 @@ impl Service {
         }
     }
 
-    /// The accept/drain loop shared by both transports: poll `accept`,
-    /// spawn one scoped thread per connection, and — once `stop` fires
-    /// or the service drains (a client's [`Request::Shutdown`]) — stop
-    /// accepting and join every connection thread before returning.
-    fn serve_with<S, A>(&self, mut accept: A, stop: &AtomicBool) -> io::Result<()>
-    where
-        S: Duplex,
-        A: FnMut() -> io::Result<Option<S>>,
-    {
-        std::thread::scope(|scope| -> io::Result<()> {
-            loop {
-                if stop.load(Ordering::SeqCst) || self.is_draining() {
-                    self.begin_drain();
-                    return Ok(());
-                }
-                match accept()? {
-                    Some(stream) => {
-                        // The per-read timeout turns blocked reads into
-                        // Frame::Idle polls, so idle connections notice
-                        // the drain instead of pinning the join below.
-                        if stream.set_read_interval(Duration::from_millis(50)).is_err() {
-                            continue;
-                        }
-                        let Ok(reader) = stream.duplicate() else {
-                            continue;
-                        };
+    /// Serves clients on a Unix domain socket at `path` until `stop` is
+    /// set or the service drains (a client's [`Request::Shutdown`]):
+    /// one scoped thread per connection; once draining begins, no new
+    /// connection is accepted, every connection thread is joined, and
+    /// the socket file is removed. A stale socket file — one nothing
+    /// answers on — is replaced; a live service's socket is left alone.
+    ///
+    /// # Errors
+    /// Returns [`io::ErrorKind::AddrInUse`] when a service already
+    /// answers at `path`, and the I/O error when the socket cannot be
+    /// probed or bound or the accept loop fails.
+    pub fn serve_unix(&self, path: &Path, stop: &AtomicBool) -> io::Result<()> {
+        match UnixStream::connect(path) {
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::AddrInUse,
+                    format!("a live service already answers on {}", path.display()),
+                ))
+            }
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    io::ErrorKind::NotFound | io::ErrorKind::ConnectionRefused
+                ) =>
+            {
+                let _ = std::fs::remove_file(path);
+            }
+            Err(error) => return Err(error),
+        }
+        let listener = UnixListener::bind(path)?;
+        listener.set_nonblocking(true)?;
+        // Scope exit joins every connection thread: in-flight jobs finish
+        // (flushing fresh parts to the cache) before the serve loop
+        // returns — the graceful-drain barrier.
+        let result = std::thread::scope(|scope| loop {
+            if stop.load(Ordering::SeqCst) || self.is_draining() {
+                self.begin_drain();
+                return Ok(());
+            }
+            match listener.accept() {
+                Ok((stream, _addr)) => {
+                    // The per-read timeout turns blocked reads into
+                    // Frame::Idle polls, so idle connections notice the
+                    // drain instead of pinning the scope's join.
+                    let reader = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_read_timeout(Some(Duration::from_millis(50))))
+                        .and_then(|()| stream.try_clone());
+                    if let Ok(reader) = reader {
                         scope.spawn(move || {
                             let _ = self.handle_connection(reader, stream);
                         });
                     }
+                }
+                Err(error) if error.kind() == io::ErrorKind::WouldBlock => {
                     // detlint: allow(D002) reason="accept-loop idle poll; paces the nonblocking accept() retry and can never reach an output path"
-                    None => std::thread::sleep(Duration::from_millis(20)),
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                Err(error) => {
+                    self.begin_drain();
+                    return Err(error);
                 }
             }
-            // Scope exit joins every connection thread: in-flight jobs
-            // finish (flushing fresh parts to the cache) before the
-            // serve loop returns — the graceful-drain barrier.
-        })
-    }
-
-    /// Serves clients on a Unix domain socket at `path` until `stop` is
-    /// set or the service drains, then drains and removes the
-    /// socket file. A stale socket file from a previous run is replaced.
-    ///
-    /// # Errors
-    /// Returns the I/O error when the socket cannot be bound or the
-    /// accept loop fails.
-    #[cfg(unix)]
-    pub fn serve_unix(&self, path: &Path, stop: &AtomicBool) -> io::Result<()> {
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
-        let result = self.serve_with(
-            || match listener.accept() {
-                Ok((stream, _addr)) => {
-                    stream.set_nonblocking(false)?;
-                    Ok(Some(stream))
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(error) => Err(error),
-            },
-            stop,
-        );
+        });
         let _ = std::fs::remove_file(path);
         result
-    }
-
-    /// Serves clients on an already bound TCP listener (loopback
-    /// recommended — the protocol is unauthenticated) until `stop` is
-    /// set or the service drains, then drains.
-    ///
-    /// # Errors
-    /// Returns the I/O error when the accept loop fails.
-    pub fn serve_tcp(&self, listener: TcpListener, stop: &AtomicBool) -> io::Result<()> {
-        listener.set_nonblocking(true)?;
-        self.serve_with(
-            || match listener.accept() {
-                Ok((stream, _addr)) => {
-                    stream.set_nonblocking(false)?;
-                    Ok(Some(stream))
-                }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(error) => Err(error),
-            },
-            stop,
-        )
     }
 }
 
@@ -938,7 +914,7 @@ impl<W: Write> EventSink<W> {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
@@ -947,7 +923,6 @@ mod tests {
     use crate::wire::MAX_FRAME_BYTES;
     use rand::rngs::StdRng;
     use rand::Rng;
-    use std::os::unix::net::UnixStream;
     use std::sync::Arc;
 
     struct Toy {
@@ -1313,6 +1288,66 @@ mod tests {
         );
         assert_eq!(events, vec![Event::ShuttingDown]);
         assert!(service.is_draining());
+    }
+
+    /// Asks the service at `path` for its job table over a fresh
+    /// connection.
+    fn status_over(path: &Path) -> io::Result<Event> {
+        let mut client = UnixStream::connect(path)?;
+        write_frame(&mut client, &Request::Status { job: None })?;
+        let line = FrameReader::new(&client)
+            .next_line()?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no answer"))?;
+        serde_json::from_str(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+
+    #[test]
+    fn a_second_serve_leaves_a_live_socket_alone() {
+        let dir = std::env::temp_dir().join(format!("sim-service-live-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("svc.sock");
+        let (first, second) = (service(None), service(None));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let serving = scope.spawn(|| first.serve_unix(&path, &stop));
+            for _ in 0..1000 {
+                if UnixStream::connect(&path).is_ok() {
+                    break;
+                }
+                // detlint: allow(D002) reason="bounded start-up poll until the first service answers; never reaches an output"
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            // Everything is observed before the first service is stopped,
+            // so a failed expectation below cannot leave it running.
+            let second_outcome = second.serve_unix(&path, &AtomicBool::new(true));
+            let status = status_over(&path);
+            stop.store(true, Ordering::SeqCst);
+            let first_outcome = serving.join().unwrap();
+            let error = second_outcome.unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::AddrInUse, "{error}");
+            assert!(error.to_string().contains("svc.sock"), "{error}");
+            assert!(matches!(status.unwrap(), Event::Jobs(_)));
+            first_outcome.unwrap();
+        });
+        assert!(!path.exists(), "the first service removed its socket");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_socket_file_is_replaced() {
+        let dir = std::env::temp_dir().join(format!("sim-service-stale-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("svc.sock");
+        // A bound listener that is dropped leaves a file nothing answers on.
+        drop(UnixListener::bind(&path).unwrap());
+        assert!(path.exists());
+        service(None)
+            .serve_unix(&path, &AtomicBool::new(true))
+            .unwrap();
+        assert!(!path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

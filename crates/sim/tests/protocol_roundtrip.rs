@@ -8,7 +8,10 @@
 //! stream, timeouts interleaved, to the same frames, and must never
 //! panic or buffer past [`MAX_FRAME_BYTES`] on arbitrary bytes. The
 //! serving loop ([`serve_connection`]) must *reject* — never execute —
-//! malformed or version-skewed handshakes. Cache entries are the other
+//! malformed or version-skewed handshakes. A valid frame cut at any byte
+//! or with one byte flipped must decode to `Ok` or `Err`, never panic,
+//! and the serving loop must answer such an assignment or end the
+//! channel. Cache entries are the other
 //! bytes decoded from outside the process: a torn or bit-flipped entry
 //! must never panic a [`ResultCache`] lookup or the renderers.
 
@@ -832,4 +835,84 @@ fn worker_host_treats_a_probe_connection_as_clean() {
     let (outcome, frames) = serve_lines(&[]);
     outcome.unwrap();
     assert!(frames.is_empty(), "no hello, no frames: {frames:?}");
+}
+
+/// Damages one valid frame line: cuts it at `offset` (modulo its length
+/// plus one, so the whole line is a possible cut) or flips the byte at
+/// `offset` (modulo its length) with `flip`.
+fn damage(line: &str, offset: usize, flip: u8, truncate: bool) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    if truncate {
+        bytes.truncate(offset % (bytes.len() + 1));
+    } else {
+        let at = offset % bytes.len();
+        bytes[at] ^= flip;
+    }
+    bytes
+}
+
+/// Decodes damaged frame bytes both ways the program does (text frames
+/// through `from_str`, raw bytes through `from_slice`); either call may
+/// fail, neither may panic.
+fn decode_damaged<T: serde::Deserialize>(bytes: &[u8]) {
+    if let Ok(text) = std::str::from_utf8(bytes) {
+        let _ = serde_json::from_str::<T>(text);
+    }
+    let _ = serde_json::from_slice::<T>(bytes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn damaged_frames_decode_without_panicking(
+        request in request_strategy(),
+        dispatch in dispatch_frame_strategy(),
+        worker in worker_frame_strategy(),
+        offset in any::<usize>(),
+        flip in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        let line = |frame: String| damage(&frame, offset, flip, truncate);
+        decode_damaged::<Request>(&line(serde_json::to_string(&request).unwrap()));
+        decode_damaged::<DispatchFrame>(&line(serde_json::to_string(&dispatch).unwrap()));
+        decode_damaged::<WorkerFrame>(&line(serde_json::to_string(&worker).unwrap()));
+    }
+
+    #[test]
+    fn a_damaged_assignment_is_answered_or_ends_the_channel(
+        offset in any::<usize>(),
+        flip in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        let mut input = format!("{}\n", hello()).into_bytes();
+        input.extend(damage(&assign("toy"), offset, flip, truncate));
+        input.push(b'\n');
+        let mut output = Vec::new();
+        let outcome = serve_connection(
+            &input[..],
+            &mut output,
+            |id| (id == "toy").then(|| Arc::new(Toy) as Arc<dyn Scenario>),
+            sim::faults::points::REMOTE_HOST_ITEM,
+        );
+        let frames: Vec<WorkerFrame> = String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|line| serde_json::from_str(line).unwrap())
+            .collect();
+        prop_assert_eq!(
+            frames.first(),
+            Some(&WorkerFrame::Welcome { protocol: PROTOCOL_VERSION })
+        );
+        // A flipped byte may split the line in two. Each line is either
+        // answered with a result or ends the channel unanswered.
+        prop_assert!(frames.len() <= 3, "{:?}", frames);
+        for frame in &frames[1..] {
+            prop_assert!(matches!(frame, WorkerFrame::Completed(_)), "{:?}", frame);
+        }
+        match outcome {
+            Ok(()) => prop_assert!(frames.len() > 1, "an accepted line is answered"),
+            Err(error) => prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData),
+        }
+    }
 }
