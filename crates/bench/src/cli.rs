@@ -66,7 +66,7 @@ fn full_scale(value: &str) -> Result<Option<bool>, String> {
 
 /// The job flags of one invocation: the job itself, and where its
 /// summary goes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct JobFlags {
     /// The job the flags describe; unset fields take the executing side's
     /// defaults.
@@ -75,21 +75,6 @@ pub(crate) struct JobFlags {
     pub(crate) out: Option<String>,
     /// `--format FMT`: the stdout rendering.
     pub(crate) format: Format,
-}
-
-impl Default for JobFlags {
-    /// No flags: the whole registry at the environment's scale
-    /// (`ONIONBOTS_FULL`), everything else at its default.
-    fn default() -> Self {
-        JobFlags {
-            spec: JobSpec {
-                full_scale: Scale::from_env().is_full().then_some(true),
-                ..JobSpec::default()
-            },
-            out: None,
-            format: Format::Table,
-        }
-    }
 }
 
 impl JobFlags {
@@ -111,8 +96,6 @@ impl JobFlags {
                 }
             }
             "--scale" => spec.full_scale = full_scale(args.value(flag)?)?,
-            "--full" => spec.full_scale = Some(true),
-            "--quick" => spec.full_scale = None,
             "--seed" => spec.seed = Some(number(flag, args.value(flag)?)?),
             "--set" => {
                 let (key, value) = parse_override(args.value(flag)?)?;
@@ -153,10 +136,7 @@ impl JobFlags {
             "--refresh" => spec.refresh = Some(true),
             "--out" => self.out = Some(args.value(flag)?.to_string()),
             "--format" => self.format = Format::parse(args.value(flag)?)?,
-            other => match other.strip_prefix("--scale=") {
-                Some(value) => spec.full_scale = full_scale(value)?,
-                None => return Ok(false),
-            },
+            _ => return Ok(false),
         }
         Ok(true)
     }
@@ -258,7 +238,7 @@ Options:
   --json              with --list, print the listing as machine-readable
                       JSON (ids, part counts, override keys)
   --only ID[,ID...]   run only the named scenarios (repeatable)
-  --scale quick|full  population scale (default: quick; env ONIONBOTS_FULL=1)
+  --scale quick|full  population scale (default: quick)
   --jobs N            workers: threads (local) or subprocesses (process)
                       (default: 1)
   --threads-per-item T
@@ -446,7 +426,6 @@ pub fn one_shot_main(args: &[String]) -> ExitCode {
         match config.threads_per_item {
             ThreadsPerItem::Auto => "auto".to_string(),
             ThreadsPerItem::Fixed(n) => n.to_string(),
-            ThreadsPerItem::Sequential => "1".to_string(),
         }
     );
     if spec.refresh.is_some() && config.cache.is_none() {
@@ -461,7 +440,9 @@ pub fn one_shot_main(args: &[String]) -> ExitCode {
         }
     };
     let elapsed = started.elapsed();
-    if let Err(message) = render_summary(&summary, options.job.format, options.job.out.as_deref()) {
+    let out = options.job.out.as_deref();
+    if let Err(message) = render_summary(&summary, options.job.format, out, &mut std::io::stdout())
+    {
         eprintln!("error: {message}");
         return ExitCode::FAILURE;
     }
@@ -524,7 +505,8 @@ mod tests {
                 "--refresh",
             ],
             &[
-                "--quick",
+                "--scale",
+                "quick",
                 "--threads-per-item",
                 "2",
                 "--out",
@@ -600,21 +582,18 @@ mod tests {
     #[test]
     fn scale_flags_parse_explicit_forms() {
         assert!(scale_of(&["--scale", "full"]));
-        assert!(scale_of(&["--scale=full"]));
-        assert!(scale_of(&["--scale=FULL"]));
-        assert!(scale_of(&["--full"]));
+        assert!(scale_of(&["--scale", "FULL"]));
         assert!(!scale_of(&["--scale", "quick"]));
-        // Later options override earlier ones, in either direction.
-        assert!(!scale_of(&["--full", "--scale", "quick"]));
-        assert!(!scale_of(&["--scale", "full", "--quick"]));
-        assert!(scale_of(&["--scale=quick", "--full"]));
+        // The last --scale wins, in either direction.
+        assert!(!scale_of(&["--scale", "full", "--scale", "quick"]));
+        assert!(scale_of(&["--scale", "quick", "--scale", "full"]));
     }
 
     #[test]
     fn scale_flags_reject_invalid_values() {
         // A typo must error rather than silently run at the wrong scale.
         assert!(one_shot(&["--scale", "ful"]).is_err());
-        assert!(one_shot(&["--scale=Full-size"]).is_err());
+        assert!(one_shot(&["--scale", "Full-size"]).is_err());
         // ... and so must a trailing --scale with its value missing.
         assert!(one_shot(&["--scale"]).is_err());
         assert!(one_shot(&["--jobs", "2", "--scale"]).is_err());
@@ -632,10 +611,15 @@ mod tests {
     #[test]
     fn bare_scale_words_are_not_flags() {
         // The positional `full`/`quick` of the removed figure binaries is
-        // gone: only the flag spellings set the scale.
+        // gone, and so are the flags named after them: only
+        // `--scale quick|full` sets the scale.
         for word in ["full", "quick"] {
             let error = one_shot(&[word]).unwrap_err();
             assert_eq!(error, format!("unknown option '{word}'"));
+            let flag = format!("--{word}");
+            for parsed in [one_shot(&[&flag]), submit(&[&flag])] {
+                assert_eq!(parsed.unwrap_err(), format!("unknown option '{flag}'"));
+            }
         }
         assert!(one_shot(&["full", "--jobs", "2"]).is_err());
     }

@@ -30,8 +30,7 @@
 //!
 //! Scenarios default to a scaled-down population so that a full
 //! regeneration run finishes in minutes on a laptop; pass `--scale full`
-//! to `run_experiments` (or set `ONIONBOTS_FULL=1`) to run at the paper's
-//! scale (5000/15000 nodes).
+//! to `run_experiments` to run at the paper's scale (5000/15000 nodes).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,18 +53,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the environment (`ONIONBOTS_FULL=1` or
-    /// `=true`): the default the `--scale`/`--full`/`--quick` job flags
-    /// override.
-    pub fn from_env() -> Self {
-        let env_full = std::env::var("ONIONBOTS_FULL").is_ok_and(|v| v == "1" || v == "true");
-        if env_full {
-            Scale::Full
-        } else {
-            Scale::Quick
-        }
-    }
-
     /// The scale a scenario run was configured with
     /// ([`ScenarioParams::full_scale`]).
     pub fn from_params(params: &ScenarioParams) -> Self {

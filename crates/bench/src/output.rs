@@ -6,7 +6,7 @@
 //! stdout, per-report files and `summary.json` to a local run — the
 //! rendering layer cannot drift between the two paths.
 
-use std::io::Write as _;
+use std::io::Write;
 use std::path::Path;
 
 use sim::RunSummary;
@@ -38,63 +38,57 @@ impl Format {
     }
 }
 
-/// Renders a summary to stdout in `format` and, with `out` set, writes
+/// Renders a summary to `stdout` in `format` and, with `out` set, writes
 /// `<out>/<scenario id>/<report id>.json` and `.csv` per report plus
 /// `summary.json` — exactly what the one-shot CLI has always produced.
 /// Namespacing the report files by scenario keeps two scenarios that
 /// reuse a report id from overwriting each other's files.
 ///
+/// A failed `stdout` write (a closed pipe, say) stops the stdout
+/// rendering only: every `out` file is still written, and the failure is
+/// returned afterwards, the same way in every format.
+///
 /// # Errors
-/// Returns a human-readable message when the output directory or a file
-/// cannot be written.
+/// Returns a human-readable message when the output directory, a file or
+/// `stdout` cannot be written.
 pub fn render_summary(
     summary: &RunSummary,
     format: Format,
     out: Option<&str>,
+    stdout: &mut dyn Write,
 ) -> Result<(), String> {
     if let Some(dir) = out {
         std::fs::create_dir_all(dir)
             .map_err(|error| format!("cannot create output directory {dir}: {error}"))?;
     }
-    let mut stdout = std::io::stdout();
+    let mut printed = Ok(());
     for outcome in &summary.outcomes {
         for report in &outcome.reports {
-            let written = match format {
-                Format::Table => writeln!(stdout, "{}", report.to_table()),
-                Format::Csv => {
-                    let _ = writeln!(stdout, "# {}\n{}", report.id, report.to_csv());
-                    Ok(())
-                }
-                Format::Json => {
-                    let _ = writeln!(stdout, "{}", report.to_json());
-                    Ok(())
-                }
-            };
-            written
-                .and_then(|()| match out {
-                    Some(dir) => {
-                        let scenario_dir = Path::new(dir).join(&outcome.scenario_id);
-                        std::fs::create_dir_all(&scenario_dir)?;
-                        let file = |ext: &str| scenario_dir.join(format!("{}.{ext}", report.id));
-                        std::fs::write(file("json"), report.to_json())?;
-                        std::fs::write(file("csv"), report.to_csv())
-                    }
-                    None => Ok(()),
-                })
-                .map_err(|error| format!("writing report {}: {error}", report.id))?;
+            if printed.is_ok() {
+                printed = match format {
+                    Format::Table => writeln!(stdout, "{}", report.to_table()),
+                    Format::Csv => writeln!(stdout, "# {}\n{}", report.id, report.to_csv()),
+                    Format::Json => writeln!(stdout, "{}", report.to_json()),
+                };
+            }
+            if let Some(dir) = out {
+                let scenario_dir = Path::new(dir).join(&outcome.scenario_id);
+                let file = |ext: &str| scenario_dir.join(format!("{}.{ext}", report.id));
+                std::fs::create_dir_all(&scenario_dir)
+                    .and_then(|()| std::fs::write(file("json"), report.to_json()))
+                    .and_then(|()| std::fs::write(file("csv"), report.to_csv()))
+                    .map_err(|error| format!("writing report {}: {error}", report.id))?;
+            }
         }
-    }
-    if format == Format::Table {
-        stdout
-            .flush()
-            .map_err(|error| format!("flushing output: {error}"))?;
     }
     if let Some(dir) = out {
         let path = Path::new(dir).join("summary.json");
         std::fs::write(&path, summary.to_json())
             .map_err(|error| format!("writing {}: {error}", path.display()))?;
     }
-    Ok(())
+    printed
+        .and_then(|()| stdout.flush())
+        .map_err(|error| format!("writing to stdout: {error}"))
 }
 
 #[cfg(test)]
@@ -110,13 +104,13 @@ mod tests {
         assert_eq!(Format::default(), Format::Table);
     }
 
-    #[test]
-    fn render_writes_summary_json_and_per_report_files() {
+    /// A two-scenario summary whose scenarios both emit a report with
+    /// the id `tiny`.
+    fn tiny_summary() -> RunSummary {
         use sim::scenario_api::{Scenario, ScenarioParams};
         use sim::Runner;
         use std::sync::Arc;
 
-        /// Every instance emits a report with the same id, `tiny`.
         struct Tiny(&'static str);
         impl Scenario for Tiny {
             fn id(&self) -> &str {
@@ -139,16 +133,25 @@ mod tests {
 
         let scenarios: Vec<Arc<dyn Scenario>> =
             vec![Arc::new(Tiny("tiny")), Arc::new(Tiny("other"))];
-        let (summary, _) = Runner::new(ScenarioParams::with_seed(1))
+        Runner::new(ScenarioParams::with_seed(1))
             .try_run_observed(&scenarios, &())
-            .unwrap();
+            .unwrap()
+            .0
+    }
+
+    /// A fresh, empty directory unique to the calling test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
-            "bench-output-render-{}-{:?}",
+            "bench-output-{name}-{}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        render_summary(&summary, Format::Json, Some(dir.to_str().unwrap())).unwrap();
+        dir
+    }
+
+    /// Asserts that `dir` holds every `--out` file of `summary`.
+    fn assert_out_files(dir: &Path, summary: &RunSummary) {
         let written = std::fs::read_to_string(dir.join("summary.json")).unwrap();
         assert_eq!(written, summary.to_json());
         // Each scenario's report lands under its own directory, so the
@@ -160,11 +163,69 @@ mod tests {
             assert_eq!(read("json"), report.to_json());
             assert_eq!(read("csv"), report.to_csv());
         }
+    }
+
+    #[test]
+    fn render_writes_summary_json_and_per_report_files() {
+        let summary = tiny_summary();
+        let dir = scratch_dir("render");
+        let mut stdout = Vec::new();
+        render_summary(
+            &summary,
+            Format::Json,
+            Some(dir.to_str().unwrap()),
+            &mut stdout,
+        )
+        .unwrap();
+        assert_out_files(&dir, &summary);
+        let expected: String = summary
+            .outcomes
+            .iter()
+            .map(|outcome| format!("{}\n", outcome.reports[0].to_json()))
+            .collect();
+        assert_eq!(String::from_utf8(stdout).unwrap(), expected);
         // An unusable directory degrades to an error message, not a panic.
         let blocked = dir.join("summary.json"); // a file, not a directory
-        let error =
-            render_summary(&summary, Format::Table, Some(blocked.to_str().unwrap())).unwrap_err();
+        let error = render_summary(
+            &summary,
+            Format::Table,
+            Some(blocked.to_str().unwrap()),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert!(error.contains("cannot create output directory"), "{error}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_stdout_write_fails_every_format_after_the_files_are_written() {
+        /// Stdout behind a closed pipe: every write fails.
+        struct ClosedPipe;
+        impl Write for ClosedPipe {
+            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let summary = tiny_summary();
+        for format in [Format::Table, Format::Csv, Format::Json] {
+            let dir = scratch_dir(&format!("closed-{format:?}"));
+            let error = render_summary(
+                &summary,
+                format,
+                Some(dir.to_str().unwrap()),
+                &mut ClosedPipe,
+            )
+            .unwrap_err();
+            assert!(
+                error.starts_with("writing to stdout"),
+                "{format:?}: {error}"
+            );
+            assert_out_files(&dir, &summary);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -187,7 +187,7 @@ a one-shot run (byte-identical stdout / summary.json for a fixed seed).
 Options:
   --socket PATH       connect to the daemon's Unix domain socket (required)
   --only ID[,ID...]   run only the named scenarios (repeatable)
-  --scale quick|full  population scale (default: quick; env ONIONBOTS_FULL=1)
+  --scale quick|full  population scale (default: quick)
   --seed N            base RNG seed (default: the daemon's default, 2015)
   --set KEY=VALUE     scenario override, repeatable
   --jobs N            workers for this job (default: the daemon's default)
@@ -260,7 +260,8 @@ fn run_submit(options: &SubmitOptions) -> Result<(), String> {
                 if let Some(stats) = cache {
                     eprintln!("cache: {stats}");
                 }
-                render_summary(&summary, options.job.format, options.job.out.as_deref())?;
+                let out = options.job.out.as_deref();
+                render_summary(&summary, options.job.format, out, &mut std::io::stdout())?;
                 eprintln!(
                     "job {job} completed: {} scenario(s), {} report(s)",
                     summary.outcomes.len(),

@@ -60,7 +60,7 @@ fn scale_summary_does_not_depend_on_job_fan_out() {
             .0
             .to_json()
     };
-    let reference = run(1, ThreadsPerItem::Sequential);
+    let reference = run(1, ThreadsPerItem::Fixed(1));
     assert_eq!(run(2, ThreadsPerItem::Fixed(4)), reference);
     assert_eq!(run(8, ThreadsPerItem::Auto), reference);
 }

@@ -294,7 +294,8 @@ pub fn disarm_all() {
     ANY_ARMED.store(false, Ordering::Relaxed);
 }
 
-/// Whether any fault is currently armed (drives the CLI's banner).
+/// Whether any fault is currently armed (the benchmark harness refuses
+/// to measure an armed process).
 pub fn armed() -> bool {
     plan()
         .lock()

@@ -200,14 +200,9 @@ impl std::fmt::Debug for Backend {
 /// purely a throughput knob.
 ///
 /// It is also the wire form of a job's `threads_per_item` field
-/// ([`crate::service::JobSpec`]): `"Sequential"`, `"Auto"` or
-/// `{"Fixed":N}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// ([`crate::service::JobSpec`]): `"Auto"` or `{"Fixed":N}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ThreadsPerItem {
-    /// Keep intra-item work sequential (the pinned legacy behavior and
-    /// the library default).
-    #[default]
-    Sequential,
     /// Split the machine evenly: `max(1, cores / min(jobs, pending
     /// items))` threads per item.
     Auto,
@@ -215,12 +210,18 @@ pub enum ThreadsPerItem {
     Fixed(usize),
 }
 
+impl Default for ThreadsPerItem {
+    /// One thread per item: intra-item work stays sequential.
+    fn default() -> Self {
+        ThreadsPerItem::Fixed(1)
+    }
+}
+
 impl ThreadsPerItem {
     /// Resolves the policy to a concrete per-item thread count for a
     /// batch of `pending` items executed by up to `jobs` workers.
     pub fn resolve(self, jobs: usize, pending: usize) -> usize {
         match self {
-            ThreadsPerItem::Sequential => 1,
             ThreadsPerItem::Fixed(threads) => threads.max(1),
             ThreadsPerItem::Auto => {
                 let cores =
@@ -288,7 +289,7 @@ impl Runner {
     }
 
     /// Sets the intra-item thread budget policy (default:
-    /// [`ThreadsPerItem::Sequential`], the pinned legacy behavior). The
+    /// `ThreadsPerItem::Fixed(1)`, sequential items). The
     /// resolved count is stamped onto every dispatched [`WorkItem`], and
     /// every backend scopes it around the item's execution (in
     /// [`run_work_item`](crate::executor::run_work_item)). Output bytes
@@ -500,8 +501,19 @@ impl Runner {
         ))
     }
 
+    /// How many items the backend runs at once: one per listed host
+    /// channel on [`Backend::Remote`], which ignores `jobs`, and `jobs`
+    /// on every other backend.
+    fn slots(&self) -> usize {
+        match &self.backend {
+            Backend::Remote(workers) => workers.len(),
+            _ => self.jobs,
+        }
+    }
+
     /// Hands the pending items to the configured backend as one batch,
-    /// stamping the resolved per-item thread budget onto every item first.
+    /// stamping the per-item thread budget, resolved against the
+    /// backend's [`slots`](Self::slots), onto every item first.
     /// A cancel raised before dispatch fails the run without starting the
     /// backend; one raised mid-run stops the backend at its next item
     /// boundary, and the run fails whenever the observer reads cancelled
@@ -519,7 +531,7 @@ impl Runner {
         if observer.cancelled() {
             return Err(ExecutorError::cancelled(total, total));
         }
-        let threads = self.threads_per_item.resolve(self.jobs, total);
+        let threads = self.threads_per_item.resolve(self.slots(), total);
         for item in &mut pending {
             item.threads = threads;
         }
@@ -740,7 +752,7 @@ mod tests {
             .unwrap()
             .0;
         for policy in [
-            ThreadsPerItem::Sequential,
+            ThreadsPerItem::Fixed(1),
             ThreadsPerItem::Fixed(3),
             ThreadsPerItem::Auto,
         ] {
@@ -772,7 +784,7 @@ mod tests {
 
     #[test]
     fn threads_per_item_resolution_is_bounded_and_sane() {
-        assert_eq!(ThreadsPerItem::Sequential.resolve(8, 100), 1);
+        assert_eq!(ThreadsPerItem::Fixed(1).resolve(8, 100), 1);
         assert_eq!(ThreadsPerItem::Fixed(4).resolve(8, 100), 4);
         assert_eq!(ThreadsPerItem::Fixed(0).resolve(1, 1), 1, "clamped");
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -791,7 +803,25 @@ mod tests {
             cores,
             "degenerate inputs are clamped, not panics"
         );
-        assert_eq!(ThreadsPerItem::default(), ThreadsPerItem::Sequential);
+        assert_eq!(ThreadsPerItem::default(), ThreadsPerItem::Fixed(1));
+    }
+
+    #[test]
+    fn threads_per_item_resolves_against_the_slots_the_backend_opens() {
+        let runner = |jobs: usize, backend: Backend| {
+            Runner::new(ScenarioParams::with_seed(1))
+                .jobs(jobs)
+                .backend(backend)
+        };
+        // The remote backend opens one channel per listed host and
+        // ignores `jobs`: two channels at `--jobs 1` share the cores.
+        let hosts = Backend::Remote(vec!["127.0.0.1:1".to_string(); 2]);
+        assert_eq!(runner(1, hosts.clone()).slots(), 2);
+        assert_eq!(runner(8, hosts).slots(), 2);
+        assert_eq!(runner(3, Backend::Local).slots(), 3);
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let remote = runner(1, Backend::Remote(vec!["127.0.0.1:1".to_string(); cores]));
+        assert_eq!(ThreadsPerItem::Auto.resolve(remote.slots(), 100), 1);
     }
 
     #[test]

@@ -364,7 +364,7 @@ impl Default for ServiceConfig {
             backend: BackendSpec::Local,
             worker_command: None,
             workers: Vec::new(),
-            threads_per_item: ThreadsPerItem::Sequential,
+            threads_per_item: ThreadsPerItem::default(),
             cache: None,
             max_active_jobs: DEFAULT_MAX_ACTIVE_JOBS,
             item_deadline_ms: None,
@@ -1476,7 +1476,6 @@ mod tests {
         let fields = "\"only\":null,\"seed\":null,\"full_scale\":null,\"overrides\":null,\
                       \"refresh\":null,\"jobs\":null,\"backend\":null,\"workers\":null";
         for (threads, wire) in [
-            (ThreadsPerItem::Sequential, "\"Sequential\""),
             (ThreadsPerItem::Auto, "\"Auto\""),
             (ThreadsPerItem::Fixed(3), "{\"Fixed\":3}"),
         ] {

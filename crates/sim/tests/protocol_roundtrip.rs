@@ -11,7 +11,10 @@
 //! malformed or version-skewed handshakes. A valid frame cut at any byte
 //! or with one byte flipped must decode to `Ok` or `Err`, never panic,
 //! and the serving loop must answer such an assignment or end the
-//! channel. Cache entries are the other
+//! channel. The daemon's connection loop ([`Service::handle_connection`])
+//! must answer a damaged, over-nested or endless request line with an
+//! [`Event::Error`] or end the connection, reading no line past the
+//! bound. Cache entries are the other
 //! bytes decoded from outside the process: a torn or bit-flipped entry
 //! must never panic a [`ResultCache`] lookup or the renderers.
 
@@ -22,7 +25,7 @@ use proptest::prelude::*;
 use sim::cache::{CacheLookup, PartFingerprint, ResultCache};
 use sim::executor::{PartResult, WorkItem};
 use sim::experiment::{ExperimentReport, Series};
-use sim::scenario_api::{Scenario, ScenarioParams};
+use sim::scenario_api::{Scenario, ScenarioParams, ScenarioRegistry};
 use sim::service::{Event, Request};
 use sim::wire::{
     serve_connection, write_frame, DispatchFrame, Frame, FrameReader, WorkerFrame, MAX_FRAME_BYTES,
@@ -30,7 +33,7 @@ use sim::wire::{
 };
 use sim::{
     BackendSpec, CacheStats, JobSpec, JobState, JobStatus, PartEvent, PartState, RunSummary,
-    ScenarioInfo, ScenarioOutcome, ThreadsPerItem,
+    ScenarioInfo, ScenarioOutcome, Service, ServiceConfig, ThreadsPerItem,
 };
 
 /// A printable-ASCII identifier-ish string (scenario ids, override keys
@@ -186,7 +189,7 @@ fn job_spec_strategy() -> impl Strategy<Value = JobSpec> {
             opt(1usize..9),
             opt(0u8..3),
             opt(prop::collection::vec(ident_strategy(), 0..3)),
-            opt((0u8..3, 1usize..9)),
+            opt((0u8..2, 1usize..9)),
         ),
     )
         .prop_map(
@@ -205,8 +208,7 @@ fn job_spec_strategy() -> impl Strategy<Value = JobSpec> {
                     }),
                     workers,
                     threads_per_item: threads.map(|(variant, count)| match variant {
-                        0 => ThreadsPerItem::Sequential,
-                        1 => ThreadsPerItem::Auto,
+                        0 => ThreadsPerItem::Auto,
                         _ => ThreadsPerItem::Fixed(count),
                     }),
                 }
@@ -914,5 +916,141 @@ proptest! {
             Ok(()) => prop_assert!(frames.len() > 1, "an accepted line is answered"),
             Err(error) => prop_assert_eq!(error.kind(), std::io::ErrorKind::InvalidData),
         }
+    }
+}
+
+/// Feeds `input` to the connection loop of a fresh service whose one
+/// scenario is [`Toy`]; returns the loop's outcome and the events it
+/// wrote back.
+fn serve_requests(input: impl Read) -> (std::io::Result<()>, Vec<Event>) {
+    let mut registry = ScenarioRegistry::new();
+    registry.register(Toy);
+    let service = Service::new(registry, ServiceConfig::default());
+    let mut output = Vec::new();
+    let outcome = service.handle_connection(input, &mut output);
+    let events = String::from_utf8(output)
+        .unwrap()
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    (outcome, events)
+}
+
+/// How many events are errors not tied to a job whose message starts
+/// with `prefix`.
+fn connection_errors(events: &[Event], prefix: &str) -> usize {
+    events
+        .iter()
+        .filter(|event| {
+            matches!(event, Event::Error { job: None, message } if message.starts_with(prefix))
+        })
+        .count()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_damaged_request_is_answered_with_an_error_or_ends_the_connection(
+        request in request_strategy(),
+        offset in any::<usize>(),
+        flip in 1u8..=255,
+        truncate in any::<bool>(),
+    ) {
+        // No submission may dial a host. With `workers` cleared, one byte
+        // can turn neither `null` into a host list nor another backend
+        // name into `Remote`.
+        let request = match request {
+            Request::Submit(spec) => Request::Submit(JobSpec { workers: None, ..spec }),
+            other => other,
+        };
+        let damaged = damage(&serde_json::to_string(&request).unwrap(), offset, flip, truncate);
+        let mut input = damaged.clone();
+        input.push(b'\n');
+        let (outcome, events) = serve_requests(&input[..]);
+        // The lines the loop reads: a flipped byte may split the line in
+        // two, and the reader drops one trailing `\r`. A valid line is
+        // served, a malformed one draws one error, and a line that is not
+        // UTF-8 draws an error and ends the connection.
+        let (mut malformed, mut unreadable) = (0, false);
+        for piece in damaged.split(|&b| b == b'\n') {
+            let piece = piece.strip_suffix(b"\r").unwrap_or(piece);
+            match std::str::from_utf8(piece) {
+                Err(_) => {
+                    unreadable = true;
+                    break;
+                }
+                Ok(text) if text.trim().is_empty() => {}
+                Ok(text) => malformed += usize::from(serde_json::from_str::<Request>(text).is_err()),
+            }
+        }
+        prop_assert_eq!(connection_errors(&events, "malformed request frame"), malformed);
+        if unreadable {
+            prop_assert_eq!(outcome.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+            prop_assert_eq!(connection_errors(&events, "cannot read request frame"), 1);
+        } else {
+            prop_assert!(outcome.is_ok());
+        }
+    }
+}
+
+#[test]
+fn a_request_nested_past_max_depth_is_answered_and_the_connection_serves_on() {
+    let arrays = serde::MAX_DEPTH - 1;
+    let input = format!(
+        "{{\"Submit\":{{\"only\":{}{}}}}}\n\"List\"\n",
+        "[".repeat(arrays),
+        "]".repeat(arrays)
+    );
+    let (outcome, events) = serve_requests(input.as_bytes());
+    outcome.unwrap();
+    assert_eq!(events.len(), 2, "{events:?}");
+    let Event::Error { job: None, message } = &events[0] else {
+        panic!("expected an Error frame, got {:?}", events[0]);
+    };
+    assert!(message.contains("nesting deeper than"), "{message}");
+    assert!(matches!(&events[1], Event::Scenarios(infos) if infos.len() == 1));
+}
+
+#[test]
+fn the_daemon_refuses_an_endless_request_line_at_the_bound() {
+    let read = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let input = Counting {
+        inner: std::io::repeat(b'x'),
+        read: read.clone(),
+    };
+    let (outcome, events) = serve_requests(input);
+    assert_eq!(outcome.unwrap_err().kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(events.len(), 1, "{events:?}");
+    assert_eq!(connection_errors(&events, "cannot read request frame"), 1);
+    // The reader stops within one read chunk of the line limit.
+    let consumed = read.load(std::sync::atomic::Ordering::SeqCst);
+    assert!(consumed <= MAX_FRAME_BYTES + 4096, "read {consumed}");
+}
+
+/// Decodes a `T` from `open`, arrays nested to `depth` levels in all, and
+/// `close`, where `open` itself opens two levels; returns the error.
+fn decode_nested<T: serde::Deserialize + std::fmt::Debug>(
+    open: &str,
+    close: &str,
+    depth: usize,
+) -> String {
+    let arrays = depth - 2;
+    let line = format!("{open}{}{}{close}", "[".repeat(arrays), "]".repeat(arrays));
+    serde_json::from_str::<T>(&line).unwrap_err().to_string()
+}
+
+#[test]
+fn frames_nested_to_max_depth_fail_on_their_shape_and_past_it_on_the_depth() {
+    let hello = |depth| decode_nested::<DispatchFrame>("{\"Hello\":{\"protocol\":", "}}", depth);
+    let reject = |depth| decode_nested::<WorkerFrame>("{\"Reject\":{\"reason\":", "}}", depth);
+    for decode in [hello, reject] {
+        let at = decode(serde::MAX_DEPTH);
+        assert!(
+            !at.contains("nesting deeper"),
+            "the bound itself parses: {at}"
+        );
+        let past = decode(serde::MAX_DEPTH + 1);
+        assert!(past.contains("nesting deeper than"), "{past}");
     }
 }
